@@ -4,8 +4,9 @@ predictions to speed up primal solution finding inside branch and bound.
 The package covers the full pipeline: instance generation, labeling by
 iterated proximity search, tripartite-graph feature extraction, a graph
 convolutional network trained with hand-written reverse-mode gradients,
-and application of predictions either as a local-branching style cut
-(approximate) or as a root branching disjunction (exact).
+and application of predictions as bounds on one Hamming-distance
+variable inside the same search tree: a ball around the prediction
+(approximate) or a root split on that distance (exact).
 """
 
 __version__ = "0.1.0"

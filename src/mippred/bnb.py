@@ -6,10 +6,17 @@ the rounded side of the fractional value is explored next and the
 sibling parked in a best-bound heap.  Node LPs warm-start from the
 parent basis; correctness does not depend on that.
 
+Predictions enter as a ``HammingBall``: one continuous variable ``d``
+appended to the LP with the row ``d = sum_{j in S, x_hat_j = 0} x_j +
+sum_{j in S, x_hat_j = 1} (1 - x_j)``.  ``d`` is integral whenever the
+binaries are, so it is never branched on.  The approximate search is
+the same tree with ``ub(d) = phi``; the exact search seeds the open
+list with two root boxes, ``d <= phi`` (plunged first) and ``d >= phi +
+1``, which share warm starts, the incumbent, the deadline and the node
+budget.  A solve without a ball has no ``d``.
+
 Also here: the root-information pass used by feature extraction
-(presolve, root LP, up/down locks, zeroed pseudocosts), the
-local-branching style cut that restricts Hamming distance to a partial
-assignment, and the exact two-child root branching on that distance.
+(presolve, root LP, up/down locks, zeroed pseudocosts).
 """
 
 from __future__ import annotations
@@ -17,19 +24,24 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import (
     BINARY,
+    CONTINUOUS,
     INT_TOL,
     INTEGER,
+    MAXIMIZE,
     Constraint,
     MipInstance,
     Solution,
+    Variable,
     canonicalize,
     evaluate_solution,
+    hamming_coeffs,
 )
 from .simplex import INFEASIBLE as LP_INFEASIBLE
 from .simplex import OPTIMAL as LP_OPTIMAL
@@ -51,9 +63,23 @@ class BnbConfig:
     node_limit: int | None = None
     gap_limit: float = 1e-9
     mode: str = OPTIMIZE
-    branching: str = "most_fractional"
-    node_selection: str = "best_bound_plunge"
-    seed: int = 0
+
+
+@dataclass
+class HammingBall:
+    """Predicted values ``x_hat`` (indexed like the instance) on the binary
+    indices ``S`` and a radius ``phi``.
+
+    With ``exact`` False the search keeps only ``d(x, x_hat) <= phi``, a
+    heuristic restriction whose bound is not valid for the instance.
+    With ``exact`` True the root is split into ``d <= phi`` and ``d >=
+    phi + 1``, which together keep every solution.
+    """
+
+    x_hat: Sequence[float]
+    S: Sequence[int]
+    phi: int
+    exact: bool = False
 
 
 @dataclass
@@ -64,7 +90,7 @@ class SolveResult:
     (upper) bound.  ``lb_history`` records the canonical minimization
     bound each time it improves, so it is nondecreasing for either
     sense.  ``heuristic`` marks results whose bound is not valid for the
-    original instance (set by cut-augmented solves).
+    original instance (set for solves restricted to a Hamming ball).
     """
 
     status: str
@@ -89,7 +115,6 @@ class RootInfo:
     pseudocost_down: np.ndarray
     objective_offset: float
     var_map: list[int]
-    sense_flipped: bool
 
 
 class _Node:
@@ -158,23 +183,56 @@ def _repair_rounding(canon, lp_x, x_cand, int_vars, low0, upp0, col_rows):
     return True
 
 
-def solve(inst: MipInstance, cfg: BnbConfig | None = None) -> SolveResult:
-    """Solve a MIP to the configured limits.
+def _with_distance(canon: MipInstance, ball: HammingBall):
+    """``canon`` plus the distance variable ``d`` at index n and the row
+    defining it, and the distance as a function of the first n entries.
+    Without ``ball.exact``, ``d`` gets the upper bound ``phi``."""
+    if ball.phi < 0:
+        raise ValueError("phi must be nonnegative")
+    binaries = set(canon.binary_indices())
+    for j in ball.S:
+        if j not in binaries:
+            raise ValueError(f"index {j} in S is not a binary variable")
+    coeffs = hamming_coeffs(ball.x_hat, ball.S)
+    n_ones = float(sum(1 for a in coeffs.values() if a < 0.0))
+    n = canon.n_vars
+    d_ub = len(coeffs) if ball.exact else min(ball.phi, len(coeffs))
+    aug = replace(
+        canon,
+        variables=canon.variables + [Variable("d", CONTINUOUS, 0.0, float(d_ub))],
+        constraints=canon.constraints + [
+            Constraint("hamming_distance", {**coeffs, n: -1.0}, -n_ones, -n_ones)],
+    )
+    coef = np.zeros(n)
+    coef[list(coeffs)] = list(coeffs.values())
+    return aug, lambda x: float(np.dot(coef, x)) + n_ones
 
-    Status optimal/infeasible are proved; feasible means an incumbent
-    exists but optimality was not proved (limit hit, or first-feasible
-    mode); limit_reached means a limit hit before any incumbent.
+
+def solve(inst: MipInstance, cfg: BnbConfig | None = None,
+          ball: HammingBall | None = None) -> SolveResult:
+    """Solve a MIP to the configured limits, optionally around a ball.
+
+    Status optimal/infeasible are proved (inside the ball when it is not
+    exact); feasible means an incumbent exists but optimality was not
+    proved (limit hit, or first-feasible mode); limit_reached means a
+    limit hit before any incumbent.  Incumbents are evaluated on
+    ``inst``, and objective and bound are in ``inst.sense``.  A ball
+    with an empty ``S`` changes nothing.
     """
     cfg = cfg or BnbConfig()
     t0 = time.perf_counter()
     canon = canonicalize(inst)
-    ws = LpWorkspace(canon)
     n = canon.n_vars
+    lp_inst, dist = canon, None
+    if ball is not None and len(ball.S):
+        lp_inst, dist = _with_distance(canon, ball)
+    ws = LpWorkspace(lp_inst)
     c_min = canon.objective_vector()
     int_vars = [j for j, v in enumerate(canon.variables)
                 if v.vtype in (BINARY, INTEGER)]
-    low0 = ws.base_low[:n].copy()
-    upp0 = ws.base_upp[:n].copy()
+    low0 = ws.base_low[:ws.n].copy()
+    upp0 = ws.base_upp[:ws.n].copy()
+    # the repair walks the instance's own rows; d follows the binaries
     col_rows = [[] for _ in range(n)]
     for i, con in enumerate(canon.constraints):
         for j, a in con.coeffs.items():
@@ -185,6 +243,13 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None) -> SolveResult:
     seq = 0
     root = _Node(-math.inf, low0, upp0, None, 0)
     plunge.append(root)
+    if dist is not None and ball.exact and ball.phi < upp0[n]:
+        root.upp = upp0.copy()
+        root.upp[n] = ball.phi
+        far = _Node(-math.inf, low0.copy(), upp0, None, 0)
+        far.low[n] = ball.phi + 1.0
+        heapq.heappush(heap, (far.bound, seq, far))
+    root_warm = None
 
     incumbent: Solution | None = None
     inc_min = math.inf
@@ -205,7 +270,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None) -> SolveResult:
         # the reported global bound is capped at the incumbent value, so
         # it can never pass the optimum once the best subtree is closed
         value = min(value, inc_min)
-        if not lb_history or value > lb_history[-1] + 0.0:
+        if value > (lb_history[-1] if lb_history else -math.inf):
             lb_history.append(value)
 
     stop = None
@@ -220,7 +285,9 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None) -> SolveResult:
         prune_eps = cfg.gap_limit * (1.0 + abs(inc_min)) if incumbent else 0.0
         if node.bound >= inc_min - prune_eps:
             continue
-        lp, warm = ws.solve(node.low, node.upp, node.warm)
+        # the far root box starts from the basis of the first root LP
+        lp, warm = ws.solve(node.low, node.upp, node.warm or root_warm)
+        root_warm = root_warm or warm
         nodes_done += 1
         if lp.status == LP_INFEASIBLE:
             record_lb(open_lb() if (heap or plunge) else inc_min)
@@ -236,7 +303,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None) -> SolveResult:
         # (nearest / floor / ceil / nearest-with-repair), kept when
         # feasible and improving
         for mode in (0, 1, 2, 3):
-            x_cand = lp.x.copy()
+            x_cand = lp.x[:n].copy()
             for j in int_vars:
                 v = x_cand[j]
                 if mode == 1:
@@ -252,6 +319,10 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None) -> SolveResult:
                 continue
             cand_min = float(np.dot(c_min, x_cand))
             if cand_min >= inc_min:
+                continue
+            # a point outside the approximate ball is no solution of the
+            # restricted problem, even when it is feasible for inst
+            if dist is not None and dist(x_cand) > upp0[n] + INT_TOL:
                 continue
             cand = evaluate_solution(inst, x_cand)
             if cand.feasible:
@@ -270,7 +341,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None) -> SolveResult:
                 frac_best = score
                 frac_j = j
         if frac_j < 0:
-            x_snap = lp.x.copy()
+            x_snap = lp.x[:n].copy()
             for j in int_vars:
                 x_snap[j] = round(x_snap[j])
             cand = evaluate_solution(inst, x_snap)
@@ -310,10 +381,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None) -> SolveResult:
         status = FEASIBLE if incumbent is not None else LIMIT_REACHED
     record_lb(lb_min)
 
-    if canon.sense_flipped:
-        lower_bound = -lb_min
-    else:
-        lower_bound = lb_min
+    lower_bound = -lb_min if inst.sense == MAXIMIZE else lb_min
     return SolveResult(
         status=status,
         incumbent=incumbent,
@@ -356,10 +424,8 @@ def _presolve(canon: MipInstance):
         rhs = con.rhs - shift if math.isfinite(con.rhs) else con.rhs
         constraints.append(Constraint(con.name, coeffs, lhs, rhs))
     variables = [canon.variables[j] for j in keep_vars]
-    reduced = MipInstance(
-        canon.name, canon.sense, variables, constraints, objective,
-        sense_flipped=canon.sense_flipped,
-    )
+    reduced = MipInstance(canon.name, canon.sense, variables, constraints,
+                          objective)
     return reduced, keep_vars, offset
 
 
@@ -400,122 +466,5 @@ def collect_root_info(inst: MipInstance) -> RootInfo:
         pseudocost_down=np.zeros(n),
         objective_offset=offset,
         var_map=keep_vars,
-        sense_flipped=canon.sense_flipped,
     )
 
-
-# ---------------------------------------------------------------------------
-# Hamming-distance cut and root branching
-
-
-def _distance_coeffs(inst: MipInstance, x_hat, S):
-    binaries = set(inst.binary_indices())
-    coeffs = {}
-    n_ones = 0
-    for j in S:
-        if j not in binaries:
-            raise ValueError(f"index {j} in S is not a binary variable")
-        if x_hat[j] > 0.5:
-            coeffs[j] = -1.0
-            n_ones += 1
-        else:
-            coeffs[j] = 1.0
-    return coeffs, n_ones
-
-
-def _with_row(inst: MipInstance, row: Constraint) -> MipInstance:
-    return MipInstance(
-        name=inst.name,
-        sense=inst.sense,
-        variables=list(inst.variables),
-        constraints=list(inst.constraints) + [row],
-        objective=dict(inst.objective),
-        sense_flipped=inst.sense_flipped,
-    )
-
-
-def apply_local_branching_cut(inst: MipInstance, x_hat, S, phi: float) -> MipInstance:
-    """Restrict the Hamming distance to x_hat on S to at most phi.
-
-    Materialized as the ranged row ``sum_{j in S, x_hat_j=0} x_j -
-    sum_{j in S, x_hat_j=1} x_j <= phi - |{j in S : x_hat_j = 1}|``.
-    With phi = 0 this is equivalent to fixing the variables in S.  An
-    empty S leaves the instance unchanged (the row would be vacuous and
-    rows need at least one coefficient).
-    """
-    if phi < 0:
-        raise ValueError("phi must be nonnegative")
-    S = list(S)
-    if not S:
-        return _with_row_none(inst)
-    coeffs, n_ones = _distance_coeffs(inst, x_hat, S)
-    row = Constraint(
-        f"dist_cut_{len(inst.constraints)}", coeffs, -math.inf, float(phi) - n_ones
-    )
-    return _with_row(inst, row)
-
-
-def _with_row_none(inst: MipInstance) -> MipInstance:
-    return MipInstance(
-        name=inst.name,
-        sense=inst.sense,
-        variables=list(inst.variables),
-        constraints=list(inst.constraints),
-        objective=dict(inst.objective),
-        sense_flipped=inst.sense_flipped,
-    )
-
-
-def root_branch_solve(inst: MipInstance, x_hat, S, phi: float,
-                      cfg: BnbConfig | None = None) -> SolveResult:
-    """Branch at the root on the Hamming distance to x_hat over S.
-
-    The left child restricts distance <= phi, the right child distance
-    >= phi + 1; together they partition the feasible set, so the merged
-    result keeps global optimality (unlike the cut-only heuristic).
-    """
-    if phi < 0:
-        raise ValueError("phi must be nonnegative")
-    cfg = cfg or BnbConfig()
-    S = list(S)
-    if not S:
-        left = solve(inst, cfg)
-        left.heuristic = False
-        return left
-    coeffs, n_ones = _distance_coeffs(inst, x_hat, S)
-    left_row = Constraint("dist_left", dict(coeffs), -math.inf, float(phi) - n_ones)
-    right_row = Constraint("dist_right", dict(coeffs), float(phi) + 1.0 - n_ones, math.inf)
-    left = solve(_with_row(inst, left_row), cfg)
-    right = solve(_with_row(inst, right_row), cfg)
-
-    maximize = inst.sense == "max"
-
-    def better(a: Solution | None, b: Solution | None):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        if maximize:
-            return a if a.objective >= b.objective else b
-        return a if a.objective <= b.objective else b
-
-    inc = better(left.incumbent, right.incumbent)
-    if maximize:
-        lower_bound = max(left.lower_bound, right.lower_bound)
-    else:
-        lower_bound = min(left.lower_bound, right.lower_bound)
-    closed = {OPTIMAL, INFEASIBLE}
-    if left.status in closed and right.status in closed:
-        status = OPTIMAL if inc is not None else INFEASIBLE
-        if inc is not None:
-            lower_bound = inc.objective
-    else:
-        status = FEASIBLE if inc is not None else LIMIT_REACHED
-    return SolveResult(
-        status=status,
-        incumbent=inc,
-        objective=inc.objective if inc is not None else None,
-        lower_bound=lower_bound,
-        nodes=left.nodes + right.nodes,
-        wall_time_s=left.wall_time_s + right.wall_time_s,
-    )

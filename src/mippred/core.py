@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class MipInstance:
     variables: list[Variable]
     constraints: list[Constraint]
     objective: dict[int, float]
-    #: set by canonicalize() when the original sense was flipped to min;
-    #: in-memory bookkeeping only, never serialized.
-    sense_flipped: bool = field(default=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -129,10 +126,10 @@ def validate_instance(inst: MipInstance) -> list[str]:
 def canonicalize(inst: MipInstance) -> MipInstance:
     """Return an equivalent minimization instance.
 
-    A maximization objective is negated and ``sense_flipped`` is set so
-    reported objectives can be un-negated by callers.  Minimization
-    instances come back unchanged (same canonical form, flag False or
-    preserved).  Raises ValueError on invalid instances.
+    A maximization objective is negated; callers that report in the
+    original sense read it from the instance they were given.
+    Minimization instances come back unchanged.  Raises ValueError on
+    invalid instances.
     """
     errs = validate_instance(inst)
     if errs:
@@ -143,8 +140,16 @@ def canonicalize(inst: MipInstance) -> MipInstance:
         inst,
         sense=MINIMIZE,
         objective={j: -c for j, c in inst.objective.items()},
-        sense_flipped=True,
     )
+
+
+def hamming_coeffs(x_ref, indices) -> dict[int, float]:
+    """Coefficients of the Hamming distance to ``x_ref`` over binaries.
+
+    Index j gets 1 where ``x_ref[j]`` is 0 and -1 where it is 1, so the
+    distance is ``sum(coeffs[j] * x[j]) + (number of -1 entries)``.
+    """
+    return {int(j): (-1.0 if x_ref[j] > 0.5 else 1.0) for j in indices}
 
 
 def evaluate_solution(inst: MipInstance, x) -> Solution:

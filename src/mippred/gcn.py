@@ -104,24 +104,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def attention_raw(h_center, h_neighbor, edge_feats, att_vec) -> float:
-    """Unnormalized coefficient for a single (center, neighbor) pair."""
-    stacked = np.concatenate([h_center, np.asarray(edge_feats, float),
-                              h_neighbor])
-    return float(_sigmoid(np.dot(att_vec, stacked)))
-
-
-def attention_softmax(h_center, neighbors, edge_feats, att_vec) -> np.ndarray:
-    """Normalized attention of one center over its neighbor set."""
-    neighbors = np.asarray(neighbors, float)
-    if neighbors.shape[0] == 0:
-        return np.zeros(0)
-    raw = np.array([attention_raw(h_center, neighbors[k], edge_feats[k],
-                                  att_vec) for k in range(neighbors.shape[0])])
-    e = np.exp(raw)
-    return e / e.sum()
-
-
 # ---------------------------------------------------------------------------
 # Segment helpers (variable-constraint edges grouped by either endpoint)
 

@@ -24,6 +24,7 @@ from .core import (
     Solution,
     canonicalize,
     evaluate_solution,
+    hamming_coeffs,
 )
 from . import bnb
 
@@ -117,15 +118,12 @@ def proximity_step(inst: MipInstance, x_bar: Solution, delta: float,
     obj_bar = float(np.dot(c, x_bar.values))
     cutoff = Constraint(name="prox_cutoff", coeffs=cut_coeffs,
                         lhs=-math.inf, rhs=obj_bar - delta)
-    dist = {}
-    for j in canon.binary_indices():
-        dist[j] = 1.0 if round(float(x_bar.values[j])) == 0 else -1.0
     aux = MipInstance(
         name=f"{canon.name}-prox",
         sense="min",
         variables=list(canon.variables),
         constraints=list(canon.constraints) + [cutoff],
-        objective=dist,
+        objective=hamming_coeffs(x_bar.values, canon.binary_indices()),
     )
     res = bnb.solve(aux, bnb.BnbConfig(time_limit_s=time_limit_s,
                                        mode=bnb.FIRST_FEASIBLE))

@@ -2,11 +2,12 @@
 
 The predictions z give, per binary variable, the estimated probability
 of taking value 1.  The most confident eta-fraction of variables forms
-the set S with rounded values x_hat.  The approximate pipeline adds a
-Hamming-ball cut around x_hat on S (a heuristic restriction, so the
-resulting bound is not globally valid); the exact pipeline branches at
-the root on the same distance function, which keeps every feasible
-region and only guides the search.
+the set S with rounded values x_hat, and ``bnb.solve`` measures the
+Hamming distance to x_hat on S with one distance variable d.  The
+approximate pipeline bounds d by phi (a heuristic restriction, so the
+resulting bound is not globally valid); the exact pipeline splits the
+root of the same tree into d <= phi, searched first, and d >= phi + 1,
+which keeps every feasible region and only guides the search.
 """
 
 from __future__ import annotations
@@ -80,42 +81,31 @@ def select_S(z, eta: float):
     return S, x_hat
 
 
-def _map_to_instance(inst: MipInstance, z):
+def _ball(inst: MipInstance, z, cfg: ApplyConfig, exact: bool) -> bnb.HammingBall:
+    cfg.validate()
     bins = inst.binary_indices()
     if len(z) != len(bins):
         raise ValueError(
             f"{len(z)} predictions for {len(bins)} binary variables")
-    return bins
+    S_pos, x_hat_pos = select_S(z, cfg.eta)
+    x_hat = np.zeros(inst.n_vars)
+    x_hat[bins] = x_hat_pos
+    return bnb.HammingBall(x_hat, [bins[p] for p in S_pos], cfg.phi, exact)
 
 
 def approximate_solve(inst: MipInstance, z, cfg: ApplyConfig) -> bnb.SolveResult:
-    """Solve under the local-branching cut; the result is heuristic.
+    """Solve inside the Hamming ball; the result is heuristic.
 
-    An infeasible outcome is legitimate: the cut may exclude every
+    An infeasible outcome is legitimate: the ball may exclude every
     solution when the predictions are bad and phi is small.
     """
-    cfg.validate()
-    bins = _map_to_instance(inst, z)
-    S_pos, x_hat_pos = select_S(z, cfg.eta)
-    S = [bins[p] for p in S_pos]
-    x_hat = np.zeros(inst.n_vars)
-    for p in S_pos:
-        x_hat[bins[p]] = x_hat_pos[p]
-    cut = bnb.apply_local_branching_cut(inst, x_hat, S, cfg.phi)
-    res = bnb.solve(cut, cfg.solver)
+    res = bnb.solve(inst, cfg.solver, _ball(inst, z, cfg, exact=False))
     return replace(res, heuristic=True)
 
 
 def exact_solve(inst: MipInstance, z, cfg: ApplyConfig) -> bnb.SolveResult:
-    """Root branching on the predicted distance; bounds stay valid."""
-    cfg.validate()
-    bins = _map_to_instance(inst, z)
-    S_pos, x_hat_pos = select_S(z, cfg.eta)
-    S = [bins[p] for p in S_pos]
-    x_hat = np.zeros(inst.n_vars)
-    for p in S_pos:
-        x_hat[bins[p]] = x_hat_pos[p]
-    return bnb.root_branch_solve(inst, x_hat, S, cfg.phi, cfg.solver)
+    """One tree split at the root on the predicted distance; bounds stay valid."""
+    return bnb.solve(inst, cfg.solver, _ball(inst, z, cfg, exact=True))
 
 
 def grid_search(validation, phi_grid=PHI_GRID, eta_grid=ETA_GRID,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import Constraint, MipInstance, canonicalize
+from .core import MAXIMIZE, MipInstance, canonicalize
 
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
@@ -225,69 +225,14 @@ class LpWorkspace:
         return sol, WarmStart(np.zeros(0, dtype=np.int64), np.zeros(n, dtype=np.int8))
 
 
-def solve_lp(inst: MipInstance, bound_overrides=None, extra_rows=None) -> LpSolution:
+def solve_lp(inst: MipInstance) -> LpSolution:
     """Solve the LP relaxation of an instance.
 
-    Parameters
-    ----------
-    inst : MipInstance
-        Any valid instance; maximize senses are handled by negation and
-        the reported objective is in the instance's original sense.
-    bound_overrides : dict[int, tuple[float, float]], optional
-        Per-variable (lb, ub) replacing the stored bounds, as used by
-        branching.
-    extra_rows : list[Constraint], optional
-        Additional ranged rows appended for this solve only.
-
-    Returns
-    -------
-    LpSolution
-        With duals and reduced costs in minimization form.
+    The objective is reported in ``inst.sense``; duals and reduced costs
+    refer to the minimization form.
     """
-    canon = canonicalize(inst)
-    if extra_rows:
-        canon = MipInstance(
-            name=canon.name,
-            sense=canon.sense,
-            variables=canon.variables,
-            constraints=list(canon.constraints) + list(extra_rows),
-            objective=canon.objective,
-            sense_flipped=canon.sense_flipped,
-        )
-    ws = LpWorkspace(canon)
-    low = ws.base_low[: ws.n].copy()
-    upp = ws.base_upp[: ws.n].copy()
-    if bound_overrides:
-        for j, (lb, ub) in bound_overrides.items():
-            low[j] = lb
-            upp[j] = ub
-    sol, _ = ws.solve(low, upp)
-    if canon.sense_flipped and np.isfinite(sol.objective):
+    ws = LpWorkspace(canonicalize(inst))
+    sol, _ = ws.solve()
+    if inst.sense == MAXIMIZE:
         sol.objective = -sol.objective
-    elif canon.sense_flipped and sol.status == UNBOUNDED:
-        sol.objective = np.inf
     return sol
-
-
-def dual_objective(sol: LpSolution, inst: MipInstance, tol: float = 1e-9) -> float:
-    """Recompute the dual objective from duals, reduced costs and bounds.
-
-    Uses the bound-contribution form for the homogeneous slack
-    formulation: positive reduced costs pair with lower bounds, negative
-    with upper bounds; row duals pair with lhs/rhs the same way.  The
-    instance must be the minimization form the LP was solved in.
-    """
-    total = 0.0
-    for j, v in enumerate(inst.variables):
-        dj = sol.reduced_costs[j]
-        if dj > tol:
-            total += dj * v.lb
-        elif dj < -tol:
-            total += dj * v.ub
-    for i, con in enumerate(inst.constraints):
-        yi = sol.duals[i]
-        if yi > tol:
-            total += yi * con.lhs
-        elif yi < -tol:
-            total += yi * con.rhs
-    return total

@@ -67,9 +67,6 @@ class TriGraph:
     def cons_of_var(self, j: int) -> np.ndarray:
         return self.vc_cons[self.vc_var == j]
 
-    def vars_of_cons(self, i: int) -> np.ndarray:
-        return self.vc_var[self.vc_cons == i]
-
 
 def _stats(values: np.ndarray) -> tuple[float, float, float, float]:
     """(mean, std, min, max), all zero for an empty array."""

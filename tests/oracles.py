@@ -93,7 +93,7 @@ def brute_force_optimum(inst, feas_tol=1e-6):
                 best_x = x
         if best_obj is None:
             return None, None
-        if canon.sense_flipped:
+        if inst.sense == "max":
             best_obj = -best_obj
         return float(best_obj), best_x
 
@@ -146,7 +146,7 @@ def brute_force_optimum(inst, feas_tol=1e-6):
                 best_x[j] = xb[pos[j]]
     if best_obj is None:
         return None, None
-    if canon.sense_flipped:
+    if inst.sense == "max":
         best_obj = -best_obj
     return float(best_obj), best_x
 

@@ -1,15 +1,17 @@
-"""Branch and bound: oracle equality, cuts, root branching, root info."""
+"""Branch and bound: oracle equality, Hamming balls, root info."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mippred import bnb
+from mippred import bnb, predictor
 from mippred.core import (BINARY, CONTINUOUS, Constraint, MipInstance,
-                          Variable, canonicalize, evaluate_solution)
+                          Variable, canonicalize, evaluate_solution,
+                          hamming_coeffs)
 from mippred.generators import GenSpec, generate
-from oracles import TINY_SPECS, binary_feasible_mask, brute_force_optimum
+from oracles import TINY_SPECS, brute_force_optimum
 
 
 def binary_chain(n=3):
@@ -75,12 +77,18 @@ def test_first_feasible_mode_stops_early():
 
 def test_cut_row_expansion():
     inst = binary_chain(3)
-    cut = bnb.apply_local_branching_cut(inst, [1.0, 0.0, 1.0], [0, 1, 2],
-                                        phi=1)
-    row = cut.constraints[-1]
-    assert row.coeffs == {0: -1.0, 1: 1.0, 2: -1.0}
-    assert row.lhs == -math.inf
-    assert row.rhs == pytest.approx(-1.0)  # phi - |{j: x_hat_j = 1}|
+    x_hat = [1.0, 0.0, 1.0]
+    assert hamming_coeffs(x_hat, [0, 1, 2]) == {0: -1.0, 1: 1.0, 2: -1.0}
+    aug, dist = bnb._with_distance(inst, bnb.HammingBall(x_hat, [0, 1, 2],
+                                                         phi=1))
+    row = aug.constraints[-1]
+    # d = x1 + (1 - x0) + (1 - x2), kept as -x0 + x1 - x2 - d = -2
+    assert row.coeffs == {0: -1.0, 1: 1.0, 2: -1.0, 3: -1.0}
+    assert row.lhs == row.rhs == pytest.approx(-2.0)
+    d = aug.variables[-1]
+    assert (d.vtype, d.lb, d.ub) == (CONTINUOUS, 0.0, 1.0)  # ub(d) = phi
+    for x in itertools.product((0.0, 1.0), repeat=3):
+        assert dist(np.array(x)) == sum(abs(a - b) for a, b in zip(x, x_hat))
 
 
 def test_cut_phi_zero_fixes_selection():
@@ -92,35 +100,40 @@ def test_cut_phi_zero_fixes_selection():
         S = sorted(rng.choice(bins, size=size, replace=False).tolist())
         x_hat = np.zeros(inst.n_vars)
         x_hat[bins] = rng.integers(0, 2, size=len(bins))
-        cut = bnb.apply_local_branching_cut(inst, x_hat, S, phi=0)
+        res = bnb.solve(inst, ball=bnb.HammingBall(x_hat, S, phi=0))
         fixed = MipInstance(inst.name, inst.sense,
                             list(inst.variables), inst.constraints,
                             inst.objective)
         for j in S:
             fixed.variables[j] = Variable(inst.variables[j].name, BINARY,
                                           x_hat[j], x_hat[j])
-        combos_a, mask_a = binary_feasible_mask(cut)
-        combos_b, mask_b = binary_feasible_mask(fixed)
-        assert np.array_equal(combos_a, combos_b)
-        assert np.array_equal(mask_a, mask_b), trial
+        obj, _ = brute_force_optimum(fixed)
+        if obj is None:
+            assert res.status == bnb.INFEASIBLE, trial
+            continue
+        assert res.status == bnb.OPTIMAL, trial
+        assert res.objective == pytest.approx(obj, abs=1e-6), trial
+        assert np.array_equal(res.incumbent.values[S], x_hat[S]), trial
 
 
 def test_cut_empty_selection_is_noop():
     inst = generate(GenSpec("mk", "tiny", seed=2))
-    cut = bnb.apply_local_branching_cut(inst, np.zeros(inst.n_vars), [],
-                                        phi=0)
-    assert len(cut.constraints) == len(inst.constraints)
-    assert bnb.solve(cut).objective == pytest.approx(
-        bnb.solve(inst).objective)
+    plain = bnb.solve(inst)
+    for exact in (False, True):
+        res = bnb.solve(inst, ball=bnb.HammingBall(
+            np.zeros(inst.n_vars), [], phi=0, exact=exact))
+        assert res.objective == pytest.approx(plain.objective)
+        assert res.nodes == plain.nodes
 
 
 def test_cut_rejects_non_binary_index():
     inst = generate(GenSpec("tsp", "tiny", seed=0))
     cont = [j for j, v in enumerate(inst.variables)
             if v.vtype == CONTINUOUS]
-    with pytest.raises(ValueError):
-        bnb.apply_local_branching_cut(inst, np.zeros(inst.n_vars),
-                                      [cont[0]], phi=1)
+    for exact in (False, True):
+        with pytest.raises(ValueError, match="not a binary"):
+            bnb.solve(inst, ball=bnb.HammingBall(
+                np.zeros(inst.n_vars), [cont[0]], phi=1, exact=exact))
 
 
 def test_root_branch_matches_plain_solve():
@@ -134,30 +147,83 @@ def test_root_branch_matches_plain_solve():
         x_hat = np.zeros(inst.n_vars)
         x_hat[bins] = (z >= 0.5).astype(float)
         for phi in (0, 1, 2):
-            merged = bnb.root_branch_solve(inst, x_hat, bins, phi)
-            assert merged.status == bnb.OPTIMAL, (problem, phi)
-            assert merged.objective == pytest.approx(plain.objective,
-                                                     abs=1e-6), \
+            res = bnb.solve(inst, ball=bnb.HammingBall(x_hat, bins, phi,
+                                                       exact=True))
+            assert res.status == bnb.OPTIMAL, (problem, phi)
+            assert res.objective == pytest.approx(plain.objective,
+                                                  abs=1e-6), \
                 (problem, phi)
-            assert not merged.heuristic
+            assert res.lower_bound == pytest.approx(res.objective,
+                                                    abs=1e-6)
+            assert len(res.incumbent.values) == inst.n_vars
+            assert not res.heuristic
 
 
 def test_root_branch_large_phi_equals_left_child():
     inst = generate(GenSpec("sc", "tiny", seed=5))
     bins = inst.binary_indices()
     x_hat = np.zeros(inst.n_vars)
-    # distance <= |S| always holds, so the right child (>= |S|+1) is empty
-    merged = bnb.root_branch_solve(inst, x_hat, bins, phi=len(bins))
     plain = bnb.solve(inst)
-    assert merged.objective == pytest.approx(plain.objective, abs=1e-6)
+    # distance <= |S| always holds, so the far box (>= |S|+1) is empty
+    # and the approximate search is not restricted either
+    for exact in (False, True):
+        res = bnb.solve(inst, ball=bnb.HammingBall(
+            x_hat, bins, phi=len(bins), exact=exact))
+        assert res.status == bnb.OPTIMAL
+        assert res.objective == pytest.approx(plain.objective, abs=1e-6)
 
 
 def test_root_branch_empty_selection():
     inst = generate(GenSpec("sc", "tiny", seed=6))
-    merged = bnb.root_branch_solve(inst, np.zeros(inst.n_vars), [], phi=0)
+    res = bnb.solve(inst, ball=bnb.HammingBall(np.zeros(inst.n_vars), [],
+                                               phi=0, exact=True))
     plain = bnb.solve(inst)
-    assert merged.status == bnb.OPTIMAL
-    assert merged.objective == pytest.approx(plain.objective, abs=1e-6)
+    assert res.status == bnb.OPTIMAL
+    assert res.objective == pytest.approx(plain.objective, abs=1e-6)
+
+
+def test_exact_equals_enumeration_on_every_class():
+    rng = np.random.default_rng(5)
+    for problem, (preset, params) in TINY_SPECS.items():
+        for seed in range(2):
+            inst = generate(GenSpec(problem, preset, params=params,
+                                    seed=seed))
+            obj, _ = brute_force_optimum(inst)
+            z = rng.random(len(inst.binary_indices()))
+            for phi, eta in ((0, 1.0), (2, 0.5)):
+                res = predictor.exact_solve(
+                    inst, z, predictor.ApplyConfig(phi=phi, eta=eta,
+                                                   mode=predictor.EXACT))
+                assert res.status == bnb.OPTIMAL, (problem, seed, phi)
+                assert res.objective == pytest.approx(obj, rel=1e-6), \
+                    (problem, seed, phi)
+                assert evaluate_solution(inst,
+                                         res.incumbent.values).feasible
+    assert {generate(GenSpec(p, pre, params=par, seed=0)).sense
+            for p, (pre, par) in TINY_SPECS.items()} == {"min", "max"}
+
+
+def test_exact_shares_one_node_budget():
+    inst = generate(GenSpec("sc", "custom",
+                            params={"sets": 100, "elements": 75,
+                                    "density": 0.06},
+                            seed=0))
+    z = np.random.default_rng(0).random(len(inst.binary_indices()))
+    cfg = predictor.ApplyConfig(phi=5, eta=0.95, mode=predictor.EXACT,
+                                solver=bnb.BnbConfig(node_limit=10))
+    res = predictor.exact_solve(inst, z, cfg)
+    assert res.nodes <= 10
+    assert res.lb_history
+    assert res.lower_bound <= res.lb_history[-1] + 1e-9
+
+
+def test_max_instance_in_canonical_form_reports_min_sense():
+    inst = canonicalize(generate(GenSpec("mis", "tiny", seed=1)))
+    res = bnb.solve(inst)
+    assert inst.sense == "min"
+    assert res.status == bnb.OPTIMAL
+    assert res.objective < 0.0
+    assert res.lower_bound == pytest.approx(res.objective, abs=1e-9)
 
 
 def test_lock_counts():

@@ -52,7 +52,7 @@ def test_canonicalize_flips_max():
     canon = canonicalize(inst)
     assert canon.sense == "min"
     assert canon.objective == {0: -3.0}
-    assert canon.sense_flipped
+    assert inst.sense == "max" and inst.objective == {0: 3.0}
 
 
 def test_canonicalize_identity_on_min():
@@ -60,11 +60,10 @@ def test_canonicalize_identity_on_min():
     canon = canonicalize(inst)
     assert canon.sense == "min"
     assert canon.objective == inst.objective
-    assert not canon.sense_flipped
     # idempotent
     again = canonicalize(canon)
+    assert again.sense == "min"
     assert again.objective == canon.objective
-    assert not again.sense_flipped
 
 
 def test_canonicalize_keeps_equality_row():

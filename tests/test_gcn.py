@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mippred import bnb, gcn, labeler, trigraph
 from mippred.core import BINARY, Constraint, MipInstance, Variable
@@ -119,12 +120,28 @@ def test_hyper_validation():
 # Attention
 
 
+def edge_attention(centers, neighbors, edges, att, segment):
+    """Production per-edge attention with ``segment[k]`` the group of edge k."""
+    segment = np.asarray(segment)
+    ne, groups = len(segment), int(segment.max()) + 1
+    seg = sp.csr_matrix((np.ones(ne), (segment, np.arange(ne))),
+                        shape=(groups, ne))
+    counts = np.bincount(segment, minlength=groups)
+    _, alpha = gcn._edge_attention(centers, neighbors, edges, att, seg,
+                                   counts, segment, enabled=True)
+    return alpha
+
+
 def test_single_neighbor_gets_full_attention():
     rng = np.random.default_rng(0)
     att = rng.normal(size=10)
     h = rng.normal(size=4)
-    alpha = gcn.attention_softmax(h, rng.normal(size=(1, 4)),
-                                  rng.normal(size=(1, 2)), att)
+    _, alpha = gcn._global_attention(h, rng.normal(size=(1, 4)),
+                                     rng.normal(size=(1, 2)), att,
+                                     enabled=True)
+    np.testing.assert_allclose(alpha, [1.0])
+    alpha = edge_attention(h[None, :], rng.normal(size=(1, 4)),
+                           rng.normal(size=(1, 2)), att, [0])
     np.testing.assert_allclose(alpha, [1.0])
 
 
@@ -134,19 +151,32 @@ def test_identical_neighbors_split_attention_evenly():
     h = rng.normal(size=4)
     nb = rng.normal(size=4)
     edge = rng.normal(size=2)
-    alpha = gcn.attention_softmax(h, np.stack([nb, nb]),
-                                  np.stack([edge, edge]), att)
+    _, alpha = gcn._global_attention(h, np.stack([nb, nb]),
+                                     np.stack([edge, edge]), att,
+                                     enabled=True)
+    np.testing.assert_allclose(alpha, [0.5, 0.5])
+    alpha = edge_attention(np.stack([h, h]), np.stack([nb, nb]),
+                           np.stack([edge, edge]), att, [0, 0])
     np.testing.assert_allclose(alpha, [0.5, 0.5])
 
 
 def test_attention_sums_to_one():
     rng = np.random.default_rng(2)
     for trial in range(20):
-        n = rng.integers(1, 7)
-        alpha = gcn.attention_softmax(
+        n = int(rng.integers(1, 7))
+        _, alpha = gcn._global_attention(
             rng.normal(size=4), rng.normal(size=(n, 4)),
-            rng.normal(size=(n, 2)), rng.normal(size=10))
+            rng.normal(size=(n, 2)), rng.normal(size=10), enabled=True)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(alpha > 0.0)
+        segment = np.sort(rng.integers(0, 3, size=n))
+        segment = np.unique(segment, return_inverse=True)[1]
+        alpha = edge_attention(rng.normal(size=(n, 4)),
+                               rng.normal(size=(n, 4)),
+                               rng.normal(size=(n, 2)), rng.normal(size=10),
+                               segment)
+        np.testing.assert_allclose(np.bincount(segment, weights=alpha), 1.0,
+                                   atol=1e-12)
         assert np.all(alpha > 0.0)
 
 

@@ -219,9 +219,9 @@ def test_grid_search_counts_runs(monkeypatch):
     calls = {"n": 0}
     real = bnb.solve
 
-    def counting(inst, cfg=None):
+    def counting(*args, **kwargs):
         calls["n"] += 1
-        return real(inst, cfg)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(bnb, "solve", counting)
     validation = []

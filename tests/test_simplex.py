@@ -117,7 +117,7 @@ def relaxation_arrays(inst):
               for v in canon.variables]
     return (c, np.array(A_ub) if A_ub else None, b_ub or None,
             np.array(A_eq) if A_eq else None, b_eq or None, bounds,
-            canon.sense_flipped)
+            inst.sense == "max")
 
 
 def test_matches_scipy_on_generator_relaxations():
@@ -183,8 +183,21 @@ def test_relaxation_bounds_integer_optimum():
             sol = simplex.solve_lp(canon)
             relax_min = float(canon.objective_vector() @ sol.x)
             obj, _ = brute_force_optimum(inst)
-            obj_min = -obj if canon.sense_flipped else obj
+            obj_min = -obj if inst.sense == "max" else obj
             assert relax_min <= obj_min + 1e-6, (problem, seed)
+
+
+def test_canonical_max_instance_reports_min_sense():
+    inst = MipInstance(
+        "maxlp", "max",
+        [Variable("x", CONTINUOUS, 0.0, 3.0),
+         Variable("y", CONTINUOUS, 0.0, 3.0)],
+        [Constraint("cap", {0: 2.0, 1: 2.0}, -math.inf, 7.0)],
+        {0: 1.0, 1: 1.0})
+    assert simplex.solve_lp(inst).objective == pytest.approx(3.5)
+    # the canonical copy is a min instance; its value is reported as such
+    assert simplex.solve_lp(canonicalize(inst)).objective == \
+        pytest.approx(-3.5)
 
 
 def test_deterministic_pivot_sequence():
