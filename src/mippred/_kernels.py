@@ -1,9 +1,13 @@
-"""Hot numeric kernel: a dense bounded-variable primal simplex core.
+"""Hot numeric kernel: a dense bounded-variable primal and dual simplex.
 
-The same source function is compiled with numba when available and run
-as plain numpy/Python otherwise.  Set ``MIPPRED_NO_NUMBA=1`` to force
-the interpreted path.  Both paths execute the identical sequence of
-floating-point operations, so results agree bitwise.
+One interpreted numpy path.  Basis assembly, the nonbasic point,
+pricing, the leaving-row scores, the eligibility scans and the ratio
+candidates are array operations; Python loops remain only where a rule
+is sequential: the bound-flipping walk of the dual ratio test and the
+primal ratio-test tie rule over its candidate rows.
+Every choice is made with first-index ``argmax``/``argsort`` tie breaks
+on the same inputs and sums in the same order as a per-element loop
+would, so pivot sequences are deterministic.
 
 The core works on the computational form ``G z = 0`` with
 ``G = [A | -I]``: one slack per ranged row, slack bounds equal to the
@@ -17,13 +21,13 @@ refactorized from scratch at a fixed pivot interval.
 A separate dual simplex loop serves re-solves after bound changes: the
 optimal basis of the parent problem stays dual feasible when only
 bounds move, so driving the handful of out-of-bound basics to their
-bounds takes few pivots.  It bails out (for a primal fallback) when
-the starting basis is not dual feasible.
+bounds takes few pivots.  Its entering choice is the bound-flipping
+ratio test of the dual revised simplex (Huangfu & Hall 2018).  It bails
+out (for a primal fallback) when the starting basis is not dual
+feasible.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -41,9 +45,50 @@ AT_LOWER = 1
 AT_UPPER = 2
 FREE = 3
 
+# by vstat code: -1 for a column at its lower bound, +1 at its upper
+# bound, 0 for basic and free columns
+_SIDE = np.array([0.0, -1.0, 1.0, 0.0])
 
-def _simplex_core(G, GT, c, low, upp, basis, vstat, z,
-                  feas_tol, piv_tol, max_iter, bland_after, refactor_every):
+
+def _factor(G, low, upp, basis, vstat, z):
+    """Invert the basis matrix and put ``z`` on the basic solution.
+
+    Nonbasic entries of ``z`` move to the bound named by ``vstat`` (0
+    for free ones); basic entries solve ``G z = 0``.  Returns the basis
+    inverse.
+    """
+    Binv = np.ascontiguousarray(np.linalg.inv(G[:, basis]))
+    zn = np.where(vstat == AT_LOWER, low, np.where(vstat == AT_UPPER, upp, 0.0))
+    z[:] = zn
+    z[basis] = -np.dot(Binv, np.dot(G, zn))
+    return Binv
+
+
+def _price(GT, c, basis, Binv):
+    """Duals and reduced costs (zero on the basis) under the true costs."""
+    y = np.dot(c[basis], Binv)
+    d = c - np.dot(GT, y)
+    d[basis] = 0.0
+    return y, d
+
+
+def _row_norms(Binv):
+    """Squared norm of each row of ``Binv``: one dot product per row."""
+    return np.matmul(Binv[:, None, :], Binv[:, :, None]).ravel()
+
+
+def _improving(vstat, g, tol):
+    """Nonbasic columns whose move off their bound goes down the slope
+    ``g``: side * g past ``tol`` at a bound, |g| past ``tol`` when free."""
+    mask = _SIDE[vstat] * g > tol
+    free = vstat == FREE
+    if free.any():
+        mask |= free & ((g < -tol) | (g > tol))
+    return mask
+
+
+def simplex_core(G, GT, c, low, upp, basis, vstat, z,
+                 feas_tol, piv_tol, max_iter, bland_after, refactor_every):
     """Run the simplex loop in place; return (status, iterations, y, d).
 
     G is (m, N) C-contiguous, GT its C-contiguous transpose, c the cost
@@ -53,71 +98,39 @@ def _simplex_core(G, GT, c, low, upp, basis, vstat, z,
     three are updated in place so callers can warm-start the next call.
     y and d are the duals and reduced costs priced with the true costs.
     """
-    m = G.shape[0]
     N = G.shape[1]
-
-    Bmat = np.empty((m, m))
-    for k in range(m):
-        col = basis[k]
-        for i in range(m):
-            Bmat[i, k] = GT[col, i]
-    Binv = np.ascontiguousarray(np.linalg.inv(Bmat))
-
-    zwork = np.empty(N)
-    for j in range(N):
-        s = vstat[j]
-        if s == AT_LOWER:
-            zwork[j] = low[j]
-        elif s == AT_UPPER:
-            zwork[j] = upp[j]
-        else:
-            zwork[j] = 0.0
-    zb = -np.dot(Binv, np.dot(G, zwork))
-    for j in range(N):
-        z[j] = zwork[j]
-    for k in range(m):
-        z[basis[k]] = zb[k]
+    Binv = _factor(G, low, upp, basis, vstat, z)
 
     iters = 0
     degen = 0
     bland = False
     since_refactor = 0
     status = ITER_LIMIT
-    cb = np.empty(m)
     gamma = np.ones(N)
 
     while iters < max_iter:
         iters += 1
 
         # phase test: any basic variable outside its bounds?
-        zbv = z[basis]
+        zb = z[basis]
         lowb = low[basis]
         uppb = upp[basis]
-        below = zbv < lowb - feas_tol
-        above = zbv > uppb + feas_tol
-        phase1 = below.any() or above.any()
+        below = zb < lowb - feas_tol
+        above = zb > uppb + feas_tol
+        inside = ~(below | above)
+        phase1 = not inside.all()
 
         if phase1:
-            for k in range(m):
-                if below[k]:
-                    cb[k] = -1.0
-                elif above[k]:
-                    cb[k] = 1.0
-                else:
-                    cb[k] = 0.0
+            cb = np.where(below, -1.0, np.where(above, 1.0, 0.0))
         else:
-            for k in range(m):
-                cb[k] = c[basis[k]]
+            cb = c[basis]
         y = np.dot(cb, Binv)
         d = -np.dot(GT, y)
         if not phase1:
             d = d + c
 
         # pricing: devex d^2/gamma over eligible nonbasics, Bland = first
-        can_inc = d < -piv_tol
-        can_dec = d > piv_tol
-        elig = ((vstat == AT_LOWER) & can_inc) | ((vstat == AT_UPPER) & can_dec) \
-            | ((vstat == FREE) & (can_inc | can_dec))
+        elig = _improving(vstat, d, piv_tol)
         if not elig.any():
             status = INFEASIBLE if phase1 else OPTIMAL
             break
@@ -128,8 +141,23 @@ def _simplex_core(G, GT, c, low, upp, basis, vstat, z,
             enter = int(np.argmax(score))
         sigma = 1.0 if d[enter] < 0.0 else -1.0
 
-        # ratio test over basic rows plus the entering variable's own range
-        w = np.dot(Binv, np.ascontiguousarray(GT[enter]))
+        # ratio test over basic rows plus the entering variable's own range.
+        # A row rising toward its bound (rate > 0) stops at its lower bound
+        # when below it, else at a finite upper bound unless already above;
+        # a falling row mirrors that.
+        w = np.dot(Binv, GT[enter])
+        rate = -sigma * w
+        rise = rate > piv_tol
+        fall = rate < -piv_tol
+        to_low = (rise & below) | (fall & inside & np.isfinite(lowb))
+        to_upp = (fall & above) | (rise & inside & np.isfinite(uppb))
+        cand = np.flatnonzero(to_low | to_upp)
+        at_low = to_low[cand]
+        rc = rate[cand]
+        t = (np.where(at_low, lowb[cand], uppb[cand]) - zb[cand]) / rc
+        t = np.where(t < 0.0, 0.0, t)
+        piv = np.abs(rc)
+
         tmax = np.inf
         leave = -1            # -2 = bound flip, >=0 = basis position
         leave_to = AT_LOWER
@@ -138,56 +166,34 @@ def _simplex_core(G, GT, c, low, upp, basis, vstat, z,
         if np.isfinite(rng):
             tmax = rng
             leave = -2
-        for k in range(m):
-            rate = -sigma * w[k]
-            if rate > piv_tol:
-                i = basis[k]
-                zi = z[i]
-                if zi < low[i] - feas_tol:
-                    t = (low[i] - zi) / rate
-                    to = AT_LOWER
-                elif zi > upp[i] + feas_tol:
-                    continue
-                elif np.isfinite(upp[i]):
-                    t = (upp[i] - zi) / rate
-                    to = AT_UPPER
-                else:
-                    continue
-            elif rate < -piv_tol:
-                i = basis[k]
-                zi = z[i]
-                if zi > upp[i] + feas_tol:
-                    t = (upp[i] - zi) / rate
-                    to = AT_UPPER
-                elif zi < low[i] - feas_tol:
-                    continue
-                elif np.isfinite(low[i]):
-                    t = (low[i] - zi) / rate
-                    to = AT_LOWER
-                else:
-                    continue
-            else:
-                continue
-            if t < 0.0:
-                t = 0.0
-            piv = rate if rate > 0.0 else -rate
-            if t < tmax - 1e-12:
+        if cand.size > 8:
+            # a row can only be taken while its ratio is within the 1e-12
+            # tie window of the running minimum, and that minimum never
+            # exceeds the smallest earlier ratio by more than the window;
+            # rows far above every earlier ratio never change the state
+            # (worth the array work only past a handful of rows)
+            prev = np.fmin.accumulate(np.concatenate(([tmax], t[:-1])))
+            keep = t <= prev + (1e-11 + 1e-14 * np.abs(prev))
+            cand, t, piv, at_low = cand[keep], t[keep], piv[keep], at_low[keep]
+        for k, tk, pk, lo in zip(cand.tolist(), t.tolist(), piv.tolist(),
+                                 at_low.tolist()):
+            if tk < tmax - 1e-12:
                 take = True
-            elif t <= tmax + 1e-12:
+            elif tk <= tmax + 1e-12:
                 if leave == -2:
                     take = True
                 elif bland:
                     take = basis[k] < basis[leave]
                 else:
-                    take = piv > best_piv
+                    take = pk > best_piv
             else:
                 take = False
             if take:
-                if t < tmax:
-                    tmax = t
+                if tk < tmax:
+                    tmax = tk
                 leave = k
-                leave_to = to
-                best_piv = piv
+                leave_to = AT_LOWER if lo else AT_UPPER
+                best_piv = pk
 
         if leave == -1:
             status = UNBOUNDED if not phase1 else NUMERICAL
@@ -195,8 +201,7 @@ def _simplex_core(G, GT, c, low, upp, basis, vstat, z,
 
         if tmax > 0.0:
             z[enter] = z[enter] + sigma * tmax
-            for k in range(m):
-                z[basis[k]] = z[basis[k]] - sigma * tmax * w[k]
+            z[basis] = zb - sigma * tmax * w
         if tmax <= 1e-10:
             degen += 1
             if degen > bland_after:
@@ -238,96 +243,33 @@ def _simplex_core(G, GT, c, low, upp, basis, vstat, z,
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
-            for k in range(m):
-                col = basis[k]
-                for i in range(m):
-                    Bmat[i, k] = GT[col, i]
-            Binv = np.ascontiguousarray(np.linalg.inv(Bmat))
-            for j in range(N):
-                s = vstat[j]
-                if s == AT_LOWER:
-                    zwork[j] = low[j]
-                elif s == AT_UPPER:
-                    zwork[j] = upp[j]
-                else:
-                    zwork[j] = 0.0
-            zb = -np.dot(Binv, np.dot(G, zwork))
-            for j in range(N):
-                if vstat[j] != BASIC:
-                    z[j] = zwork[j]
-            for k in range(m):
-                z[basis[k]] = zb[k]
+            Binv = _factor(G, low, upp, basis, vstat, z)
 
-    for k in range(m):
-        cb[k] = c[basis[k]]
-    y = np.dot(cb, Binv)
-    d = c - np.dot(GT, y)
-    for k in range(m):
-        d[basis[k]] = 0.0
+    y, d = _price(GT, c, basis, Binv)
     return status, iters, y, d
 
 
-def _dual_core(G, GT, c, low, upp, basis, vstat, z,
-               feas_tol, piv_tol, max_iter, bland_after, refactor_every):
+def dual_core(G, GT, c, low, upp, basis, vstat, z,
+              feas_tol, piv_tol, max_iter, bland_after, refactor_every):
     """Dual simplex from a dual-feasible basis; return (status, iterations, y, d).
 
-    Arguments and in-place conventions mirror ``_simplex_core``.  The
+    Arguments and in-place conventions mirror ``simplex_core``.  The
     start basis must price dual feasible with the true costs, otherwise
     NOT_DUAL_FEASIBLE comes back and the caller should fall back to the
     primal core.  INFEASIBLE is proved: some out-of-bound basic row
     admits no entering column, and bound flips cannot absorb the
     violation either.
     """
-    m = G.shape[0]
-    N = G.shape[1]
+    Binv = _factor(G, low, upp, basis, vstat, z)
+    y, d = _price(GT, c, basis, Binv)
 
-    Bmat = np.empty((m, m))
-    for k in range(m):
-        col = basis[k]
-        for i in range(m):
-            Bmat[i, k] = GT[col, i]
-    Binv = np.ascontiguousarray(np.linalg.inv(Bmat))
-
-    zwork = np.empty(N)
-    for j in range(N):
-        s = vstat[j]
-        if s == AT_LOWER:
-            zwork[j] = low[j]
-        elif s == AT_UPPER:
-            zwork[j] = upp[j]
-        else:
-            zwork[j] = 0.0
-    zb = -np.dot(Binv, np.dot(G, zwork))
-    for j in range(N):
-        z[j] = zwork[j]
-    for k in range(m):
-        z[basis[k]] = zb[k]
-
-    cb = np.empty(m)
-    for k in range(m):
-        cb[k] = c[basis[k]]
-    y = np.dot(cb, Binv)
-    d = c - np.dot(GT, y)
-    for k in range(m):
-        d[basis[k]] = 0.0
-
-    dtol = 10.0 * feas_tol
-    for j in range(N):
-        s = vstat[j]
-        if s == AT_LOWER:
-            if d[j] < -dtol:
-                return NOT_DUAL_FEASIBLE, 0, y, d
-        elif s == AT_UPPER:
-            if d[j] > dtol:
-                return NOT_DUAL_FEASIBLE, 0, y, d
-        elif s == FREE:
-            if d[j] > dtol or d[j] < -dtol:
-                return NOT_DUAL_FEASIBLE, 0, y, d
+    if _improving(vstat, d, 10.0 * feas_tol).any():
+        return NOT_DUAL_FEASIBLE, 0, y, d
 
     # steepest-edge row weights beta_k = ||row k of Binv||^2
-    beta = np.empty(m)
-    for k in range(m):
-        beta[k] = np.dot(Binv[k], Binv[k])
+    beta = _row_norms(Binv)
+    span = upp - low
+    bounded = np.isfinite(span)
 
     iters = 0
     degen = 0
@@ -337,96 +279,56 @@ def _dual_core(G, GT, c, low, upp, basis, vstat, z,
 
     while iters < max_iter:
         iters += 1
+        y, d = _price(GT, c, basis, Binv)
 
-        for k in range(m):
-            cb[k] = c[basis[k]]
-        y = np.dot(cb, Binv)
-        d = c - np.dot(GT, y)
-        for k in range(m):
-            d[basis[k]] = 0.0
-
-        # leaving choice: steepest-edge score viol^2 / beta
-        r = -1
-        best = 0.0
-        below = False
-        for k in range(m):
-            i = basis[k]
-            v = low[i] - z[i]
-            if v > feas_tol:
-                s = v * v / beta[k]
-                if s > best:
-                    best = s
-                    r = k
-                    below = True
-            v = z[i] - upp[i]
-            if v > feas_tol:
-                s = v * v / beta[k]
-                if s > best:
-                    best = s
-                    r = k
-                    below = False
-        if r < 0:
+        # leaving choice: steepest-edge score viol^2 / beta, first maximum;
+        # a row under its lower bound wins a tie with its own upper side
+        # (with lower <= upper only one side can be violated)
+        zb = z[basis]
+        v_low = low[basis] - zb
+        v_upp = zb - upp[basis]
+        s_low = np.where(v_low > feas_tol, v_low * v_low / beta, 0.0)
+        s_upp = np.where(v_upp > feas_tol, v_upp * v_upp / beta, 0.0)
+        score = np.fmax(s_low, s_upp)
+        r = int(np.argmax(score))
+        if not score[r] > 0.0:
             status = OPTIMAL
             break
+        below = bool(s_low[r] == score[r])
 
         rho = np.dot(Binv[r], G)
         lv = basis[r]
 
-        # entering choice: walk the dual-ratio breakpoints |d_j|/|rho_j|
+        # entering choice: the columns whose move off their bound shrinks
+        # the violation.  Walk their dual-ratio breakpoints |d_j|/|rho_j|
         # in increasing order; bounded columns passed on the way are
         # bound-flipped (each absorbs |rho_j|*range of the violation with
         # no basis change) and the breakpoint that exhausts the violation
         # enters.  Bland = first eligible column, no flips.
-        elig_j = np.empty(N, dtype=np.int64)
-        elig_t = np.empty(N)
-        elig_cap = np.empty(N)
-        ne = 0
-        for j in range(N):
-            s = vstat[j]
-            if s == BASIC:
-                continue
-            rj = rho[j]
-            if rj <= piv_tol and rj >= -piv_tol:
-                continue
-            if below:
-                ok = (s == AT_LOWER and rj < 0.0) or (s == AT_UPPER and rj > 0.0) \
-                    or s == FREE
-            else:
-                ok = (s == AT_LOWER and rj > 0.0) or (s == AT_UPPER and rj < 0.0) \
-                    or s == FREE
-            if not ok:
-                continue
-            piv = rj if rj > 0.0 else -rj
-            elig_j[ne] = j
-            elig_t[ne] = (d[j] if d[j] > 0.0 else -d[j]) / piv
-            rngj = upp[j] - low[j]
-            elig_cap[ne] = piv * rngj if np.isfinite(rngj) else np.inf
-            ne += 1
-        if ne == 0:
+        elig = np.flatnonzero(_improving(vstat, rho if below else -rho, piv_tol))
+        if elig.size == 0:
             status = INFEASIBLE
             break
 
-        enter = -1
-        nflip = 0
-        flip_list = np.empty(ne, dtype=np.int64)
+        flips = elig[:0]
         if bland:
-            enter = N
-            for kk in range(ne):
-                if elig_j[kk] < enter:
-                    enter = elig_j[kk]
+            enter = int(elig[0])
         else:
-            order = np.argsort(elig_t[:ne])
-            delta_rem = (low[lv] - z[lv]) if below else (z[lv] - upp[lv])
-            for kk in range(ne):
-                idx = order[kk]
-                if elig_cap[idx] < delta_rem:
-                    flip_list[nflip] = elig_j[idx]
-                    nflip += 1
-                    delta_rem -= elig_cap[idx]
-                else:
-                    enter = elig_j[idx]
+            piv = np.abs(rho[elig])
+            ratio = np.where(d > 0.0, d, -d)[elig] / piv
+            cap = np.where(bounded[elig], piv * span[elig], np.inf)
+            order = np.argsort(ratio)
+            rem = (low[lv] - z[lv]) if below else (z[lv] - upp[lv])
+            kk = 0
+            enter = -1
+            for capk in cap[order].tolist():
+                if not capk < rem:
+                    enter = int(elig[order[kk]])
                     break
-            if enter < 0 and delta_rem > feas_tol:
+                rem -= capk
+                kk += 1
+            flips = elig[order[:kk]]
+            if enter < 0 and rem > feas_tol:
                 # every breakpoint flipped yet real violation remains: the
                 # dual ray is unbounded, so the primal has no feasible
                 # point.  (A residual inside tolerance is not a proof -- it
@@ -434,29 +336,20 @@ def _dual_core(G, GT, c, low, upp, basis, vstat, z,
                 status = INFEASIBLE
                 break
 
-        if nflip > 0:
-            aF = np.zeros(m)
-            for kk in range(nflip):
-                j = flip_list[kk]
-                if vstat[j] == AT_LOWER:
-                    dzj = upp[j] - low[j]
-                    vstat[j] = AT_UPPER
-                    z[j] = upp[j]
-                else:
-                    dzj = low[j] - upp[j]
-                    vstat[j] = AT_LOWER
-                    z[j] = low[j]
-                aF = aF + GT[j] * dzj
-            shift = np.dot(Binv, aF)
-            for k in range(m):
-                z[basis[k]] = z[basis[k]] - shift[k]
+        if flips.size:
+            up = vstat[flips] == AT_LOWER
+            dz = np.where(up, span[flips], low[flips] - upp[flips])
+            vstat[flips] = np.where(up, AT_UPPER, AT_LOWER)
+            z[flips] = np.where(up, upp[flips], low[flips])
+            aF = np.add.reduce(GT[flips] * dz[:, None], axis=0, initial=0.0)
+            z[basis] = z[basis] - np.dot(Binv, aF)
 
         if enter < 0:
             # flip-only round: the violated basic lands on its bound
             # without any basis change
             continue
 
-        w = np.dot(Binv, np.ascontiguousarray(GT[enter]))
+        w = np.dot(Binv, GT[enter])
         alpha = w[r]
         if alpha <= piv_tol and alpha >= -piv_tol:
             status = NUMERICAL
@@ -465,8 +358,7 @@ def _dual_core(G, GT, c, low, upp, basis, vstat, z,
         bnd = low[lv] if below else upp[lv]
         dz = (z[lv] - bnd) / alpha
         z[enter] = z[enter] + dz
-        for k in range(m):
-            z[basis[k]] = z[basis[k]] - dz * w[k]
+        z[basis] = z[basis] - dz * w
         z[lv] = bnd
         vstat[lv] = AT_LOWER if below else AT_UPPER
         basis[r] = enter
@@ -485,9 +377,7 @@ def _dual_core(G, GT, c, low, upp, basis, vstat, z,
         ratio = w / alpha
         beta = beta - 2.0 * ratio * tau + ratio * ratio * br
         beta[r] = br / (alpha * alpha)
-        for k in range(m):
-            if beta[k] < 1e-12:
-                beta[k] = 1e-12
+        beta = np.where(beta < 1e-12, 1e-12, beta)
 
         Binv[r] = Binv[r] / alpha
         wtmp = w.copy()
@@ -497,58 +387,8 @@ def _dual_core(G, GT, c, low, upp, basis, vstat, z,
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
-            for k in range(m):
-                col = basis[k]
-                for i in range(m):
-                    Bmat[i, k] = GT[col, i]
-            Binv = np.ascontiguousarray(np.linalg.inv(Bmat))
-            for j in range(N):
-                s = vstat[j]
-                if s == AT_LOWER:
-                    zwork[j] = low[j]
-                elif s == AT_UPPER:
-                    zwork[j] = upp[j]
-                else:
-                    zwork[j] = 0.0
-            zb = -np.dot(Binv, np.dot(G, zwork))
-            for j in range(N):
-                if vstat[j] != BASIC:
-                    z[j] = zwork[j]
-            for k in range(m):
-                z[basis[k]] = zb[k]
-            for k in range(m):
-                beta[k] = np.dot(Binv[k], Binv[k])
+            Binv = _factor(G, low, upp, basis, vstat, z)
+            beta = _row_norms(Binv)
 
-    for k in range(m):
-        cb[k] = c[basis[k]]
-    y = np.dot(cb, Binv)
-    d = c - np.dot(GT, y)
-    for k in range(m):
-        d[basis[k]] = 0.0
+    y, d = _price(GT, c, basis, Binv)
     return status, iters, y, d
-
-
-simplex_core_numpy = _simplex_core
-dual_core_numpy = _dual_core
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-    simplex_core_numba = njit(cache=True)(_simplex_core)
-    dual_core_numba = njit(cache=True)(_dual_core)
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-    simplex_core_numba = None
-    dual_core_numba = None
-
-NUMBA_DISABLED = os.environ.get("MIPPRED_NO_NUMBA", "") not in ("", "0")
-
-if HAS_NUMBA and not NUMBA_DISABLED:
-    simplex_core = simplex_core_numba
-    dual_core = dual_core_numba
-    ACTIVE_PATH = "numba"
-else:
-    simplex_core = simplex_core_numpy
-    dual_core = dual_core_numpy
-    ACTIVE_PATH = "numpy"

@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     BINARY,
     CONTINUOUS,
+    FEAS_TOL,
     INT_TOL,
     INTEGER,
     MAXIMIZE,
@@ -91,6 +92,8 @@ class SolveResult:
     bound each time it improves, so it is nondecreasing for either
     sense.  ``heuristic`` marks results whose bound is not valid for the
     original instance (set for solves restricted to a Hamming ball).
+    ``lp_pivots`` and ``lp_fallbacks`` sum ``LpSolution.iterations`` and
+    ``LpSolution.fallbacks`` over the node LPs.
     """
 
     status: str
@@ -101,6 +104,8 @@ class SolveResult:
     wall_time_s: float
     heuristic: bool = False
     lb_history: list = field(default_factory=list)
+    lp_pivots: int = 0
+    lp_fallbacks: int = 0
 
 
 @dataclass
@@ -128,17 +133,51 @@ class _Node:
         self.depth = depth
 
 
-def _repair_rounding(canon, lp_x, x_cand, int_vars, low0, upp0, col_rows):
+class _Rows:
+    """The rows ``lhs <= A x <= rhs`` of an instance, built once per solve.
+
+    ``A`` is the dense matrix (the first rows and columns of the LP's
+    ``G``) for activities and the screen; the repair walks each row's
+    integer terms and each column's terms in the rows' own order.
+    """
+
+    def __init__(self, inst: MipInstance, G):
+        n, m = inst.n_vars, len(inst.constraints)
+        self.A = np.ascontiguousarray(G[:m, :n])
+        self.lhs = np.array([con.lhs for con in inst.constraints])
+        self.rhs = np.array([con.rhs for con in inst.constraints])
+        self.l1 = np.abs(self.A).sum(axis=1)
+        is_int = [v.vtype in (BINARY, INTEGER) for v in inst.variables]
+        self.int_terms = [[(j, a) for j, a in con.coeffs.items()
+                           if a != 0.0 and is_int[j]]
+                          for con in inst.constraints]
+        self.col_terms = [[] for _ in range(n)]
+        for i, con in enumerate(inst.constraints):
+            for j, a in con.coeffs.items():
+                self.col_terms[j].append((i, a))
+
+    def may_hold(self, x) -> bool:
+        """False only when ``x`` misses a row by more than ``FEAS_TOL`` plus
+        a slack that covers the rounding of any summation order, so that
+        ``evaluate_solution`` would reject ``x`` as well."""
+        acts = self.A @ x
+        slack = FEAS_TOL + 1e-9 * (1.0 + self.l1 * np.max(np.abs(x), initial=0.0))
+        return not ((acts < self.lhs - slack) | (acts > self.rhs + slack)).any()
+
+
+def _repair_rounding(rows: _Rows, lp_x, x_cand, low0, upp0):
     """Greedy repair of a rounded point: while a row is violated, move one
     integer variable a unit step in the direction that shrinks the
     violation, preferring the variable the LP likes most for that
     direction (large LP value for up-steps, small for down-steps).
     Returns True when every row ended inside its range; the attempt is
-    capped, not exhaustive."""
-    acts = np.empty(len(canon.constraints))
-    for i, con in enumerate(canon.constraints):
-        acts[i] = sum(a * x_cand[j] for j, a in con.coeffs.items())
-    int_set = set(int_vars)
+    capped, not exhaustive.  The walk is sequential, so it runs on
+    Python floats; only the starting activities are a matrix product."""
+    acts = (rows.A @ x_cand).tolist()
+    lo = (rows.lhs - INT_TOL).tolist()
+    hi = (rows.rhs + INT_TOL).tolist()
+    x, lpx = x_cand.tolist(), lp_x.tolist()
+    low, upp = low0.tolist(), upp0.tolist()
     flips = 0
     cap = 2 * len(x_cand) + 10
     passes = 0
@@ -146,41 +185,38 @@ def _repair_rounding(canon, lp_x, x_cand, int_vars, low0, upp0, col_rows):
     while changed and flips < cap and passes < 50:
         changed = False
         passes += 1
-        for i, con in enumerate(canon.constraints):
-            if acts[i] < con.lhs - INT_TOL:
+        for i, terms in enumerate(rows.int_terms):
+            if acts[i] < lo[i]:
                 need_up = True
-            elif acts[i] > con.rhs + INT_TOL:
+            elif acts[i] > hi[i]:
                 need_up = False
             else:
                 continue
             best_j = -1
             best_key = -np.inf
-            for j, a in con.coeffs.items():
-                if a == 0.0 or j not in int_set:
-                    continue
+            best_up = need_up
+            for j, a in terms:
                 up = (a > 0.0) == need_up
-                room = (upp0[j] - x_cand[j]) if up else (x_cand[j] - low0[j])
+                room = (upp[j] - x[j]) if up else (x[j] - low[j])
                 if room < 1.0:
                     continue
-                key = lp_x[j] if up else -lp_x[j]
+                key = lpx[j] if up else -lpx[j]
                 if key > best_key:
                     best_key = key
                     best_j = j
+                    best_up = up
             if best_j < 0:
                 continue
-            up = (con.coeffs[best_j] > 0.0) == need_up
-            step = 1.0 if up else -1.0
-            x_cand[best_j] += step
-            for i2, a2 in col_rows[best_j]:
+            step = 1.0 if best_up else -1.0
+            x[best_j] += step
+            for i2, a2 in rows.col_terms[best_j]:
                 acts[i2] += a2 * step
             flips += 1
             changed = True
             if flips >= cap:
                 break
-    for i, con in enumerate(canon.constraints):
-        if acts[i] < con.lhs - INT_TOL or acts[i] > con.rhs + INT_TOL:
-            return False
-    return True
+    x_cand[:] = x
+    return not any(a < lo_i or a > hi_i for lo_i, a, hi_i in zip(lo, acts, hi))
 
 
 def _with_distance(canon: MipInstance, ball: HammingBall):
@@ -228,15 +264,13 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         lp_inst, dist = _with_distance(canon, ball)
     ws = LpWorkspace(lp_inst)
     c_min = canon.objective_vector()
-    int_vars = [j for j, v in enumerate(canon.variables)
-                if v.vtype in (BINARY, INTEGER)]
+    ints = np.array([j for j, v in enumerate(canon.variables)
+                     if v.vtype in (BINARY, INTEGER)], dtype=np.int64)
     low0 = ws.base_low[:ws.n].copy()
     upp0 = ws.base_upp[:ws.n].copy()
-    # the repair walks the instance's own rows; d follows the binaries
-    col_rows = [[] for _ in range(n)]
-    for i, con in enumerate(canon.constraints):
-        for j, a in con.coeffs.items():
-            col_rows[j].append((i, a))
+    low_i, upp_i = low0[ints], upp0[ints]
+    # the probes see the instance's own rows; d follows the binaries
+    rows = _Rows(canon, ws.G)
 
     heap: list[tuple[float, int, _Node]] = []
     plunge: list[_Node] = []
@@ -254,6 +288,8 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     incumbent: Solution | None = None
     inc_min = math.inf
     nodes_done = 0
+    lp_pivots = 0
+    lp_fallbacks = 0
     lb_history: list[float] = []
     proved = False
     node_limit = cfg.node_limit if cfg.node_limit is not None else math.inf
@@ -289,6 +325,8 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         lp, warm = ws.solve(node.low, node.upp, node.warm or root_warm)
         root_warm = root_warm or warm
         nodes_done += 1
+        lp_pivots += lp.iterations
+        lp_fallbacks += lp.fallbacks
         if lp.status == LP_INFEASIBLE:
             record_lb(open_lb() if (heap or plunge) else inc_min)
             continue
@@ -301,21 +339,17 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
 
         # rounding probes: integral candidates snapped from the node LP
         # (nearest / floor / ceil / nearest-with-repair), kept when
-        # feasible and improving
-        for mode in (0, 1, 2, 3):
-            x_cand = lp.x[:n].copy()
-            for j in int_vars:
-                v = x_cand[j]
-                if mode == 1:
-                    r = math.floor(v)
-                elif mode == 2:
-                    r = math.ceil(v)
-                else:
-                    r = math.floor(v + 0.5)
-                x_cand[j] = min(max(float(r), low0[j]), upp0[j])
-            if mode == 3 and not _repair_rounding(canon, lp.x, x_cand,
-                                                 int_vars, low0, upp0,
-                                                 col_rows):
+        # feasible and improving; + 0.0 turns a rounded -0.0 into 0.0
+        x_lp = lp.x[:n]
+        xi = x_lp[ints]
+        near = np.floor(xi + 0.5) + 0.0
+        for mode, r in enumerate((near, np.floor(xi) + 0.0,
+                                  np.ceil(xi) + 0.0, near)):
+            x_cand = x_lp.copy()
+            r = np.where(low_i > r, low_i, r)
+            x_cand[ints] = np.where(upp_i < r, upp_i, r)
+            if mode == 3 and not _repair_rounding(rows, lp.x, x_cand,
+                                                  low0, upp0):
                 continue
             cand_min = float(np.dot(c_min, x_cand))
             if cand_min >= inc_min:
@@ -323,6 +357,8 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
             # a point outside the approximate ball is no solution of the
             # restricted problem, even when it is feasible for inst
             if dist is not None and dist(x_cand) > upp0[n] + INT_TOL:
+                continue
+            if not rows.may_hold(x_cand):
                 continue
             cand = evaluate_solution(inst, x_cand)
             if cand.feasible:
@@ -332,18 +368,13 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
             stop = "first_feasible"
             break
 
-        frac_j = -1
-        frac_best = INT_TOL
-        for j in int_vars:
-            f = lp.x[j] - math.floor(lp.x[j])
-            score = min(f, 1.0 - f)
-            if score > frac_best:
-                frac_best = score
-                frac_j = j
-        if frac_j < 0:
-            x_snap = lp.x[:n].copy()
-            for j in int_vars:
-                x_snap[j] = round(x_snap[j])
+        # most fractional integer variable, ties to the lowest index
+        frac = xi - np.floor(xi)
+        frac = np.minimum(frac, 1.0 - frac)
+        k = int(np.argmax(frac)) if ints.size else 0
+        if not ints.size or not frac[k] > INT_TOL:
+            x_snap = x_lp.copy()
+            x_snap[ints] = np.round(xi) + 0.0
             cand = evaluate_solution(inst, x_snap)
             cand_min = float(np.dot(c_min, x_snap))
             if cand.feasible and cand_min < inc_min:
@@ -354,6 +385,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
                     break
             continue
 
+        frac_j = int(ints[k])
         f = lp.x[frac_j] - math.floor(lp.x[frac_j])
         lo_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), warm, node.depth + 1)
         lo_child.upp[frac_j] = math.floor(lp.x[frac_j])
@@ -390,6 +422,8 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         nodes=nodes_done,
         wall_time_s=time.perf_counter() - t0,
         lb_history=lb_history,
+        lp_pivots=lp_pivots,
+        lp_fallbacks=lp_fallbacks,
     )
 
 

@@ -87,6 +87,10 @@ def _ball(inst: MipInstance, z, cfg: ApplyConfig, exact: bool) -> bnb.HammingBal
     if len(z) != len(bins):
         raise ValueError(
             f"{len(z)} predictions for {len(bins)} binary variables")
+    wanted = EXACT if exact else APPROXIMATE
+    if cfg.mode != wanted:
+        raise ValueError(f"ApplyConfig.mode is {cfg.mode!r}; this entry "
+                         f"point runs the {wanted} pipeline")
     S_pos, x_hat_pos = select_S(z, cfg.eta)
     x_hat = np.zeros(inst.n_vars)
     x_hat[bins] = x_hat_pos
@@ -96,15 +100,19 @@ def _ball(inst: MipInstance, z, cfg: ApplyConfig, exact: bool) -> bnb.HammingBal
 def approximate_solve(inst: MipInstance, z, cfg: ApplyConfig) -> bnb.SolveResult:
     """Solve inside the Hamming ball; the result is heuristic.
 
-    An infeasible outcome is legitimate: the ball may exclude every
-    solution when the predictions are bad and phi is small.
+    ``cfg.mode`` must be ``APPROXIMATE``.  An infeasible outcome is
+    legitimate: the ball may exclude every solution when the predictions
+    are bad and phi is small.
     """
     res = bnb.solve(inst, cfg.solver, _ball(inst, z, cfg, exact=False))
     return replace(res, heuristic=True)
 
 
 def exact_solve(inst: MipInstance, z, cfg: ApplyConfig) -> bnb.SolveResult:
-    """One tree split at the root on the predicted distance; bounds stay valid."""
+    """One tree split at the root on the predicted distance; bounds stay valid.
+
+    ``cfg.mode`` must be ``EXACT``.
+    """
     return bnb.solve(inst, cfg.solver, _ball(inst, z, cfg, exact=True))
 
 

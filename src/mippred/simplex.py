@@ -2,7 +2,11 @@
 
 ``solve_lp`` is the one-shot entry point; ``LpWorkspace`` keeps the
 constraint matrix of one instance around so branch and bound can
-re-solve under changed variable bounds with warm starts.
+re-solve under changed variable bounds with warm starts: a dual simplex
+re-solve from the parent basis first, then the primal core from that
+basis, then a cold primal start.  The kernels in ``_kernels`` are one
+interpreted numpy path with deterministic pivot rules; nothing selects
+between implementations.
 
 Conventions: the relaxation is solved in minimization form (maximize
 instances are canonicalized internally and the reported objective is
@@ -57,6 +61,9 @@ class LpSolution:
     var_status: list[str]
     row_status: list[str]
     iterations: int
+    # failed attempts before this one: dual -> primal, warm -> cold, and
+    # tries lost to a singular basis or non-convergence
+    fallbacks: int = 0
 
 
 @dataclass
@@ -109,27 +116,31 @@ class LpWorkspace:
     def _cold_start(self, low, upp):
         n, m = self.n, self.m
         basis = np.arange(n, n + m, dtype=np.int64)
-        vstat = np.empty(n + m, dtype=np.int8)
-        for j in range(n):
-            if np.isfinite(low[j]):
-                vstat[j] = _kernels.AT_LOWER
-            elif np.isfinite(upp[j]):
-                vstat[j] = _kernels.AT_UPPER
-            else:
-                vstat[j] = _kernels.FREE
+        vstat = np.where(np.isfinite(low), _kernels.AT_LOWER,
+                         np.where(np.isfinite(upp), _kernels.AT_UPPER,
+                                  _kernels.FREE)).astype(np.int8)
         vstat[n:] = _kernels.BASIC
         return basis, vstat
 
-    def _snap_vstat(self, vstat, low, upp):
-        """Move nonbasic statuses off bounds that are no longer finite."""
-        for j in range(self.n + self.m):
-            s = vstat[j]
-            if s == _kernels.AT_LOWER and not np.isfinite(low[j]):
-                vstat[j] = _kernels.AT_UPPER if np.isfinite(upp[j]) else _kernels.FREE
-            elif s == _kernels.AT_UPPER and not np.isfinite(upp[j]):
-                vstat[j] = _kernels.AT_LOWER if np.isfinite(low[j]) else _kernels.FREE
+    @staticmethod
+    def _snap_vstat(vstat, low, upp):
+        """Put every nonbasic status on a finite bound where one exists.
 
-    def _package(self, status, basis, vstat, z, y, d, iters):
+        A status whose bound is no longer finite moves to the other
+        bound, or to free; a free nonbasic (which sits at 0) moves to a
+        bound that has become finite, since 0 may lie outside it now.
+        """
+        fin_low = np.isfinite(low)
+        fin_upp = np.isfinite(upp)
+        off_low = (vstat == _kernels.AT_LOWER) & ~fin_low
+        off_upp = (vstat == _kernels.AT_UPPER) & ~fin_upp
+        free = vstat == _kernels.FREE
+        vstat[off_low] = np.where(fin_upp[off_low], _kernels.AT_UPPER, _kernels.FREE)
+        vstat[off_upp] = np.where(fin_low[off_upp], _kernels.AT_LOWER, _kernels.FREE)
+        vstat[free & fin_low] = _kernels.AT_LOWER
+        vstat[free & ~fin_low & fin_upp] = _kernels.AT_UPPER
+
+    def _package(self, status, basis, vstat, z, y, d, iters, fallbacks):
         n = self.n
         sol = LpSolution(
             status=_STATUS_NAME[status],
@@ -140,6 +151,7 @@ class LpWorkspace:
             var_status=[_VSTAT_NAME[int(s)] for s in vstat[:n]],
             row_status=[_VSTAT_NAME[int(s)] for s in vstat[n:]],
             iterations=int(iters),
+            fallbacks=fallbacks,
         )
         return sol, WarmStart(basis.copy(), vstat.copy())
 
@@ -155,6 +167,7 @@ class LpWorkspace:
         if m == 0:
             return self._solve_unconstrained(low, upp)
 
+        fallbacks = 0
         if warm is not None:
             # bound changes keep the old optimal basis dual feasible, so a
             # dual re-solve is usually a handful of pivots; on any trouble
@@ -172,7 +185,9 @@ class LpWorkspace:
             except np.linalg.LinAlgError:
                 status = _kernels.NUMERICAL
             if status in (_kernels.OPTIMAL, _kernels.INFEASIBLE):
-                return self._package(status, basis, vstat, z, y, d, iters)
+                return self._package(status, basis, vstat, z, y, d, iters,
+                                     fallbacks)
+            fallbacks += 1
 
         attempts = []
         if warm is not None:
@@ -191,11 +206,14 @@ class LpWorkspace:
                 )
             except np.linalg.LinAlgError as exc:
                 last_exc = exc
+                fallbacks += 1
                 continue
             if status in (_kernels.ITER_LIMIT, _kernels.NUMERICAL):
                 last_exc = RuntimeError(f"simplex did not converge (code {status})")
+                fallbacks += 1
                 continue
-            return self._package(status, basis, vstat, z, y, d, iters)
+            return self._package(status, basis, vstat, z, y, d, iters,
+                                 fallbacks)
         raise RuntimeError(f"simplex failed: {last_exc}")
 
     def _solve_unconstrained(self, low, upp):

@@ -2,14 +2,15 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mippred import bnb, predictor
-from mippred.core import (BINARY, CONTINUOUS, Constraint, MipInstance,
-                          Variable, canonicalize, evaluate_solution,
-                          hamming_coeffs)
+from mippred import bnb, predictor, simplex
+from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, Constraint,
+                          MipInstance, Variable, canonicalize,
+                          evaluate_solution, hamming_coeffs)
 from mippred.generators import GenSpec, generate
 from oracles import TINY_SPECS, brute_force_optimum
 
@@ -333,6 +334,11 @@ def test_repaired_probe_beats_blanket_cover():
     assert res.objective < 0.7 * total
 
 
+def instance_rows(inst):
+    canon = canonicalize(inst)
+    return bnb._Rows(canon, simplex.LpWorkspace(canon).G)
+
+
 def test_repair_walks_toward_lp_preference():
     inst = MipInstance(
         "rep", "min",
@@ -340,15 +346,10 @@ def test_repair_walks_toward_lp_preference():
         [Constraint("r0", {0: 1.0, 1: 1.0}, 1.0, math.inf),
          Constraint("r1", {1: 1.0, 2: 1.0}, 1.0, math.inf)],
         {j: 1.0 for j in range(3)})
-    canon = canonicalize(inst)
-    col_rows = [[] for _ in range(3)]
-    for i, con in enumerate(canon.constraints):
-        for j, a in con.coeffs.items():
-            col_rows[j].append((i, a))
     lp_x = np.array([0.2, 0.9, 0.1])
     x_cand = np.zeros(3)
-    ok = bnb._repair_rounding(canon, lp_x, x_cand, [0, 1, 2],
-                              np.zeros(3), np.ones(3), col_rows)
+    ok = bnb._repair_rounding(instance_rows(inst), lp_x, x_cand,
+                              np.zeros(3), np.ones(3))
     assert ok
     # one step on the variable both rows share, the LP favourite
     assert x_cand.tolist() == [0.0, 1.0, 0.0]
@@ -360,8 +361,88 @@ def test_repair_reports_failure_when_out_of_room():
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("big", {0: 1.0}, 3.0, math.inf)],
         {0: 1.0})
-    canon = canonicalize(inst)
     x_cand = np.zeros(1)
-    ok = bnb._repair_rounding(canon, np.array([0.9]), x_cand, [0],
-                              np.zeros(1), np.ones(1), [[(0, 1.0)]])
+    ok = bnb._repair_rounding(instance_rows(inst), np.array([0.9]), x_cand,
+                              np.zeros(1), np.ones(1))
     assert not ok
+
+
+def tight_copy(inst, x):
+    """``inst`` with every finite row side moved onto the activity of x."""
+    constraints = []
+    for con in inst.constraints:
+        act = sum(a * x[j] for j, a in con.coeffs.items())
+        constraints.append(replace(
+            con, lhs=act if math.isfinite(con.lhs) else con.lhs,
+            rhs=act if math.isfinite(con.rhs) else con.rhs))
+    return replace(inst, constraints=constraints)
+
+
+def edge_points(inst, x):
+    """Points whose activity on one row sits on a side of the row, or
+    just inside, at, or just outside its FEAS_TOL band; the row's
+    largest-coefficient variable moves."""
+    for con in inst.constraints:
+        j, a = max(con.coeffs.items(), key=lambda item: abs(item[1]))
+        act = sum(coef * x[k] for k, coef in con.coeffs.items())
+        for bound, outward in ((con.lhs, -1.0), (con.rhs, 1.0)):
+            if not math.isfinite(bound):
+                continue
+            for off in (-1.0, 0.0, 0.999, 1.0, 1.001):
+                y = x.copy()
+                y[j] += (bound + outward * off * FEAS_TOL - act) / a
+                yield y
+
+
+def test_row_screen_keeps_every_point_evaluate_accepts():
+    # max-sense knapsacks, and the equality rows of facility location and
+    # tsp; every row side is moved onto the optimum so that it is active
+    for problem in ("mk", "cfl", "tsp"):
+        preset, params = TINY_SPECS[problem]
+        for seed in range(3):
+            orig = generate(GenSpec(problem, preset, params=params,
+                                    seed=seed))
+            x = bnb.solve(orig).incumbent.values
+            for inst in (orig, tight_copy(orig, x)):
+                rows = instance_rows(inst)
+                accepted = 0
+                for y in edge_points(inst, x):
+                    if evaluate_solution(inst, y).feasible:
+                        accepted += 1
+                        assert rows.may_hold(y), (problem, seed)
+            assert accepted > len(inst.constraints), (problem, seed)
+    assert generate(GenSpec("mk", "tiny", seed=0)).sense == "max"
+    assert any(con.lhs == con.rhs for con in
+               generate(GenSpec("tsp", *TINY_SPECS["tsp"], seed=0)).constraints)
+
+
+def test_row_screen_rejects_a_clear_row_violation():
+    inst = generate(GenSpec("cfl", "tiny", seed=0))
+    rows = instance_rows(inst)
+    x = bnb.solve(inst).incumbent.values
+    assert rows.may_hold(x)
+    con = next(con for con in inst.constraints if con.lhs == con.rhs)
+    j = next(iter(con.coeffs))
+    y = x.copy()
+    y[j] += 1e-3 / con.coeffs[j]
+    assert not rows.may_hold(y)
+    assert not evaluate_solution(inst, y).feasible
+
+
+def test_solve_sums_lp_pivots_and_fallbacks(monkeypatch):
+    seen = []
+    solve_lp = simplex.LpWorkspace.solve
+
+    def recording(self, *args):
+        out = solve_lp(self, *args)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(simplex.LpWorkspace, "solve", recording)
+    res = bnb.solve(generate(GenSpec("sc", "custom",
+                                     params={"sets": 40, "elements": 30,
+                                             "density": 0.15},
+                                     seed=2)))
+    assert res.nodes == len(seen) > 1
+    assert res.lp_pivots == sum(lp.iterations for lp in seen) > 0
+    assert res.lp_fallbacks == sum(lp.fallbacks for lp in seen)

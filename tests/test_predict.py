@@ -88,6 +88,17 @@ def test_solvers_reject_wrong_prediction_length():
         exact_solve(inst, np.array([0.5] * 5), ApplyConfig())
 
 
+def test_entry_points_reject_the_other_mode():
+    inst = generate(GenSpec("sc", "tiny", seed=3))
+    z = optimal_binary_values(inst)
+    with pytest.raises(ValueError, match="mode"):
+        approximate_solve(inst, z, ApplyConfig(mode=EXACT))
+    with pytest.raises(ValueError, match="mode"):
+        exact_solve(inst, z, ApplyConfig(mode=APPROXIMATE))
+    assert approximate_solve(inst, z, ApplyConfig(mode=APPROXIMATE)).heuristic
+    assert not exact_solve(inst, z, ApplyConfig(mode=EXACT)).heuristic
+
+
 # ---------------------------------------------------------------------------
 # Approximate pipeline
 
