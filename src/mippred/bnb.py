@@ -45,9 +45,8 @@ from .core import (
     hamming_coeffs,
 )
 from .simplex import INFEASIBLE as LP_INFEASIBLE
-from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import UNBOUNDED as LP_UNBOUNDED
-from .simplex import LpSolution, LpWorkspace, WarmStart
+from .simplex import LpSolution, LpWorkspace
 
 OPTIMIZE = "optimize"
 FIRST_FEASIBLE = "first_feasible"

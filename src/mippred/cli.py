@@ -28,7 +28,7 @@ import json
 import sys
 import time
 from concurrent import futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np

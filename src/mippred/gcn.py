@@ -18,6 +18,15 @@ over constraints respectively variables, reproducing the pseudocode
 form of the update order-dependently.  Gradients are hand-derived
 reverse mode for both modes; correctness is pinned by finite-difference
 tests.
+
+The public entry points (``forward``, ``loss_and_gradients``,
+``gradients``, ``train``) check the hyperparameters and, where the
+caller passes them, the parameter shapes once per call; the inner
+passes trust them.  A forward pass that a backward pass follows keeps
+the attention inputs and per-edge gathers on its tape, so the backward
+pass reads them instead of rebuilding them.  Training keeps the
+parameters, gradients and Adam moments in flat buffers updated in
+place, with the same per-element arithmetic as a per-array update.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +49,10 @@ from .trigraph import (
 
 FORMAT_VERSION = 1
 Z_CLIP = 1e-7
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# elements per in-place Adam pass: the six slices of one pass (1.5 MB)
+# stay in cache, and the two scratch buffers stay this small
+ADAM_CHUNK = 32768
 
 
 @dataclass
@@ -111,8 +124,14 @@ _SEG_CACHE: "weakref.WeakKeyDictionary[TriGraph, tuple]" = weakref.WeakKeyDictio
 
 
 def _segments(graph: TriGraph):
-    """Sparse indicator matrices summing edge values per constraint and
-    per variable; cached per graph object."""
+    """(s_cons, s_var, counts_c, counts_v), cached per graph object.
+
+    ``s_cons``/``s_var`` are sparse indicator matrices summing per-edge
+    rows per constraint and per variable; the counts are the segment
+    sizes.  One-dimensional segment sums use ``np.bincount`` instead,
+    which adds in edge order exactly like the CSR product; numpy's 2-D
+    ``np.add.reduceat`` does not, so the 2-D sums stay CSR.
+    """
     hit = _SEG_CACHE.get(graph)
     if hit is not None:
         return hit
@@ -122,50 +141,56 @@ def _segments(graph: TriGraph):
                            shape=(graph.n_cons, ne))
     s_var = sp.csr_matrix((ones, (graph.vc_var, np.arange(ne))),
                           shape=(graph.n_vars, ne))
-    _SEG_CACHE[graph] = (s_cons, s_var)
-    return s_cons, s_var
+    counts_c = np.bincount(graph.vc_cons, minlength=graph.n_cons)
+    counts_v = np.bincount(graph.vc_var, minlength=graph.n_vars)
+    hit = _SEG_CACHE[graph] = (s_cons, s_var, counts_c, counts_v)
+    return hit
 
 
-def _global_attention(center, neighbors, edges, att_vec, enabled):
-    """(raw, alpha) for one center aggregating every row of neighbors."""
+def _global_attention(center, neighbors, edges, att_vec, enabled,
+                      keep=False):
+    """(raw, alpha, stacked) for one center aggregating every row of
+    neighbors; ``stacked`` is the scoring input if ``keep``, else None."""
     n = neighbors.shape[0]
     if n == 0:
-        return None, np.zeros(0)
+        return None, np.zeros(0), None
     if not enabled:
-        return None, np.full(n, 1.0 / n)
+        return None, np.full(n, 1.0 / n), None
     stacked = np.concatenate(
         [np.broadcast_to(center, (n, center.shape[0])), edges, neighbors],
         axis=1)
     raw = _sigmoid(stacked @ att_vec)
     e = np.exp(raw)
-    return raw, e / e.sum()
+    return raw, e / e.sum(), stacked if keep else None
 
 
-def _edge_attention(centers, neighbors, edges, att_vec, seg, counts, idx,
-                    enabled):
-    """(raw, alpha) per edge with softmax inside each segment.
+def _edge_attention(centers, neighbors, edges, att_vec, counts, idx,
+                    enabled, keep=False):
+    """(raw, alpha, stacked) per edge with softmax inside each segment.
 
-    ``centers``/``neighbors`` are already gathered per edge; ``seg`` is
-    the segment-sum matrix of the grouping side, ``counts`` the segment
-    sizes and ``idx`` the per-edge segment index.
+    ``centers``/``neighbors`` are already gathered per edge; ``counts``
+    are the segment sizes of the grouping side and ``idx`` the per-edge
+    segment index.  ``stacked`` is the scoring input if ``keep``, else
+    None.
     """
     ne = centers.shape[0]
     if ne == 0:
-        return None, np.zeros(0)
+        return None, np.zeros(0), None
     if not enabled:
-        return None, 1.0 / counts[idx]
+        return None, 1.0 / counts[idx], None
     stacked = np.concatenate([centers, edges, neighbors], axis=1)
     raw = _sigmoid(stacked @ att_vec)
     e = np.exp(raw)
-    denom = seg @ e
-    return raw, e / denom[idx]
+    denom = np.bincount(idx, weights=e, minlength=len(counts))
+    return raw, e / denom[idx], stacked if keep else None
 
 
-def _softmax_backward(alpha, d_alpha, seg=None, idx=None):
-    """Gradient through a (segmented) softmax given d loss / d alpha."""
-    if seg is None:
+def _softmax_backward(alpha, d_alpha, idx=None, n_seg=0):
+    """Gradient through a softmax given d loss / d alpha; segmented by
+    the per-edge segment index ``idx`` over ``n_seg`` segments if given."""
+    if idx is None:
         return alpha * (d_alpha - np.dot(alpha, d_alpha))
-    mixed = seg @ (alpha * d_alpha)
+    mixed = np.bincount(idx, weights=alpha * d_alpha, minlength=n_seg)
     return alpha * (d_alpha - mixed[idx])
 
 
@@ -175,18 +200,23 @@ def _softmax_backward(alpha, d_alpha, seg=None, idx=None):
 
 def forward(graph: TriGraph, params: dict, hyper: GcnHyper) -> np.ndarray:
     """Predicted probability per variable node, strictly inside (0,1)."""
-    z, _ = _forward_tape(graph, params, hyper)
+    hyper.validate()
+    _check_shapes(params, hyper)
+    z, _ = _forward_tape(graph, params, hyper, for_backward=False)
     return z
 
 
-def _forward_tape(graph: TriGraph, params, hyper: GcnHyper):
-    hyper.validate()
-    _check_shapes(params, hyper)
+def _forward_tape(graph: TriGraph, params, hyper: GcnHyper, for_backward):
+    """(z, tape) for checked ``params`` and ``hyper``.
+
+    With ``for_backward`` the tape also keeps the attention inputs and
+    the per-edge gathers the backward pass reads; inference never holds
+    an attention input past its scoring, which keeps its peak memory at
+    that of a pass that keeps none.
+    """
     d = hyper.hidden_dim
     nv, nc = graph.n_vars, graph.n_cons
-    s_cons, s_var = _segments(graph)
-    counts_c = np.asarray(s_cons.sum(axis=1)).ravel()
-    counts_v = np.asarray(s_var.sum(axis=1)).ravel()
+    s_cons, s_var, counts_c, counts_v = _segments(graph)
     ev, ec = graph.vc_var, graph.vc_cons
 
     Hv = graph.var_feats @ params["emb_var_w"].T + params["emb_var_b"]
@@ -199,8 +229,9 @@ def _forward_tape(graph: TriGraph, params, hyper: GcnHyper):
         rec = {"Hv_prev": Hv, "Hc_prev": Hc, "ho_prev": ho}
 
         # step 1: variables -> objective
-        r1, a1 = _global_attention(ho, Hv, graph.vo_feats,
-                                   params["att_v_to_o"], hyper.attention)
+        r1, a1, st1 = _global_attention(ho, Hv, graph.vo_feats,
+                                        params["att_v_to_o"], hyper.attention,
+                                        for_backward)
         agg1 = a1 @ Hv if nv else np.zeros(d)
         pre1 = params[f"w_vo_{t}"] @ np.concatenate([ho, agg1])
         ho_s1 = np.maximum(pre1, 0.0)
@@ -208,10 +239,11 @@ def _forward_tape(graph: TriGraph, params, hyper: GcnHyper):
 
         # per-edge attention for the constraint updates (center is the
         # previous constraint embedding)
-        r2, a2 = _edge_attention(Hc[ec], Hv[ev], graph.vc_feats,
-                                 params["att_v_to_c"], s_cons, counts_c, ec,
-                                 hyper.attention)
-        aggc = s_cons @ (a2[:, None] * Hv[ev]) if len(ev) else np.zeros((nc, d))
+        Hv_ev = Hv[ev]
+        r2, a2, st2 = _edge_attention(Hc[ec], Hv_ev, graph.vc_feats,
+                                      params["att_v_to_c"], counts_c, ec,
+                                      hyper.attention, for_backward)
+        aggc = s_cons @ (a2[:, None] * Hv_ev) if len(ev) else np.zeros((nc, d))
         rec.update(r2=r2, a2=a2, aggc=aggc)
 
         # step 2: objective refresh plus constraint updates
@@ -244,8 +276,9 @@ def _forward_tape(graph: TriGraph, params, hyper: GcnHyper):
                        preC=preC, Hc_new=Hc_new)
 
         # step 3: constraints -> objective (center is the current h_o)
-        r3, a3 = _global_attention(ho_s2, Hc_new, graph.co_feats,
-                                   params["att_c_to_o"], hyper.attention)
+        r3, a3, st3 = _global_attention(ho_s2, Hc_new, graph.co_feats,
+                                        params["att_c_to_o"], hyper.attention,
+                                        for_backward)
         agg3 = a3 @ Hc_new if nc else np.zeros(d)
         pre3 = params[f"w_co_{t}"] @ np.concatenate([ho_s2, agg3])
         ho_s3 = np.maximum(pre3, 0.0)
@@ -253,10 +286,11 @@ def _forward_tape(graph: TriGraph, params, hyper: GcnHyper):
 
         # per-edge attention for the variable updates (center is the
         # previous variable embedding, neighbors the fresh constraints)
-        r4, a4 = _edge_attention(Hv[ev], Hc_new[ec], graph.vc_feats,
-                                 params["att_c_to_v"], s_var, counts_v, ev,
-                                 hyper.attention)
-        aggv = s_var @ (a4[:, None] * Hc_new[ec]) if len(ev) else np.zeros((nv, d))
+        Hc_ec = Hc_new[ec]
+        r4, a4, st4 = _edge_attention(Hv_ev, Hc_ec, graph.vc_feats,
+                                      params["att_c_to_v"], counts_v, ev,
+                                      hyper.attention, for_backward)
+        aggv = s_var @ (a4[:, None] * Hc_ec) if len(ev) else np.zeros((nv, d))
         rec.update(r4=r4, a4=a4, aggv=aggv)
 
         # step 4: objective refresh plus variable updates
@@ -288,6 +322,11 @@ def _forward_tape(graph: TriGraph, params, hyper: GcnHyper):
             rec.update(hvmean=hvmean, pre4=pre4, ho_s4=ho_s4, rows4=rows4,
                        preV=preV, Hv_new=Hv_new)
 
+        if for_backward:
+            rec.update(st1=st1, st2=st2, st3=st3, st4=st4, Hv_ev=Hv_ev,
+                       Hc_ec=Hc_ec)
+        # inference frees the per-edge gathers before the next transition
+        del Hv_ev, Hc_ec
         Hv, Hc, ho = rec["Hv_new"], rec["Hc_new"], rec["ho_s4"]
         tape["steps"].append(rec)
 
@@ -370,7 +409,9 @@ def gradients(graph: TriGraph, params, hyper: GcnHyper,
 
 def loss_and_gradients(graph: TriGraph, params, hyper: GcnHyper,
                        labels: LabelSet):
-    z, tape = _forward_tape(graph, params, hyper)
+    hyper.validate()
+    _check_shapes(params, hyper)
+    z, tape = _forward_tape(graph, params, hyper, for_backward=True)
     if len(labels.var_names) == graph.n_vars and \
             labels.var_names == graph.var_names:
         y, mask = labels.targets(), labels.stable_mask()
@@ -378,24 +419,26 @@ def loss_and_gradients(graph: TriGraph, params, hyper: GcnHyper,
         y, mask = targets_for(graph, labels)
     loss = _bce(z, y, mask)
     dz = _bce_grad(z, y, mask)
-    grads = _backward(graph, params, hyper, tape, dz)
+    grads = {name: np.zeros(shape)
+             for name, shape in param_shapes(hyper).items()}
+    _backward(graph, params, hyper, tape, dz, grads)
     return loss, grads
 
 
-def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz):
+def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz, grads):
+    """Add the loss gradients to ``grads``, zero arrays keyed like
+    ``params``, from a tape recorded with ``for_backward``."""
     d = hyper.hidden_dim
     nv, nc = graph.n_vars, graph.n_cons
-    s_cons, s_var = _segments(graph)
+    s_cons, s_var, _, _ = _segments(graph)
     ev, ec = graph.vc_var, graph.vc_cons
     att_on = hyper.attention
-    grads = {name: np.zeros(shape)
-             for name, shape in param_shapes(hyper).items()}
 
     z = tape["z"]
     dlogits = dz * z * (1.0 - z)
     grads["out_b2"][0] = dlogits.sum()
     grads["out_w2"][0] = tape["r_out"].T @ dlogits
-    dr_out = np.outer(dlogits, params["out_w2"][0])
+    dr_out = dlogits[:, None] * params["out_w2"][0]
     da_out = dr_out * (tape["a_out"] > 0)
     grads["out_w1"] += da_out.T @ tape["u"]
     grads["out_b1"] += da_out.sum(axis=0)
@@ -421,11 +464,11 @@ def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz):
             gh = gho.copy()
             for j in range(nv - 1, -1, -1):
                 gh += params[f"w_cv_{t}"][:, :d].T @ d_preV[j]
-                grads[f"w_cv_{t}"] += np.outer(
-                    d_preV[j], np.concatenate([chain[j + 1], rec["aggv"][j]]))
+                grads[f"w_cv_{t}"] += d_preV[j][:, None] * np.concatenate(
+                    [chain[j + 1], rec["aggv"][j]])
                 d_pa = gh * (pre4a[j] > 0)
-                grads[f"w_ov_{t}"] += np.outer(
-                    d_pa, np.concatenate([chain[j], Hv_prev[j]]))
+                grads[f"w_ov_{t}"] += d_pa[:, None] * np.concatenate(
+                    [chain[j], Hv_prev[j]])
                 gHv_prev[j] += params[f"w_ov_{t}"][:, d:].T @ d_pa
                 gh = params[f"w_ov_{t}"][:, :d].T @ d_pa
             gho_s3 = gh
@@ -436,8 +479,8 @@ def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz):
             d_aggv = d_preV @ params[f"w_cv_{t}"][:, d:]
             if nv:
                 d_pre4 = gho_s4 * (rec["pre4"] > 0)
-                grads[f"w_ov_{t}"] += np.outer(
-                    d_pre4, np.concatenate([rec["ho_s3"], rec["hvmean"]]))
+                grads[f"w_ov_{t}"] += d_pre4[:, None] * np.concatenate(
+                    [rec["ho_s3"], rec["hvmean"]])
                 gho_s3 = params[f"w_ov_{t}"][:, :d].T @ d_pre4
                 gHv_prev += (params[f"w_ov_{t}"][:, d:].T @ d_pre4) / nv
             else:
@@ -448,35 +491,32 @@ def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz):
             gathered = d_aggv[ev]
             gHc_new = gHc_new + s_cons @ (rec["a4"][:, None] * gathered)
             if att_on:
-                d_a4 = np.einsum("ed,ed->e", gathered, rec["Hc_new"][ec])
-                d_r4 = _softmax_backward(rec["a4"], d_a4, s_var, ev)
+                d_a4 = np.einsum("ed,ed->e", gathered, rec["Hc_ec"])
+                d_r4 = _softmax_backward(rec["a4"], d_a4, ev, nv)
                 d_s4 = d_r4 * rec["r4"] * (1.0 - rec["r4"])
                 att = params["att_c_to_v"]
-                stacked = np.concatenate(
-                    [Hv_prev[ev], graph.vc_feats, rec["Hc_new"][ec]], axis=1)
-                grads["att_c_to_v"] += stacked.T @ d_s4
-                gHv_prev += np.outer(s_var @ d_s4, att[:d])
-                gHc_new = gHc_new + np.outer(s_cons @ d_s4, att[d + 2:])
+                grads["att_c_to_v"] += rec["st4"].T @ d_s4
+                gHv_prev += np.bincount(ev, weights=d_s4,
+                                        minlength=nv)[:, None] * att[:d]
+                gHc_new = gHc_new + np.bincount(
+                    ec, weights=d_s4, minlength=nc)[:, None] * att[d + 2:]
 
         # ---- step 3 backward
         d_pre3 = gho_s3 * (rec["pre3"] > 0)
-        grads[f"w_co_{t}"] += np.outer(
-            d_pre3, np.concatenate([rec["ho_s2"], rec["agg3"]]))
+        grads[f"w_co_{t}"] += d_pre3[:, None] * np.concatenate(
+            [rec["ho_s2"], rec["agg3"]])
         gho_s2 += params[f"w_co_{t}"][:, :d].T @ d_pre3
         d_agg3 = params[f"w_co_{t}"][:, d:].T @ d_pre3
         if nc:
             d_a3 = rec["Hc_new"] @ d_agg3
-            gHc_new = gHc_new + np.outer(rec["a3"], d_agg3)
+            gHc_new = gHc_new + rec["a3"][:, None] * d_agg3
             if att_on:
                 d_r3 = _softmax_backward(rec["a3"], d_a3)
                 d_s3 = d_r3 * rec["r3"] * (1.0 - rec["r3"])
                 att = params["att_c_to_o"]
-                stacked = np.concatenate(
-                    [np.broadcast_to(rec["ho_s2"], (nc, d)), graph.co_feats,
-                     rec["Hc_new"]], axis=1)
-                grads["att_c_to_o"] += stacked.T @ d_s3
+                grads["att_c_to_o"] += rec["st3"].T @ d_s3
                 gho_s2 += d_s3.sum() * att[:d]
-                gHc_new = gHc_new + np.outer(d_s3, att[d + 2:])
+                gHc_new = gHc_new + d_s3[:, None] * att[d + 2:]
 
         # ---- step 2 backward
         if hyper.literal_loops:
@@ -486,11 +526,11 @@ def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz):
             gh = gho_s2.copy()
             for i in range(nc - 1, -1, -1):
                 gh += params[f"w_vc_{t}"][:, :d].T @ d_preC[i]
-                grads[f"w_vc_{t}"] += np.outer(
-                    d_preC[i], np.concatenate([chain[i + 1], rec["aggc"][i]]))
+                grads[f"w_vc_{t}"] += d_preC[i][:, None] * np.concatenate(
+                    [chain[i + 1], rec["aggc"][i]])
                 d_pa = gh * (pre2a[i] > 0)
-                grads[f"w_oc_{t}"] += np.outer(
-                    d_pa, np.concatenate([chain[i], Hc_prev[i]]))
+                grads[f"w_oc_{t}"] += d_pa[:, None] * np.concatenate(
+                    [chain[i], Hc_prev[i]])
                 gHc_prev[i] += params[f"w_oc_{t}"][:, d:].T @ d_pa
                 gh = params[f"w_oc_{t}"][:, :d].T @ d_pa
             gho_s1 = gh
@@ -501,8 +541,8 @@ def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz):
             d_aggc = d_preC @ params[f"w_vc_{t}"][:, d:]
             if nc:
                 d_pre2 = gho_s2 * (rec["pre2"] > 0)
-                grads[f"w_oc_{t}"] += np.outer(
-                    d_pre2, np.concatenate([rec["ho_s1"], rec["hcmean"]]))
+                grads[f"w_oc_{t}"] += d_pre2[:, None] * np.concatenate(
+                    [rec["ho_s1"], rec["hcmean"]])
                 gho_s1 = params[f"w_oc_{t}"][:, :d].T @ d_pre2
                 gHc_prev += (params[f"w_oc_{t}"][:, d:].T @ d_pre2) / nc
             else:
@@ -513,35 +553,32 @@ def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz):
             gathered = d_aggc[ec]
             gHv_prev += s_var @ (rec["a2"][:, None] * gathered)
             if att_on:
-                d_a2 = np.einsum("ed,ed->e", gathered, Hv_prev[ev])
-                d_r2 = _softmax_backward(rec["a2"], d_a2, s_cons, ec)
+                d_a2 = np.einsum("ed,ed->e", gathered, rec["Hv_ev"])
+                d_r2 = _softmax_backward(rec["a2"], d_a2, ec, nc)
                 d_s2 = d_r2 * rec["r2"] * (1.0 - rec["r2"])
                 att = params["att_v_to_c"]
-                stacked = np.concatenate(
-                    [Hc_prev[ec], graph.vc_feats, Hv_prev[ev]], axis=1)
-                grads["att_v_to_c"] += stacked.T @ d_s2
-                gHc_prev += np.outer(s_cons @ d_s2, att[:d])
-                gHv_prev += np.outer(s_var @ d_s2, att[d + 2:])
+                grads["att_v_to_c"] += rec["st2"].T @ d_s2
+                gHc_prev += np.bincount(ec, weights=d_s2,
+                                        minlength=nc)[:, None] * att[:d]
+                gHv_prev += np.bincount(ev, weights=d_s2,
+                                        minlength=nv)[:, None] * att[d + 2:]
 
         # ---- step 1 backward
         d_pre1 = gho_s1 * (rec["pre1"] > 0)
-        grads[f"w_vo_{t}"] += np.outer(
-            d_pre1, np.concatenate([ho_prev, rec["agg1"]]))
+        grads[f"w_vo_{t}"] += d_pre1[:, None] * np.concatenate(
+            [ho_prev, rec["agg1"]])
         gho_prev = params[f"w_vo_{t}"][:, :d].T @ d_pre1
         d_agg1 = params[f"w_vo_{t}"][:, d:].T @ d_pre1
         if nv:
             d_a1 = Hv_prev @ d_agg1
-            gHv_prev += np.outer(rec["a1"], d_agg1)
+            gHv_prev += rec["a1"][:, None] * d_agg1
             if att_on:
                 d_r1 = _softmax_backward(rec["a1"], d_a1)
                 d_s1 = d_r1 * rec["r1"] * (1.0 - rec["r1"])
                 att = params["att_v_to_o"]
-                stacked = np.concatenate(
-                    [np.broadcast_to(ho_prev, (nv, d)), graph.vo_feats,
-                     Hv_prev], axis=1)
-                grads["att_v_to_o"] += stacked.T @ d_s1
+                grads["att_v_to_o"] += rec["st1"].T @ d_s1
                 gho_prev += d_s1.sum() * att[:d]
-                gHv_prev += np.outer(d_s1, att[d + 2:])
+                gHv_prev += d_s1[:, None] * att[d + 2:]
 
         gHv, gHc, gho = gHv_prev, gHc_prev, gho_prev
 
@@ -550,9 +587,8 @@ def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz):
     grads["emb_var_b"] += gHv0.sum(axis=0)
     grads["emb_cons_w"] += gHc.T @ graph.cons_feats
     grads["emb_cons_b"] += gHc.sum(axis=0)
-    grads["emb_obj_w"] += np.outer(gho, graph.obj_feats)
+    grads["emb_obj_w"] += gho[:, None] * graph.obj_feats
     grads["emb_obj_b"] += gho
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +601,17 @@ def train(dataset, hyper: GcnHyper):
     Each epoch visits the graphs once in a freshly shuffled order; the
     history records the mean training loss per epoch.  Fully determined
     by the seed, the hyperparameters and the dataset order.
+
+    Parameters, gradients and both Adam moments each live in one flat
+    float64 buffer; the named arrays are views into it in
+    ``param_shapes`` order.  A step zero-fills the gradient buffer,
+    accumulates the backward pass into it and updates the buffers with
+    in-place ufuncs, ``ADAM_CHUNK`` elements at a time.  Per element
+    this is the textbook expression in a fixed order,
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``, so the result does not
+    depend on the buffer layout or the chunking.  The hyperparameters
+    are checked once per call, not once per step.
     """
     hyper.validate()
     if not dataset:
@@ -579,10 +626,20 @@ def train(dataset, hyper: GcnHyper):
         raise ValueError("no stable labels anywhere in the training set")
 
     rng = np.random.default_rng(hyper.seed)
-    params = init_params(hyper)
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(va) for k, va in params.items()}
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    shapes = param_shapes(hyper)
+    size = sum(math.prod(shape) for shape in shapes.values())
+    flat_p, flat_g, m, v = np.zeros((4, size))
+    s1, s2 = np.zeros((2, min(size, ADAM_CHUNK)))
+    params, grads = {}, {}
+    start = 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        params[name] = flat_p[start:stop].reshape(shape)
+        grads[name] = flat_g[start:stop].reshape(shape)
+        start = stop
+    for name, arr in init_params(hyper).items():
+        params[name][...] = arr
+
     step = 0
     history = []
     for _ in range(hyper.epochs):
@@ -592,21 +649,42 @@ def train(dataset, hyper: GcnHyper):
             graph, y, mask = aligned[idx]
             if not mask.any():
                 continue
-            z, tape = _forward_tape(graph, params, hyper)
+            z, tape = _forward_tape(graph, params, hyper, for_backward=True)
             losses.append(_bce(z, y, mask))
-            grads = _backward(graph, params, hyper, tape,
-                              _bce_grad(z, y, mask))
+            flat_g.fill(0.0)
+            _backward(graph, params, hyper, tape, _bce_grad(z, y, mask),
+                      grads)
             step += 1
-            c1 = 1.0 - beta1 ** step
-            c2 = 1.0 - beta2 ** step
-            for name in params:
-                g = grads[name]
-                m[name] = beta1 * m[name] + (1.0 - beta1) * g
-                v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
-                params[name] -= hyper.learning_rate * (m[name] / c1) / (
-                    np.sqrt(v[name] / c2) + eps)
+            c1 = 1.0 - ADAM_BETA1 ** step
+            c2 = 1.0 - ADAM_BETA2 ** step
+            for lo in range(0, size, ADAM_CHUNK):
+                part = slice(lo, lo + ADAM_CHUNK)
+                _adam_update(flat_p[part], flat_g[part], m[part], v[part],
+                             s1, s2, hyper.learning_rate, c1, c2)
         history.append(float(np.mean(losses)))
     return params, history
+
+
+def _adam_update(p, g, m, v, s1, s2, lr, c1, c2):
+    """One Adam step on ``p`` in place, with moments ``m``/``v`` and
+    bias corrections ``c1``/``c2``; ``s1``/``s2`` are scratch at least
+    as long as ``p``.  Each ufunc writes into an existing array, and the
+    element-wise order is that of the textbook expressions."""
+    s1, s2 = s1[:len(p)], s2[:len(p)]
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+    np.add(m, s1, out=m)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
+    np.multiply(s1, g, out=s1)
+    np.add(v, s1, out=v)
+    np.divide(m, c1, out=s1)
+    np.multiply(s1, lr, out=s1)
+    np.divide(v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    np.add(s2, ADAM_EPS, out=s2)
+    np.divide(s1, s2, out=s1)
+    np.subtract(p, s1, out=p)
 
 
 # ---------------------------------------------------------------------------

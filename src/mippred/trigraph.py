@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BINARY, CONTINUOUS, INTEGER, MipInstance
+from .core import BINARY, CONTINUOUS, MipInstance
 from .bnb import RootInfo
 
 N_VAR_FEATURES = 57
@@ -104,86 +104,107 @@ def variable_features(inst: MipInstance, root: RootInfo, j: int) -> np.ndarray:
     signed coefficient statistics, weighted coefficient statistics under
     unit, dual and inverse-row-sum weights).
     """
-    var = inst.variables[j]
-    if var.vtype != BINARY:
-        raise ValueError(f"variable {var.name!r} is not binary")
+    return _variable_feature_rows(inst, root, [j])[0]
+
+
+def _variable_feature_rows(inst: MipInstance, root: RootInfo,
+                           cols) -> np.ndarray:
+    """``variable_features`` for each variable in ``cols``, one row each.
+
+    The objective vector, the rows of each variable, one coefficient
+    array per row and the row sums are built once for all of them.
+    """
+    for j in cols:
+        var = inst.variables[j]
+        if var.vtype != BINARY:
+            raise ValueError(f"variable {var.name!r} is not binary")
     c = inst.objective_vector()
-    rows = [i for i, con in enumerate(inst.constraints) if j in con.coeffs]
-    out = np.zeros(N_VAR_FEATURES)
-    out[0] = 1.0                       # is binary
-    out[1] = 0.0                       # is general integer
-    cj = float(c[j])
-    out[2] = cj
-    out[3] = max(cj, 0.0)
-    out[4] = max(-cj, 0.0)
-    out[5] = len(rows)
-    out[6] = root.up_locks[j]
-    out[7] = root.down_locks[j]
+    rows_of = {j: [] for j in cols}
+    for i, con in enumerate(inst.constraints):
+        for k in con.coeffs:
+            if k in rows_of:
+                rows_of[k].append(i)
+    row_coeffs = [np.array(list(con.coeffs.values()))
+                  for con in inst.constraints]
+    row_sums = [sum(con.coeffs.values()) for con in inst.constraints]
+    feats = np.zeros((len(cols), N_VAR_FEATURES))
+    for j, out in zip(cols, feats):
+        rows = rows_of[j]
+        var = inst.variables[j]
+        out[0] = 1.0                       # is binary
+        out[1] = 0.0                       # is general integer
+        cj = float(c[j])
+        out[2] = cj
+        out[3] = max(cj, 0.0)
+        out[4] = max(-cj, 0.0)
+        out[5] = len(rows)
+        out[6] = root.up_locks[j]
+        out[7] = root.down_locks[j]
 
-    xj = float(root.lp.x[j])
-    out[8] = xj
-    out[9] = xj - math.floor(xj)
-    out[10] = math.ceil(xj) - xj
-    out[11] = 1.0 if min(out[9], out[10]) > 1e-6 else 0.0
-    pc_up = float(root.pseudocost_up[j])
-    pc_down = float(root.pseudocost_down[j])
-    out[12] = pc_up
-    out[13] = pc_down
-    out[14] = pc_up / (pc_down + 1.0)
-    out[15] = pc_up + pc_down
-    out[16] = pc_up * pc_down
-    out[17] = var.lb
-    out[18] = var.ub
-    out[19] = float(root.lp.reduced_costs[j])
+        xj = float(root.lp.x[j])
+        out[8] = xj
+        out[9] = xj - math.floor(xj)
+        out[10] = math.ceil(xj) - xj
+        out[11] = 1.0 if min(out[9], out[10]) > 1e-6 else 0.0
+        pc_up = float(root.pseudocost_up[j])
+        pc_down = float(root.pseudocost_down[j])
+        out[12] = pc_up
+        out[13] = pc_down
+        out[14] = pc_up / (pc_down + 1.0)
+        out[15] = pc_up + pc_down
+        out[16] = pc_up * pc_down
+        out[17] = var.lb
+        out[18] = var.ub
+        out[19] = float(root.lp.reduced_costs[j])
 
-    degrees = np.array([len(inst.constraints[i].coeffs) for i in rows], float)
-    out[20:24] = _stats(degrees)
+        degrees = np.array([row_coeffs[i].size for i in rows], float)
+        out[20:24] = _stats(degrees)
 
-    # side ratios a_ij / side, split by the sign of the finite side
-    pos_lhs, neg_lhs, pos_rhs, neg_rhs = [], [], [], []
-    for i in rows:
-        con = inst.constraints[i]
-        a = con.coeffs[j]
-        if math.isfinite(con.lhs) and con.lhs != 0.0:
-            (pos_lhs if con.lhs > 0 else neg_lhs).append(a / con.lhs)
-        if math.isfinite(con.rhs) and con.rhs != 0.0:
-            (pos_rhs if con.rhs > 0 else neg_rhs).append(a / con.rhs)
-    for k, ratios in enumerate((pos_lhs, neg_lhs, pos_rhs, neg_rhs)):
-        if ratios:
-            out[24 + 2 * k] = max(ratios)
-            out[25 + 2 * k] = min(ratios)
+        # side ratios a_ij / side, split by the sign of the finite side
+        pos_lhs, neg_lhs, pos_rhs, neg_rhs = [], [], [], []
+        for i in rows:
+            con = inst.constraints[i]
+            a = con.coeffs[j]
+            if math.isfinite(con.lhs) and con.lhs != 0.0:
+                (pos_lhs if con.lhs > 0 else neg_lhs).append(a / con.lhs)
+            if math.isfinite(con.rhs) and con.rhs != 0.0:
+                (pos_rhs if con.rhs > 0 else neg_rhs).append(a / con.rhs)
+        for k, ratios in enumerate((pos_lhs, neg_lhs, pos_rhs, neg_rhs)):
+            if ratios:
+                out[24 + 2 * k] = max(ratios)
+                out[25 + 2 * k] = min(ratios)
 
-    # signed statistics over every coefficient appearing in those rows
-    allc = np.array([a for i in rows
-                     for a in inst.constraints[i].coeffs.values()])
-    pos = allc[allc > 0] if allc.size else allc
-    neg = allc[allc < 0] if allc.size else allc
-    out[32] = pos.size
-    if pos.size:
-        mean, std, mn, mx = _stats(pos)
-        out[33], out[34], out[35], out[36] = mean, std, mn, mx
-    out[37] = neg.size
-    if neg.size:
-        mean, std, mn, mx = _stats(neg)
-        out[38], out[39], out[40], out[41] = mean, std, mn, mx
+        # signed statistics over every coefficient appearing in those rows
+        allc = (np.concatenate([row_coeffs[i] for i in rows]) if rows
+                else np.array([]))
+        pos = allc[allc > 0] if allc.size else allc
+        neg = allc[allc < 0] if allc.size else allc
+        out[32] = pos.size
+        if pos.size:
+            mean, std, mn, mx = _stats(pos)
+            out[33], out[34], out[35], out[36] = mean, std, mn, mx
+        out[37] = neg.size
+        if neg.size:
+            mean, std, mn, mx = _stats(neg)
+            out[38], out[39], out[40], out[41] = mean, std, mn, mx
 
-    # the variable's own coefficients weighted three ways
-    own = np.array([inst.constraints[i].coeffs[j] for i in rows])
-    duals = np.array([float(root.lp.duals[i]) for i in rows])
-    inv = np.zeros(len(rows))
-    for t, i in enumerate(rows):
-        s = sum(inst.constraints[i].coeffs.values())
-        inv[t] = 1.0 / s if s != 0.0 else 0.0
-    base = 42
-    for weights in (np.ones(len(rows)), duals, inv):
-        vals = own * weights
-        if vals.size:
-            out[base] = vals.sum()
-            mean, std, mn, mx = _stats(vals)
-            out[base + 1], out[base + 2] = mean, std
-            out[base + 3], out[base + 4] = mx, mn
-        base += 5
-    return out
+        # the variable's own coefficients weighted three ways
+        own = np.array([inst.constraints[i].coeffs[j] for i in rows])
+        duals = np.array([float(root.lp.duals[i]) for i in rows])
+        inv = np.zeros(len(rows))
+        for t, i in enumerate(rows):
+            s = row_sums[i]
+            inv[t] = 1.0 / s if s != 0.0 else 0.0
+        base = 42
+        for weights in (np.ones(len(rows)), duals, inv):
+            vals = own * weights
+            if vals.size:
+                out[base] = vals.sum()
+                mean, std, mn, mx = _stats(vals)
+                out[base + 1], out[base + 2] = mean, std
+                out[base + 3], out[base + 4] = mx, mn
+            base += 5
+    return feats
 
 
 def constraint_features(inst: MipInstance, root: RootInfo, i: int) -> np.ndarray:
@@ -228,8 +249,7 @@ def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
     var_names = [red.variables[j].name for j in bins]
     cons_names = [con.name for con in red.constraints]
 
-    var_feats = np.array([variable_features(red, root, j) for j in bins]
-                         ).reshape(len(bins), N_VAR_FEATURES)
+    var_feats = _variable_feature_rows(red, root, bins)
     cons_feats = np.array([constraint_features(red, root, i)
                            for i in range(len(red.constraints))]
                           ).reshape(len(cons_names), N_CONS_FEATURES)

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from mippred import bnb, gcn, labeler, trigraph
 from mippred.core import BINARY, Constraint, MipInstance, Variable
@@ -123,12 +122,9 @@ def test_hyper_validation():
 def edge_attention(centers, neighbors, edges, att, segment):
     """Production per-edge attention with ``segment[k]`` the group of edge k."""
     segment = np.asarray(segment)
-    ne, groups = len(segment), int(segment.max()) + 1
-    seg = sp.csr_matrix((np.ones(ne), (segment, np.arange(ne))),
-                        shape=(groups, ne))
-    counts = np.bincount(segment, minlength=groups)
-    _, alpha = gcn._edge_attention(centers, neighbors, edges, att, seg,
-                                   counts, segment, enabled=True)
+    counts = np.bincount(segment)
+    _, alpha, _ = gcn._edge_attention(centers, neighbors, edges, att,
+                                      counts, segment, enabled=True)
     return alpha
 
 
@@ -136,7 +132,7 @@ def test_single_neighbor_gets_full_attention():
     rng = np.random.default_rng(0)
     att = rng.normal(size=10)
     h = rng.normal(size=4)
-    _, alpha = gcn._global_attention(h, rng.normal(size=(1, 4)),
+    _, alpha, _ = gcn._global_attention(h, rng.normal(size=(1, 4)),
                                      rng.normal(size=(1, 2)), att,
                                      enabled=True)
     np.testing.assert_allclose(alpha, [1.0])
@@ -151,7 +147,7 @@ def test_identical_neighbors_split_attention_evenly():
     h = rng.normal(size=4)
     nb = rng.normal(size=4)
     edge = rng.normal(size=2)
-    _, alpha = gcn._global_attention(h, np.stack([nb, nb]),
+    _, alpha, _ = gcn._global_attention(h, np.stack([nb, nb]),
                                      np.stack([edge, edge]), att,
                                      enabled=True)
     np.testing.assert_allclose(alpha, [0.5, 0.5])
@@ -164,7 +160,7 @@ def test_attention_sums_to_one():
     rng = np.random.default_rng(2)
     for trial in range(20):
         n = int(rng.integers(1, 7))
-        _, alpha = gcn._global_attention(
+        _, alpha, _ = gcn._global_attention(
             rng.normal(size=4), rng.normal(size=(n, 4)),
             rng.normal(size=(n, 2)), rng.normal(size=10), enabled=True)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
@@ -182,7 +178,7 @@ def test_attention_sums_to_one():
 
 def test_disabled_attention_is_uniform():
     rng = np.random.default_rng(3)
-    _, alpha = gcn._global_attention(
+    _, alpha, _ = gcn._global_attention(
         rng.normal(size=4), rng.normal(size=(5, 4)),
         rng.normal(size=(5, 2)), rng.normal(size=10), enabled=False)
     np.testing.assert_allclose(alpha, 0.2)
@@ -264,6 +260,27 @@ def test_forward_rejects_wrong_shapes():
     del params["emb_var_w"]
     with pytest.raises(ValueError, match="missing"):
         forward(g, params, HYPER)
+
+
+def test_checks_hold_for_gradients_and_train():
+    g = toy_graph()
+    labels = toy_labels(g)
+    params = init_params(HYPER)
+    params["out_w1"] = params["out_w1"][:, :-1]
+    with pytest.raises(ValueError, match="shape"):
+        gcn.gradients(g, params, HYPER, labels)
+    params = init_params(HYPER)
+    del params["emb_var_w"]
+    with pytest.raises(ValueError, match="missing"):
+        gcn.gradients(g, params, HYPER, labels)
+    bad = GcnHyper(hidden_dim=4, transitions=0, output_hidden=5)
+    params = init_params(HYPER)
+    with pytest.raises(ValueError, match="transitions"):
+        forward(g, params, bad)
+    with pytest.raises(ValueError, match="transitions"):
+        gcn.gradients(g, params, bad, labels)
+    with pytest.raises(ValueError, match="transitions"):
+        train([(g, labels)], bad)
 
 
 def test_literal_loop_mode_runs():
@@ -418,6 +435,80 @@ def test_zero_learning_rate_changes_nothing():
     fresh = init_params(hyper)
     for name in fresh:
         np.testing.assert_array_equal(params[name], fresh[name])
+
+
+def reference_train(dataset, hyper):
+    """Adam per parameter name over ``gcn.loss_and_gradients``, with
+    fresh arrays every step: the plain form ``gcn.train`` must match."""
+    rng = np.random.default_rng(hyper.seed)
+    params = init_params(hyper)
+    m = {k: np.zeros_like(a) for k, a in params.items()}
+    v = {k: np.zeros_like(a) for k, a in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    history = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(dataset))
+        losses = []
+        for idx in order:
+            graph, labels = dataset[idx]
+            if not gcn.targets_for(graph, labels)[1].any():
+                continue
+            loss, grads = gcn.loss_and_gradients(graph, params, hyper, labels)
+            losses.append(loss)
+            step += 1
+            c1 = 1.0 - beta1 ** step
+            c2 = 1.0 - beta2 ** step
+            for name in params:
+                g = grads[name]
+                m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+                params[name] = params[name] - hyper.learning_rate * (
+                    m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+        history.append(float(np.mean(losses)))
+    return params, history
+
+
+def with_edgeless_constraint(graph):
+    """``graph`` plus one constraint node that no variable touches."""
+    return TriGraph(
+        name=graph.name,
+        var_names=list(graph.var_names),
+        cons_names=list(graph.cons_names) + ["edgeless"],
+        var_feats=graph.var_feats.copy(),
+        cons_feats=np.vstack([graph.cons_feats, graph.cons_feats[:1] + 0.5]),
+        obj_feats=graph.obj_feats.copy(),
+        vc_var=graph.vc_var.copy(),
+        vc_cons=graph.vc_cons.copy(),
+        vc_feats=graph.vc_feats.copy(),
+        vo_feats=graph.vo_feats.copy(),
+        co_feats=np.vstack([graph.co_feats, [[0.3, -0.2]]]),
+    )
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"attention": False}, {"transitions": 1}, {"literal_loops": True},
+    {"hidden_dim": 64, "output_hidden": 64}],
+    ids=["default", "no_attention", "one_transition", "literal_loops",
+         "several_adam_chunks"])
+def test_training_equals_reference_adam_bitwise(changes):
+    g = toy_graph()
+    unstable = LabelSet(instance=g.name, var_names=list(g.var_names),
+                        labels=[UNSTABLE] * 3, delta_used=0.0, iterations=2)
+    edgeless = with_edgeless_constraint(g)
+    assert np.bincount(edgeless.vc_cons, minlength=edgeless.n_cons)[-1] == 0
+    data = sc_dataset(2) + [(g, unstable), (edgeless, toy_labels(edgeless))]
+    hyper = GcnHyper(**{**dict(hidden_dim=4, transitions=2, output_hidden=5,
+                               epochs=3, seed=4), **changes})
+    if "hidden_dim" in changes:
+        shapes = gcn.param_shapes(hyper).values()
+        assert sum(math.prod(s) for s in shapes) > 3 * gcn.ADAM_CHUNK
+    params, history = train(data, hyper)
+    ref_params, ref_history = reference_train(data, hyper)
+    assert history == ref_history
+    assert list(params) == list(ref_params)
+    for name in ref_params:
+        np.testing.assert_array_equal(params[name], ref_params[name])
 
 
 def test_training_is_deterministic():

@@ -12,6 +12,7 @@ from mippred.generators import GenSpec, generate
 from mippred.trigraph import (N_CONS_FEATURES, N_VAR_FEATURES, apply_scaler,
                               build_trigraph, constraint_features, fit_scaler,
                               variable_features)
+from oracles import TINY_SPECS
 
 
 def graph_of(inst):
@@ -176,6 +177,20 @@ def test_variable_features_reject_continuous():
              if v.name == "f")
     with pytest.raises(ValueError, match="binary"):
         variable_features(root.instance, root, j)
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
+def test_graph_rows_equal_one_variable_calls(problem):
+    # build_trigraph shares one precomputation across all variables; a
+    # lone call must give the same row, so nothing leaks between them
+    preset, params = TINY_SPECS[problem]
+    inst = generate(GenSpec(problem, preset, dict(params), seed=0))
+    root = bnb.collect_root_info(inst)
+    g = build_trigraph(inst, root)
+    red = root.instance
+    for t, j in enumerate(red.binary_indices()):
+        np.testing.assert_array_equal(g.var_feats[t],
+                                      variable_features(red, root, j))
 
 
 # ---------------------------------------------------------------------------
