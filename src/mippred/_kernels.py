@@ -18,13 +18,14 @@ cost.  Pricing uses devex weights (reset on overflow) and switches to
 Bland's rule after a run of degenerate pivots; the basis inverse is
 refactorized from scratch at a fixed pivot interval.
 
-A separate dual simplex loop serves re-solves after bound changes: the
-optimal basis of the parent problem stays dual feasible when only
-bounds move, so driving the handful of out-of-bound basics to their
-bounds takes few pivots.  Its entering choice is the bound-flipping
-ratio test of the dual revised simplex (Huangfu & Hall 2018).  It bails
-out (for a primal fallback) when the starting basis is not dual
-feasible.
+A separate dual simplex loop serves every solve that starts from a
+dual-feasible basis: re-solves after bound changes (the optimal basis of
+the parent problem stays dual feasible when only bounds move, so driving
+the handful of out-of-bound basics to their bounds takes few pivots) and
+cold solves from the slack basis with each structural on the bound its
+cost favours.  Its entering choice is the bound-flipping ratio test of
+the dual revised simplex (Huangfu & Hall 2018).  It bails out (for a
+primal fallback) when the starting basis is not dual feasible.
 """
 
 from __future__ import annotations
@@ -56,8 +57,20 @@ def _factor(G, low, upp, basis, vstat, z):
     Nonbasic entries of ``z`` move to the bound named by ``vstat`` (0
     for free ones); basic entries solve ``G z = 0``.  Returns the basis
     inverse.
+
+    An all-slack basis is the signed permutation ``B[:, k] = -e_i`` with
+    ``i = basis[k] - n``, so its inverse is built directly: -1 at
+    ``(k, i)`` and -0.0 elsewhere, the same bytes LAPACK's ``inv``
+    returns for it, at O(m^2) instead of O(m^3).  Any other basis is
+    inverted by LAPACK.
     """
-    Binv = np.ascontiguousarray(np.linalg.inv(G[:, basis]))
+    m, N = G.shape
+    n = N - m
+    if basis.min() >= n:
+        Binv = np.full((m, m), -0.0)
+        Binv[np.arange(m), basis - n] = -1.0
+    else:
+        Binv = np.ascontiguousarray(np.linalg.inv(G[:, basis]))
     zn = np.where(vstat == AT_LOWER, low, np.where(vstat == AT_UPPER, upp, 0.0))
     z[:] = zn
     z[basis] = -np.dot(Binv, np.dot(G, zn))
@@ -304,18 +317,18 @@ def dual_core(G, GT, c, low, upp, basis, vstat, z,
         # in increasing order; bounded columns passed on the way are
         # bound-flipped (each absorbs |rho_j|*range of the violation with
         # no basis change) and the breakpoint that exhausts the violation
-        # enters.  Bland = first eligible column, no flips.
+        # enters.  Bland = first column at the smallest ratio, no flips.
         elig = np.flatnonzero(_improving(vstat, rho if below else -rho, piv_tol))
         if elig.size == 0:
             status = INFEASIBLE
             break
 
+        piv = np.abs(rho[elig])
+        ratio = np.where(d > 0.0, d, -d)[elig] / piv
         flips = elig[:0]
         if bland:
-            enter = int(elig[0])
+            enter = int(elig[np.argmin(ratio)])
         else:
-            piv = np.abs(rho[elig])
-            ratio = np.where(d > 0.0, d, -d)[elig] / piv
             cap = np.where(bounded[elig], piv * span[elig], np.inf)
             order = np.argsort(ratio)
             rem = (low[lv] - z[lv]) if below else (z[lv] - upp[lv])
@@ -327,14 +340,20 @@ def dual_core(G, GT, c, low, upp, basis, vstat, z,
                     break
                 rem -= capk
                 kk += 1
+            if enter < 0:
+                if rem > feas_tol:
+                    # every breakpoint flipped yet real violation remains:
+                    # the dual ray is unbounded, so the primal has no
+                    # feasible point
+                    status = INFEASIBLE
+                    break
+                # the flips alone absorb the violation up to the tolerance,
+                # but without a dual step the flipped columns would sit on
+                # their new bounds with the wrong reduced-cost sign; the
+                # last breakpoint enters instead
+                kk -= 1
+                enter = int(elig[order[kk]])
             flips = elig[order[:kk]]
-            if enter < 0 and rem > feas_tol:
-                # every breakpoint flipped yet real violation remains: the
-                # dual ray is unbounded, so the primal has no feasible
-                # point.  (A residual inside tolerance is not a proof -- it
-                # means the flips alone absorb the violation.)
-                status = INFEASIBLE
-                break
 
         if flips.size:
             up = vstat[flips] == AT_LOWER
@@ -343,11 +362,6 @@ def dual_core(G, GT, c, low, upp, basis, vstat, z,
             z[flips] = np.where(up, upp[flips], low[flips])
             aF = np.add.reduce(GT[flips] * dz[:, None], axis=0, initial=0.0)
             z[basis] = z[basis] - np.dot(Binv, aF)
-
-        if enter < 0:
-            # flip-only round: the violated basic lands on its bound
-            # without any basis change
-            continue
 
         w = np.dot(Binv, GT[enter])
         alpha = w[r]

@@ -1,12 +1,19 @@
-"""Two-phase bounded-variable primal simplex for LP relaxations.
+"""Bounded-variable dual and primal simplex for LP relaxations.
 
 ``solve_lp`` is the one-shot entry point; ``LpWorkspace`` keeps the
 constraint matrix of one instance around so branch and bound can
-re-solve under changed variable bounds with warm starts: a dual simplex
-re-solve from the parent basis first, then the primal core from that
-basis, then a cold primal start.  The kernels in ``_kernels`` are one
-interpreted numpy path with deterministic pivot rules; nothing selects
-between implementations.
+re-solve under changed variable bounds with warm starts.  A solve tries,
+in order, until one attempt proves a status:
+
+- warm (a basis from an earlier solve is given): the dual simplex from
+  that basis, then the primal core from it, then a cold primal start;
+- cold: the dual simplex from the slack basis with each structural on
+  the bound its cost favours (dual feasible by construction; skipped
+  when some cost points at an infinite bound), then a cold primal start.
+
+Each failed attempt counts one fallback.  The kernels in ``_kernels``
+are one interpreted numpy path with deterministic pivot rules; nothing
+selects between implementations.
 
 Conventions: the relaxation is solved in minimization form (maximize
 instances are canonicalized internally and the reported objective is
@@ -109,7 +116,7 @@ class LpWorkspace:
         self.base_upp = upp
         self.max_iter = 2000 + 30 * N
         self.bland_after = 10 * N
-        # re-solves from a dual-feasible basis should take few pivots;
+        # warm re-solves from a dual-feasible basis should take few pivots;
         # past this cap the primal fallback is the better bet
         self.dual_max_iter = 500 + 2 * m
 
@@ -120,6 +127,21 @@ class LpWorkspace:
                          np.where(np.isfinite(upp), _kernels.AT_UPPER,
                                   _kernels.FREE)).astype(np.int8)
         vstat[n:] = _kernels.BASIC
+        return basis, vstat
+
+    def _signed_slack_start(self, low, upp):
+        """The slack basis with each structural at its lower bound if its
+        cost is positive and at its upper bound if negative (zero-cost
+        ones as in ``_cold_start``).  It prices d = c, so it is dual
+        feasible; None when some cost points at an infinite bound."""
+        n = self.n
+        c = self.c[:n]
+        if (((c > 0.0) & ~np.isfinite(low[:n]))
+                | ((c < 0.0) & ~np.isfinite(upp[:n]))).any():
+            return None
+        basis, vstat = self._cold_start(low, upp)
+        vstat[:n] = np.where(c > 0.0, _kernels.AT_LOWER,
+                             np.where(c < 0.0, _kernels.AT_UPPER, vstat[:n]))
         return basis, vstat
 
     @staticmethod
@@ -167,53 +189,46 @@ class LpWorkspace:
         if m == 0:
             return self._solve_unconstrained(low, upp)
 
-        fallbacks = 0
-        if warm is not None:
-            # bound changes keep the old optimal basis dual feasible, so a
-            # dual re-solve is usually a handful of pivots; on any trouble
-            # fall through to the primal attempts below
-            basis = warm.basis.copy()
-            vstat = warm.vstat.copy()
-            self._snap_vstat(vstat, low, upp)
-            z = np.zeros(n + m)
-            try:
-                status, iters, y, d = _kernels.dual_core(
-                    self.G, self.GT, self.c, low, upp, basis, vstat, z,
-                    FEAS_TOL, PIVOT_TOL, self.dual_max_iter, self.bland_after,
-                    REFACTOR_EVERY,
-                )
-            except np.linalg.LinAlgError:
-                status = _kernels.NUMERICAL
-            if status in (_kernels.OPTIMAL, _kernels.INFEASIBLE):
-                return self._package(status, basis, vstat, z, y, d, iters,
-                                     fallbacks)
-            fallbacks += 1
-
+        # (kernel, basis, vstat, iteration cap), tried in order until one
+        # proves a status; each failed try counts one fallback.
         attempts = []
         if warm is not None:
-            attempts.append((warm.basis.copy(), warm.vstat.copy()))
-        attempts.append(self._cold_start(low, upp))
+            # bound changes keep the old optimal basis dual feasible, so a
+            # dual re-solve is usually a handful of pivots; then the primal
+            # core from that basis
+            attempts.append((_kernels.dual_core, warm.basis.copy(),
+                             warm.vstat.copy(), self.dual_max_iter))
+            attempts.append((_kernels.simplex_core, warm.basis.copy(),
+                             warm.vstat.copy(), self.max_iter))
+        else:
+            # cold: the dual kernel from the cost-signed slack basis first
+            start = self._signed_slack_start(low, upp)
+            if start is not None:
+                attempts.append((_kernels.dual_core, *start, self.max_iter))
+        attempts.append((_kernels.simplex_core, *self._cold_start(low, upp),
+                         self.max_iter))
 
+        fallbacks = 0
         last_exc = None
-        for basis, vstat in attempts:
+        for core, basis, vstat, max_iter in attempts:
             self._snap_vstat(vstat, low, upp)
             z = np.zeros(n + m)
             try:
-                status, iters, y, d = _kernels.simplex_core(
+                status, iters, y, d = core(
                     self.G, self.GT, self.c, low, upp, basis, vstat, z,
-                    FEAS_TOL, PIVOT_TOL, self.max_iter, self.bland_after,
+                    FEAS_TOL, PIVOT_TOL, max_iter, self.bland_after,
                     REFACTOR_EVERY,
                 )
             except np.linalg.LinAlgError as exc:
                 last_exc = exc
                 fallbacks += 1
                 continue
-            if status in (_kernels.ITER_LIMIT, _kernels.NUMERICAL):
-                last_exc = RuntimeError(f"simplex did not converge (code {status})")
-                fallbacks += 1
-                continue
-            return self._package(status, basis, vstat, z, y, d, iters,
-                                 fallbacks)
+            if status in _STATUS_NAME:
+                return self._package(status, basis, vstat, z, y, d, iters,
+                                     fallbacks)
+            # NOT_DUAL_FEASIBLE, ITER_LIMIT or NUMERICAL
+            last_exc = RuntimeError(f"simplex did not converge (code {status})")
+            fallbacks += 1
         raise RuntimeError(f"simplex failed: {last_exc}")
 
     def _solve_unconstrained(self, low, upp):

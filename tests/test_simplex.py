@@ -320,6 +320,190 @@ def test_warm_resolve_puts_free_variable_on_its_new_bound():
     assert 0.0 <= wsol.x[0] <= 2.0
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("this kernel must not run")
+
+
+def test_cold_solve_takes_the_dual_path_on_every_class(monkeypatch):
+    """Every generated class prices dual feasible from the cost-signed
+    slack basis, so a cold solve never needs the primal core."""
+    monkeypatch.setattr(_kernels, "simplex_core", _refuse)
+    for problem, (preset, params) in TINY_SPECS.items():
+        for seed in range(3):
+            canon = canonicalize(generate(GenSpec(problem, preset,
+                                                  params=params, seed=seed)))
+            sol, _ = simplex.LpWorkspace(canon).solve()
+            status, fun = highs_status(canon)
+            assert status == 0, (problem, seed)
+            assert sol.status == simplex.OPTIMAL, (problem, seed)
+            assert sol.objective == pytest.approx(fun, abs=1e-7), \
+                (problem, seed)
+            assert sol.fallbacks == 0, (problem, seed)
+
+
+def test_cold_dual_proves_boxed_lp_infeasible(monkeypatch):
+    monkeypatch.setattr(_kernels, "simplex_core", _refuse)
+    inst = MipInstance(
+        "boxed", "min",
+        [Variable("x1", CONTINUOUS, 0.0, 1.0),
+         Variable("x2", CONTINUOUS, 0.0, 1.0)],
+        [Constraint("cover", {0: 1.0, 1: 1.0}, 3.0, math.inf)],
+        {0: 1.0, 1: 2.0})
+    sol, _ = simplex.LpWorkspace(inst).solve()
+    assert sol.status == simplex.INFEASIBLE
+    assert sol.fallbacks == 0
+
+
+def test_cost_toward_infinite_bound_goes_to_primal(monkeypatch):
+    """c_j > 0 with lb = -inf: the slack basis is not dual feasible, so
+    the solve starts in the primal core and counts no fallback."""
+    monkeypatch.setattr(_kernels, "dual_core", _refuse)
+    inst = MipInstance(
+        "open", "min",
+        [Variable("x", CONTINUOUS, -math.inf, 4.0),
+         Variable("y", CONTINUOUS, 0.0, 2.0)],
+        [Constraint("row", {0: 1.0, 1: 1.0}, 1.0, math.inf)],
+        {0: 1.0, 1: 2.0})
+    sol, _ = simplex.LpWorkspace(inst).solve()
+    status, fun = highs_status(inst)
+    assert status == 0
+    assert sol.status == simplex.OPTIMAL
+    assert sol.objective == pytest.approx(fun, abs=1e-7)
+    assert sol.fallbacks == 0
+
+
+def test_cold_dual_failure_falls_back_to_primal(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(_kernels, "dual_core", singular)
+    sol, _ = simplex.LpWorkspace(one_var_lp()).solve()
+    assert sol.status == simplex.OPTIMAL
+    assert sol.objective == pytest.approx(1.0)
+    assert sol.fallbacks == 1
+
+
+def prices_dual_feasible(ws, warm):
+    """True when the basis of ``warm`` prices dual feasible: no nonbasic
+    column could improve the objective by leaving its bound."""
+    z = np.zeros(ws.n + ws.m)
+    Binv = _kernels._factor(ws.G, ws.base_low, ws.base_upp, warm.basis,
+                            warm.vstat, z)
+    _, d = _kernels._price(ws.GT, ws.c, warm.basis, Binv)
+    return not _kernels._improving(warm.vstat, d, 1e-6).any()
+
+
+def test_flips_that_absorb_the_violation_still_pivot():
+    """x in [0, 1] must reach 1 + 5e-8: flipping x to its upper bound
+    leaves less than the tolerance of the violation.  The dual kernel
+    must pivot x in rather than end the round on the flip, which would
+    leave x at its upper bound with reduced cost +1."""
+    inst = MipInstance(
+        "edge", "min",
+        [Variable("x", CONTINUOUS, 0.0, 1.0)],
+        [Constraint("row", {0: 1.0}, 1.0 + 5e-8, math.inf)], {0: 1.0})
+    ws = simplex.LpWorkspace(inst)
+    sol, warm = ws.solve()
+    assert sol.status == simplex.OPTIMAL
+    assert sol.fallbacks == 0
+    assert sol.objective == pytest.approx(1.0, abs=1e-7)
+    assert sol.var_status == [simplex.BASIC]
+    assert prices_dual_feasible(ws, warm)
+
+
+def test_dual_bland_rule_enters_at_the_smallest_ratio():
+    """Row a: flipping x0 leaves 1e-12 of its violation, so x1 enters with
+    a degenerate step and (bland_after=0) Bland's rule takes over.  Row b
+    then has eligible columns x2 (ratio 5) and x3 (ratio 1): entering x2
+    just because it comes first would leave x3 dual infeasible and stop
+    at objective 3.5 instead of 1.5."""
+    inst = MipInstance(
+        "bland", "min",
+        [Variable(f"x{j}", CONTINUOUS, 0.0, 1.0) for j in range(4)],
+        [Constraint("a", {0: 1.0, 1: 1.0}, 1.0 + 1e-12, math.inf),
+         Constraint("b", {2: 1.0, 3: 1.0}, 0.5, math.inf)],
+        {0: 1.0, 1: 2.0, 2: 5.0, 3: 1.0})
+    ws = simplex.LpWorkspace(inst)
+    low, upp = ws.base_low.copy(), ws.base_upp.copy()
+    basis, vstat = ws._signed_slack_start(low, upp)
+    z = np.zeros(ws.n + ws.m)
+    status, _, _, _ = _kernels.dual_core(
+        ws.G, ws.GT, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
+        simplex.PIVOT_TOL, ws.max_iter, 0, simplex.REFACTOR_EVERY)
+    assert status == _kernels.OPTIMAL
+    assert float(ws.c @ z) == pytest.approx(highs_status(inst)[1], abs=1e-7)
+    assert float(ws.c @ z) == pytest.approx(1.5, abs=1e-7)
+    assert prices_dual_feasible(ws, simplex.WarmStart(basis, vstat))
+
+
+def _lapack_factor(G, low, upp, basis, vstat):
+    """Basis inverse and basic point through ``np.linalg.inv``."""
+    Binv = np.ascontiguousarray(np.linalg.inv(G[:, basis]))
+    zn = np.where(vstat == _kernels.AT_LOWER, low,
+                  np.where(vstat == _kernels.AT_UPPER, upp, 0.0))
+    z = zn.copy()
+    z[basis] = -np.dot(Binv, np.dot(G, zn))
+    return Binv, z
+
+
+def _random_factor_case(rng, m):
+    n = int(rng.integers(1, 2 * m + 2))
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.4)
+    G = np.ascontiguousarray(np.hstack([A, -np.eye(m)]))
+    low = rng.integers(-3, 1, n + m).astype(float)
+    upp = low + rng.integers(0, 4, n + m)
+    vstat = rng.integers(_kernels.AT_LOWER, _kernels.FREE + 1,
+                         n + m).astype(np.int8)
+    return n, G, low, upp, vstat
+
+
+def _factor_counting_inv(monkeypatch, G, low, upp, basis, vstat):
+    """``_factor`` output and the shapes ``np.linalg.inv`` was called on."""
+    inv = np.linalg.inv
+    calls = []
+
+    def counting_inv(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    z = np.zeros(G.shape[1])
+    Binv = _kernels._factor(G, low, upp, basis, vstat, z)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    return Binv, z, calls
+
+
+@pytest.mark.parametrize("m", [1, 5, 76])
+def test_all_slack_factor_equals_lapack_bitwise(m, monkeypatch):
+    rng = np.random.default_rng(m)
+    for trial in range(4):
+        n, G, low, upp, vstat = _random_factor_case(rng, m)
+        order = np.arange(m) if trial == 0 else rng.permutation(m)
+        basis = (n + order).astype(np.int64)
+        vstat[basis] = _kernels.BASIC
+        Binv, z, calls = _factor_counting_inv(monkeypatch, G, low, upp,
+                                              basis, vstat)
+        ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
+        assert calls == [], trial
+        assert Binv.tobytes() == ref_Binv.tobytes(), trial
+        assert z.tobytes() == ref_z.tobytes(), trial
+
+
+def test_basis_with_a_structural_is_inverted_by_lapack(monkeypatch):
+    rng = np.random.default_rng(3)
+    m = 5
+    n, G, low, upp, vstat = _random_factor_case(rng, m)
+    G[:, 0] = 1.0  # a column that makes any basis holding it nonsingular
+    basis = np.array([0] + [n + i for i in range(1, m)], dtype=np.int64)
+    vstat[basis] = _kernels.BASIC
+    Binv, z, calls = _factor_counting_inv(monkeypatch, G, low, upp, basis,
+                                          vstat)
+    ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
+    assert calls == [(m, m)]
+    assert Binv.tobytes() == ref_Binv.tobytes()
+    assert z.tobytes() == ref_z.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Property tests on random small LPs against HiGHS and against cold solves
 
@@ -407,7 +591,43 @@ def test_warm_resolve_matches_cold_after_tightening(inst, data):
         wsol, wwarm = ws.solve(low, upp, warm)
         csol, _ = ws.solve(low, upp)
         assert wsol.status == csol.status
+        # cold solves run the dual kernel too, so HiGHS is the independent
+        # check of both
+        status, fun = highs_status(with_bounds(inst, low, upp))
+        assert _STATUS_CODE[wsol.status] == status
         if csol.status != simplex.OPTIMAL:
             break
         assert wsol.objective == pytest.approx(csol.objective, abs=1e-7)
+        assert wsol.objective == pytest.approx(fun, abs=1e-7)
         warm = wwarm
+
+
+def with_bounds(inst, low, upp):
+    """Copy of ``inst`` with the given variable bounds."""
+    variables = [Variable(v.name, v.vtype, float(lo), float(up))
+                 for v, lo, up in zip(inst.variables, low, upp)]
+    return MipInstance(inst.name, inst.sense, variables, inst.constraints,
+                       inst.objective)
+
+
+@PROPERTY
+@given(small_lps())
+def test_cold_dual_matches_primal_core(inst):
+    """The cold solve (dual kernel from the cost-signed slack basis when
+    that basis is dual feasible) agrees with the primal core run from
+    ``_cold_start`` on the same bounds."""
+    ws = simplex.LpWorkspace(inst)
+    sol, warm = ws.solve()
+    low, upp = ws.base_low.copy(), ws.base_upp.copy()
+    if ws._signed_slack_start(low, upp) is not None:
+        assert sol.fallbacks == 0  # the dual kernel gave the answer
+    basis, vstat = ws._cold_start(low, upp)
+    z = np.zeros(ws.n + ws.m)
+    status, _, _, _ = _kernels.simplex_core(
+        ws.G, ws.GT, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
+        simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
+        simplex.REFACTOR_EVERY)
+    assert sol.status == simplex._STATUS_NAME[status]
+    if status == _kernels.OPTIMAL:
+        assert sol.objective == pytest.approx(float(ws.c @ z), abs=1e-7)
+        assert prices_dual_feasible(ws, warm)
