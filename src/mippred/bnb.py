@@ -137,23 +137,27 @@ class _Rows:
 
     ``A`` is the dense matrix (the first rows and columns of the LP's
     ``G``) for activities and the screen; the repair walks each row's
-    integer terms and each column's terms in the rows' own order.
+    integer terms and each column's terms in the rows' own order.  All
+    of it comes from the workspace's row arrays, of which the instance's
+    rows are the first ``m`` (the workspace may append the distance row).
     """
 
-    def __init__(self, inst: MipInstance, G):
+    def __init__(self, inst: MipInstance, ws: LpWorkspace):
         n, m = inst.n_vars, len(inst.constraints)
-        self.A = np.ascontiguousarray(G[:m, :n])
-        self.lhs = np.array([con.lhs for con in inst.constraints])
-        self.rhs = np.array([con.rhs for con in inst.constraints])
+        ra = ws.rows
+        end = int(ra.indptr[m])
+        self.A = np.ascontiguousarray(ws.G[:m, :n])
+        self.lhs, self.rhs = ra.lhs[:m], ra.rhs[:m]
         self.l1 = np.abs(self.A).sum(axis=1)
         is_int = [v.vtype in (BINARY, INTEGER) for v in inst.variables]
-        self.int_terms = [[(j, a) for j, a in con.coeffs.items()
+        terms = list(zip(ra.cols[:end].tolist(), ra.vals[:end].tolist()))
+        ptr = ra.indptr[:m + 1].tolist()
+        self.int_terms = [[(j, a) for j, a in terms[lo:hi]
                            if a != 0.0 and is_int[j]]
-                          for con in inst.constraints]
+                          for lo, hi in zip(ptr, ptr[1:])]
         self.col_terms = [[] for _ in range(n)]
-        for i, con in enumerate(inst.constraints):
-            for j, a in con.coeffs.items():
-                self.col_terms[j].append((i, a))
+        for i, (j, a) in zip(ra.row_ids().tolist(), terms):
+            self.col_terms[j].append((i, a))
 
     def may_hold(self, x) -> bool:
         """False only when ``x`` misses a row by more than ``FEAS_TOL`` plus
@@ -269,7 +273,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     upp0 = ws.base_upp[:ws.n].copy()
     low_i, upp_i = low0[ints], upp0[ints]
     # the probes see the instance's own rows; d follows the binaries
-    rows = _Rows(canon, ws.G)
+    rows = _Rows(canon, ws)
 
     heap: list[tuple[float, int, _Node]] = []
     plunge: list[_Node] = []
@@ -472,24 +476,15 @@ def collect_root_info(inst: MipInstance) -> RootInfo:
     """
     canon = canonicalize(inst)
     reduced, keep_vars, offset = _presolve(canon)
-    lp, _ = LpWorkspace(reduced).solve()
+    ws = LpWorkspace(reduced)
+    lp, _ = ws.solve()
     n = reduced.n_vars
-    up = np.zeros(n, dtype=np.int64)
-    down = np.zeros(n, dtype=np.int64)
-    for con in reduced.constraints:
-        fin_lhs = math.isfinite(con.lhs)
-        fin_rhs = math.isfinite(con.rhs)
-        for j, a in con.coeffs.items():
-            if a > 0.0:
-                if fin_rhs:
-                    up[j] += 1
-                if fin_lhs:
-                    down[j] += 1
-            elif a < 0.0:
-                if fin_lhs:
-                    up[j] += 1
-                if fin_rhs:
-                    down[j] += 1
+    ra = ws.rows
+    rid = ra.row_ids()
+    fin_lhs, fin_rhs = (np.isfinite(side)[rid] for side in (ra.lhs, ra.rhs))
+    pos, neg = ra.vals > 0.0, ra.vals < 0.0
+    up = np.bincount(ra.cols[(pos & fin_rhs) | (neg & fin_lhs)], minlength=n)
+    down = np.bincount(ra.cols[(pos & fin_lhs) | (neg & fin_rhs)], minlength=n)
     return RootInfo(
         instance=reduced,
         lp=lp,

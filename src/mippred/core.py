@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +75,42 @@ class MipInstance:
         for j, cj in self.objective.items():
             c[j] = cj
         return c
+
+
+class RowArrays(NamedTuple):
+    """The rows of an instance in compressed sparse row form.
+
+    Row ``i`` holds the entries ``indptr[i]:indptr[i + 1]`` of ``cols``
+    (variable indices) and ``vals`` (coefficients), in the order of the
+    row's ``coeffs`` dict; ``lhs``/``rhs`` are the row sides.
+    """
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    def row_ids(self) -> np.ndarray:
+        """The row index of every entry."""
+        return np.repeat(np.arange(len(self.lhs)), np.diff(self.indptr))
+
+
+def row_arrays(inst: MipInstance) -> RowArrays:
+    """The rows of ``inst`` as numpy CSR arrays (see ``RowArrays``)."""
+    cons = inst.constraints
+    m = len(cons)
+    indptr = np.cumsum([0] + [len(con.coeffs) for con in cons], dtype=np.int64)
+    nnz = int(indptr[-1])
+    return RowArrays(
+        indptr=indptr,
+        cols=np.fromiter(chain.from_iterable(con.coeffs for con in cons),
+                         np.int64, nnz),
+        vals=np.fromiter(chain.from_iterable(con.coeffs.values()
+                                             for con in cons), float, nnz),
+        lhs=np.fromiter((con.lhs for con in cons), float, m),
+        rhs=np.fromiter((con.rhs for con in cons), float, m),
+    )
 
 
 @dataclass

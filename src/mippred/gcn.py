@@ -37,7 +37,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .labeler import LabelSet, STABLE1, UNSTABLE
 from .trigraph import (
@@ -135,6 +134,8 @@ def _segments(graph: TriGraph):
     hit = _SEG_CACHE.get(graph)
     if hit is not None:
         return hit
+    # imported here so that importing the package does not load scipy
+    import scipy.sparse as sp
     ne = len(graph.vc_var)
     ones = np.ones(ne)
     s_cons = sp.csr_matrix((ones, (graph.vc_cons, np.arange(ne))),

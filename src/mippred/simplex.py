@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import MAXIMIZE, MipInstance, canonicalize
+from .core import MAXIMIZE, MipInstance, canonicalize, row_arrays
 
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
@@ -82,7 +82,11 @@ class WarmStart:
 
 
 class LpWorkspace:
-    """Dense LP data for one minimization instance, reusable across solves."""
+    """Dense LP data for one minimization instance, reusable across solves.
+
+    ``rows`` keeps the instance's ``core.row_arrays``, from which ``G``
+    (the rows, then minus the identity for the row activities) is built.
+    """
 
     def __init__(self, inst: MipInstance):
         if inst.sense != "min":
@@ -93,27 +97,17 @@ class LpWorkspace:
         self.n = n
         self.m = m
         N = n + m
+        self.rows = rows = row_arrays(inst)
         G = np.zeros((m, N))
-        for i, con in enumerate(inst.constraints):
-            for j, a in con.coeffs.items():
-                G[i, j] = a
-            G[i, n + i] = -1.0
-        self.G = np.ascontiguousarray(G)
+        G[rows.row_ids(), rows.cols] = rows.vals
+        G[np.arange(m), n + np.arange(m)] = -1.0
+        self.G = G
         self.GT = np.ascontiguousarray(G.T)
-        c = np.zeros(N)
-        for j, cj in inst.objective.items():
-            c[j] = cj
-        self.c = c
-        low = np.empty(N)
-        upp = np.empty(N)
-        for j, v in enumerate(inst.variables):
-            low[j] = v.lb
-            upp[j] = v.ub
-        for i, con in enumerate(inst.constraints):
-            low[n + i] = con.lhs
-            upp[n + i] = con.rhs
-        self.base_low = low
-        self.base_upp = upp
+        self.c = np.concatenate((inst.objective_vector(), np.zeros(m)))
+        self.base_low = np.concatenate(
+            ([v.lb for v in inst.variables], rows.lhs))
+        self.base_upp = np.concatenate(
+            ([v.ub for v in inst.variables], rows.rhs))
         self.max_iter = 2000 + 30 * N
         self.bland_after = 10 * N
         # warm re-solves from a dual-feasible basis should take few pivots;

@@ -6,23 +6,29 @@ has a nonzero coefficient in the row; every variable and every row is
 also linked to the objective node.  Features are collected from the
 presolved instance and its root relaxation, so the caller supplies the
 root information produced by the solver.
+
+Every per-variable and per-row statistic is a segment reduction over
+the CSR entries of ``core.row_arrays``: sums by ``np.bincount`` (in entry
+order), extrema by ``np.minimum.at``/``np.maximum.at``, deviations
+two-pass so that equal values deviate by exactly 0.  Statistics over
+every coefficient in a variable's rows pool the per-row count ``n_i``,
+mean ``mu_i`` and squared deviation ``M2_i`` by the parallel-axis form
+``M2 = sum(M2_i + n_i (mu_i - mean)**2)``; no row is expanded per variable.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BINARY, CONTINUOUS, MipInstance
+from .core import BINARY, CONTINUOUS, MipInstance, RowArrays, row_arrays
 from .bnb import RootInfo
 
 N_VAR_FEATURES = 57
 N_CONS_FEATURES = 26
 N_OBJ_FEATURES = 2
-N_EDGE_FEATURES = 2
 
 INF_SENTINEL = 1e10
 
@@ -40,8 +46,9 @@ class TriGraph:
 
     ``vc_var``/``vc_cons`` give, per variable-constraint edge, the index
     of the variable node and the constraint node; both arrays follow row
-    major order (all edges of row 0, then row 1, ...).  The v-o and c-o
-    edges are implicit (one per node) and carry only their features.
+    major order (all edges of row 0, then row 1, ...), and within a row
+    ascending variable index.  The v-o and c-o edges are implicit (one
+    per node) and carry only their features.
     """
 
     name: str
@@ -64,35 +71,93 @@ class TriGraph:
     def n_cons(self) -> int:
         return len(self.cons_names)
 
-    def cons_of_var(self, j: int) -> np.ndarray:
-        return self.vc_cons[self.vc_var == j]
+
+def _extreme(ufunc, values, key, n):
+    """np.minimum or np.maximum over each segment of ``values`` grouped
+    by ``key`` in 0..n-1; +inf respectively -inf for an empty segment."""
+    out = np.full(n, np.inf if ufunc is np.minimum else -np.inf)
+    ufunc.at(out, key, values)
+    return out
 
 
-def _stats(values: np.ndarray) -> tuple[float, float, float, float]:
-    """(mean, std, min, max), all zero for an empty array."""
-    if values.size == 0:
-        return 0.0, 0.0, 0.0, 0.0
-    return (float(values.mean()), float(values.std()),
-            float(values.min()), float(values.max()))
+def _moments(values, key, n):
+    """Per-segment (count, sum, mean, sum of squared deviations from the
+    mean), all zero for an empty segment."""
+    count = np.bincount(key, minlength=n)
+    total = np.bincount(key, values, n)
+    mean = np.divide(total, count, out=np.zeros(n), where=count > 0)
+    dev = values - mean[key]
+    return count, total, mean, np.bincount(key, dev * dev, n)
 
 
-def _classify(inst: MipInstance, i: int) -> str:
-    con = inst.constraints[i]
-    items = sorted(con.coeffs.items())
-    if len(items) == 1:
-        return "singleton"
-    all_binary = all(inst.variables[j].vtype == BINARY for j, _ in items)
-    if (all_binary and all(a == 1.0 for _, a in items)
-            and con.lhs == 1.0 and not math.isfinite(con.rhs)):
-        return "logicor"
-    if (all_binary and all(a > 0.0 for _, a in items)
-            and math.isfinite(con.rhs) and not math.isfinite(con.lhs)):
-        return "knapsack"
-    if len(items) == 2:
-        n_cont = sum(inst.variables[j].vtype == CONTINUOUS for j, _ in items)
-        if n_cont == 1:
-            return "variable_bound"
-    return "general_linear"
+def _summary(count, mean, m2, lo, hi):
+    """Per-segment [mean, std, min, max], all zero where ``count`` is 0."""
+    return np.where((count > 0)[:, None], np.column_stack(
+        (mean, np.sqrt(m2 / np.maximum(count, 1)), lo, hi)), 0.0)
+
+
+def _stats(values, key, n):
+    """Per-segment (count, sum, [mean, std, min, max])."""
+    count, total, mean, m2 = _moments(values, key, n)
+    lo, hi = (_extreme(f, values, key, n) for f in (np.minimum, np.maximum))
+    return count, total, _summary(count, mean, m2, lo, hi)
+
+
+def _variable_feature_rows(inst: MipInstance, root: RootInfo,
+                           ra: RowArrays) -> np.ndarray:
+    """``variable_features`` of every column of ``inst`` as if it were
+    binary, one row each, from the rows ``ra`` of ``inst``."""
+    n, m = inst.n_vars, len(ra.lhs)
+    rid, col, a = ra.row_ids(), ra.cols, ra.vals
+
+    c = inst.objective_vector()
+    x = root.lp.x
+    up, down = x - np.floor(x), np.ceil(x) - x
+    pc_up, pc_down = root.pseudocost_up, root.pseudocost_down
+    feats = np.zeros((n, N_VAR_FEATURES))
+    feats[:, :20] = np.column_stack((
+        np.ones(n), np.zeros(n),           # binary, not general integer
+        c, np.where(0.0 > c, 0.0, c), np.where(0.0 > -c, 0.0, -c),
+        np.bincount(col, minlength=n), root.up_locks, root.down_locks,
+        x, up, down, np.minimum(up, down) > 1e-6,
+        pc_up, pc_down, pc_up / (pc_down + 1.0), pc_up + pc_down,
+        pc_up * pc_down,
+        [v.lb for v in inst.variables], [v.ub for v in inst.variables],
+        root.lp.reduced_costs))
+    feats[:, 20:24] = _stats(np.diff(ra.indptr)[rid].astype(float), col,
+                             n)[2]
+
+    # side ratios a_ij / side, split by the sign of the finite side
+    for base, side in ((24, ra.lhs[rid]), (28, ra.rhs[rid])):
+        for k, sel in enumerate((np.isfinite(side) & (side > 0.0),
+                                 np.isfinite(side) & (side < 0.0))):
+            st = _stats(a[sel] / side[sel], col[sel], n)[2]
+            feats[:, base + 2 * k:base + 2 * k + 2] = st[:, [3, 2]]
+
+    # signed statistics over every coefficient in the variable's rows,
+    # pooled from per-row moments
+    for base, sign in ((32, a > 0.0), (37, a < 0.0)):
+        n_i, s_i, mu_i, m2_i = (v[rid] for v in
+                                _moments(a[sign], rid[sign], m))
+        count = np.bincount(col, n_i, n)
+        mean = np.divide(np.bincount(col, s_i, n), count, out=np.zeros(n),
+                         where=count > 0)
+        dev = mu_i - mean[col]
+        m2 = np.bincount(col, m2_i + n_i * dev * dev, n)
+        lo, hi = (_extreme(f, _extreme(f, a[sign], rid[sign], m)[rid], col, n)
+                  for f in (np.minimum, np.maximum))
+        feats[:, base] = count
+        feats[:, base + 1:base + 5] = _summary(count, mean, m2, lo, hi)
+
+    # the variable's own coefficients weighted three ways: unit, dual and
+    # inverse row sum (0 for a row summing to 0)
+    row_sum = np.bincount(rid, a, m)
+    inv = np.divide(1.0, row_sum, out=np.zeros(m), where=row_sum != 0.0)
+    for base, weights in ((42, 1.0), (47, root.lp.duals[rid]),
+                          (52, inv[rid])):
+        _, total, st = _stats(a * weights, col, n)
+        feats[:, base:base + 5] = np.column_stack((total, st[:, [0, 1, 3, 2]]))
+    return feats
 
 
 def variable_features(inst: MipInstance, root: RootInfo, j: int) -> np.ndarray:
@@ -104,106 +169,43 @@ def variable_features(inst: MipInstance, root: RootInfo, j: int) -> np.ndarray:
     signed coefficient statistics, weighted coefficient statistics under
     unit, dual and inverse-row-sum weights).
     """
-    return _variable_feature_rows(inst, root, [j])[0]
+    if inst.variables[j].vtype != BINARY:
+        raise ValueError(f"variable {inst.variables[j].name!r} is not binary")
+    return _variable_feature_rows(inst, root, row_arrays(inst))[j]
 
 
-def _variable_feature_rows(inst: MipInstance, root: RootInfo,
-                           cols) -> np.ndarray:
-    """``variable_features`` for each variable in ``cols``, one row each.
+def _constraint_feature_rows(inst: MipInstance, root: RootInfo,
+                             ra: RowArrays) -> np.ndarray:
+    """``constraint_features`` of every row, from the rows ``ra`` of
+    ``inst``."""
+    m = len(ra.lhs)
+    rid, col, a, lhs, rhs = ra.row_ids(), ra.cols, ra.vals, ra.lhs, ra.rhs
+    vtype = np.array([v.vtype for v in inst.variables], dtype=str)[col]
 
-    The objective vector, the rows of each variable, one coefficient
-    array per row and the row sums are built once for all of them.
-    """
-    for j in cols:
-        var = inst.variables[j]
-        if var.vtype != BINARY:
-            raise ValueError(f"variable {var.name!r} is not binary")
-    c = inst.objective_vector()
-    rows_of = {j: [] for j in cols}
-    for i, con in enumerate(inst.constraints):
-        for k in con.coeffs:
-            if k in rows_of:
-                rows_of[k].append(i)
-    row_coeffs = [np.array(list(con.coeffs.values()))
-                  for con in inst.constraints]
-    row_sums = [sum(con.coeffs.values()) for con in inst.constraints]
-    feats = np.zeros((len(cols), N_VAR_FEATURES))
-    for j, out in zip(cols, feats):
-        rows = rows_of[j]
-        var = inst.variables[j]
-        out[0] = 1.0                       # is binary
-        out[1] = 0.0                       # is general integer
-        cj = float(c[j])
-        out[2] = cj
-        out[3] = max(cj, 0.0)
-        out[4] = max(-cj, 0.0)
-        out[5] = len(rows)
-        out[6] = root.up_locks[j]
-        out[7] = root.down_locks[j]
+    def count(flags):
+        return np.bincount(rid, flags, m)
 
-        xj = float(root.lp.x[j])
-        out[8] = xj
-        out[9] = xj - math.floor(xj)
-        out[10] = math.ceil(xj) - xj
-        out[11] = 1.0 if min(out[9], out[10]) > 1e-6 else 0.0
-        pc_up = float(root.pseudocost_up[j])
-        pc_down = float(root.pseudocost_down[j])
-        out[12] = pc_up
-        out[13] = pc_down
-        out[14] = pc_up / (pc_down + 1.0)
-        out[15] = pc_up + pc_down
-        out[16] = pc_up * pc_down
-        out[17] = var.lb
-        out[18] = var.ub
-        out[19] = float(root.lp.reduced_costs[j])
+    n, _, st = _stats(a, rid, m)
+    all_bin = count(vtype != BINARY) == 0
+    kind = np.select(
+        [n == 1,
+         all_bin & (count(a != 1.0) == 0) & (lhs == 1.0) & ~np.isfinite(rhs),
+         all_bin & (count(~(a > 0.0)) == 0) & np.isfinite(rhs)
+         & ~np.isfinite(lhs),
+         (n == 2) & (count(vtype == CONTINUOUS) == 1)],
+        [CONS_TYPES.index(t) for t in
+         ("singleton", "logicor", "knapsack", "variable_bound")],
+        CONS_TYPES.index("general_linear"))
 
-        degrees = np.array([row_coeffs[i].size for i in rows], float)
-        out[20:24] = _stats(degrees)
-
-        # side ratios a_ij / side, split by the sign of the finite side
-        pos_lhs, neg_lhs, pos_rhs, neg_rhs = [], [], [], []
-        for i in rows:
-            con = inst.constraints[i]
-            a = con.coeffs[j]
-            if math.isfinite(con.lhs) and con.lhs != 0.0:
-                (pos_lhs if con.lhs > 0 else neg_lhs).append(a / con.lhs)
-            if math.isfinite(con.rhs) and con.rhs != 0.0:
-                (pos_rhs if con.rhs > 0 else neg_rhs).append(a / con.rhs)
-        for k, ratios in enumerate((pos_lhs, neg_lhs, pos_rhs, neg_rhs)):
-            if ratios:
-                out[24 + 2 * k] = max(ratios)
-                out[25 + 2 * k] = min(ratios)
-
-        # signed statistics over every coefficient appearing in those rows
-        allc = (np.concatenate([row_coeffs[i] for i in rows]) if rows
-                else np.array([]))
-        pos = allc[allc > 0] if allc.size else allc
-        neg = allc[allc < 0] if allc.size else allc
-        out[32] = pos.size
-        if pos.size:
-            mean, std, mn, mx = _stats(pos)
-            out[33], out[34], out[35], out[36] = mean, std, mn, mx
-        out[37] = neg.size
-        if neg.size:
-            mean, std, mn, mx = _stats(neg)
-            out[38], out[39], out[40], out[41] = mean, std, mn, mx
-
-        # the variable's own coefficients weighted three ways
-        own = np.array([inst.constraints[i].coeffs[j] for i in rows])
-        duals = np.array([float(root.lp.duals[i]) for i in rows])
-        inv = np.zeros(len(rows))
-        for t, i in enumerate(rows):
-            s = row_sums[i]
-            inv[t] = 1.0 / s if s != 0.0 else 0.0
-        base = 42
-        for weights in (np.ones(len(rows)), duals, inv):
-            vals = own * weights
-            if vals.size:
-                out[base] = vals.sum()
-                mean, std, mn, mx = _stats(vals)
-                out[base + 1], out[base + 2] = mean, std
-                out[base + 3], out[base + 4] = mx, mn
-            base += 5
+    feats = np.zeros((m, N_CONS_FEATURES))
+    feats[np.arange(m), kind] = 1.0
+    feats[:, 12:26] = np.column_stack((
+        np.clip(lhs, -INF_SENTINEL, INF_SENTINEL),
+        np.clip(rhs, -INF_SENTINEL, INF_SENTINEL),
+        n, count(a > 0.0), count(a < 0.0), root.lp.duals,
+        [_BASIS_CODE[status] for status in root.lp.row_status],
+        count(np.abs(a)), count(np.where(a > 0.0, a, 0.0)),
+        -count(np.where(a < 0.0, a, 0.0)), st))
     return feats
 
 
@@ -211,23 +213,7 @@ def constraint_features(inst: MipInstance, root: RootInfo, i: int) -> np.ndarray
     """26 features for one row: 17 basic (type one-hot, clipped sides,
     signed counts), 2 relaxation (dual value, basis code), 7 structural
     (sum norms and coefficient statistics)."""
-    con = inst.constraints[i]
-    coeffs = np.array([a for _, a in sorted(con.coeffs.items())])
-    out = np.zeros(N_CONS_FEATURES)
-    out[CONS_TYPES.index(_classify(inst, i))] = 1.0
-    out[12] = float(np.clip(con.lhs, -INF_SENTINEL, INF_SENTINEL))
-    out[13] = float(np.clip(con.rhs, -INF_SENTINEL, INF_SENTINEL))
-    out[14] = coeffs.size
-    out[15] = int((coeffs > 0).sum())
-    out[16] = int((coeffs < 0).sum())
-    out[17] = float(root.lp.duals[i])
-    out[18] = _BASIS_CODE[root.lp.row_status[i]]
-    out[19] = float(np.abs(coeffs).sum())
-    out[20] = float(coeffs[coeffs > 0].sum())
-    out[21] = float(-coeffs[coeffs < 0].sum())
-    mean, std, mn, mx = _stats(coeffs)
-    out[22], out[23], out[24], out[25] = mean, std, mn, mx
-    return out
+    return _constraint_feature_rows(inst, root, row_arrays(inst))[i]
 
 
 def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
@@ -244,56 +230,39 @@ def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
     red = root.instance
     if inst.name != red.name:
         raise ValueError("root info does not belong to this instance")
-    bins = red.binary_indices()
-    node_of = {j: t for t, j in enumerate(bins)}
-    var_names = [red.variables[j].name for j in bins]
-    cons_names = [con.name for con in red.constraints]
-
-    var_feats = _variable_feature_rows(red, root, bins)
-    cons_feats = np.array([constraint_features(red, root, i)
-                           for i in range(len(red.constraints))]
-                          ).reshape(len(cons_names), N_CONS_FEATURES)
-
+    ra = row_arrays(red)
+    m = len(red.constraints)
+    bins = np.array(red.binary_indices(), dtype=np.int64)
     c = red.objective_vector()
-    cbin = np.abs(c[bins]) if bins else np.zeros(0)
-    obj_feats = np.array([float(cbin.sum()), float(len(bins))])
-
-    vc_var, vc_cons, vc_feats = [], [], []
-    for i, con in enumerate(red.constraints):
-        items = sorted(con.coeffs.items())
-        row_max = max(abs(a) for _, a in items)
-        for j, a in items:
-            if j not in node_of:
-                continue
-            vc_var.append(node_of[j])
-            vc_cons.append(i)
-            vc_feats.append((a, a / row_max if row_max > 0 else 0.0))
-
     cmax = float(np.abs(c).max()) if c.size else 0.0
-    vo_feats = np.zeros((len(bins), 2))
-    for t, j in enumerate(bins):
-        vo_feats[t, 0] = c[j]
-        vo_feats[t, 1] = c[j] / cmax if cmax > 0 else 0.0
 
-    co_feats = np.zeros((len(cons_names), 2))
-    for i, con in enumerate(red.constraints):
-        b = con.rhs if math.isfinite(con.rhs) else con.lhs
-        row_max = max(abs(a) for a in con.coeffs.values())
-        co_feats[i, 0] = b
-        co_feats[i, 1] = b / row_max if row_max > 0 else 0.0
+    # v-c edges, row major with ascending variable index inside each row;
+    # edge and c-o features divide by the row's largest |coefficient|
+    rid = ra.row_ids()
+    row_max = _extreme(np.maximum, np.abs(ra.vals), rid, m)
+    node_of = np.full(red.n_vars, -1, dtype=np.int64)
+    node_of[bins] = np.arange(len(bins))
+    order = np.lexsort((ra.cols, rid))
+    order = order[node_of[ra.cols[order]] >= 0]
+    a, vc_cons = ra.vals[order], rid[order]
+    side = np.where(np.isfinite(ra.rhs), ra.rhs, ra.lhs)
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
 
     graph = TriGraph(
         name=red.name,
-        var_names=var_names,
-        cons_names=cons_names,
-        var_feats=var_feats,
-        cons_feats=cons_feats,
-        obj_feats=obj_feats,
-        vc_var=np.array(vc_var, dtype=np.int64),
-        vc_cons=np.array(vc_cons, dtype=np.int64),
-        vc_feats=np.array(vc_feats, float).reshape(len(vc_var), 2),
-        vo_feats=vo_feats,
-        co_feats=co_feats,
+        var_names=[red.variables[j].name for j in bins],
+        cons_names=[con.name for con in red.constraints],
+        var_feats=_variable_feature_rows(red, root, ra)[bins],
+        cons_feats=_constraint_feature_rows(red, root, ra),
+        obj_feats=np.array([float(np.abs(c[bins]).sum()), float(len(bins))]),
+        vc_var=node_of[ra.cols[order]],
+        vc_cons=vc_cons,
+        vc_feats=np.column_stack((a, ratio(a, row_max[vc_cons]))),
+        vo_feats=np.column_stack(
+            (c[bins], ratio(c[bins], np.full(len(bins), cmax)))),
+        co_feats=np.column_stack((side, ratio(side, row_max))),
     )
     for arr in (graph.var_feats, graph.cons_feats, graph.obj_feats,
                 graph.vc_feats, graph.vo_feats, graph.co_feats):

@@ -4,6 +4,10 @@ The enumerator must not share code with the package's simplex or branch
 and bound: binary assignments are enumerated exhaustively with numpy,
 rows touching only binaries are checked vectorized, and any continuous
 remainder is completed with scipy's HiGHS interface.
+
+The featurization reference walks each row's ``coeffs`` dict and calls
+numpy's ``mean``/``std``/``min``/``max`` once per variable and per row,
+so it shares no arithmetic with the segment reductions in ``trigraph``.
 """
 
 import math
@@ -12,6 +16,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from mippred.core import BINARY, CONTINUOUS, canonicalize
+from mippred.trigraph import (CONS_TYPES, INF_SENTINEL, N_CONS_FEATURES,
+                              N_VAR_FEATURES)
 
 # Per-problem parameterizations that keep every instance at <= 16 binary
 # variables so exhaustive enumeration stays cheap.
@@ -165,3 +171,211 @@ def average_precision_reference(scores, labels):
             hits += 1
             total += hits / rank
     return total / n_pos
+
+
+# ---------------------------------------------------------------------------
+# Loop featurization of the tripartite graph
+
+_BASIS_CODE = {"basic": 0.0, "at_lower": 1.0, "at_upper": 2.0}
+
+
+def _stats(values):
+    """(mean, std, min, max), all zero for an empty array."""
+    if values.size == 0:
+        return 0.0, 0.0, 0.0, 0.0
+    return (float(values.mean()), float(values.std()),
+            float(values.min()), float(values.max()))
+
+
+def reference_locks(inst):
+    """(up, down) lock counts: rows that moving a variable up respectively
+    down can violate; an equality row counts for both directions."""
+    up = np.zeros(inst.n_vars, dtype=np.int64)
+    down = np.zeros(inst.n_vars, dtype=np.int64)
+    for con in inst.constraints:
+        fin_lhs = math.isfinite(con.lhs)
+        fin_rhs = math.isfinite(con.rhs)
+        for j, a in con.coeffs.items():
+            if a > 0.0:
+                up[j] += fin_rhs
+                down[j] += fin_lhs
+            elif a < 0.0:
+                up[j] += fin_lhs
+                down[j] += fin_rhs
+    return up, down
+
+
+def _classify(inst, i):
+    con = inst.constraints[i]
+    items = sorted(con.coeffs.items())
+    if len(items) == 1:
+        return "singleton"
+    all_binary = all(inst.variables[j].vtype == BINARY for j, _ in items)
+    if (all_binary and all(a == 1.0 for _, a in items)
+            and con.lhs == 1.0 and not math.isfinite(con.rhs)):
+        return "logicor"
+    if (all_binary and all(a > 0.0 for _, a in items)
+            and math.isfinite(con.rhs) and not math.isfinite(con.lhs)):
+        return "knapsack"
+    if len(items) == 2:
+        n_cont = sum(inst.variables[j].vtype == CONTINUOUS for j, _ in items)
+        if n_cont == 1:
+            return "variable_bound"
+    return "general_linear"
+
+
+def reference_variable_rows(inst, root, cols):
+    """The 57 variable features of each binary in ``cols``, one row each,
+    with the locks recounted from the rows."""
+    c = inst.objective_vector()
+    up_locks, down_locks = reference_locks(inst)
+    rows_of = {j: [] for j in cols}
+    for i, con in enumerate(inst.constraints):
+        for k in con.coeffs:
+            if k in rows_of:
+                rows_of[k].append(i)
+    row_coeffs = [np.array(list(con.coeffs.values()))
+                  for con in inst.constraints]
+    row_sums = [sum(con.coeffs.values()) for con in inst.constraints]
+    feats = np.zeros((len(cols), N_VAR_FEATURES))
+    for j, out in zip(cols, feats):
+        rows = rows_of[j]
+        var = inst.variables[j]
+        assert var.vtype == BINARY
+        out[0] = 1.0
+        out[1] = 0.0
+        cj = float(c[j])
+        out[2] = cj
+        out[3] = max(cj, 0.0)
+        out[4] = max(-cj, 0.0)
+        out[5] = len(rows)
+        out[6] = up_locks[j]
+        out[7] = down_locks[j]
+
+        xj = float(root.lp.x[j])
+        out[8] = xj
+        out[9] = xj - math.floor(xj)
+        out[10] = math.ceil(xj) - xj
+        out[11] = 1.0 if min(out[9], out[10]) > 1e-6 else 0.0
+        pc_up = float(root.pseudocost_up[j])
+        pc_down = float(root.pseudocost_down[j])
+        out[12] = pc_up
+        out[13] = pc_down
+        out[14] = pc_up / (pc_down + 1.0)
+        out[15] = pc_up + pc_down
+        out[16] = pc_up * pc_down
+        out[17] = var.lb
+        out[18] = var.ub
+        out[19] = float(root.lp.reduced_costs[j])
+
+        degrees = np.array([row_coeffs[i].size for i in rows], float)
+        out[20:24] = _stats(degrees)
+
+        pos_lhs, neg_lhs, pos_rhs, neg_rhs = [], [], [], []
+        for i in rows:
+            con = inst.constraints[i]
+            a = con.coeffs[j]
+            if math.isfinite(con.lhs) and con.lhs != 0.0:
+                (pos_lhs if con.lhs > 0 else neg_lhs).append(a / con.lhs)
+            if math.isfinite(con.rhs) and con.rhs != 0.0:
+                (pos_rhs if con.rhs > 0 else neg_rhs).append(a / con.rhs)
+        for k, ratios in enumerate((pos_lhs, neg_lhs, pos_rhs, neg_rhs)):
+            if ratios:
+                out[24 + 2 * k] = max(ratios)
+                out[25 + 2 * k] = min(ratios)
+
+        allc = (np.concatenate([row_coeffs[i] for i in rows]) if rows
+                else np.array([]))
+        pos = allc[allc > 0] if allc.size else allc
+        neg = allc[allc < 0] if allc.size else allc
+        out[32] = pos.size
+        if pos.size:
+            out[33:37] = _stats(pos)
+        out[37] = neg.size
+        if neg.size:
+            out[38:42] = _stats(neg)
+
+        own = np.array([inst.constraints[i].coeffs[j] for i in rows])
+        duals = np.array([float(root.lp.duals[i]) for i in rows])
+        inv = np.zeros(len(rows))
+        for t, i in enumerate(rows):
+            s = row_sums[i]
+            inv[t] = 1.0 / s if s != 0.0 else 0.0
+        base = 42
+        for weights in (np.ones(len(rows)), duals, inv):
+            vals = own * weights
+            if vals.size:
+                out[base] = vals.sum()
+                mean, std, mn, mx = _stats(vals)
+                out[base + 1], out[base + 2] = mean, std
+                out[base + 3], out[base + 4] = mx, mn
+            base += 5
+    return feats
+
+
+def reference_constraint_row(inst, root, i):
+    """The 26 features of row ``i``."""
+    con = inst.constraints[i]
+    coeffs = np.array([a for _, a in sorted(con.coeffs.items())])
+    out = np.zeros(N_CONS_FEATURES)
+    out[CONS_TYPES.index(_classify(inst, i))] = 1.0
+    out[12] = float(np.clip(con.lhs, -INF_SENTINEL, INF_SENTINEL))
+    out[13] = float(np.clip(con.rhs, -INF_SENTINEL, INF_SENTINEL))
+    out[14] = coeffs.size
+    out[15] = int((coeffs > 0).sum())
+    out[16] = int((coeffs < 0).sum())
+    out[17] = float(root.lp.duals[i])
+    out[18] = _BASIS_CODE[root.lp.row_status[i]]
+    out[19] = float(np.abs(coeffs).sum())
+    out[20] = float(coeffs[coeffs > 0].sum())
+    out[21] = float(-coeffs[coeffs < 0].sum())
+    out[22:26] = _stats(coeffs)
+    return out
+
+
+def reference_graph(root):
+    """Every feature and edge array of the graph of ``root.instance``,
+    computed by walking the rows' ``coeffs`` dicts."""
+    red = root.instance
+    bins = red.binary_indices()
+    node_of = {j: t for t, j in enumerate(bins)}
+    c = red.objective_vector()
+    cbin = np.abs(c[bins]) if bins else np.zeros(0)
+
+    vc_var, vc_cons, vc_feats = [], [], []
+    for i, con in enumerate(red.constraints):
+        items = sorted(con.coeffs.items())
+        row_max = max(abs(a) for _, a in items)
+        for j, a in items:
+            if j not in node_of:
+                continue
+            vc_var.append(node_of[j])
+            vc_cons.append(i)
+            vc_feats.append((a, a / row_max if row_max > 0 else 0.0))
+
+    cmax = float(np.abs(c).max()) if c.size else 0.0
+    vo_feats = np.zeros((len(bins), 2))
+    for t, j in enumerate(bins):
+        vo_feats[t, 0] = c[j]
+        vo_feats[t, 1] = c[j] / cmax if cmax > 0 else 0.0
+
+    co_feats = np.zeros((len(red.constraints), 2))
+    for i, con in enumerate(red.constraints):
+        b = con.rhs if math.isfinite(con.rhs) else con.lhs
+        row_max = max(abs(a) for a in con.coeffs.values())
+        co_feats[i, 0] = b
+        co_feats[i, 1] = b / row_max if row_max > 0 else 0.0
+
+    return {
+        "var_feats": reference_variable_rows(red, root, bins),
+        "cons_feats": np.array(
+            [reference_constraint_row(red, root, i)
+             for i in range(len(red.constraints))]
+        ).reshape(len(red.constraints), N_CONS_FEATURES),
+        "obj_feats": np.array([float(cbin.sum()), float(len(bins))]),
+        "vc_var": np.array(vc_var, dtype=np.int64),
+        "vc_cons": np.array(vc_cons, dtype=np.int64),
+        "vc_feats": np.array(vc_feats, float).reshape(len(vc_var), 2),
+        "vo_feats": vo_feats,
+        "co_feats": co_feats,
+    }

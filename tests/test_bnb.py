@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mippred import bnb, predictor, simplex
-from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, Constraint,
+from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INTEGER, Constraint,
                           MipInstance, Variable, canonicalize,
                           evaluate_solution, hamming_coeffs)
 from mippred.generators import GenSpec, generate
@@ -336,7 +336,76 @@ def test_repaired_probe_beats_blanket_cover():
 
 def instance_rows(inst):
     canon = canonicalize(inst)
-    return bnb._Rows(canon, simplex.LpWorkspace(canon).G)
+    return bnb._Rows(canon, simplex.LpWorkspace(canon))
+
+
+def dict_walk(inst):
+    """(G, c, low, upp, int_terms, col_terms) of ``inst`` built by walking
+    each row's ``coeffs`` dict, the way the workspace and the repair rows
+    were once built."""
+    n, m = inst.n_vars, len(inst.constraints)
+    G = np.zeros((m, n + m))
+    for i, con in enumerate(inst.constraints):
+        for j, a in con.coeffs.items():
+            G[i, j] = a
+        G[i, n + i] = -1.0
+    c = np.zeros(n + m)
+    for j, cj in inst.objective.items():
+        c[j] = cj
+    low = np.array([v.lb for v in inst.variables]
+                   + [con.lhs for con in inst.constraints])
+    upp = np.array([v.ub for v in inst.variables]
+                   + [con.rhs for con in inst.constraints])
+    is_int = [v.vtype in (BINARY, INTEGER) for v in inst.variables]
+    int_terms = [[(j, a) for j, a in con.coeffs.items()
+                  if a != 0.0 and is_int[j]] for con in inst.constraints]
+    col_terms = [[] for _ in range(n)]
+    for i, con in enumerate(inst.constraints):
+        for j, a in con.coeffs.items():
+            col_terms[j].append((i, a))
+    return G, c, low, upp, int_terms, col_terms
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
+def test_workspace_and_repair_rows_equal_dict_walk(problem):
+    # with and without the appended distance row, which the repair rows
+    # leave out
+    preset, params = TINY_SPECS[problem]
+    canon = canonicalize(generate(GenSpec(problem, preset, params=params,
+                                          seed=0)))
+    ball = bnb.HammingBall(x_hat=np.ones(canon.n_vars),
+                           S=canon.binary_indices()[::2], phi=1)
+    _, _, _, _, int_terms, col_terms = dict_walk(canon)
+    for lp_inst in (canon, bnb._with_distance(canon, ball)[0]):
+        ws = simplex.LpWorkspace(lp_inst)
+        G, c, low, upp, _, _ = dict_walk(lp_inst)
+        assert ws.G.flags.c_contiguous
+        for got, want in ((ws.G, G), (ws.c, c), (ws.base_low, low),
+                          (ws.base_upp, upp)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        rows = bnb._Rows(canon, ws)
+        assert rows.int_terms == int_terms
+        assert rows.col_terms == col_terms
+        np.testing.assert_array_equal(
+            rows.lhs, [con.lhs for con in canon.constraints])
+        np.testing.assert_array_equal(
+            rows.rhs, [con.rhs for con in canon.constraints])
+
+
+def test_repair_rows_skip_zero_and_continuous_terms():
+    inst = MipInstance(
+        "terms", "min",
+        [Variable("x", BINARY, 0.0, 1.0), Variable("k", INTEGER, 0.0, 3.0),
+         Variable("f", CONTINUOUS, 0.0, 2.0)],
+        [Constraint("r0", {2: 1.0, 1: 0.0, 0: -2.0}, -math.inf, 1.0),
+         Constraint("r1", {1: 1.0, 2: 4.0}, 1.0, 1.0)],
+        {0: 1.0, 1: 1.0, 2: 1.0})
+    rows = bnb._Rows(inst, simplex.LpWorkspace(inst))
+    _, _, _, _, int_terms, col_terms = dict_walk(inst)
+    assert rows.int_terms == int_terms == [[(0, -2.0)], [(1, 1.0)]]
+    assert rows.col_terms == col_terms
+    assert col_terms[1] == [(0, 0.0), (1, 1.0)]
 
 
 def test_repair_walks_toward_lp_preference():

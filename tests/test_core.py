@@ -9,8 +9,8 @@ import pytest
 from mippred.core import (BINARY, CONTINUOUS, Constraint, InstanceFormatError,
                           MipInstance, Variable, canonicalize,
                           evaluate_solution, instance_from_dict,
-                          instance_to_dict, read_instance, validate_instance,
-                          write_instance)
+                          instance_to_dict, read_instance, row_arrays,
+                          validate_instance, write_instance)
 from mippred.generators import GenSpec, generate
 
 
@@ -23,6 +23,26 @@ def tiny_knapsack():
         constraints=[Constraint("cap", {0: 1.0, 1: 1.0}, -math.inf, 1.0)],
         objective={0: -5.0, 1: -4.0},
     )
+
+
+def test_row_arrays_keep_dict_order_and_sides():
+    inst = MipInstance(
+        "rows", "min",
+        [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(3)],
+        [Constraint("a", {2: 1.5, 0: -1.0}, -math.inf, 4.0),
+         Constraint("b", {1: 2.0}, 0.0, 0.0),
+         Constraint("c", {0: 1.0, 2: 0.0, 1: 3.0}, 1.0, math.inf)],
+        {})
+    ra = row_arrays(inst)
+    assert ra.indptr.tolist() == [0, 2, 3, 6]
+    assert ra.cols.tolist() == [2, 0, 1, 0, 2, 1]
+    assert ra.vals.tolist() == [1.5, -1.0, 2.0, 1.0, 0.0, 3.0]
+    assert ra.lhs.tolist() == [-math.inf, 0.0, 1.0]
+    assert ra.rhs.tolist() == [4.0, 0.0, math.inf]
+    assert ra.row_ids().tolist() == [0, 0, 1, 2, 2, 2]
+    empty = row_arrays(MipInstance("none", "min", [], [], {}))
+    assert empty.indptr.tolist() == [0]
+    assert empty.cols.dtype == np.int64 and empty.cols.size == 0
 
 
 def test_validate_well_formed():

@@ -1,6 +1,10 @@
-"""Source hygiene that no installed linter checks: unused imports."""
+"""Source hygiene that no installed linter checks: unused imports, and
+what importing the command-line module loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,16 @@ def test_scanner_flags_unused_and_honours_all_and_future():
               "__all__ = ['pi']\n"
               "print(sys.argv, d)\n")
     assert unused_imports(source) == ["os", "loads"]
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    # only the GCN's segment sums need scipy.sparse, and they import it
+    # when first called; gen and label processes never pay for it
+    code = ("import sys, mippred.cli; "
+            "print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

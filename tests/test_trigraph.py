@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mippred import bnb, trigraph
-from mippred.core import (BINARY, CONTINUOUS, Constraint, MipInstance,
-                          Variable)
+from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
+                          MipInstance, Variable)
 from mippred.generators import GenSpec, generate
 from mippred.trigraph import (N_CONS_FEATURES, N_VAR_FEATURES, apply_scaler,
                               build_trigraph, constraint_features, fit_scaler,
                               variable_features)
-from oracles import TINY_SPECS
+from oracles import TINY_SPECS, reference_graph, reference_locks
 
 
 def graph_of(inst):
@@ -50,7 +52,7 @@ def test_zero_coefficient_variable_keeps_objective_edge_only():
         {0: -1.0, 1: -1.0})
     g = graph_of(inst)
     t = g.var_names.index("x2")
-    assert g.cons_of_var(t).size == 0
+    assert g.vc_cons[g.vc_var == t].size == 0
     assert g.vo_feats.shape[0] == 2  # the v-o edge is still there
 
 
@@ -191,6 +193,119 @@ def test_graph_rows_equal_one_variable_calls(problem):
     for t, j in enumerate(red.binary_indices()):
         np.testing.assert_array_equal(g.var_feats[t],
                                       variable_features(red, root, j))
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
+def test_graph_rows_equal_one_constraint_calls(problem):
+    preset, params = TINY_SPECS[problem]
+    inst = generate(GenSpec(problem, preset, dict(params), seed=0))
+    root = bnb.collect_root_info(inst)
+    g = build_trigraph(inst, root)
+    red = root.instance
+    for i in range(len(red.constraints)):
+        np.testing.assert_array_equal(g.cons_feats[i],
+                                      constraint_features(red, root, i))
+
+
+# ---------------------------------------------------------------------------
+# Segment reductions against the loop reference
+
+# features that are counts, degree extrema, locks, flags, the type
+# one-hot or the basis code; these must match the reference exactly
+EXACT_VAR = [0, 1, 5, 6, 7, 11, 22, 23, 32, 37]
+EXACT_CONS = list(range(12)) + [14, 15, 16, 18]
+
+
+def assert_matches_reference(inst):
+    root = bnb.collect_root_info(inst)
+    g = build_trigraph(inst, root)
+    ref = reference_graph(root)
+    up, down = reference_locks(root.instance)
+    np.testing.assert_array_equal(root.up_locks, up)
+    np.testing.assert_array_equal(root.down_locks, down)
+    np.testing.assert_array_equal(g.vc_var, ref["vc_var"])
+    np.testing.assert_array_equal(g.vc_cons, ref["vc_cons"])
+    np.testing.assert_array_equal(g.var_feats[:, EXACT_VAR],
+                                  ref["var_feats"][:, EXACT_VAR])
+    np.testing.assert_array_equal(g.cons_feats[:, EXACT_CONS],
+                                  ref["cons_feats"][:, EXACT_CONS])
+    for name in ("var_feats", "cons_feats", "obj_feats", "vc_feats",
+                 "vo_feats", "co_feats"):
+        got, want = getattr(g, name), ref[name]
+        assert got.shape == want.shape, name
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want))), name
+
+
+@st.composite
+def small_mips(draw):
+    """Random small MIPs with a feasible, bounded root LP.
+
+    Columns are binary, general integer or continuous with finite
+    bounds, and the last binary is in no row.  Rows have negative and
+    zero coefficients (some rows sum to exactly zero) and are <=, >=,
+    equality, ranged or have a zero side, all chosen to hold at one
+    drawn integral point.  Coefficients are multiples of 1/4, so row
+    sums are exact and the rows' inverse sums are well defined.
+    """
+    n = draw(st.integers(1, 7))
+    variables, x0 = [], []
+    for j in range(n):
+        vtype = draw(st.sampled_from((BINARY, BINARY, INTEGER, CONTINUOUS)))
+        lb = 0 if vtype == BINARY else draw(st.integers(-3, 1))
+        ub = 1 if vtype == BINARY else lb + draw(st.integers(0, 4))
+        variables.append(Variable(f"x{j}", vtype, float(lb), float(ub)))
+        x0.append(float(draw(st.integers(lb, ub))))
+    variables.append(Variable(f"x{n}", BINARY, 0.0, 1.0))
+    constraints = []
+    for i in range(draw(st.integers(1, 6))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=n, unique=True))
+        scale = draw(st.sampled_from((1.0, 0.5, 0.25)))
+        coeffs = {j: scale * draw(st.integers(-3, 3)) for j in support}
+        if len(support) > 1 and draw(st.booleans()):
+            last = support[-1]
+            coeffs[last] = -sum(a for j, a in coeffs.items() if j != last)
+        act = sum(a * x0[j] for j, a in coeffs.items())
+        lo = act - draw(st.integers(0, 2))
+        hi = act + draw(st.integers(0, 2))
+        lhs, rhs = {"le": (-math.inf, hi), "ge": (lo, math.inf),
+                    "eq": (act, act), "range": (lo, hi),
+                    "zero": (-math.inf, 0.0) if act <= 0.0
+                    else (0.0, math.inf)}[
+            draw(st.sampled_from(("le", "ge", "eq", "range", "zero")))]
+        constraints.append(Constraint(f"r{i}", coeffs, lhs, rhs))
+    objective = {j: float(draw(st.integers(-4, 4))) for j in range(n + 1)}
+    sense = draw(st.sampled_from(("min", "max")))
+    return MipInstance("prop", sense, variables, constraints, objective)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_mips())
+def test_build_trigraph_matches_loop_reference(inst):
+    assert_matches_reference(inst)
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
+def test_generated_graphs_match_loop_reference(problem):
+    preset, params = TINY_SPECS[problem]
+    for seed in range(2):
+        assert_matches_reference(
+            generate(GenSpec(problem, preset, dict(params), seed=seed)))
+
+
+def test_all_ones_rows_have_zero_deviation():
+    # set cover rows are all ones, so every deviation over them is 0
+    inst = generate(GenSpec("sc", "tiny", seed=0))
+    root = bnb.collect_root_info(inst)
+    g = build_trigraph(inst, root)
+    assert all(set(con.coeffs.values()) == {1.0}
+               for con in root.instance.constraints)
+    assert np.all(g.cons_feats[:, 23] == 0.0)
+    assert np.all(g.var_feats[:, 34] == 0.0)  # positive coefficients
+    assert np.all(g.var_feats[:, 44] == 0.0)  # own, unit weights
+    assert np.all(g.var_feats[:, 32] > 0.0)
 
 
 # ---------------------------------------------------------------------------
