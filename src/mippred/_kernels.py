@@ -1,4 +1,4 @@
-"""Hot numeric kernel: a dense bounded-variable primal and dual simplex.
+"""Hot numeric kernel: a bounded-variable primal and dual simplex.
 
 One interpreted numpy path.  Basis assembly, the nonbasic point,
 pricing, the leaving-row scores, the eligibility scans and the ratio
@@ -6,12 +6,21 @@ candidates are array operations; Python loops remain only where a rule
 is sequential: the bound-flipping walk of the dual ratio test and the
 primal ratio-test tie rule over its candidate rows.
 Every choice is made with first-index ``argmax``/``argsort`` tie breaks
-on the same inputs and sums in the same order as a per-element loop
-would, so pivot sequences are deterministic.
+on the same inputs, so pivot sequences are deterministic.
 
 The core works on the computational form ``G z = 0`` with
 ``G = [A | -I]``: one slack per ranged row, slack bounds equal to the
-row's (lhs, rhs).  Phase 1 minimizes total bound infeasibility of the
+row's (lhs, rhs).  The loops read the structural block ``A`` only
+through its nonzeros (``SparseBlock``: the CSR entries plus a
+column-major index) and handle ``-I`` analytically, so a pivot row
+``Binv[r] @ G`` costs O(nnz + m), a column ``Binv @ G[:, q]`` O(m) per
+entry of column q, and ``G^T y`` O(nnz + m).  The dense ``G`` is read
+only by ``_factor``.  What stays O(m^2) per pivot is the basis inverse
+itself: the explicit ``Binv``, its rank-1 update and the steepest-edge
+product ``Binv @ Binv[r]``; a refactorization is O(m^3) unless the basis
+is all slacks.
+
+Phase 1 of the primal core minimizes total bound infeasibility of the
 basic variables (composite method, no artificial columns), which makes
 warm starts from an arbitrary basis cheap; phase 2 minimizes the true
 cost.  Pricing uses devex weights (reset on overflow) and switches to
@@ -24,11 +33,17 @@ the parent problem stays dual feasible when only bounds move, so driving
 the handful of out-of-bound basics to their bounds takes few pivots) and
 cold solves from the slack basis with each structural on the bound its
 cost favours.  Its entering choice is the bound-flipping ratio test of
-the dual revised simplex (Huangfu & Hall 2018).  It bails out (for a
-primal fallback) when the starting basis is not dual feasible.
+the dual revised simplex (Huangfu & Hall 2018).  Its reduced costs are
+updated with the dual step of each pivot (Koberstein 2005) and priced
+from scratch only at each refactorization and before returning; an
+optimal basis whose fresh prices are not dual feasible is not reported
+as optimal.  It bails out (for a primal fallback) when the starting
+basis is not dual feasible.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +64,56 @@ FREE = 3
 # by vstat code: -1 for a column at its lower bound, +1 at its upper
 # bound, 0 for basic and free columns
 _SIDE = np.array([0.0, -1.0, 1.0, 0.0])
+
+
+class SparseBlock(NamedTuple):
+    """The structural block ``A`` (m x n) of ``G = [A | -I]`` by its entries.
+
+    ``rid``, ``cols`` and ``vals`` give each entry's row, column and
+    coefficient in row-major (CSR) order; column ``q``'s entries, in
+    ascending row order, are ``crow``/``cval`` at ``cptr[q]:cptr[q + 1]``.
+    """
+
+    n: int
+    m: int
+    rid: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    cptr: np.ndarray
+    crow: np.ndarray
+    cval: np.ndarray
+
+
+def sparse_block(rows, n: int) -> SparseBlock:
+    """``SparseBlock`` of the rows ``rows`` (a ``core.RowArrays``) over n
+    structural columns."""
+    rid = rows.row_ids()
+    order = np.argsort(rows.cols, kind="stable")
+    cptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows.cols, minlength=n), out=cptr[1:])
+    return SparseBlock(n, len(rows.lhs), rid, rows.cols, rows.vals, cptr,
+                       rid[order], rows.vals[order])
+
+
+def _row_times(sp, u):
+    """``u @ G`` for a length-m vector ``u``."""
+    out = np.empty(sp.n + sp.m)
+    out[:sp.n] = np.bincount(sp.cols, sp.vals * u[sp.rid], minlength=sp.n)
+    out[sp.n:] = -u
+    return out
+
+
+def _times(sp, v):
+    """``G @ v`` for a length-N vector ``v``."""
+    return np.bincount(sp.rid, sp.vals * v[sp.cols], minlength=sp.m) - v[sp.n:]
+
+
+def _column(sp, Binv, q):
+    """``Binv @ G[:, q]`` as a new array."""
+    if q >= sp.n:
+        return -Binv[:, q - sp.n]
+    lo, hi = sp.cptr[q], sp.cptr[q + 1]
+    return np.dot(Binv[:, sp.crow[lo:hi]], sp.cval[lo:hi])
 
 
 def _factor(G, low, upp, basis, vstat, z):
@@ -77,10 +142,10 @@ def _factor(G, low, upp, basis, vstat, z):
     return Binv
 
 
-def _price(GT, c, basis, Binv):
+def _price(sp, c, basis, Binv):
     """Duals and reduced costs (zero on the basis) under the true costs."""
     y = np.dot(c[basis], Binv)
-    d = c - np.dot(GT, y)
+    d = c - _row_times(sp, y)
     d[basis] = 0.0
     return y, d
 
@@ -100,11 +165,11 @@ def _improving(vstat, g, tol):
     return mask
 
 
-def simplex_core(G, GT, c, low, upp, basis, vstat, z,
+def simplex_core(G, sp, c, low, upp, basis, vstat, z,
                  feas_tol, piv_tol, max_iter, bland_after, refactor_every):
     """Run the simplex loop in place; return (status, iterations, y, d).
 
-    G is (m, N) C-contiguous, GT its C-contiguous transpose, c the cost
+    G is the dense (m, N) matrix, sp its ``SparseBlock``, c the cost
     over all N columns (slacks cost 0).  basis (m,), vstat (N,) and z
     (N,) describe the starting point: nonbasic entries of z must sit on
     the bound named by vstat; basic entries are recomputed here.  All
@@ -137,8 +202,7 @@ def simplex_core(G, GT, c, low, upp, basis, vstat, z,
             cb = np.where(below, -1.0, np.where(above, 1.0, 0.0))
         else:
             cb = c[basis]
-        y = np.dot(cb, Binv)
-        d = -np.dot(GT, y)
+        d = -_row_times(sp, np.dot(cb, Binv))
         if not phase1:
             d = d + c
 
@@ -158,7 +222,7 @@ def simplex_core(G, GT, c, low, upp, basis, vstat, z,
         # A row rising toward its bound (rate > 0) stops at its lower bound
         # when below it, else at a finite upper bound unless already above;
         # a falling row mirrors that.
-        w = np.dot(Binv, GT[enter])
+        w = _column(sp, Binv, enter)
         rate = -sigma * w
         rise = rate > piv_tol
         fall = rate < -piv_tol
@@ -240,7 +304,7 @@ def simplex_core(G, GT, c, low, upp, basis, vstat, z,
         alpha = w[leave]
 
         # devex update: reference weights grow with the squared pivot row
-        arow = np.dot(Binv[leave], G) / alpha
+        arow = _row_times(sp, Binv[leave]) / alpha
         gq = gamma[enter]
         gamma = np.maximum(gamma, arow * arow * gq)
         glv = gq / (alpha * alpha)
@@ -248,33 +312,33 @@ def simplex_core(G, GT, c, low, upp, basis, vstat, z,
         if np.max(gamma) > 1e12:
             gamma = np.ones(N)
 
-        Binv[leave] = Binv[leave] / alpha
-        wtmp = w.copy()
-        wtmp[leave] = 0.0
-        Binv = Binv - np.outer(wtmp, Binv[leave])
+        Binv[leave] /= alpha
+        w[leave] = 0.0
+        Binv -= np.outer(w, Binv[leave])
 
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
             Binv = _factor(G, low, upp, basis, vstat, z)
 
-    y, d = _price(GT, c, basis, Binv)
+    y, d = _price(sp, c, basis, Binv)
     return status, iters, y, d
 
 
-def dual_core(G, GT, c, low, upp, basis, vstat, z,
+def dual_core(G, sp, c, low, upp, basis, vstat, z,
               feas_tol, piv_tol, max_iter, bland_after, refactor_every):
     """Dual simplex from a dual-feasible basis; return (status, iterations, y, d).
 
     Arguments and in-place conventions mirror ``simplex_core``.  The
     start basis must price dual feasible with the true costs, otherwise
     NOT_DUAL_FEASIBLE comes back and the caller should fall back to the
-    primal core.  INFEASIBLE is proved: some out-of-bound basic row
-    admits no entering column, and bound flips cannot absorb the
-    violation either.
+    primal core; so it does when the final basis is primal feasible but
+    its fresh prices are not dual feasible.  INFEASIBLE is proved: some
+    out-of-bound basic row admits no entering column, and bound flips
+    cannot absorb the violation either.
     """
     Binv = _factor(G, low, upp, basis, vstat, z)
-    y, d = _price(GT, c, basis, Binv)
+    y, d = _price(sp, c, basis, Binv)
 
     if _improving(vstat, d, 10.0 * feas_tol).any():
         return NOT_DUAL_FEASIBLE, 0, y, d
@@ -292,7 +356,6 @@ def dual_core(G, GT, c, low, upp, basis, vstat, z,
 
     while iters < max_iter:
         iters += 1
-        y, d = _price(GT, c, basis, Binv)
 
         # leaving choice: steepest-edge score viol^2 / beta, first maximum;
         # a row under its lower bound wins a tie with its own upper side
@@ -309,7 +372,7 @@ def dual_core(G, GT, c, low, upp, basis, vstat, z,
             break
         below = bool(s_low[r] == score[r])
 
-        rho = np.dot(Binv[r], G)
+        rho = _row_times(sp, Binv[r])
         lv = basis[r]
 
         # entering choice: the columns whose move off their bound shrinks
@@ -324,7 +387,7 @@ def dual_core(G, GT, c, low, upp, basis, vstat, z,
             break
 
         piv = np.abs(rho[elig])
-        ratio = np.where(d > 0.0, d, -d)[elig] / piv
+        ratio = np.abs(d[elig]) / piv
         flips = elig[:0]
         if bland:
             enter = int(elig[np.argmin(ratio)])
@@ -357,13 +420,13 @@ def dual_core(G, GT, c, low, upp, basis, vstat, z,
 
         if flips.size:
             up = vstat[flips] == AT_LOWER
-            dz = np.where(up, span[flips], low[flips] - upp[flips])
+            dzF = np.zeros(len(z))
+            dzF[flips] = np.where(up, span[flips], low[flips] - upp[flips])
             vstat[flips] = np.where(up, AT_UPPER, AT_LOWER)
             z[flips] = np.where(up, upp[flips], low[flips])
-            aF = np.add.reduce(GT[flips] * dz[:, None], axis=0, initial=0.0)
-            z[basis] = z[basis] - np.dot(Binv, aF)
+            z[basis] = z[basis] - np.dot(Binv, _times(sp, dzF))
 
-        w = np.dot(Binv, GT[enter])
+        w = _column(sp, Binv, enter)
         alpha = w[r]
         if alpha <= piv_tol and alpha >= -piv_tol:
             status = NUMERICAL
@@ -377,6 +440,13 @@ def dual_core(G, GT, c, low, upp, basis, vstat, z,
         vstat[lv] = AT_LOWER if below else AT_UPPER
         basis[r] = enter
         vstat[enter] = BASIC
+
+        # dual step: the entering reduced cost goes to zero and the
+        # leaving column takes -theta (its rho entry is 1)
+        theta = d[enter] / rho[enter]
+        d -= theta * rho
+        d[basis] = 0.0
+        d[lv] = -theta
 
         if dz <= 1e-10 and dz >= -1e-10:
             degen += 1
@@ -393,16 +463,18 @@ def dual_core(G, GT, c, low, upp, basis, vstat, z,
         beta[r] = br / (alpha * alpha)
         beta = np.where(beta < 1e-12, 1e-12, beta)
 
-        Binv[r] = Binv[r] / alpha
-        wtmp = w.copy()
-        wtmp[r] = 0.0
-        Binv = Binv - np.outer(wtmp, Binv[r])
+        Binv[r] /= alpha
+        w[r] = 0.0
+        Binv -= np.outer(w, Binv[r])
 
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
             Binv = _factor(G, low, upp, basis, vstat, z)
             beta = _row_norms(Binv)
+            d = _price(sp, c, basis, Binv)[1]
 
-    y, d = _price(GT, c, basis, Binv)
+    y, d = _price(sp, c, basis, Binv)
+    if status == OPTIMAL and _improving(vstat, d, 10.0 * feas_tol).any():
+        status = NOT_DUAL_FEASIBLE
     return status, iters, y, d

@@ -38,6 +38,7 @@ from .core import (
     MAXIMIZE,
     Constraint,
     MipInstance,
+    RowArrays,
     Solution,
     Variable,
     canonicalize,
@@ -109,7 +110,11 @@ class SolveResult:
 
 @dataclass
 class RootInfo:
-    """Presolved canonical instance plus everything features need at the root."""
+    """Presolved canonical instance plus everything features need at the root.
+
+    ``rows`` are the instance's ``core.row_arrays``, as the root LP's
+    workspace built them.
+    """
 
     instance: MipInstance
     lp: LpSolution
@@ -119,6 +124,7 @@ class RootInfo:
     pseudocost_down: np.ndarray
     objective_offset: float
     var_map: list[int]
+    rows: RowArrays
 
 
 class _Node:
@@ -494,5 +500,6 @@ def collect_root_info(inst: MipInstance) -> RootInfo:
         pseudocost_down=np.zeros(n),
         objective_offset=offset,
         var_map=keep_vars,
+        rows=ra,
     )
 

@@ -11,9 +11,15 @@ in order, until one attempt proves a status:
   the bound its cost favours (dual feasible by construction; skipped
   when some cost points at an infinite bound), then a cold primal start.
 
-Each failed attempt counts one fallback.  The kernels in ``_kernels``
-are one interpreted numpy path with deterministic pivot rules; nothing
-selects between implementations.
+Each failed attempt counts one fallback; a dual attempt also fails when
+its final basis does not price dual feasible from scratch.  The kernels
+in ``_kernels`` are one interpreted numpy path with deterministic pivot
+rules; nothing selects between implementations.  They read the
+structural block only through its nonzeros, so a pivot row or a pricing
+costs O(nnz + m), and the dual kernel updates its reduced costs pivot by
+pivot between refactorizations.  The explicit m x m basis inverse
+stays: the steepest-edge product ``Binv @ Binv[r]`` and the rank-1
+update are O(m^2) per pivot, a refactorization O(m^3).
 
 Conventions: the relaxation is solved in minimization form (maximize
 instances are canonicalized internally and the reported objective is
@@ -82,10 +88,13 @@ class WarmStart:
 
 
 class LpWorkspace:
-    """Dense LP data for one minimization instance, reusable across solves.
+    """LP data for one minimization instance, reusable across solves.
 
-    ``rows`` keeps the instance's ``core.row_arrays``, from which ``G``
-    (the rows, then minus the identity for the row activities) is built.
+    ``rows`` keeps the instance's ``core.row_arrays``.  From them come
+    ``sparse``, the structural block as the kernels' ``SparseBlock`` (the
+    slack block ``-I`` is implicit), and the dense ``G`` (the rows, then
+    minus the identity for the row activities), which is read only to
+    refactorize a basis and by branch and bound's row checks.
     """
 
     def __init__(self, inst: MipInstance):
@@ -98,11 +107,11 @@ class LpWorkspace:
         self.m = m
         N = n + m
         self.rows = rows = row_arrays(inst)
+        self.sparse = sp = _kernels.sparse_block(rows, n)
         G = np.zeros((m, N))
-        G[rows.row_ids(), rows.cols] = rows.vals
+        G[sp.rid, sp.cols] = sp.vals
         G[np.arange(m), n + np.arange(m)] = -1.0
         self.G = G
-        self.GT = np.ascontiguousarray(G.T)
         self.c = np.concatenate((inst.objective_vector(), np.zeros(m)))
         self.base_low = np.concatenate(
             ([v.lb for v in inst.variables], rows.lhs))
@@ -209,7 +218,7 @@ class LpWorkspace:
             z = np.zeros(n + m)
             try:
                 status, iters, y, d = core(
-                    self.G, self.GT, self.c, low, upp, basis, vstat, z,
+                    self.G, self.sparse, self.c, low, upp, basis, vstat, z,
                     FEAS_TOL, PIVOT_TOL, max_iter, self.bland_after,
                     REFACTOR_EVERY,
                 )

@@ -230,7 +230,7 @@ def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
     red = root.instance
     if inst.name != red.name:
         raise ValueError("root info does not belong to this instance")
-    ra = row_arrays(red)
+    ra = root.rows
     m = len(red.constraints)
     bins = np.array(red.binary_indices(), dtype=np.int64)
     c = red.objective_vector()

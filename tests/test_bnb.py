@@ -9,8 +9,8 @@ import pytest
 
 from mippred import bnb, predictor, simplex
 from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INTEGER, Constraint,
-                          MipInstance, Variable, canonicalize,
-                          evaluate_solution, hamming_coeffs)
+                          MipInstance, RowArrays, Variable, canonicalize,
+                          evaluate_solution, hamming_coeffs, row_arrays)
 from mippred.generators import GenSpec, generate
 from oracles import TINY_SPECS, brute_force_optimum
 
@@ -244,6 +244,33 @@ def test_lock_counts():
     if "b" in names:  # absent from every row
         b = names.index("b")
         assert root.up_locks[b] == 0 and root.down_locks[b] == 0
+
+
+def fixed_variable_instance():
+    """x1 is fixed at 1: presolve drops it, shifts row a and drops row b."""
+    return MipInstance(
+        "fixed", "min",
+        [Variable("x0", BINARY, 0.0, 1.0), Variable("x1", BINARY, 1.0, 1.0),
+         Variable("x2", CONTINUOUS, 0.0, 4.0)],
+        [Constraint("a", {0: 1.0, 1: 2.0, 2: -1.0}, 1.0, 5.0),
+         Constraint("b", {1: 3.0}, -math.inf, 3.0)],
+        {0: 1.0, 1: 1.0, 2: 1.0})
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS) + ["fixed"])
+def test_root_rows_equal_row_arrays_of_presolved_instance(problem):
+    if problem == "fixed":
+        inst = fixed_variable_instance()
+    else:
+        preset, params = TINY_SPECS[problem]
+        inst = generate(GenSpec(problem, preset, params=params, seed=0))
+    root = bnb.collect_root_info(inst)
+    want = row_arrays(root.instance)
+    for field in RowArrays._fields:
+        got, ref = getattr(root.rows, field), getattr(want, field)
+        assert got.dtype == ref.dtype, field
+        assert got.shape == ref.shape, field
+        assert got.tobytes() == ref.tobytes(), field
 
 
 def test_root_pseudocosts_zero():

@@ -1,6 +1,7 @@
 """LP solver: spot solutions, strong duality, and an external cross-check."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from mippred import _kernels, simplex
+from mippred import _kernels, bnb, simplex
 from mippred.core import (BINARY, CONTINUOUS, Constraint, MipInstance,
                           Variable, canonicalize)
 from mippred.generators import PROBLEMS, GenSpec, generate
@@ -389,7 +390,7 @@ def prices_dual_feasible(ws, warm):
     z = np.zeros(ws.n + ws.m)
     Binv = _kernels._factor(ws.G, ws.base_low, ws.base_upp, warm.basis,
                             warm.vstat, z)
-    _, d = _kernels._price(ws.GT, ws.c, warm.basis, Binv)
+    _, d = _kernels._price(ws.sparse, ws.c, warm.basis, Binv)
     return not _kernels._improving(warm.vstat, d, 1e-6).any()
 
 
@@ -428,12 +429,52 @@ def test_dual_bland_rule_enters_at_the_smallest_ratio():
     basis, vstat = ws._signed_slack_start(low, upp)
     z = np.zeros(ws.n + ws.m)
     status, _, _, _ = _kernels.dual_core(
-        ws.G, ws.GT, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
+        ws.G, ws.sparse, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
         simplex.PIVOT_TOL, ws.max_iter, 0, simplex.REFACTOR_EVERY)
     assert status == _kernels.OPTIMAL
     assert float(ws.c @ z) == pytest.approx(highs_status(inst)[1], abs=1e-7)
     assert float(ws.c @ z) == pytest.approx(1.5, abs=1e-7)
     assert prices_dual_feasible(ws, simplex.WarmStart(basis, vstat))
+
+
+def test_dual_core_rechecks_prices_before_claiming_optimal():
+    """Prices that went stale in the loop must not end in OPTIMAL.  The
+    first pricing is skewed so that x1 (cost 2) looks cheaper than x0
+    (cost 1) and enters; the fresh prices of the basis {x1} then make x0
+    improving, so the kernel returns a non-final code and the solve
+    falls back to the primal core for the true optimum 1."""
+    inst = MipInstance(
+        "stale", "min",
+        [Variable(f"x{j}", CONTINUOUS, 0.0, 10.0) for j in range(2)],
+        [Constraint("cover", {0: 1.0, 1: 1.0}, 1.0, math.inf)],
+        {0: 1.0, 1: 2.0})
+    real_price = _kernels._price
+    skewed = []
+
+    def price(sp, c, basis, Binv):
+        y, d = real_price(sp, c, basis, Binv)
+        if not skewed:
+            skewed.append(True)
+            d = d + np.array([2.0, 0.0, 0.0])
+        return y, d
+
+    ws = simplex.LpWorkspace(inst)
+    low, upp = ws.base_low.copy(), ws.base_upp.copy()
+    basis, vstat = ws._signed_slack_start(low, upp)
+    z = np.zeros(3)
+    with mock.patch.object(_kernels, "_price", price):
+        status, _, _, _ = _kernels.dual_core(
+            ws.G, ws.sparse, ws.c, low, upp, basis, vstat, z,
+            simplex.FEAS_TOL, simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
+            simplex.REFACTOR_EVERY)
+    assert status == _kernels.NOT_DUAL_FEASIBLE
+    assert list(basis) == [1]
+    skewed.clear()
+    with mock.patch.object(_kernels, "_price", price):
+        sol, _ = ws.solve()
+    assert sol.status == simplex.OPTIMAL
+    assert sol.fallbacks == 1
+    assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
 
 def _lapack_factor(G, low, upp, basis, vstat):
@@ -502,6 +543,39 @@ def test_basis_with_a_structural_is_inverted_by_lapack(monkeypatch):
     assert calls == [(m, m)]
     assert Binv.tobytes() == ref_Binv.tobytes()
     assert z.tobytes() == ref_z.tobytes()
+
+
+def _close(got, want):
+    """Equal within 1e-12 * max(1, |want|) entrywise."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
+def test_sparse_products_match_dense(problem):
+    """Pivot row, entering column and bound-flip shift from the sparse
+    block equal the dense products with ``G``, with and without the
+    appended distance row, for structural and slack columns."""
+    preset, params = TINY_SPECS[problem]
+    canon = canonicalize(generate(GenSpec(problem, preset, params=params,
+                                          seed=0)))
+    ball = bnb.HammingBall(x_hat=np.ones(canon.n_vars),
+                           S=canon.binary_indices()[::2], phi=1)
+    rng = np.random.default_rng(7)
+    for lp_inst in (canon, bnb._with_distance(canon, ball)[0]):
+        ws = simplex.LpWorkspace(lp_inst)
+        G, sp, N = ws.G, ws.sparse, ws.n + ws.m
+        Binv = rng.standard_normal((ws.m, ws.m))
+        for r in range(ws.m):
+            _close(_kernels._row_times(sp, Binv[r]), Binv[r] @ G)
+        for q in range(N):
+            _close(_kernels._column(sp, Binv, q), Binv @ G[:, q])
+        for size in (1, 3, N // 2, N):
+            F = rng.choice(N, size=size, replace=False)
+            dz = rng.standard_normal(size)
+            dzF = np.zeros(N)
+            dzF[F] = dz
+            _close(_kernels._times(sp, dzF), G[:, F] @ dz)
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +698,63 @@ def test_cold_dual_matches_primal_core(inst):
     basis, vstat = ws._cold_start(low, upp)
     z = np.zeros(ws.n + ws.m)
     status, _, _, _ = _kernels.simplex_core(
-        ws.G, ws.GT, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
+        ws.G, ws.sparse, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
         simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
         simplex.REFACTOR_EVERY)
     assert sol.status == simplex._STATUS_NAME[status]
     if status == _kernels.OPTIMAL:
         assert sol.objective == pytest.approx(float(ws.c @ z), abs=1e-7)
         assert prices_dual_feasible(ws, warm)
+
+
+@PROPERTY
+@given(small_lps(), st.sampled_from((1, 3, 100)))
+def test_dual_core_refactors_and_rechecks(inst, refactor_every):
+    """The dual kernel from the cost-signed slack basis, refactorizing
+    every 1, 3 or 100 pivots: HiGHS's status and objective, returned
+    reduced costs equal to fresh ones, an optimal basis that prices dual
+    feasible, and reduced costs priced from scratch after every
+    refactorization and before returning."""
+    ws = simplex.LpWorkspace(inst)
+    low, upp = ws.base_low.copy(), ws.base_upp.copy()
+    start = ws._signed_slack_start(low, upp)
+    assume(start is not None)
+    basis, vstat = start
+    z = np.zeros(ws.n + ws.m)
+    calls = []
+    real_factor, real_price = _kernels._factor, _kernels._price
+
+    def factor(*args):
+        Binv = real_factor(*args)
+        calls.append(("factor", Binv))
+        return Binv
+
+    def price(sp, c, basis, Binv):
+        calls.append(("price", Binv))
+        return real_price(sp, c, basis, Binv)
+
+    with mock.patch.object(_kernels, "_factor", factor), \
+            mock.patch.object(_kernels, "_price", price):
+        status, iters, _, d = _kernels.dual_core(
+            ws.G, ws.sparse, ws.c, low, upp, basis, vstat, z,
+            simplex.FEAS_TOL, simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
+            refactor_every)
+
+    assert status in (_kernels.OPTIMAL, _kernels.INFEASIBLE)
+    hstatus, fun = highs_status(inst)
+    assert _STATUS_CODE[simplex._STATUS_NAME[status]] == hstatus
+    # every loop round but the last made a pivot
+    pivots = iters - 1
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("factor") == 1 + pivots // refactor_every
+    assert kinds[-1] == "price"
+    for (kind, Binv), (after, priced) in zip(calls, calls[1:]):
+        if kind == "factor":
+            assert after == "price" and priced is Binv
+
+    Binv = _kernels._factor(ws.G, low, upp, basis, vstat, z.copy())
+    _, fresh = _kernels._price(ws.sparse, ws.c, basis, Binv)
+    np.testing.assert_allclose(d, fresh, rtol=0.0, atol=1e-9)
+    if status == _kernels.OPTIMAL:
+        assert float(ws.c @ z) == pytest.approx(fun, abs=1e-7)
+        assert prices_dual_feasible(ws, simplex.WarmStart(basis, vstat))
