@@ -13,12 +13,24 @@ The core works on the computational form ``G z = 0`` with
 row's (lhs, rhs).  The loops read the structural block ``A`` only
 through its nonzeros (``SparseBlock``: the CSR entries plus a
 column-major index) and handle ``-I`` analytically, so a pivot row
-``Binv[r] @ G`` costs O(nnz + m), a column ``Binv @ G[:, q]`` O(m) per
-entry of column q, and ``G^T y`` O(nnz + m).  The dense ``G`` is read
-only by ``_factor``.  What stays O(m^2) per pivot is the basis inverse
-itself: the explicit ``Binv``, its rank-1 update and the steepest-edge
-product ``Binv @ Binv[r]``; a refactorization is O(m^3) unless the basis
-is all slacks.
+``Binv[r] @ G`` costs O(nnz + m) and ``G^T y`` O(nnz + m).  The dense
+``G`` is read only by ``_factor``.
+
+The basis inverse is kept explicit but transposed: ``T = Binv.T``, so
+column i of ``Binv`` is the contiguous row ``T[i]``.  A basis with k
+basic structurals leaves m - k slacks basic; the row ``T[i]`` of such
+a slack's row i is exactly ``-e_p`` (p its basis position), and only
+the k live rows, those whose slack is nonbasic, carry information.
+``_invert`` inverts only the k x k kernel ``A[live rows, basic
+structurals]`` with LAPACK (O(k^3), nothing for the all-slack basis)
+and writes the rest with an O(m^2) fill and an O(m k^2) product.  Every
+product with ``Binv`` goes over the live rows or over the nonzeros of
+its vector, and the rank-1 update and the steepest-edge product ``Binv
+@ Binv[r]`` gather only the rows of ``T`` where ``Binv[r]`` is nonzero:
+O(m k) per pivot.  A column ``Binv @ G[:, q]`` adds one contiguous row
+of ``T`` per entry of column q.  The update leaves the rows of basic
+slacks exactly ``-e_p``, so the structure holds between
+refactorizations too.
 
 Phase 1 of the primal core minimizes total bound infeasibility of the
 basic variables (composite method, no artificial columns), which makes
@@ -108,51 +120,104 @@ def _times(sp, v):
     return np.bincount(sp.rid, sp.vals * v[sp.cols], minlength=sp.m) - v[sp.n:]
 
 
-def _column(sp, Binv, q):
+def _column(sp, T, q):
     """``Binv @ G[:, q]`` as a new array."""
     if q >= sp.n:
-        return -Binv[:, q - sp.n]
+        return -T[q - sp.n]
     lo, hi = sp.cptr[q], sp.cptr[q + 1]
-    return np.dot(Binv[:, sp.crow[lo:hi]], sp.cval[lo:hi])
+    return np.dot(sp.cval[lo:hi], T[sp.crow[lo:hi]])
+
+
+def _slack_rows(basis, n, m):
+    """The slack structure of a basis: ``slack`` marks the positions that
+    hold slacks, ``rows`` gives those slacks' rows in position order, and
+    ``live`` marks the rows whose slack is nonbasic."""
+    s = basis - n
+    slack = s >= 0
+    rows = s[slack]
+    return slack, rows, np.bincount(rows, minlength=m) == 0
+
+
+def _invert(G, basis, sl):
+    """The transposed inverse ``T`` of the basis ``G[:, basis]`` with the
+    slack structure ``sl`` (``_slack_rows``).
+
+    Ordered as (live rows, slack rows) by (structural, slack) columns,
+    the basis is ``[[K, 0], [A_SK, -I]]`` with the k x k kernel ``K =
+    A[live, basic structurals]``, so its inverse is ``[[K^-1, 0],
+    [A_SK K^-1, -I]]``.  LAPACK inverts only ``K``; the slack block is
+    written exactly, -1 and -0.0, so the all-slack inverse (k = 0) has
+    the same bytes as LAPACK's ``inv`` and takes no LAPACK call.
+    """
+    m = G.shape[0]
+    slack, rows, live = sl
+    T = np.full((m, m), -0.0)
+    T[rows, slack.nonzero()[0]] = -1.0
+    if rows.size < m:
+        struct = ~slack
+        cols = basis[struct]
+        Kinv = np.linalg.inv(G[live.nonzero()[0][:, None], cols])
+        block = np.empty((m - rows.size, m))
+        block[:, struct] = Kinv.T
+        block[:, slack] = np.dot(G[rows[:, None], cols], Kinv).T
+        T[live] = block
+    return T
 
 
 def _factor(G, low, upp, basis, vstat, z):
-    """Invert the basis matrix and put ``z`` on the basic solution.
+    """Invert the basis matrix (``_invert``) and put ``z`` on the basic
+    solution; return the transposed inverse.
 
     Nonbasic entries of ``z`` move to the bound named by ``vstat`` (0
-    for free ones); basic entries solve ``G z = 0``.  Returns the basis
-    inverse.
-
-    An all-slack basis is the signed permutation ``B[:, k] = -e_i`` with
-    ``i = basis[k] - n``, so its inverse is built directly: -1 at
-    ``(k, i)`` and -0.0 elsewhere, the same bytes LAPACK's ``inv``
-    returns for it, at O(m^2) instead of O(m^3).  Any other basis is
-    inverted by LAPACK.
+    for free ones); basic entries are ``z_B = -Binv @ (G @ z_N)``, both
+    products dense, O(m (n + m)): the products LAPACK's inverse would
+    take, so an all-slack basis puts ``z`` on the same bytes.
     """
     m, N = G.shape
-    n = N - m
-    if basis.min() >= n:
-        Binv = np.full((m, m), -0.0)
-        Binv[np.arange(m), basis - n] = -1.0
-    else:
-        Binv = np.ascontiguousarray(np.linalg.inv(G[:, basis]))
+    T = _invert(G, basis, _slack_rows(basis, N - m, m))
     zn = np.where(vstat == AT_LOWER, low, np.where(vstat == AT_UPPER, upp, 0.0))
     z[:] = zn
-    z[basis] = -np.dot(Binv, np.dot(G, zn))
-    return Binv
+    z[basis] = -np.dot(np.dot(G, zn), T)
+    return T
 
 
-def _price(sp, c, basis, Binv):
+def _btran(T, cb):
+    """``cb @ Binv`` over the nonzeros of ``cb``: those columns of ``T``."""
+    nz = cb.nonzero()[0]
+    return np.dot(T[:, nz], cb[nz])
+
+
+def _ftran(T, v):
+    """``Binv @ v`` over the nonzeros of ``v``."""
+    nz = v.nonzero()[0]
+    return np.dot(v[nz], T[nz])
+
+
+def _price(sp, c, basis, T):
     """Duals and reduced costs (zero on the basis) under the true costs."""
-    y = np.dot(c[basis], Binv)
+    y = _btran(T, c[basis])
     d = c - _row_times(sp, y)
     d[basis] = 0.0
     return y, d
 
 
-def _row_norms(Binv):
-    """Squared norm of each row of ``Binv``: one dot product per row."""
-    return np.matmul(Binv[:, None, :], Binv[:, :, None]).ravel()
+def _row_norms(T, sl):
+    """Squared norm of each row of ``Binv`` for the slack structure
+    ``sl``: the live rows' share of each column of ``T``, plus 1 at the
+    positions of basic slacks."""
+    slack, _, live = sl
+    rows = T[live]
+    return np.einsum("ij,ij->j", rows, rows) + slack
+
+
+def _update(T, r, w, nz, rows):
+    """Rank-1 update of ``T`` for the column ``w = Binv @ a_q`` entering
+    at basis position r.  ``rows = T[nz]`` are the rows where ``Binv[r]``
+    is nonzero; no other row changes."""
+    f = rows[:, r] / w[r]
+    rows -= np.multiply.outer(f, w)
+    rows[:, r] = f
+    T[nz] = rows
 
 
 def _improving(vstat, g, tol):
@@ -177,7 +242,7 @@ def simplex_core(G, sp, c, low, upp, basis, vstat, z,
     y and d are the duals and reduced costs priced with the true costs.
     """
     N = G.shape[1]
-    Binv = _factor(G, low, upp, basis, vstat, z)
+    T = _factor(G, low, upp, basis, vstat, z)
 
     iters = 0
     degen = 0
@@ -202,7 +267,7 @@ def simplex_core(G, sp, c, low, upp, basis, vstat, z,
             cb = np.where(below, -1.0, np.where(above, 1.0, 0.0))
         else:
             cb = c[basis]
-        d = -_row_times(sp, np.dot(cb, Binv))
+        d = -_row_times(sp, _btran(T, cb))
         if not phase1:
             d = d + c
 
@@ -222,13 +287,13 @@ def simplex_core(G, sp, c, low, upp, basis, vstat, z,
         # A row rising toward its bound (rate > 0) stops at its lower bound
         # when below it, else at a finite upper bound unless already above;
         # a falling row mirrors that.
-        w = _column(sp, Binv, enter)
+        w = _column(sp, T, enter)
         rate = -sigma * w
         rise = rate > piv_tol
         fall = rate < -piv_tol
         to_low = (rise & below) | (fall & inside & np.isfinite(lowb))
         to_upp = (fall & above) | (rise & inside & np.isfinite(uppb))
-        cand = np.flatnonzero(to_low | to_upp)
+        cand = (to_low | to_upp).nonzero()[0]
         at_low = to_low[cand]
         rc = rate[cand]
         t = (np.where(at_low, lowb[cand], uppb[cand]) - zb[cand]) / rc
@@ -304,7 +369,7 @@ def simplex_core(G, sp, c, low, upp, basis, vstat, z,
         alpha = w[leave]
 
         # devex update: reference weights grow with the squared pivot row
-        arow = _row_times(sp, Binv[leave]) / alpha
+        arow = _row_times(sp, T[:, leave]) / alpha
         gq = gamma[enter]
         gamma = np.maximum(gamma, arow * arow * gq)
         glv = gq / (alpha * alpha)
@@ -312,16 +377,15 @@ def simplex_core(G, sp, c, low, upp, basis, vstat, z,
         if np.max(gamma) > 1e12:
             gamma = np.ones(N)
 
-        Binv[leave] /= alpha
-        w[leave] = 0.0
-        Binv -= np.outer(w, Binv[leave])
+        nz = T[:, leave].nonzero()[0]
+        _update(T, leave, w, nz, T[nz])
 
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
-            Binv = _factor(G, low, upp, basis, vstat, z)
+            T = _factor(G, low, upp, basis, vstat, z)
 
-    y, d = _price(sp, c, basis, Binv)
+    y, d = _price(sp, c, basis, T)
     return status, iters, y, d
 
 
@@ -337,14 +401,14 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
     out-of-bound basic row admits no entering column, and bound flips
     cannot absorb the violation either.
     """
-    Binv = _factor(G, low, upp, basis, vstat, z)
-    y, d = _price(sp, c, basis, Binv)
+    T = _factor(G, low, upp, basis, vstat, z)
+    y, d = _price(sp, c, basis, T)
 
     if _improving(vstat, d, 10.0 * feas_tol).any():
         return NOT_DUAL_FEASIBLE, 0, y, d
 
     # steepest-edge row weights beta_k = ||row k of Binv||^2
-    beta = _row_norms(Binv)
+    beta = _row_norms(T, _slack_rows(basis, sp.n, sp.m))
     span = upp - low
     bounded = np.isfinite(span)
 
@@ -363,16 +427,15 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
         zb = z[basis]
         v_low = low[basis] - zb
         v_upp = zb - upp[basis]
-        s_low = np.where(v_low > feas_tol, v_low * v_low / beta, 0.0)
-        s_upp = np.where(v_upp > feas_tol, v_upp * v_upp / beta, 0.0)
-        score = np.fmax(s_low, s_upp)
+        viol = np.fmax(v_low, v_upp)
+        score = np.where(viol > feas_tol, viol * viol / beta, 0.0)
         r = int(np.argmax(score))
         if not score[r] > 0.0:
             status = OPTIMAL
             break
-        below = bool(s_low[r] == score[r])
+        below = bool(v_low[r] >= v_upp[r])
 
-        rho = _row_times(sp, Binv[r])
+        rho = _row_times(sp, T[:, r])
         lv = basis[r]
 
         # entering choice: the columns whose move off their bound shrinks
@@ -381,7 +444,7 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
         # bound-flipped (each absorbs |rho_j|*range of the violation with
         # no basis change) and the breakpoint that exhausts the violation
         # enters.  Bland = first column at the smallest ratio, no flips.
-        elig = np.flatnonzero(_improving(vstat, rho if below else -rho, piv_tol))
+        elig = _improving(vstat, rho if below else -rho, piv_tol).nonzero()[0]
         if elig.size == 0:
             status = INFEASIBLE
             break
@@ -424,9 +487,9 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
             dzF[flips] = np.where(up, span[flips], low[flips] - upp[flips])
             vstat[flips] = np.where(up, AT_UPPER, AT_LOWER)
             z[flips] = np.where(up, upp[flips], low[flips])
-            z[basis] = z[basis] - np.dot(Binv, _times(sp, dzF))
+            z[basis] = z[basis] - _ftran(T, _times(sp, dzF))
 
-        w = _column(sp, Binv, enter)
+        w = _column(sp, T, enter)
         alpha = w[r]
         if alpha <= piv_tol and alpha >= -piv_tol:
             status = NUMERICAL
@@ -455,26 +518,26 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
         else:
             degen = 0
 
-        # steepest-edge weight update (exact, using the old Binv)
-        tau = np.dot(Binv, Binv[r])
+        # steepest-edge weight update (exact, using the old Binv) and the
+        # rank-1 update, over the rows of T where Binv[r] is nonzero
+        nz = T[:, r].nonzero()[0]
+        rows = T[nz]
+        tau = np.dot(rows[:, r], rows)
         br = beta[r]
         ratio = w / alpha
         beta = beta - 2.0 * ratio * tau + ratio * ratio * br
         beta[r] = br / (alpha * alpha)
         beta = np.where(beta < 1e-12, 1e-12, beta)
-
-        Binv[r] /= alpha
-        w[r] = 0.0
-        Binv -= np.outer(w, Binv[r])
+        _update(T, r, w, nz, rows)
 
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
-            Binv = _factor(G, low, upp, basis, vstat, z)
-            beta = _row_norms(Binv)
-            d = _price(sp, c, basis, Binv)[1]
+            T = _factor(G, low, upp, basis, vstat, z)
+            beta = _row_norms(T, _slack_rows(basis, sp.n, sp.m))
+            d = _price(sp, c, basis, T)[1]
 
-    y, d = _price(sp, c, basis, Binv)
+    y, d = _price(sp, c, basis, T)
     if status == OPTIMAL and _improving(vstat, d, 10.0 * feas_tol).any():
         status = NOT_DUAL_FEASIBLE
     return status, iters, y, d

@@ -12,14 +12,17 @@ in order, until one attempt proves a status:
   when some cost points at an infinite bound), then a cold primal start.
 
 Each failed attempt counts one fallback; a dual attempt also fails when
-its final basis does not price dual feasible from scratch.  The kernels
-in ``_kernels`` are one interpreted numpy path with deterministic pivot
-rules; nothing selects between implementations.  They read the
-structural block only through its nonzeros, so a pivot row or a pricing
-costs O(nnz + m), and the dual kernel updates its reduced costs pivot by
-pivot between refactorizations.  The explicit m x m basis inverse
-stays: the steepest-edge product ``Binv @ Binv[r]`` and the rank-1
-update are O(m^2) per pivot, a refactorization O(m^3).
+its final basis does not price dual feasible from scratch.  A start is
+built only when its attempt comes up.  The kernels in ``_kernels`` are
+one interpreted numpy path with deterministic pivot rules; nothing
+selects between implementations.  They read the structural block only
+through its nonzeros, so a pivot row or a pricing costs O(nnz + m), and
+the dual kernel updates its reduced costs pivot by pivot between
+refactorizations.  The explicit basis inverse is stored transposed and
+sized by its live part, the k rows whose slack is nonbasic (k basic
+structurals): the steepest-edge product and the rank-1 update are
+O(m k) per pivot, a refactorization inverts only the k x k kernel.
+Every attempt starts by refactorizing its basis, warm ones too.
 
 Conventions: the relaxation is solved in minimization form (maximize
 instances are canonicalized internally and the reported objective is
@@ -55,13 +58,11 @@ _STATUS_NAME = {
     _kernels.INFEASIBLE: INFEASIBLE,
     _kernels.UNBOUNDED: UNBOUNDED,
 }
-_VSTAT_NAME = {
-    _kernels.BASIC: BASIC,
-    _kernels.AT_LOWER: AT_LOWER,
-    _kernels.AT_UPPER: AT_UPPER,
-    # nonbasic free variables sit at value 0; reported as at_lower
-    _kernels.FREE: AT_LOWER,
-}
+# status names indexed by vstat code; nonbasic free variables sit at
+# value 0 and are reported as at_lower
+_VSTAT_NAME = np.empty(4, dtype=object)
+_VSTAT_NAME[[_kernels.BASIC, _kernels.AT_LOWER, _kernels.AT_UPPER,
+             _kernels.FREE]] = [BASIC, AT_LOWER, AT_UPPER, AT_LOWER]
 
 
 @dataclass
@@ -94,7 +95,8 @@ class LpWorkspace:
     ``sparse``, the structural block as the kernels' ``SparseBlock`` (the
     slack block ``-I`` is implicit), and the dense ``G`` (the rows, then
     minus the identity for the row activities), which is read only to
-    refactorize a basis and by branch and bound's row checks.
+    refactorize a basis and by branch and bound's row checks.  No basis
+    inverse outlives a solve.
     """
 
     def __init__(self, inst: MipInstance):
@@ -173,8 +175,8 @@ class LpWorkspace:
             objective=float(np.dot(self.c, z)),
             duals=np.asarray(y, dtype=float).copy(),
             reduced_costs=np.asarray(d[:n], dtype=float).copy(),
-            var_status=[_VSTAT_NAME[int(s)] for s in vstat[:n]],
-            row_status=[_VSTAT_NAME[int(s)] for s in vstat[n:]],
+            var_status=_VSTAT_NAME[vstat[:n]].tolist(),
+            row_status=_VSTAT_NAME[vstat[n:]].tolist(),
             iterations=int(iters),
             fallbacks=fallbacks,
         )
@@ -192,28 +194,9 @@ class LpWorkspace:
         if m == 0:
             return self._solve_unconstrained(low, upp)
 
-        # (kernel, basis, vstat, iteration cap), tried in order until one
-        # proves a status; each failed try counts one fallback.
-        attempts = []
-        if warm is not None:
-            # bound changes keep the old optimal basis dual feasible, so a
-            # dual re-solve is usually a handful of pivots; then the primal
-            # core from that basis
-            attempts.append((_kernels.dual_core, warm.basis.copy(),
-                             warm.vstat.copy(), self.dual_max_iter))
-            attempts.append((_kernels.simplex_core, warm.basis.copy(),
-                             warm.vstat.copy(), self.max_iter))
-        else:
-            # cold: the dual kernel from the cost-signed slack basis first
-            start = self._signed_slack_start(low, upp)
-            if start is not None:
-                attempts.append((_kernels.dual_core, *start, self.max_iter))
-        attempts.append((_kernels.simplex_core, *self._cold_start(low, upp),
-                         self.max_iter))
-
         fallbacks = 0
         last_exc = None
-        for core, basis, vstat, max_iter in attempts:
+        for core, basis, vstat, max_iter in self._attempts(low, upp, warm):
             self._snap_vstat(vstat, low, upp)
             z = np.zeros(n + m)
             try:
@@ -233,6 +216,25 @@ class LpWorkspace:
             last_exc = RuntimeError(f"simplex did not converge (code {status})")
             fallbacks += 1
         raise RuntimeError(f"simplex failed: {last_exc}")
+
+    def _attempts(self, low, upp, warm):
+        """(kernel, basis, vstat, iteration cap) in the order tried; each
+        start is built only when its attempt comes up."""
+        if warm is not None:
+            # bound changes keep the old optimal basis dual feasible, so a
+            # dual re-solve is usually a handful of pivots; then the primal
+            # core from that basis
+            yield (_kernels.dual_core, warm.basis.copy(), warm.vstat.copy(),
+                   self.dual_max_iter)
+            yield (_kernels.simplex_core, warm.basis.copy(),
+                   warm.vstat.copy(), self.max_iter)
+        else:
+            # cold: the dual kernel from the cost-signed slack basis first
+            start = self._signed_slack_start(low, upp)
+            if start is not None:
+                yield (_kernels.dual_core, *start, self.max_iter)
+        yield (_kernels.simplex_core, *self._cold_start(low, upp),
+               self.max_iter)
 
     def _solve_unconstrained(self, low, upp):
         n = self.n

@@ -499,7 +499,8 @@ def _random_factor_case(rng, m):
 
 
 def _factor_counting_inv(monkeypatch, G, low, upp, basis, vstat):
-    """``_factor`` output and the shapes ``np.linalg.inv`` was called on."""
+    """``_factor`` output (the transposed inverse and the point) and the
+    shapes ``np.linalg.inv`` was called on."""
     inv = np.linalg.inv
     calls = []
 
@@ -509,40 +510,9 @@ def _factor_counting_inv(monkeypatch, G, low, upp, basis, vstat):
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     z = np.zeros(G.shape[1])
-    Binv = _kernels._factor(G, low, upp, basis, vstat, z)
+    T = _kernels._factor(G, low, upp, basis, vstat, z)
     monkeypatch.setattr(np.linalg, "inv", inv)
-    return Binv, z, calls
-
-
-@pytest.mark.parametrize("m", [1, 5, 76])
-def test_all_slack_factor_equals_lapack_bitwise(m, monkeypatch):
-    rng = np.random.default_rng(m)
-    for trial in range(4):
-        n, G, low, upp, vstat = _random_factor_case(rng, m)
-        order = np.arange(m) if trial == 0 else rng.permutation(m)
-        basis = (n + order).astype(np.int64)
-        vstat[basis] = _kernels.BASIC
-        Binv, z, calls = _factor_counting_inv(monkeypatch, G, low, upp,
-                                              basis, vstat)
-        ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
-        assert calls == [], trial
-        assert Binv.tobytes() == ref_Binv.tobytes(), trial
-        assert z.tobytes() == ref_z.tobytes(), trial
-
-
-def test_basis_with_a_structural_is_inverted_by_lapack(monkeypatch):
-    rng = np.random.default_rng(3)
-    m = 5
-    n, G, low, upp, vstat = _random_factor_case(rng, m)
-    G[:, 0] = 1.0  # a column that makes any basis holding it nonsingular
-    basis = np.array([0] + [n + i for i in range(1, m)], dtype=np.int64)
-    vstat[basis] = _kernels.BASIC
-    Binv, z, calls = _factor_counting_inv(monkeypatch, G, low, upp, basis,
-                                          vstat)
-    ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
-    assert calls == [(m, m)]
-    assert Binv.tobytes() == ref_Binv.tobytes()
-    assert z.tobytes() == ref_z.tobytes()
+    return T, z, calls
 
 
 def _close(got, want):
@@ -551,11 +521,104 @@ def _close(got, want):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("m", [1, 5, 76])
+def test_all_slack_factor_equals_lapack_bitwise(m, monkeypatch):
+    """The all-slack inverse is written, not inverted: its transpose and
+    the basic point have LAPACK's bytes."""
+    rng = np.random.default_rng(m)
+    for trial in range(4):
+        n, G, low, upp, vstat = _random_factor_case(rng, m)
+        order = np.arange(m) if trial == 0 else rng.permutation(m)
+        basis = (n + order).astype(np.int64)
+        vstat[basis] = _kernels.BASIC
+        T, z, calls = _factor_counting_inv(monkeypatch, G, low, upp,
+                                           basis, vstat)
+        ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
+        assert calls == [], trial
+        assert T.T.tobytes() == ref_Binv.tobytes(), trial
+        assert z.tobytes() == ref_z.tobytes(), trial
+
+
+def test_basis_with_a_structural_is_inverted_by_lapack(monkeypatch):
+    """One basic structural: LAPACK inverts only the 1 x 1 kernel."""
+    rng = np.random.default_rng(3)
+    m = 5
+    n, G, low, upp, vstat = _random_factor_case(rng, m)
+    G[:, 0] = 1.0  # a column that makes any basis holding it nonsingular
+    basis = np.array([0] + [n + i for i in range(1, m)], dtype=np.int64)
+    vstat[basis] = _kernels.BASIC
+    T, z, calls = _factor_counting_inv(monkeypatch, G, low, upp, basis,
+                                       vstat)
+    ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
+    assert calls == [(1, 1)]
+    _close(T.T, ref_Binv)
+    _close(z, ref_z)
+
+
+def _typed_rows_instance(rng, n, m):
+    """Binaries under dense random rows of every kind: <=, >=, = and
+    ranged."""
+    variables = [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(n)]
+    constraints = []
+    for i in range(m):
+        coeffs = {j: float(rng.normal()) for j in range(n)
+                  if rng.random() < 0.7}
+        lhs, rhs = [(-math.inf, 2.0), (-1.0, math.inf), (0.5, 0.5),
+                    (-1.0, 1.5)][i % 4]
+        constraints.append(Constraint(f"r{i}", coeffs, lhs, rhs))
+    return MipInstance("typed", "min", variables, constraints,
+                       {j: float(rng.normal()) for j in range(n)})
+
+
+def _random_basis(rng, ws, k):
+    """A basis with k structurals whose kernel is well conditioned: the
+    structurals against k rows whose slacks are nonbasic, positions
+    shuffled."""
+    n, m = ws.n, ws.m
+    for _ in range(200):
+        cols = rng.choice(n, size=k, replace=False)
+        live = rng.choice(m, size=k, replace=False)
+        if k and np.linalg.cond(ws.G[np.ix_(live, cols)]) > 1e3:
+            continue
+        slacks = n + np.setdiff1d(np.arange(m), live)
+        return rng.permutation(np.concatenate((cols, slacks))).astype(np.int64)
+    raise AssertionError("no well-conditioned kernel found")
+
+
+def test_kernel_factor_matches_lapack_inverse():
+    """Random bases with no, some and only structurals, on rows of every
+    kind, with and without the distance row: the transposed inverse from
+    the kernel equals LAPACK's inverse of the whole basis, and the basic
+    point the one it gives, within 1e-12."""
+    rng = np.random.default_rng(11)
+    canon = canonicalize(_typed_rows_instance(rng, n=12, m=7))
+    ball = bnb.HammingBall(x_hat=np.ones(canon.n_vars),
+                           S=np.arange(0, canon.n_vars, 2), phi=2)
+    for lp_inst in (canon, bnb._with_distance(canon, ball)[0]):
+        ws = simplex.LpWorkspace(lp_inst)
+        low, upp = ws.base_low, ws.base_upp
+        for k in (0, 1, ws.m // 2, ws.m - 1, ws.m):
+            for _ in range(3):
+                basis = _random_basis(rng, ws, k)
+                vstat = np.where(np.isfinite(low), _kernels.AT_LOWER,
+                                 _kernels.AT_UPPER).astype(np.int8)
+                vstat[rng.random(len(vstat)) < 0.3] = _kernels.AT_UPPER
+                vstat[~np.isfinite(upp)] = _kernels.AT_LOWER
+                vstat[basis] = _kernels.BASIC
+                z = np.zeros(ws.n + ws.m)
+                T = _kernels._factor(ws.G, low, upp, basis, vstat, z)
+                ref_Binv, ref_z = _lapack_factor(ws.G, low, upp, basis,
+                                                 vstat)
+                _close(T.T, ref_Binv)
+                _close(z, ref_z)
+
+
 @pytest.mark.parametrize("problem", sorted(TINY_SPECS))
 def test_sparse_products_match_dense(problem):
     """Pivot row, entering column and bound-flip shift from the sparse
-    block equal the dense products with ``G``, with and without the
-    appended distance row, for structural and slack columns."""
+    block and the transposed inverse ``T`` equal the dense products with
+    ``G`` and ``Binv = T.T``, with and without the appended distance row,
+    for structural and slack columns."""
     preset, params = TINY_SPECS[problem]
     canon = canonicalize(generate(GenSpec(problem, preset, params=params,
                                           seed=0)))
@@ -565,17 +628,20 @@ def test_sparse_products_match_dense(problem):
     for lp_inst in (canon, bnb._with_distance(canon, ball)[0]):
         ws = simplex.LpWorkspace(lp_inst)
         G, sp, N = ws.G, ws.sparse, ws.n + ws.m
-        Binv = rng.standard_normal((ws.m, ws.m))
+        T = rng.standard_normal((ws.m, ws.m))
+        Binv = T.T
         for r in range(ws.m):
-            _close(_kernels._row_times(sp, Binv[r]), Binv[r] @ G)
+            _close(_kernels._row_times(sp, T[:, r]), Binv[r] @ G)
         for q in range(N):
-            _close(_kernels._column(sp, Binv, q), Binv @ G[:, q])
+            _close(_kernels._column(sp, T, q), Binv @ G[:, q])
         for size in (1, 3, N // 2, N):
             F = rng.choice(N, size=size, replace=False)
             dz = rng.standard_normal(size)
             dzF = np.zeros(N)
             dzF[F] = dz
             _close(_kernels._times(sp, dzF), G[:, F] @ dz)
+            _close(_kernels._ftran(T, _kernels._times(sp, dzF)),
+                   Binv @ (G[:, F] @ dz))
 
 
 # ---------------------------------------------------------------------------
