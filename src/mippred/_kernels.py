@@ -13,8 +13,9 @@ The core works on the computational form ``G z = 0`` with
 row's (lhs, rhs).  The loops read the structural block ``A`` only
 through its nonzeros (``SparseBlock``: the CSR entries plus a
 column-major index) and handle ``-I`` analytically, so a pivot row
-``Binv[r] @ G`` costs O(nnz + m) and ``G^T y`` O(nnz + m).  The dense
-``G`` is read only by ``_factor``.
+``Binv[r] @ G`` costs O(nnz + m) and ``G^T y`` O(nnz + m).  No dense
+copy of ``G`` exists: a refactorization scatters the basic structural
+columns from the block's entries and forms ``G @ z_N`` in O(nnz + m).
 
 The basis inverse is kept explicit but transposed: ``T = Binv.T``, so
 column i of ``Binv`` is the contiguous row ``T[i]``.  A basis with k
@@ -51,6 +52,10 @@ from scratch only at each refactorization and before returning; an
 optimal basis whose fresh prices are not dual feasible is not reported
 as optimal.  It bails out (for a primal fallback) when the starting
 basis is not dual feasible.
+
+Both kernels count pivots as moves: a pass that changes the basis or
+flips a bound counts, the final pass that only proves the status does
+not.  A rowless LP (m = 0) runs the same loops on empty arrays.
 """
 
 from __future__ import annotations
@@ -138,46 +143,53 @@ def _slack_rows(basis, n, m):
     return slack, rows, np.bincount(rows, minlength=m) == 0
 
 
-def _invert(G, basis, sl):
+def _invert(sp, basis, sl):
     """The transposed inverse ``T`` of the basis ``G[:, basis]`` with the
     slack structure ``sl`` (``_slack_rows``).
 
     Ordered as (live rows, slack rows) by (structural, slack) columns,
     the basis is ``[[K, 0], [A_SK, -I]]`` with the k x k kernel ``K =
     A[live, basic structurals]``, so its inverse is ``[[K^-1, 0],
-    [A_SK K^-1, -I]]``.  LAPACK inverts only ``K``; the slack block is
-    written exactly, -1 and -0.0, so the all-slack inverse (k = 0) has
-    the same bytes as LAPACK's ``inv`` and takes no LAPACK call.
+    [A_SK K^-1, -I]]``.  The k basic structural columns are scattered
+    from the block's entries into one m x k array, whose live rows are
+    ``K`` and whose slack rows are ``A_SK``.  LAPACK inverts only ``K``;
+    the slack block is written exactly, -1 and -0.0, so the all-slack
+    inverse (k = 0) has the same bytes as LAPACK's ``inv`` and takes no
+    LAPACK call.
     """
-    m = G.shape[0]
+    m = sp.m
     slack, rows, live = sl
     T = np.full((m, m), -0.0)
     T[rows, slack.nonzero()[0]] = -1.0
     if rows.size < m:
         struct = ~slack
         cols = basis[struct]
-        Kinv = np.linalg.inv(G[live.nonzero()[0][:, None], cols])
+        pos = np.full(sp.n, -1)
+        pos[cols] = np.arange(cols.size)
+        p = pos[sp.cols]
+        hit = p >= 0
+        B = np.zeros((m, cols.size))
+        B[sp.rid[hit], p[hit]] = sp.vals[hit]
+        Kinv = np.linalg.inv(B[live])
         block = np.empty((m - rows.size, m))
         block[:, struct] = Kinv.T
-        block[:, slack] = np.dot(G[rows[:, None], cols], Kinv).T
+        block[:, slack] = np.dot(B[rows], Kinv).T
         T[live] = block
     return T
 
 
-def _factor(G, low, upp, basis, vstat, z):
+def _factor(sp, low, upp, basis, vstat, z):
     """Invert the basis matrix (``_invert``) and put ``z`` on the basic
     solution; return the transposed inverse.
 
     Nonbasic entries of ``z`` move to the bound named by ``vstat`` (0
-    for free ones); basic entries are ``z_B = -Binv @ (G @ z_N)``, both
-    products dense, O(m (n + m)): the products LAPACK's inverse would
-    take, so an all-slack basis puts ``z`` on the same bytes.
+    for free ones); basic entries are ``z_B = -Binv @ (G @ z_N)``, with
+    ``G @ z_N`` from the block's entries in O(nnz + m).
     """
-    m, N = G.shape
-    T = _invert(G, basis, _slack_rows(basis, N - m, m))
+    T = _invert(sp, basis, _slack_rows(basis, sp.n, sp.m))
     zn = np.where(vstat == AT_LOWER, low, np.where(vstat == AT_UPPER, upp, 0.0))
     z[:] = zn
-    z[basis] = -np.dot(np.dot(G, zn), T)
+    z[basis] = -np.dot(_times(sp, zn), T)
     return T
 
 
@@ -230,30 +242,31 @@ def _improving(vstat, g, tol):
     return mask
 
 
-def simplex_core(G, sp, c, low, upp, basis, vstat, z,
+def simplex_core(sp, c, low, upp, basis, vstat, z,
                  feas_tol, piv_tol, max_iter, bland_after, refactor_every):
-    """Run the simplex loop in place; return (status, iterations, y, d).
+    """Run the simplex loop in place; return (status, pivots, y, d).
 
-    G is the dense (m, N) matrix, sp its ``SparseBlock``, c the cost
-    over all N columns (slacks cost 0).  basis (m,), vstat (N,) and z
-    (N,) describe the starting point: nonbasic entries of z must sit on
-    the bound named by vstat; basic entries are recomputed here.  All
-    three are updated in place so callers can warm-start the next call.
-    y and d are the duals and reduced costs priced with the true costs.
+    sp is the structural block of ``G`` (``SparseBlock``), c the cost
+    over all N = n + m columns (slacks cost 0).  basis (m,), vstat (N,)
+    and z (N,) describe the starting point: nonbasic entries of z must
+    sit on the bound named by vstat; basic entries are recomputed here.
+    All three are updated in place so callers can warm-start the next
+    call.  y and d are the duals and reduced costs priced with the true
+    costs.  pivots counts the passes that moved: a basis change or a
+    bound flip, not the final pass that proves the status; max_iter
+    caps the passes.
     """
-    N = G.shape[1]
-    T = _factor(G, low, upp, basis, vstat, z)
+    N = sp.n + sp.m
+    T = _factor(sp, low, upp, basis, vstat, z)
 
-    iters = 0
+    pivots = 0
     degen = 0
     bland = False
     since_refactor = 0
     status = ITER_LIMIT
     gamma = np.ones(N)
 
-    while iters < max_iter:
-        iters += 1
-
+    while pivots < max_iter:
         # phase test: any basic variable outside its bounds?
         zb = z[basis]
         lowb = low[basis]
@@ -340,6 +353,7 @@ def simplex_core(G, sp, c, low, upp, basis, vstat, z,
         if leave == -1:
             status = UNBOUNDED if not phase1 else NUMERICAL
             break
+        pivots += 1
 
         if tmax > 0.0:
             z[enter] = z[enter] + sigma * tmax
@@ -383,15 +397,15 @@ def simplex_core(G, sp, c, low, upp, basis, vstat, z,
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
-            T = _factor(G, low, upp, basis, vstat, z)
+            T = _factor(sp, low, upp, basis, vstat, z)
 
     y, d = _price(sp, c, basis, T)
-    return status, iters, y, d
+    return status, pivots, y, d
 
 
-def dual_core(G, sp, c, low, upp, basis, vstat, z,
+def dual_core(sp, c, low, upp, basis, vstat, z,
               feas_tol, piv_tol, max_iter, bland_after, refactor_every):
-    """Dual simplex from a dual-feasible basis; return (status, iterations, y, d).
+    """Dual simplex from a dual-feasible basis; return (status, pivots, y, d).
 
     Arguments and in-place conventions mirror ``simplex_core``.  The
     start basis must price dual feasible with the true costs, otherwise
@@ -401,7 +415,7 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
     out-of-bound basic row admits no entering column, and bound flips
     cannot absorb the violation either.
     """
-    T = _factor(G, low, upp, basis, vstat, z)
+    T = _factor(sp, low, upp, basis, vstat, z)
     y, d = _price(sp, c, basis, T)
 
     if _improving(vstat, d, 10.0 * feas_tol).any():
@@ -412,15 +426,13 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
     span = upp - low
     bounded = np.isfinite(span)
 
-    iters = 0
+    pivots = 0
     degen = 0
     bland = False
     since_refactor = 0
     status = ITER_LIMIT
 
-    while iters < max_iter:
-        iters += 1
-
+    while pivots < max_iter:
         # leaving choice: steepest-edge score viol^2 / beta, first maximum;
         # a row under its lower bound wins a tie with its own upper side
         # (with lower <= upper only one side can be violated)
@@ -429,10 +441,10 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
         v_upp = zb - upp[basis]
         viol = np.fmax(v_low, v_upp)
         score = np.where(viol > feas_tol, viol * viol / beta, 0.0)
-        r = int(np.argmax(score))
-        if not score[r] > 0.0:
+        if not score.any():
             status = OPTIMAL
             break
+        r = int(np.argmax(score))
         below = bool(v_low[r] >= v_upp[r])
 
         rho = _row_times(sp, T[:, r])
@@ -494,6 +506,7 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
         if alpha <= piv_tol and alpha >= -piv_tol:
             status = NUMERICAL
             break
+        pivots += 1
 
         bnd = low[lv] if below else upp[lv]
         dz = (z[lv] - bnd) / alpha
@@ -533,11 +546,11 @@ def dual_core(G, sp, c, low, upp, basis, vstat, z,
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
-            T = _factor(G, low, upp, basis, vstat, z)
+            T = _factor(sp, low, upp, basis, vstat, z)
             beta = _row_norms(T, _slack_rows(basis, sp.n, sp.m))
             d = _price(sp, c, basis, T)[1]
 
     y, d = _price(sp, c, basis, T)
     if status == OPTIMAL and _improving(vstat, d, 10.0 * feas_tol).any():
         status = NOT_DUAL_FEASIBLE
-    return status, iters, y, d
+    return status, pivots, y, d

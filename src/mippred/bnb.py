@@ -57,12 +57,14 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 LIMIT_REACHED = "limit_reached"
 
+# relative gap at which a node is pruned and an incumbent proved optimal
+GAP_LIMIT = 1e-9
+
 
 @dataclass
 class BnbConfig:
     time_limit_s: float = math.inf
     node_limit: int | None = None
-    gap_limit: float = 1e-9
     mode: str = OPTIMIZE
 
 
@@ -92,7 +94,8 @@ class SolveResult:
     bound each time it improves, so it is nondecreasing for either
     sense.  ``heuristic`` marks results whose bound is not valid for the
     original instance (set for solves restricted to a Hamming ball).
-    ``lp_pivots`` and ``lp_fallbacks`` sum ``LpSolution.iterations`` and
+    ``lp_pivots`` and ``lp_fallbacks`` sum ``LpSolution.iterations`` (the
+    pivots of each node LP: basis changes and bound flips) and
     ``LpSolution.fallbacks`` over the node LPs.
     """
 
@@ -123,7 +126,6 @@ class RootInfo:
     pseudocost_up: np.ndarray
     pseudocost_down: np.ndarray
     objective_offset: float
-    var_map: list[int]
     rows: RowArrays
 
 
@@ -141,35 +143,41 @@ class _Node:
 class _Rows:
     """The rows ``lhs <= A x <= rhs`` of an instance, built once per solve.
 
-    ``A`` is the dense matrix (the first rows and columns of the LP's
-    ``G``) for activities and the screen; the repair walks each row's
-    integer terms and each column's terms in the rows' own order.  All
-    of it comes from the workspace's row arrays, of which the instance's
-    rows are the first ``m`` (the workspace may append the distance row).
+    The instance's rows are the first ``m`` rows of the workspace's
+    ``SparseBlock`` (the workspace may append the distance row); their
+    entries give the activities and the screen as segment sums.  The
+    repair walks each row's integer terms and each column's terms in
+    the rows' own order.
     """
 
     def __init__(self, inst: MipInstance, ws: LpWorkspace):
         n, m = inst.n_vars, len(inst.constraints)
-        ra = ws.rows
+        ra, sp = ws.rows, ws.sparse
         end = int(ra.indptr[m])
-        self.A = np.ascontiguousarray(ws.G[:m, :n])
+        self.rid, self.cols = sp.rid[:end], sp.cols[:end]
+        self.vals = sp.vals[:end]
         self.lhs, self.rhs = ra.lhs[:m], ra.rhs[:m]
-        self.l1 = np.abs(self.A).sum(axis=1)
+        self.l1 = np.bincount(self.rid, np.abs(self.vals), minlength=m)
         is_int = [v.vtype in (BINARY, INTEGER) for v in inst.variables]
-        terms = list(zip(ra.cols[:end].tolist(), ra.vals[:end].tolist()))
+        terms = list(zip(self.cols.tolist(), self.vals.tolist()))
         ptr = ra.indptr[:m + 1].tolist()
         self.int_terms = [[(j, a) for j, a in terms[lo:hi]
                            if a != 0.0 and is_int[j]]
                           for lo, hi in zip(ptr, ptr[1:])]
         self.col_terms = [[] for _ in range(n)]
-        for i, (j, a) in zip(ra.row_ids().tolist(), terms):
+        for i, (j, a) in zip(self.rid.tolist(), terms):
             self.col_terms[j].append((i, a))
+
+    def activities(self, x) -> np.ndarray:
+        """``A @ x``, each row summed in its entries' order."""
+        return np.bincount(self.rid, self.vals * x[self.cols],
+                           minlength=len(self.lhs))
 
     def may_hold(self, x) -> bool:
         """False only when ``x`` misses a row by more than ``FEAS_TOL`` plus
         a slack that covers the rounding of any summation order, so that
         ``evaluate_solution`` would reject ``x`` as well."""
-        acts = self.A @ x
+        acts = self.activities(x)
         slack = FEAS_TOL + 1e-9 * (1.0 + self.l1 * np.max(np.abs(x), initial=0.0))
         return not ((acts < self.lhs - slack) | (acts > self.rhs + slack)).any()
 
@@ -181,8 +189,8 @@ def _repair_rounding(rows: _Rows, lp_x, x_cand, low0, upp0):
     direction (large LP value for up-steps, small for down-steps).
     Returns True when every row ended inside its range; the attempt is
     capped, not exhaustive.  The walk is sequential, so it runs on
-    Python floats; only the starting activities are a matrix product."""
-    acts = (rows.A @ x_cand).tolist()
+    Python floats; only the starting activities are a segment sum."""
+    acts = rows.activities(x_cand).tolist()
     lo = (rows.lhs - INT_TOL).tolist()
     hi = (rows.rhs + INT_TOL).tolist()
     x, lpx = x_cand.tolist(), lp_x.tolist()
@@ -327,7 +335,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
             stop = "nodes"
             break
         node = plunge.pop() if plunge else heapq.heappop(heap)[2]
-        prune_eps = cfg.gap_limit * (1.0 + abs(inc_min)) if incumbent else 0.0
+        prune_eps = GAP_LIMIT * (1.0 + abs(inc_min)) if incumbent else 0.0
         if node.bound >= inc_min - prune_eps:
             continue
         # the far root box starts from the basis of the first root LP
@@ -407,7 +415,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
 
         if incumbent is not None:
             lb_now = open_lb()
-            if inc_min - lb_now <= cfg.gap_limit * (1.0 + abs(inc_min)):
+            if inc_min - lb_now <= GAP_LIMIT * (1.0 + abs(inc_min)):
                 proved = True
                 break
 
@@ -441,7 +449,8 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
 
 
 def _presolve(canon: MipInstance):
-    """Drop empty rows and substitute fixed variables; return reduced instance."""
+    """Drop empty rows and substitute fixed variables; return the reduced
+    instance and the objective offset of the fixed variables."""
     keep_vars = []
     fixed: dict[int, float] = {}
     for j, v in enumerate(canon.variables):
@@ -469,7 +478,7 @@ def _presolve(canon: MipInstance):
     variables = [canon.variables[j] for j in keep_vars]
     reduced = MipInstance(canon.name, canon.sense, variables, constraints,
                           objective)
-    return reduced, keep_vars, offset
+    return reduced, offset
 
 
 def collect_root_info(inst: MipInstance) -> RootInfo:
@@ -481,7 +490,7 @@ def collect_root_info(inst: MipInstance) -> RootInfo:
     both directions).
     """
     canon = canonicalize(inst)
-    reduced, keep_vars, offset = _presolve(canon)
+    reduced, offset = _presolve(canon)
     ws = LpWorkspace(reduced)
     lp, _ = ws.solve()
     n = reduced.n_vars
@@ -499,7 +508,6 @@ def collect_root_info(inst: MipInstance) -> RootInfo:
         pseudocost_up=np.zeros(n),
         pseudocost_down=np.zeros(n),
         objective_offset=offset,
-        var_map=keep_vars,
         rows=ra,
     )
 

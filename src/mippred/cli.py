@@ -330,23 +330,20 @@ def cmd_gen(cfg: ExperimentConfig) -> None:
 
 
 def _label_one(task) -> str:
-    inst_path, out_path, max_iters, time_limit, label_mode = task
+    inst_path, out_path, max_iters, time_limit = task
     inst = read_instance(inst_path)
-    if label_mode == "optimal":
-        ls = labeler.optimal_labels(inst)
-    else:
-        ls = labeler.generate_labels(
-            inst, labeler.LabelConfig(max_iters=max_iters,
-                                      base_time_limit_s=time_limit))
+    ls = labeler.generate_labels(
+        inst, labeler.LabelConfig(max_iters=max_iters,
+                                  base_time_limit_s=time_limit))
     labeler.write_labels(out_path, ls)
     return ls.instance
 
 
-def cmd_label(cfg: ExperimentConfig, label_mode: str = "proximity") -> None:
+def cmd_label(cfg: ExperimentConfig) -> None:
     out = cfg.workdir / "labels"
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(path, out / path.name, cfg.label_max_iters,
-              cfg.label_time_limit_s, label_mode)
+              cfg.label_time_limit_s)
              for split in ("train", "valid")
              for path in _split_instances(cfg, split)]
     done = _pmap(_label_one, tasks, cfg.jobs)
@@ -433,6 +430,16 @@ def _solver_config(cfg: ExperimentConfig) -> bnb.BnbConfig:
                          node_limit=cfg.solve_node_limit)
 
 
+def _reference_objective(cfg: ExperimentConfig, inst: MipInstance) -> float:
+    """Objective of the baseline solve under ``ref_time_limit_s``, the
+    reference of the primal gaps."""
+    ref = bnb.solve(inst, bnb.BnbConfig(time_limit_s=cfg.ref_time_limit_s))
+    if ref.objective is None:
+        raise RuntimeError(f"no reference solution for {inst.name!r} "
+                           f"within {cfg.ref_time_limit_s} s")
+    return ref.objective
+
+
 def _validation_triples(cfg: ExperimentConfig):
     preds_dir = _require_dir(cfg.workdir / "predictions", "predict")
     triples = []
@@ -440,27 +447,15 @@ def _validation_triples(cfg: ExperimentConfig):
         inst = read_instance(path)
         pred = _read_predictions(
             _require_file(preds_dir / f"{path.stem}.csv", "predict"))
-        ref = bnb.solve(inst,
-                        bnb.BnbConfig(time_limit_s=cfg.ref_time_limit_s))
-        if ref.objective is None:
-            raise RuntimeError(f"no reference solution for {inst.name!r} "
-                               f"within {cfg.ref_time_limit_s} s")
-        triples.append((inst, _z_for_instance(inst, pred), ref.objective))
+        triples.append((inst, _z_for_instance(inst, pred),
+                        _reference_objective(cfg, inst)))
     return triples
 
 
 def cmd_gridsearch(cfg: ExperimentConfig) -> None:
-    validation = _validation_triples(cfg)
-    solver = _solver_config(cfg)
-    phi, eta = predictor.grid_search(validation, cfg.phi_grid, cfg.eta_grid,
-                                     predictor.ApplyConfig(solver=solver))
-    gaps = []
-    for inst, z, ref_obj in validation:
-        res = predictor.approximate_solve(
-            inst, z, predictor.ApplyConfig(phi=phi, eta=eta, solver=solver))
-        gaps.append(predictor.INFEASIBLE_GAP if res.objective is None
-                    else metrics.primal_gap(res.objective, ref_obj))
-    mean_gap = float(np.mean(gaps))
+    phi, eta, mean_gap = predictor.grid_search(
+        _validation_triples(cfg), cfg.phi_grid, cfg.eta_grid,
+        predictor.ApplyConfig(solver=_solver_config(cfg)))
     _write_json(cfg.workdir / "tuned.json",
                 {"phi": int(phi), "eta": float(eta),
                  "mean_primal_gap": mean_gap})
@@ -601,12 +596,7 @@ def _solver_quality(cfg: ExperimentConfig, report: metrics.EvalReport,
     references = {}
     for path in _split_instances(cfg, "test"):
         inst = read_instance(path)
-        ref = bnb.solve(inst,
-                        bnb.BnbConfig(time_limit_s=cfg.ref_time_limit_s))
-        if ref.objective is None:
-            raise RuntimeError(f"no reference solution for {inst.name!r} "
-                               f"within {cfg.ref_time_limit_s} s")
-        references[inst.name] = ref.objective
+        references[inst.name] = _reference_objective(cfg, inst)
     mode_summary = {}
     for mode, path in present:
         gaps, opt_gaps, solved = [], [], 0
@@ -700,11 +690,7 @@ def _build_parser() -> _Parser:
         return p
 
     add("gen", "generate train/valid/test instances")
-    label_p = add("label", "run proximity-search labeling over train+valid")
-    label_p.add_argument("--label-mode", choices=("proximity", "optimal"),
-                         default="proximity",
-                         help="proximity: improving-solution traces; "
-                              "optimal: single optimal solution per instance")
+    add("label", "run proximity-search labeling over train+valid")
     add("featurize", "build graphs for all splits and fit the scaler")
     add("train", "train the prediction model on the train split")
     add("predict", "write per-variable predictions for valid+test")
@@ -736,8 +722,6 @@ def main(argv=None) -> int:
                           jobs=args.jobs)
         if args.command == "run":
             cmd_run(cfg, args.mode)
-        elif args.command == "label":
-            cmd_label(cfg, args.label_mode)
         else:
             _COMMANDS[args.command](cfg)
     except MissingInputError as exc:

@@ -195,35 +195,36 @@ def evaluate_solution(inst: MipInstance, x) -> Solution:
 
     Returns objective c.x (in the instance's own sense), the maximum
     violation over constraints, bounds and integrality residuals, and a
-    feasibility flag at tolerance 1e-6.  Raises ValueError on dimension
+    feasibility flag at tolerance 1e-6.  Row activities are summed in
+    each row's ``coeffs`` order.  A point with a NaN or infinite entry
+    is infeasible, with violation inf.  Raises ValueError on dimension
     mismatch.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (len(inst.variables),):
+    n = len(inst.variables)
+    if x.shape != (n,):
         raise ValueError(
-            f"solution has shape {x.shape}, instance has {len(inst.variables)} variables"
+            f"solution has shape {x.shape}, instance has {n} variables"
         )
     obj = float(sum(c * x[j] for j, c in inst.objective.items()))
-    viol = 0.0
-    for con in inst.constraints:
-        act = sum(a * x[j] for j, a in con.coeffs.items())
-        if math.isfinite(con.lhs):
-            viol = max(viol, con.lhs - act)
-        if math.isfinite(con.rhs):
-            viol = max(viol, act - con.rhs)
-    int_resid = 0.0
-    for j, v in enumerate(inst.variables):
-        if math.isfinite(v.lb):
-            viol = max(viol, v.lb - x[j])
-        if math.isfinite(v.ub):
-            viol = max(viol, x[j] - v.ub)
-        if v.vtype in (BINARY, INTEGER):
-            int_resid = max(int_resid, abs(x[j] - round(x[j])))
-    feasible = viol <= FEAS_TOL and int_resid <= INT_TOL
+    if not np.isfinite(x).all():
+        return Solution(values=x, objective=obj, feasible=False,
+                        max_violation=math.inf)
+    rows = row_arrays(inst)
+    act = np.bincount(rows.row_ids(), rows.vals * x[rows.cols],
+                      minlength=len(rows.lhs))
+    lb = np.fromiter((v.lb for v in inst.variables), float, n)
+    ub = np.fromiter((v.ub for v in inst.variables), float, n)
+    # an infinite side or bound gives -inf here, never a violation
+    viol = float(np.concatenate((rows.lhs - act, act - rows.rhs,
+                                 lb - x, x - ub)).max(initial=0.0))
+    ints = np.fromiter((v.vtype != CONTINUOUS for v in inst.variables),
+                       bool, n)
+    int_resid = float(np.abs(x[ints] - np.round(x[ints])).max(initial=0.0))
     return Solution(
         values=x,
         objective=obj,
-        feasible=feasible,
+        feasible=viol <= FEAS_TOL and int_resid <= INT_TOL,
         max_violation=max(viol, int_resid),
     )
 

@@ -132,15 +132,13 @@ def proximity_step(inst: MipInstance, x_bar: Solution, delta: float,
     return evaluate_solution(inst, res.incumbent.values)
 
 
-def generate_labels(inst: MipInstance, cfg: LabelConfig | None = None,
-                    root: "bnb.RootInfo | None" = None) -> LabelSet:
+def generate_labels(inst: MipInstance,
+                    cfg: LabelConfig | None = None) -> LabelSet:
     """Full labeling run: initial solution, delta, rounds, labels.
 
     Delta is one percent of the gap between the starting objective and
     the root relaxation bound, floored at 1e-6*(1+|obj|) when that gap
-    is nonpositive or the bound is not finite.  ``root`` may pass in an
-    already collected root pass for the same instance to avoid solving
-    the relaxation twice.
+    is nonpositive or the bound is not finite.
     """
     if cfg is None:
         cfg = LabelConfig()
@@ -148,8 +146,7 @@ def generate_labels(inst: MipInstance, cfg: LabelConfig | None = None,
     canon = canonicalize(inst)
     c = canon.objective_vector()
     obj0 = float(np.dot(c, x0.values))
-    if root is None:
-        root = bnb.collect_root_info(inst)
+    root = bnb.collect_root_info(inst)
     lb = -math.inf
     if root.lp.status == "optimal":
         lb = root.lp.objective + root.objective_offset
@@ -166,19 +163,6 @@ def generate_labels(inst: MipInstance, cfg: LabelConfig | None = None,
         solutions.append(nxt)
         current = nxt
     return _labels_from_trace(inst, solutions, delta)
-
-
-def optimal_labels(inst: MipInstance) -> LabelSet:
-    """Single-solution labels from a full optimizing solve.
-
-    Every binary becomes stable at its optimal value.  Meant for oracle
-    comparisons on tiny instances, not for the shipped pipeline.
-    """
-    res = bnb.solve(inst, bnb.BnbConfig())
-    if res.incumbent is None:
-        raise NoFeasibleSolutionError(
-            f"instance {inst.name!r} has no feasible solution")
-    return _labels_from_trace(inst, [res.incumbent], 0.0)
 
 
 def _labels_from_trace(inst: MipInstance, solutions: list[Solution],

@@ -10,7 +10,6 @@ most confident fraction of variables is kept.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -102,13 +101,6 @@ def write_report_csv(path, report: EvalReport) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(report.rows[0]))
         writer.writeheader()
         writer.writerows(report.rows)
-
-
-def write_report_json(path, report: EvalReport) -> None:
-    with open(path, "w") as fh:
-        json.dump({"summary": report.summary, "rows": report.rows}, fh,
-                  indent=1)
-        fh.write("\n")
 
 
 def write_curve_csv(path, samples) -> None:

@@ -118,7 +118,8 @@ def exact_solve(inst: MipInstance, z, cfg: ApplyConfig) -> bnb.SolveResult:
 
 def grid_search(validation, phi_grid=PHI_GRID, eta_grid=ETA_GRID,
                 cfg: ApplyConfig | None = None):
-    """Best (phi, eta) by mean primal gap on the validation runs.
+    """Best (phi, eta) by mean primal gap on the validation runs, and
+    that gap: a (phi, eta, mean gap) triple.
 
     ``validation`` holds (instance, predictions, reference objective)
     triples.  Every grid pair runs the approximate pipeline on every
@@ -143,5 +144,6 @@ def grid_search(validation, phi_grid=PHI_GRID, eta_grid=ETA_GRID,
         mean_gap = float(np.mean(gaps))
         key = (mean_gap, phi, -eta)
         if best is None or key < best[0]:
-            best = (key, (phi, eta))
-    return best[1]
+            best = (key, phi, eta)
+    (mean_gap, _, _), phi, eta = best
+    return phi, eta, mean_gap

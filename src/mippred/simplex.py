@@ -13,20 +13,24 @@ in order, until one attempt proves a status:
 
 Each failed attempt counts one fallback; a dual attempt also fails when
 its final basis does not price dual feasible from scratch.  A start is
-built only when its attempt comes up.  The kernels in ``_kernels`` are
-one interpreted numpy path with deterministic pivot rules; nothing
-selects between implementations.  They read the structural block only
-through its nonzeros, so a pivot row or a pricing costs O(nnz + m), and
-the dual kernel updates its reduced costs pivot by pivot between
-refactorizations.  The explicit basis inverse is stored transposed and
-sized by its live part, the k rows whose slack is nonbasic (k basic
-structurals): the steepest-edge product and the rank-1 update are
-O(m k) per pivot, a refactorization inverts only the k x k kernel.
-Every attempt starts by refactorizing its basis, warm ones too.
+built only when its attempt comes up.  An LP without rows takes the
+same path.  The kernels in ``_kernels`` are one interpreted numpy path
+with deterministic pivot rules; nothing selects between
+implementations.  They read the constraint matrix only through the
+nonzeros of its structural block, so a pivot row or a pricing costs
+O(nnz + m), and the dual kernel updates its reduced costs pivot by
+pivot between refactorizations.  The explicit basis inverse is stored
+transposed and sized by its live part, the k rows whose slack is
+nonbasic (k basic structurals): the steepest-edge product and the
+rank-1 update are O(m k) per pivot, a refactorization inverts only the
+k x k kernel.  Every attempt starts by refactorizing its basis, warm
+ones too.  ``LpSolution.iterations`` counts the pivots (basis changes
+and bound flips) of the attempt that proved the status.
 
 Conventions: the relaxation is solved in minimization form (maximize
 instances are canonicalized internally and the reported objective is
-negated back to the original sense).  Row duals and reduced costs
+negated back to the original sense); an unbounded LP reports objective
+-inf in that form.  Row duals and reduced costs
 always refer to the minimization form.  A ranged row ``lhs <= a.x <=
 rhs`` reports status AtLower/AtUpper when active at the corresponding
 side and Basic when slack.
@@ -91,12 +95,10 @@ class WarmStart:
 class LpWorkspace:
     """LP data for one minimization instance, reusable across solves.
 
-    ``rows`` keeps the instance's ``core.row_arrays``.  From them come
-    ``sparse``, the structural block as the kernels' ``SparseBlock`` (the
-    slack block ``-I`` is implicit), and the dense ``G`` (the rows, then
-    minus the identity for the row activities), which is read only to
-    refactorize a basis and by branch and bound's row checks.  No basis
-    inverse outlives a solve.
+    ``rows`` keeps the instance's ``core.row_arrays``, and ``sparse`` is
+    the same entries as the kernels' ``SparseBlock``: the constraint
+    matrix ``G = [A | -I]`` exists only in these forms, the slack block
+    ``-I`` implicit.  No basis inverse outlives a solve.
     """
 
     def __init__(self, inst: MipInstance):
@@ -109,11 +111,7 @@ class LpWorkspace:
         self.m = m
         N = n + m
         self.rows = rows = row_arrays(inst)
-        self.sparse = sp = _kernels.sparse_block(rows, n)
-        G = np.zeros((m, N))
-        G[sp.rid, sp.cols] = sp.vals
-        G[np.arange(m), n + np.arange(m)] = -1.0
-        self.G = G
+        self.sparse = _kernels.sparse_block(rows, n)
         self.c = np.concatenate((inst.objective_vector(), np.zeros(m)))
         self.base_low = np.concatenate(
             ([v.lb for v in inst.variables], rows.lhs))
@@ -172,7 +170,8 @@ class LpWorkspace:
         sol = LpSolution(
             status=_STATUS_NAME[status],
             x=z[:n].copy(),
-            objective=float(np.dot(self.c, z)),
+            objective=(-np.inf if status == _kernels.UNBOUNDED
+                       else float(np.dot(self.c, z))),
             duals=np.asarray(y, dtype=float).copy(),
             reduced_costs=np.asarray(d[:n], dtype=float).copy(),
             var_status=_VSTAT_NAME[vstat[:n]].tolist(),
@@ -191,8 +190,6 @@ class LpWorkspace:
             low[:n] = low_struct
         if upp_struct is not None:
             upp[:n] = upp_struct
-        if m == 0:
-            return self._solve_unconstrained(low, upp)
 
         fallbacks = 0
         last_exc = None
@@ -201,7 +198,7 @@ class LpWorkspace:
             z = np.zeros(n + m)
             try:
                 status, iters, y, d = core(
-                    self.G, self.sparse, self.c, low, upp, basis, vstat, z,
+                    self.sparse, self.c, low, upp, basis, vstat, z,
                     FEAS_TOL, PIVOT_TOL, max_iter, self.bland_after,
                     REFACTOR_EVERY,
                 )
@@ -235,32 +232,6 @@ class LpWorkspace:
                 yield (_kernels.dual_core, *start, self.max_iter)
         yield (_kernels.simplex_core, *self._cold_start(low, upp),
                self.max_iter)
-
-    def _solve_unconstrained(self, low, upp):
-        n = self.n
-        x = np.zeros(n)
-        stat = []
-        for j in range(n):
-            cj = self.c[j]
-            if cj > 0.0 or (cj == 0.0 and np.isfinite(low[j])):
-                tgt, s = low[j], AT_LOWER
-            elif cj < 0.0 or np.isfinite(upp[j]):
-                tgt, s = upp[j], AT_UPPER
-            else:
-                tgt, s = 0.0, AT_LOWER
-            if not np.isfinite(tgt):
-                if cj == 0.0:
-                    tgt, s = 0.0, AT_LOWER
-                else:
-                    sol = LpSolution(UNBOUNDED, x, -np.inf, np.zeros(0), self.c[:n].copy(),
-                                     [AT_LOWER] * n, [], 0)
-                    return sol, WarmStart(np.zeros(0, dtype=np.int64),
-                                          np.zeros(n, dtype=np.int8))
-            x[j] = tgt
-            stat.append(s)
-        sol = LpSolution(OPTIMAL, x, float(np.dot(self.c[:n], x)), np.zeros(0),
-                         self.c[:n].copy(), stat, [], 0)
-        return sol, WarmStart(np.zeros(0, dtype=np.int64), np.zeros(n, dtype=np.int8))
 
 
 def solve_lp(inst: MipInstance) -> LpSolution:

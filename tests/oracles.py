@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from mippred.core import BINARY, CONTINUOUS, canonicalize
+from mippred.core import BINARY, CONTINUOUS, INTEGER, canonicalize
 from mippred.trigraph import (CONS_TYPES, INF_SENTINEL, N_CONS_FEATURES,
                               N_VAR_FEATURES)
 
@@ -31,6 +31,34 @@ TINY_SPECS = {
     "tsp": ("custom", {"min_cities": 4, "max_cities": 4}),
     "vrp": ("custom", {"customers": 2}),
 }
+
+
+def dict_walk(inst):
+    """(G, c, low, upp, int_terms, col_terms) of ``inst`` built by walking
+    each row's ``coeffs`` dict: the dense ``G = [A | -I]`` of the LP's
+    computational form, its costs and bounds, and each row's nonzero
+    integer terms and each column's terms in the rows' own order."""
+    n, m = inst.n_vars, len(inst.constraints)
+    G = np.zeros((m, n + m))
+    for i, con in enumerate(inst.constraints):
+        for j, a in con.coeffs.items():
+            G[i, j] = a
+        G[i, n + i] = -1.0
+    c = np.zeros(n + m)
+    for j, cj in inst.objective.items():
+        c[j] = cj
+    low = np.array([v.lb for v in inst.variables]
+                   + [con.lhs for con in inst.constraints])
+    upp = np.array([v.ub for v in inst.variables]
+                   + [con.rhs for con in inst.constraints])
+    is_int = [v.vtype in (BINARY, INTEGER) for v in inst.variables]
+    int_terms = [[(j, a) for j, a in con.coeffs.items()
+                  if a != 0.0 and is_int[j]] for con in inst.constraints]
+    col_terms = [[] for _ in range(n)]
+    for i, con in enumerate(inst.constraints):
+        for j, a in con.coeffs.items():
+            col_terms[j].append((i, a))
+    return G, c, low, upp, int_terms, col_terms
 
 
 def _enumerate_binaries(k):

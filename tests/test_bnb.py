@@ -12,7 +12,7 @@ from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INTEGER, Constraint,
                           MipInstance, RowArrays, Variable, canonicalize,
                           evaluate_solution, hamming_coeffs, row_arrays)
 from mippred.generators import GenSpec, generate
-from oracles import TINY_SPECS, brute_force_optimum
+from oracles import TINY_SPECS, brute_force_optimum, dict_walk
 
 
 def binary_chain(n=3):
@@ -366,33 +366,6 @@ def instance_rows(inst):
     return bnb._Rows(canon, simplex.LpWorkspace(canon))
 
 
-def dict_walk(inst):
-    """(G, c, low, upp, int_terms, col_terms) of ``inst`` built by walking
-    each row's ``coeffs`` dict, the way the workspace and the repair rows
-    were once built."""
-    n, m = inst.n_vars, len(inst.constraints)
-    G = np.zeros((m, n + m))
-    for i, con in enumerate(inst.constraints):
-        for j, a in con.coeffs.items():
-            G[i, j] = a
-        G[i, n + i] = -1.0
-    c = np.zeros(n + m)
-    for j, cj in inst.objective.items():
-        c[j] = cj
-    low = np.array([v.lb for v in inst.variables]
-                   + [con.lhs for con in inst.constraints])
-    upp = np.array([v.ub for v in inst.variables]
-                   + [con.rhs for con in inst.constraints])
-    is_int = [v.vtype in (BINARY, INTEGER) for v in inst.variables]
-    int_terms = [[(j, a) for j, a in con.coeffs.items()
-                  if a != 0.0 and is_int[j]] for con in inst.constraints]
-    col_terms = [[] for _ in range(n)]
-    for i, con in enumerate(inst.constraints):
-        for j, a in con.coeffs.items():
-            col_terms[j].append((i, a))
-    return G, c, low, upp, int_terms, col_terms
-
-
 @pytest.mark.parametrize("problem", sorted(TINY_SPECS))
 def test_workspace_and_repair_rows_equal_dict_walk(problem):
     # with and without the appended distance row, which the repair rows
@@ -403,21 +376,53 @@ def test_workspace_and_repair_rows_equal_dict_walk(problem):
     ball = bnb.HammingBall(x_hat=np.ones(canon.n_vars),
                            S=canon.binary_indices()[::2], phi=1)
     _, _, _, _, int_terms, col_terms = dict_walk(canon)
+    rng = np.random.default_rng(5)
     for lp_inst in (canon, bnb._with_distance(canon, ball)[0]):
         ws = simplex.LpWorkspace(lp_inst)
         G, c, low, upp, _, _ = dict_walk(lp_inst)
-        assert ws.G.flags.c_contiguous
-        for got, want in ((ws.G, G), (ws.c, c), (ws.base_low, low),
+        sp, n, m = ws.sparse, ws.n, ws.m
+        dense = np.zeros((m, n + m))
+        dense[sp.rid, sp.cols] = sp.vals
+        dense[np.arange(m), n + np.arange(m)] = -1.0
+        for got, want in ((dense, G), (ws.c, c), (ws.base_low, low),
                           (ws.base_upp, upp)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         rows = bnb._Rows(canon, ws)
         assert rows.int_terms == int_terms
         assert rows.col_terms == col_terms
+        m0, n0 = len(canon.constraints), canon.n_vars
+        x = rng.standard_normal(n0)
+        np.testing.assert_allclose(rows.activities(x), G[:m0, :n0] @ x,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rows.l1, np.abs(G[:m0, :n0]).sum(axis=1),
+                                   rtol=1e-12)
         np.testing.assert_array_equal(
             rows.lhs, [con.lhs for con in canon.constraints])
         np.testing.assert_array_equal(
             rows.rhs, [con.rhs for con in canon.constraints])
+
+
+def _held_arrays(obj):
+    """Every numpy array an object holds as an attribute, directly or in a
+    named tuple (``RowArrays``, ``SparseBlock``)."""
+    for value in vars(obj).values():
+        parts = value if isinstance(value, tuple) else (value,)
+        yield from (a for a in parts if isinstance(a, np.ndarray))
+
+
+def test_no_dense_matrix_on_a_row_heavy_instance():
+    """mis small has m = 1799 rows over n = 125 columns and about two
+    entries per row; nothing the workspace or the repair rows hold grows
+    with m * n."""
+    canon = canonicalize(generate(GenSpec("mis", "small", seed=0)))
+    ws = simplex.LpWorkspace(canon)
+    rows = bnb._Rows(canon, ws)
+    n, m, nnz = ws.n, ws.m, len(ws.rows.cols)
+    assert (n, m) == (125, 1799)
+    for obj in (ws, rows):
+        sizes = [a.size for a in _held_arrays(obj)]
+        assert sizes and max(sizes) <= 4 * (nnz + n + m), type(obj)
 
 
 def test_repair_rows_skip_zero_and_continuous_terms():

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from mippred.core import (BINARY, CONTINUOUS, Constraint, InstanceFormatError,
-                          MipInstance, Variable, canonicalize,
+from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
+                          InstanceFormatError, MipInstance, Variable,
+                          canonicalize,
                           evaluate_solution, instance_from_dict,
                           instance_to_dict, read_instance, row_arrays,
                           validate_instance, write_instance)
@@ -98,14 +99,16 @@ def test_evaluate_knapsack_corner():
     inst = tiny_knapsack()
     sol = evaluate_solution(inst, [1.0, 0.0])
     assert sol.objective == -5.0
-    assert sol.feasible
+    assert sol.feasible is True
     assert sol.max_violation <= 1e-6
 
 
 def test_evaluate_violated_row():
-    sol = evaluate_solution(tiny_knapsack(), [1.0, 1.0])
-    assert not sol.feasible
-    assert sol.max_violation == pytest.approx(1.0)
+    # a violated row, then a violated bound; the flag is a Python bool
+    for x in ([1.0, 1.0], [0.0, -1.0]):
+        sol = evaluate_solution(tiny_knapsack(), x)
+        assert sol.feasible is False
+        assert sol.max_violation == pytest.approx(1.0)
 
 
 def test_evaluate_all_zero_feasible():
@@ -117,6 +120,67 @@ def test_evaluate_all_zero_feasible():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValueError):
         evaluate_solution(tiny_knapsack(), [1.0])
+
+
+def test_evaluate_rejects_non_finite_points():
+    """NaN or infinite entries make a point infeasible with violation
+    inf, in continuous and integer variables alike, without raising."""
+    lp = MipInstance(
+        "lp", "min",
+        [Variable("x", CONTINUOUS, 0.0, 10.0),
+         Variable("y", CONTINUOUS, 0.0, 10.0)],
+        [Constraint("cover", {0: 1.0, 1: 1.0}, 1.0, math.inf)],
+        {0: 1.0, 1: 2.0})
+    ip = MipInstance(
+        "ip", "min",
+        [Variable("k", INTEGER, -math.inf, math.inf),
+         Variable("x", CONTINUOUS, -math.inf, math.inf)],
+        [], {0: 1.0})
+    for inst, x in ((lp, [math.nan, math.nan]), (lp, [math.nan, 1.0]),
+                    (lp, [math.inf, 0.0]), (ip, [math.nan, 0.0]),
+                    (ip, [math.inf, 0.0]), (ip, [0.0, -math.inf])):
+        sol = evaluate_solution(inst, x)
+        assert sol.feasible is False, (inst.name, x)
+        assert sol.max_violation == math.inf, (inst.name, x)
+
+
+def _walk_evaluation(inst, x):
+    """(objective, max violation, feasible) by walking each row's dict and
+    each variable, as a reference for the vector evaluation."""
+    obj = float(sum(c * x[j] for j, c in inst.objective.items()))
+    viol = 0.0
+    for con in inst.constraints:
+        act = sum(a * x[j] for j, a in con.coeffs.items())
+        if math.isfinite(con.lhs):
+            viol = max(viol, con.lhs - act)
+        if math.isfinite(con.rhs):
+            viol = max(viol, act - con.rhs)
+    resid = 0.0
+    for j, v in enumerate(inst.variables):
+        if math.isfinite(v.lb):
+            viol = max(viol, v.lb - x[j])
+        if math.isfinite(v.ub):
+            viol = max(viol, x[j] - v.ub)
+        if v.vtype != CONTINUOUS:
+            resid = max(resid, abs(x[j] - round(x[j])))
+    return obj, max(viol, resid), viol <= 1e-6 and resid <= 1e-6
+
+
+@pytest.mark.parametrize("problem", ["cfl", "fcnf", "ga", "mis", "mk", "sc",
+                                     "tsp", "vrp"])
+def test_evaluate_equals_dict_walk(problem):
+    """Objective, violation and flag equal the dict walk exactly on
+    integral, fractional and out-of-bound points."""
+    rng = np.random.default_rng(3)
+    inst = generate(GenSpec(problem, "tiny", seed=1))
+    for scale in (1, 2, 3):
+        for _ in range(10):
+            x = rng.integers(0, 2, size=inst.n_vars).astype(float)
+            if scale > 1:
+                x = x * scale * rng.random(inst.n_vars)
+            sol = evaluate_solution(inst, x)
+            assert (sol.objective, sol.max_violation, sol.feasible) == \
+                _walk_evaluation(inst, x)
 
 
 def test_feasibility_invariant_under_row_permutation():

@@ -1,5 +1,6 @@
-"""Source hygiene that no installed linter checks: unused imports, and
-what importing the command-line module loads."""
+"""Source hygiene that no installed linter checks: unused imports,
+private helpers nothing references, and what importing the command-line
+module loads."""
 
 import ast
 import os
@@ -49,6 +50,62 @@ def test_scanner_flags_unused_and_honours_all_and_future():
               "__all__ = ['pi']\n"
               "print(sys.argv, d)\n")
     assert unused_imports(source) == ["os", "loads"]
+
+
+def private_definitions(source: str) -> list[str]:
+    """Private (one leading underscore, not dunder) functions and classes
+    defined at module level, and private methods of module-level
+    classes, in source order."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and private(node.name):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [item.name for item in node.body
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and private(item.name)]
+    return out
+
+
+def referenced_names(sources) -> set[str]:
+    """Every name and attribute the sources load, call or otherwise use
+    (definitions themselves do not count)."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_no_unreferenced_private_helpers():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    used = referenced_names(sources)
+    unused = [name for source in sources
+              for name in private_definitions(source) if name not in used]
+    assert unused == []
+
+
+def test_private_scan_flags_unreferenced_helpers():
+    source = ("def _used(): pass\n"
+              "def _dead(): pass\n"
+              "def public(): return _used()\n"
+              "class _Dead:\n"
+              "    def __init__(self): pass\n"
+              "    def _method(self): pass\n"
+              "    def _called(self): return self._called\n")
+    assert private_definitions(source) == ["_used", "_dead", "_Dead",
+                                           "_method", "_called"]
+    used = referenced_names([source])
+    assert [n for n in private_definitions(source) if n not in used] == [
+        "_dead", "_Dead", "_method"]
 
 
 def test_cli_import_does_not_load_scipy_sparse():

@@ -194,20 +194,6 @@ def test_converged_trace_ends_at_optimum():
         assert final <= obj + ls.delta_used + 1e-9
 
 
-def test_optimal_labels_single_iteration():
-    inst = generate(GenSpec("sc", "tiny", seed=5))
-    ls = labeler.optimal_labels(inst)
-    assert ls.iterations == 1
-    assert ls.delta_used == 0.0
-    assert all(lab in (STABLE0, STABLE1) for lab in ls.labels)
-    x = np.array([1.0 if lab == STABLE1 else 0.0 for lab in ls.labels])
-    obj, _ = brute_force_optimum(inst)
-    sol = evaluate_solution(inst, x)
-    assert sol.feasible
-    c = canonicalize(inst).objective_vector()
-    assert float(np.dot(c, x)) == pytest.approx(obj, abs=1e-6)
-
-
 def test_iteration_cap_is_respected():
     inst = generate(GenSpec("mk", "tiny", seed=0))
     ls = labeler.generate_labels(inst, LabelConfig(max_iters=1))

@@ -194,17 +194,6 @@ def test_report_csv_layout(tmp_path):
     assert lines[1:] == ["a,0.5", "b,1.0"]
 
 
-def test_report_json_round_trip(tmp_path):
-    import json
-    report = EvalReport(rows=[{"instance": "a", "gap": 0.0}],
-                        summary={"mean_gap": 0.0})
-    path = tmp_path / "report.json"
-    metrics.write_report_json(path, report)
-    data = json.loads(path.read_text())
-    assert data == {"summary": {"mean_gap": 0.0},
-                    "rows": [{"instance": "a", "gap": 0.0}]}
-
-
 def test_curve_csv_layout(tmp_path):
     path = tmp_path / "curve.csv"
     metrics.write_curve_csv(path, [(0.25, 1.0), (1.0, 0.75)])

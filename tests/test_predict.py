@@ -9,9 +9,11 @@ from mippred import bnb, predictor
 from mippred.core import (BINARY, Constraint, MipInstance, Variable,
                           canonicalize, evaluate_solution)
 from mippred.generators import GenSpec, generate
+from mippred.metrics import primal_gap
 from mippred.predictor import (ApplyConfig, APPROXIMATE, EXACT, DEFAULTS,
-                               ETA_GRID, PHI_GRID, approximate_solve,
-                               exact_solve, grid_search, select_S)
+                               ETA_GRID, INFEASIBLE_GAP, PHI_GRID,
+                               approximate_solve, exact_solve, grid_search,
+                               select_S)
 from oracles import TINY_SPECS, brute_force_optimum
 
 
@@ -204,8 +206,8 @@ def test_radius_beyond_selection_collapses_to_left_child():
 def test_singleton_grid_returns_its_pair():
     inst = chain(3)
     z = np.array([0.9, 0.9, 0.9])
-    pair = grid_search([(inst, z, -3.0)], phi_grid=(0,), eta_grid=(1.0,))
-    assert pair == (0, 1.0)
+    best = grid_search([(inst, z, -3.0)], phi_grid=(0,), eta_grid=(1.0,))
+    assert best == (0, 1.0, 0.0)
 
 
 def test_shipped_defaults():
@@ -221,9 +223,9 @@ def test_grid_search_finds_the_better_pair():
     # unit gap while eta 0.75 frees that variable and closes it
     inst = chain(4)
     z = np.array([0.9, 0.9, 0.9, 0.1])
-    pair = grid_search([(inst, z, -4.0)], phi_grid=(0,),
+    best = grid_search([(inst, z, -4.0)], phi_grid=(0,),
                        eta_grid=(0.75, 1.0))
-    assert pair == (0, 0.75)
+    assert best == (0, 0.75, 0.0)
 
 
 def test_grid_search_counts_runs(monkeypatch):
@@ -241,9 +243,19 @@ def test_grid_search_counts_runs(monkeypatch):
         z = np.full(len(inst.binary_indices()), 0.5)
         ref = real(inst).objective
         validation.append((inst, z, ref))
-    grid_search(validation, phi_grid=PHI_GRID, eta_grid=ETA_GRID,
-                cfg=ApplyConfig(solver=bnb.BnbConfig(time_limit_s=2.0)))
+    solver = bnb.BnbConfig(time_limit_s=2.0)
+    phi, eta, gap = grid_search(validation, phi_grid=PHI_GRID,
+                                eta_grid=ETA_GRID,
+                                cfg=ApplyConfig(solver=solver))
     assert calls["n"] == len(PHI_GRID) * len(ETA_GRID) * len(validation)
+    # the returned gap is the chosen pair's mean over the validation runs
+    gaps = []
+    for inst, z, ref in validation:
+        res = approximate_solve(inst, z, ApplyConfig(phi=phi, eta=eta,
+                                                     solver=solver))
+        gaps.append(INFEASIBLE_GAP if res.objective is None
+                    else primal_gap(res.objective, ref))
+    assert gap == float(np.mean(gaps))
 
 
 def test_grid_search_rejects_empty_inputs():

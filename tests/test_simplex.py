@@ -11,9 +11,9 @@ from scipy.optimize import linprog
 
 from mippred import _kernels, bnb, simplex
 from mippred.core import (BINARY, CONTINUOUS, Constraint, MipInstance,
-                          Variable, canonicalize)
+                          RowArrays, Variable, canonicalize)
 from mippred.generators import PROBLEMS, GenSpec, generate
-from oracles import TINY_SPECS, brute_force_optimum
+from oracles import TINY_SPECS, brute_force_optimum, dict_walk
 
 
 def one_var_lp():
@@ -321,6 +321,86 @@ def test_warm_resolve_puts_free_variable_on_its_new_bound():
     assert 0.0 <= wsol.x[0] <= 2.0
 
 
+def test_pivots_count_moves_not_passes():
+    """A warm re-solve from the optimal basis under the same bounds makes
+    no pivot and reports 0; a cold solve reports its pivots, and a cap
+    of that many passes stops the kernel one pass short of proving the
+    status."""
+    canon = canonicalize(generate(GenSpec("mk", "tiny", seed=0)))
+    ws = simplex.LpWorkspace(canon)
+    cold, warm = ws.solve()
+    assert cold.status == simplex.OPTIMAL and cold.fallbacks == 0
+    again, _ = ws.solve(warm=warm)
+    assert again.iterations == 0
+    assert again.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert cold.iterations > 0
+    low, upp = ws.base_low.copy(), ws.base_upp.copy()
+    for cap, want in ((cold.iterations, _kernels.ITER_LIMIT),
+                      (cold.iterations + 1, _kernels.OPTIMAL)):
+        basis, vstat = ws._signed_slack_start(low, upp)
+        status, pivots, _, _ = _kernels.dual_core(
+            ws.sparse, ws.c, low, upp, basis, vstat, np.zeros(ws.n + ws.m),
+            simplex.FEAS_TOL, simplex.PIVOT_TOL, cap, ws.bland_after,
+            simplex.REFACTOR_EVERY)
+        assert (status, pivots) == (want, cold.iterations)
+
+
+def test_rowless_lps_take_the_kernel_path():
+    """LPs without rows run the same attempts as any other LP: bounded
+    columns end on the bound their cost favours, zero-cost and free
+    columns stay where the cold start puts them, and an unbounded LP
+    reports -inf in the minimization form (+inf for a max instance)."""
+    V = Variable
+    bounded = MipInstance(
+        "bounded", "min",
+        [V("x", CONTINUOUS, 0.0, 2.0), V("y", CONTINUOUS, -1.0, 3.0),
+         V("z", CONTINUOUS, -math.inf, 4.0), V("f", CONTINUOUS, -math.inf,
+                                                 math.inf),
+         V("w", CONTINUOUS, 1.0, 2.0)],
+        [], {0: 1.0, 1: -2.0, 2: -1.0})
+    calls = []
+    real = _kernels.dual_core
+
+    def counting(*args):
+        calls.append(args[0].m)
+        return real(*args)
+
+    with mock.patch.object(_kernels, "dual_core", counting):
+        sol = simplex.solve_lp(bounded)
+    assert calls == [0]
+    assert sol.status == simplex.OPTIMAL
+    assert (sol.objective, sol.iterations, sol.fallbacks) == (-10.0, 0, 0)
+    assert sol.x.tolist() == [0.0, 3.0, 4.0, 0.0, 1.0]
+    assert sol.var_status == [simplex.AT_LOWER, simplex.AT_UPPER,
+                              simplex.AT_UPPER, simplex.AT_LOWER,
+                              simplex.AT_LOWER]
+    assert sol.row_status == [] and sol.duals.shape == (0,)
+    for sense, want in (("min", -math.inf), ("max", math.inf)):
+        unbounded = MipInstance(
+            "unbounded", sense,
+            [V("x", CONTINUOUS, 0.0, 2.0),
+             V("y", CONTINUOUS, -math.inf, math.inf)],
+            [], {0: 1.0, 1: 1.0 if sense == "min" else -1.0})
+        sol = simplex.solve_lp(unbounded)
+        assert sol.status == simplex.UNBOUNDED
+        assert sol.objective == want
+
+
+def test_unbounded_lp_with_rows_reports_minus_inf():
+    inst = MipInstance(
+        "ray", "min",
+        [Variable("x", CONTINUOUS, 0.0, math.inf),
+         Variable("y", CONTINUOUS, 0.0, math.inf)],
+        [Constraint("r", {0: 1.0, 1: -1.0}, -math.inf, 1.0)],
+        {0: -1.0, 1: -1.0})
+    sol = simplex.solve_lp(inst)
+    assert sol.status == simplex.UNBOUNDED
+    assert sol.objective == -math.inf
+    inst.sense = "max"
+    inst.objective = {0: 1.0, 1: 1.0}
+    assert simplex.solve_lp(inst).objective == math.inf
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("this kernel must not run")
 
@@ -388,7 +468,7 @@ def prices_dual_feasible(ws, warm):
     """True when the basis of ``warm`` prices dual feasible: no nonbasic
     column could improve the objective by leaving its bound."""
     z = np.zeros(ws.n + ws.m)
-    Binv = _kernels._factor(ws.G, ws.base_low, ws.base_upp, warm.basis,
+    Binv = _kernels._factor(ws.sparse, ws.base_low, ws.base_upp, warm.basis,
                             warm.vstat, z)
     _, d = _kernels._price(ws.sparse, ws.c, warm.basis, Binv)
     return not _kernels._improving(warm.vstat, d, 1e-6).any()
@@ -429,7 +509,7 @@ def test_dual_bland_rule_enters_at_the_smallest_ratio():
     basis, vstat = ws._signed_slack_start(low, upp)
     z = np.zeros(ws.n + ws.m)
     status, _, _, _ = _kernels.dual_core(
-        ws.G, ws.sparse, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
+        ws.sparse, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
         simplex.PIVOT_TOL, ws.max_iter, 0, simplex.REFACTOR_EVERY)
     assert status == _kernels.OPTIMAL
     assert float(ws.c @ z) == pytest.approx(highs_status(inst)[1], abs=1e-7)
@@ -464,7 +544,7 @@ def test_dual_core_rechecks_prices_before_claiming_optimal():
     z = np.zeros(3)
     with mock.patch.object(_kernels, "_price", price):
         status, _, _, _ = _kernels.dual_core(
-            ws.G, ws.sparse, ws.c, low, upp, basis, vstat, z,
+            ws.sparse, ws.c, low, upp, basis, vstat, z,
             simplex.FEAS_TOL, simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
             simplex.REFACTOR_EVERY)
     assert status == _kernels.NOT_DUAL_FEASIBLE
@@ -487,6 +567,16 @@ def _lapack_factor(G, low, upp, basis, vstat):
     return Binv, z
 
 
+def _block(G, n):
+    """The kernels' ``SparseBlock`` of the first n columns of a dense
+    ``G``, entries in row-major order."""
+    m = G.shape[0]
+    r, q = G[:, :n].nonzero()
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=m))))
+    return _kernels.sparse_block(
+        RowArrays(indptr, q, G[r, q], np.zeros(m), np.zeros(m)), n)
+
+
 def _random_factor_case(rng, m):
     n = int(rng.integers(1, 2 * m + 2))
     A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.4)
@@ -498,7 +588,7 @@ def _random_factor_case(rng, m):
     return n, G, low, upp, vstat
 
 
-def _factor_counting_inv(monkeypatch, G, low, upp, basis, vstat):
+def _factor_counting_inv(monkeypatch, sp, low, upp, basis, vstat):
     """``_factor`` output (the transposed inverse and the point) and the
     shapes ``np.linalg.inv`` was called on."""
     inv = np.linalg.inv
@@ -509,8 +599,8 @@ def _factor_counting_inv(monkeypatch, G, low, upp, basis, vstat):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    z = np.zeros(G.shape[1])
-    T = _kernels._factor(G, low, upp, basis, vstat, z)
+    z = np.zeros(sp.n + sp.m)
+    T = _kernels._factor(sp, low, upp, basis, vstat, z)
     monkeypatch.setattr(np.linalg, "inv", inv)
     return T, z, calls
 
@@ -523,20 +613,20 @@ def _close(got, want):
 
 @pytest.mark.parametrize("m", [1, 5, 76])
 def test_all_slack_factor_equals_lapack_bitwise(m, monkeypatch):
-    """The all-slack inverse is written, not inverted: its transpose and
-    the basic point have LAPACK's bytes."""
+    """The all-slack inverse is written, not inverted: its transpose has
+    LAPACK's bytes, and the basic point is LAPACK's within 1e-12."""
     rng = np.random.default_rng(m)
     for trial in range(4):
         n, G, low, upp, vstat = _random_factor_case(rng, m)
         order = np.arange(m) if trial == 0 else rng.permutation(m)
         basis = (n + order).astype(np.int64)
         vstat[basis] = _kernels.BASIC
-        T, z, calls = _factor_counting_inv(monkeypatch, G, low, upp,
-                                           basis, vstat)
+        T, z, calls = _factor_counting_inv(monkeypatch, _block(G, n), low,
+                                           upp, basis, vstat)
         ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
         assert calls == [], trial
         assert T.T.tobytes() == ref_Binv.tobytes(), trial
-        assert z.tobytes() == ref_z.tobytes(), trial
+        _close(z, ref_z)
 
 
 def test_basis_with_a_structural_is_inverted_by_lapack(monkeypatch):
@@ -547,8 +637,8 @@ def test_basis_with_a_structural_is_inverted_by_lapack(monkeypatch):
     G[:, 0] = 1.0  # a column that makes any basis holding it nonsingular
     basis = np.array([0] + [n + i for i in range(1, m)], dtype=np.int64)
     vstat[basis] = _kernels.BASIC
-    T, z, calls = _factor_counting_inv(monkeypatch, G, low, upp, basis,
-                                       vstat)
+    T, z, calls = _factor_counting_inv(monkeypatch, _block(G, n), low, upp,
+                                       basis, vstat)
     ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
     assert calls == [(1, 1)]
     _close(T.T, ref_Binv)
@@ -570,15 +660,15 @@ def _typed_rows_instance(rng, n, m):
                        {j: float(rng.normal()) for j in range(n)})
 
 
-def _random_basis(rng, ws, k):
-    """A basis with k structurals whose kernel is well conditioned: the
-    structurals against k rows whose slacks are nonbasic, positions
-    shuffled."""
-    n, m = ws.n, ws.m
+def _random_basis(rng, G, n, k):
+    """A basis of the dense ``G`` (n structurals) with k structurals whose
+    kernel is well conditioned: the structurals against k rows whose
+    slacks are nonbasic, positions shuffled."""
+    m = G.shape[0]
     for _ in range(200):
         cols = rng.choice(n, size=k, replace=False)
         live = rng.choice(m, size=k, replace=False)
-        if k and np.linalg.cond(ws.G[np.ix_(live, cols)]) > 1e3:
+        if k and np.linalg.cond(G[np.ix_(live, cols)]) > 1e3:
             continue
         slacks = n + np.setdiff1d(np.arange(m), live)
         return rng.permutation(np.concatenate((cols, slacks))).astype(np.int64)
@@ -596,19 +686,19 @@ def test_kernel_factor_matches_lapack_inverse():
                            S=np.arange(0, canon.n_vars, 2), phi=2)
     for lp_inst in (canon, bnb._with_distance(canon, ball)[0]):
         ws = simplex.LpWorkspace(lp_inst)
+        G = dict_walk(lp_inst)[0]
         low, upp = ws.base_low, ws.base_upp
         for k in (0, 1, ws.m // 2, ws.m - 1, ws.m):
             for _ in range(3):
-                basis = _random_basis(rng, ws, k)
+                basis = _random_basis(rng, G, ws.n, k)
                 vstat = np.where(np.isfinite(low), _kernels.AT_LOWER,
                                  _kernels.AT_UPPER).astype(np.int8)
                 vstat[rng.random(len(vstat)) < 0.3] = _kernels.AT_UPPER
                 vstat[~np.isfinite(upp)] = _kernels.AT_LOWER
                 vstat[basis] = _kernels.BASIC
                 z = np.zeros(ws.n + ws.m)
-                T = _kernels._factor(ws.G, low, upp, basis, vstat, z)
-                ref_Binv, ref_z = _lapack_factor(ws.G, low, upp, basis,
-                                                 vstat)
+                T = _kernels._factor(ws.sparse, low, upp, basis, vstat, z)
+                ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
                 _close(T.T, ref_Binv)
                 _close(z, ref_z)
 
@@ -627,7 +717,7 @@ def test_sparse_products_match_dense(problem):
     rng = np.random.default_rng(7)
     for lp_inst in (canon, bnb._with_distance(canon, ball)[0]):
         ws = simplex.LpWorkspace(lp_inst)
-        G, sp, N = ws.G, ws.sparse, ws.n + ws.m
+        G, sp, N = dict_walk(lp_inst)[0], ws.sparse, ws.n + ws.m
         T = rng.standard_normal((ws.m, ws.m))
         Binv = T.T
         for r in range(ws.m):
@@ -655,9 +745,10 @@ def _bound(draw, finite_share):
 
 @st.composite
 def small_lps(draw):
-    """Random LPs with <=, >=, = and ranged rows and mixed bounds."""
+    """Random LPs with <=, >=, = and ranged rows (or none) and mixed
+    bounds."""
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 5))
     variables = []
     for j in range(n):
         lb = _bound(draw, 0.9)
@@ -764,7 +855,7 @@ def test_cold_dual_matches_primal_core(inst):
     basis, vstat = ws._cold_start(low, upp)
     z = np.zeros(ws.n + ws.m)
     status, _, _, _ = _kernels.simplex_core(
-        ws.G, ws.sparse, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
+        ws.sparse, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
         simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
         simplex.REFACTOR_EVERY)
     assert sol.status == simplex._STATUS_NAME[status]
@@ -802,15 +893,15 @@ def test_dual_core_refactors_and_rechecks(inst, refactor_every):
     with mock.patch.object(_kernels, "_factor", factor), \
             mock.patch.object(_kernels, "_price", price):
         status, iters, _, d = _kernels.dual_core(
-            ws.G, ws.sparse, ws.c, low, upp, basis, vstat, z,
+            ws.sparse, ws.c, low, upp, basis, vstat, z,
             simplex.FEAS_TOL, simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
             refactor_every)
 
     assert status in (_kernels.OPTIMAL, _kernels.INFEASIBLE)
     hstatus, fun = highs_status(inst)
     assert _STATUS_CODE[simplex._STATUS_NAME[status]] == hstatus
-    # every loop round but the last made a pivot
-    pivots = iters - 1
+    # the kernel counts pivots, not loop rounds
+    pivots = iters
     kinds = [kind for kind, _ in calls]
     assert kinds.count("factor") == 1 + pivots // refactor_every
     assert kinds[-1] == "price"
@@ -818,7 +909,7 @@ def test_dual_core_refactors_and_rechecks(inst, refactor_every):
         if kind == "factor":
             assert after == "price" and priced is Binv
 
-    Binv = _kernels._factor(ws.G, low, upp, basis, vstat, z.copy())
+    Binv = _kernels._factor(ws.sparse, low, upp, basis, vstat, z.copy())
     _, fresh = _kernels._price(ws.sparse, ws.c, basis, Binv)
     np.testing.assert_allclose(d, fresh, rtol=0.0, atol=1e-9)
     if status == _kernels.OPTIMAL:
