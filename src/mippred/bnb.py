@@ -16,7 +16,7 @@ list with two root boxes, ``d <= phi`` (plunged first) and ``d >= phi +
 budget.  A solve without a ball has no ``d``.
 
 Also here: the root-information pass used by feature extraction
-(presolve, root LP, up/down locks, zeroed pseudocosts).
+(presolve, root LP, up/down locks).
 """
 
 from __future__ import annotations
@@ -123,8 +123,6 @@ class RootInfo:
     lp: LpSolution
     up_locks: np.ndarray
     down_locks: np.ndarray
-    pseudocost_up: np.ndarray
-    pseudocost_down: np.ndarray
     objective_offset: float
     rows: RowArrays
 
@@ -390,16 +388,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         frac = np.minimum(frac, 1.0 - frac)
         k = int(np.argmax(frac)) if ints.size else 0
         if not ints.size or not frac[k] > INT_TOL:
-            x_snap = x_lp.copy()
-            x_snap[ints] = np.round(xi) + 0.0
-            cand = evaluate_solution(inst, x_snap)
-            cand_min = float(np.dot(c_min, x_snap))
-            if cand.feasible and cand_min < inc_min:
-                incumbent = cand
-                inc_min = cand_min
-                if cfg.mode == FIRST_FEASIBLE:
-                    stop = "first_feasible"
-                    break
+            # an integral leaf: rounding probe 0 has judged its point
             continue
 
         frac_j = int(ints[k])
@@ -482,12 +471,10 @@ def _presolve(canon: MipInstance):
 
 
 def collect_root_info(inst: MipInstance) -> RootInfo:
-    """Presolve, solve the root LP, and compute locks and pseudocosts.
+    """Presolve, solve the root LP, and compute locks.
 
-    Pseudocosts are all zero at the root; consumers guard derived ratios
-    with +1 denominators.  Locks count the rows that can be violated by
-    moving a variable up respectively down (an equality row counts for
-    both directions).
+    Locks count the rows that can be violated by moving a variable up
+    respectively down (an equality row counts for both directions).
     """
     canon = canonicalize(inst)
     reduced, offset = _presolve(canon)
@@ -505,8 +492,6 @@ def collect_root_info(inst: MipInstance) -> RootInfo:
         lp=lp,
         up_locks=up,
         down_locks=down,
-        pseudocost_up=np.zeros(n),
-        pseudocost_down=np.zeros(n),
         objective_offset=offset,
         rows=ra,
     )

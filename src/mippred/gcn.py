@@ -1,23 +1,30 @@
 """Tripartite graph convolutional network with edge attention.
 
 The forward pass embeds variable, constraint and objective nodes into a
-shared hidden dimension and then runs T transitions, each a four-step
-exchange: variables inform the objective node, the objective and the
-variables inform each constraint, constraints inform the objective, and
-finally the objective and the constraints inform each variable.  Every
-aggregation is a convex combination whose weights come from a sigmoid
-scoring of (center embedding, raw edge features, neighbor embedding),
-normalized per neighborhood.  The output layer turns the concatenation
-of a variable's initial and final embeddings into a probability.
+shared hidden dimension and then runs T transitions.  A transition is
+two mirrored halves: variables -> objective -> constraints, then
+constraints -> objective -> variables, whose sources are the
+constraints the first half just updated.  One half, from source to
+target nodes,
+1. aggregates every source into the objective node by global attention
+   (the paper's step 1, respectively 3),
+2. aggregates each target's source neighbors by per-edge attention,
+3. refreshes the objective from the targets and updates each target
+   from the objective and its aggregate (step 2, respectively 4).
+Every aggregation is a convex combination whose weights come from a
+sigmoid scoring of (center embedding, raw edge features, neighbor
+embedding), normalized per neighborhood.  The output layer turns the
+concatenation of a variable's initial and final embeddings into a
+probability.
 
-Two aggregation modes exist.  The default refreshes the objective
-embedding once per step with the mean over the other side's embeddings,
+Two modes exist for the objective refresh.  The default refreshes the
+objective embedding once with the mean over the targets' embeddings,
 which makes the network permutation equivariant.  The literal mode
 instead re-updates the objective embedding inside a sequential loop
-over constraints respectively variables, reproducing the pseudocode
-form of the update order-dependently.  Gradients are hand-derived
-reverse mode for both modes; correctness is pinned by finite-difference
-tests.
+over the targets, reproducing the pseudocode form of the update
+order-dependently.  The half is written once, as a forward and a
+hand-derived reverse-mode backward covering both modes; correctness is
+pinned by finite-difference tests.
 
 The public entry points (``forward``, ``loss_and_gradients``,
 ``gradients``, ``train``) check the hyperparameters and, where the
@@ -35,6 +42,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,19 +127,43 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Segment helpers (variable-constraint edges grouped by either endpoint)
 
-_SEG_CACHE: "weakref.WeakKeyDictionary[TriGraph, tuple]" = weakref.WeakKeyDictionary()
 
+class _Half(NamedTuple):
+    """Graph data of one half-transition from source nodes ``src`` to
+    target nodes ``dst`` (the letters ``v``/``c`` of the parameter names).
 
-def _segments(graph: TriGraph):
-    """(s_cons, s_var, counts_c, counts_v), cached per graph object.
-
-    ``s_cons``/``s_var`` are sparse indicator matrices summing per-edge
-    rows per constraint and per variable; the counts are the segment
-    sizes.  One-dimensional segment sums use ``np.bincount`` instead,
-    which adds in edge order exactly like the CSR product; numpy's 2-D
-    ``np.add.reduceat`` does not, so the 2-D sums stay CSR.
+    ``e_src``/``e_dst`` give each variable-constraint edge's source and
+    target index; ``sum_src``/``sum_dst`` are sparse indicator matrices
+    summing per-edge rows per source and per target node; ``counts_dst``
+    are the target segment sizes; ``obj_feats`` are the features of the
+    source-objective edges, ``edge_feats`` those of the
+    variable-constraint edges.  One-dimensional segment sums use
+    ``np.bincount`` instead, which adds in edge order exactly like the
+    CSR product; numpy's 2-D ``np.add.reduceat`` does not, so the 2-D
+    sums stay CSR.
     """
-    hit = _SEG_CACHE.get(graph)
+
+    src: str
+    dst: str
+    n_src: int
+    n_dst: int
+    e_src: np.ndarray
+    e_dst: np.ndarray
+    sum_src: object
+    sum_dst: object
+    counts_dst: np.ndarray
+    obj_feats: np.ndarray
+    edge_feats: np.ndarray
+
+
+_HALF_CACHE: "weakref.WeakKeyDictionary[TriGraph, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _halves(graph: TriGraph) -> tuple[_Half, _Half]:
+    """The two halves of a transition, variables -> constraints and
+    constraints -> variables, cached per graph object."""
+    hit = _HALF_CACHE.get(graph)
     if hit is not None:
         return hit
     # imported here so that importing the package does not load scipy
@@ -144,7 +176,13 @@ def _segments(graph: TriGraph):
                           shape=(graph.n_vars, ne))
     counts_c = np.bincount(graph.vc_cons, minlength=graph.n_cons)
     counts_v = np.bincount(graph.vc_var, minlength=graph.n_vars)
-    hit = _SEG_CACHE[graph] = (s_cons, s_var, counts_c, counts_v)
+    hit = _HALF_CACHE[graph] = (
+        _Half("v", "c", graph.n_vars, graph.n_cons, graph.vc_var,
+              graph.vc_cons, s_var, s_cons, counts_c, graph.vo_feats,
+              graph.vc_feats),
+        _Half("c", "v", graph.n_cons, graph.n_vars, graph.vc_cons,
+              graph.vc_var, s_cons, s_var, counts_v, graph.co_feats,
+              graph.vc_feats))
     return hit
 
 
@@ -215,129 +253,87 @@ def _forward_tape(graph: TriGraph, params, hyper: GcnHyper, for_backward):
     an attention input past its scoring, which keeps its peak memory at
     that of a pass that keeps none.
     """
-    d = hyper.hidden_dim
-    nv, nc = graph.n_vars, graph.n_cons
-    s_cons, s_var, counts_c, counts_v = _segments(graph)
-    ev, ec = graph.vc_var, graph.vc_cons
-
-    Hv = graph.var_feats @ params["emb_var_w"].T + params["emb_var_b"]
-    Hc = graph.cons_feats @ params["emb_cons_w"].T + params["emb_cons_b"]
+    Hv0 = graph.var_feats @ params["emb_var_w"].T + params["emb_var_b"]
+    emb = {"v": Hv0,
+           "c": graph.cons_feats @ params["emb_cons_w"].T
+           + params["emb_cons_b"]}
     ho = params["emb_obj_w"] @ graph.obj_feats + params["emb_obj_b"]
-    Hv0 = Hv
-    tape = {"Hv0": Hv0, "Hc0": Hc, "ho0": ho, "steps": []}
-
+    halves = []
     for t in range(1, hyper.transitions + 1):
-        rec = {"Hv_prev": Hv, "Hc_prev": Hc, "ho_prev": ho}
+        for h in _halves(graph):
+            rec = _half_forward(h, emb[h.src], emb[h.dst], ho, params, t,
+                                hyper, for_backward)
+            emb[h.dst], ho = rec["Hd_new"], rec["ho_new"]
+            halves.append((t, h, rec))
 
-        # step 1: variables -> objective
-        r1, a1, st1 = _global_attention(ho, Hv, graph.vo_feats,
-                                        params["att_v_to_o"], hyper.attention,
-                                        for_backward)
-        agg1 = a1 @ Hv if nv else np.zeros(d)
-        pre1 = params[f"w_vo_{t}"] @ np.concatenate([ho, agg1])
-        ho_s1 = np.maximum(pre1, 0.0)
-        rec.update(r1=r1, a1=a1, agg1=agg1, pre1=pre1, ho_s1=ho_s1)
-
-        # per-edge attention for the constraint updates (center is the
-        # previous constraint embedding)
-        Hv_ev = Hv[ev]
-        r2, a2, st2 = _edge_attention(Hc[ec], Hv_ev, graph.vc_feats,
-                                      params["att_v_to_c"], counts_c, ec,
-                                      hyper.attention, for_backward)
-        aggc = s_cons @ (a2[:, None] * Hv_ev) if len(ev) else np.zeros((nc, d))
-        rec.update(r2=r2, a2=a2, aggc=aggc)
-
-        # step 2: objective refresh plus constraint updates
-        if hyper.literal_loops:
-            chain = np.zeros((nc + 1, d))
-            chain[0] = ho_s1
-            pre2a = np.zeros((nc, d))
-            preC = np.zeros((nc, d))
-            for i in range(nc):
-                pre2a[i] = params[f"w_oc_{t}"] @ np.concatenate([chain[i], Hc[i]])
-                chain[i + 1] = np.maximum(pre2a[i], 0.0)
-                preC[i] = params[f"w_vc_{t}"] @ np.concatenate(
-                    [chain[i + 1], aggc[i]])
-            Hc_new = np.maximum(preC, 0.0)
-            ho_s2 = chain[nc]
-            rec.update(chain2=chain, pre2a=pre2a, preC=preC, Hc_new=Hc_new,
-                       ho_s2=ho_s2)
-        else:
-            if nc:
-                hcmean = Hc.mean(axis=0)
-                pre2 = params[f"w_oc_{t}"] @ np.concatenate([ho_s1, hcmean])
-                ho_s2 = np.maximum(pre2, 0.0)
-            else:
-                hcmean, pre2, ho_s2 = None, None, ho_s1
-            rows2 = np.concatenate(
-                [np.broadcast_to(ho_s2, (nc, d)), aggc], axis=1)
-            preC = rows2 @ params[f"w_vc_{t}"].T
-            Hc_new = np.maximum(preC, 0.0)
-            rec.update(hcmean=hcmean, pre2=pre2, ho_s2=ho_s2, rows2=rows2,
-                       preC=preC, Hc_new=Hc_new)
-
-        # step 3: constraints -> objective (center is the current h_o)
-        r3, a3, st3 = _global_attention(ho_s2, Hc_new, graph.co_feats,
-                                        params["att_c_to_o"], hyper.attention,
-                                        for_backward)
-        agg3 = a3 @ Hc_new if nc else np.zeros(d)
-        pre3 = params[f"w_co_{t}"] @ np.concatenate([ho_s2, agg3])
-        ho_s3 = np.maximum(pre3, 0.0)
-        rec.update(r3=r3, a3=a3, agg3=agg3, pre3=pre3, ho_s3=ho_s3)
-
-        # per-edge attention for the variable updates (center is the
-        # previous variable embedding, neighbors the fresh constraints)
-        Hc_ec = Hc_new[ec]
-        r4, a4, st4 = _edge_attention(Hv_ev, Hc_ec, graph.vc_feats,
-                                      params["att_c_to_v"], counts_v, ev,
-                                      hyper.attention, for_backward)
-        aggv = s_var @ (a4[:, None] * Hc_ec) if len(ev) else np.zeros((nv, d))
-        rec.update(r4=r4, a4=a4, aggv=aggv)
-
-        # step 4: objective refresh plus variable updates
-        if hyper.literal_loops:
-            chain = np.zeros((nv + 1, d))
-            chain[0] = ho_s3
-            pre4a = np.zeros((nv, d))
-            preV = np.zeros((nv, d))
-            for j in range(nv):
-                pre4a[j] = params[f"w_ov_{t}"] @ np.concatenate([chain[j], Hv[j]])
-                chain[j + 1] = np.maximum(pre4a[j], 0.0)
-                preV[j] = params[f"w_cv_{t}"] @ np.concatenate(
-                    [chain[j + 1], aggv[j]])
-            Hv_new = np.maximum(preV, 0.0)
-            ho_s4 = chain[nv]
-            rec.update(chain4=chain, pre4a=pre4a, preV=preV, Hv_new=Hv_new,
-                       ho_s4=ho_s4)
-        else:
-            if nv:
-                hvmean = Hv.mean(axis=0)
-                pre4 = params[f"w_ov_{t}"] @ np.concatenate([ho_s3, hvmean])
-                ho_s4 = np.maximum(pre4, 0.0)
-            else:
-                hvmean, pre4, ho_s4 = None, None, ho_s3
-            rows4 = np.concatenate(
-                [np.broadcast_to(ho_s4, (nv, d)), aggv], axis=1)
-            preV = rows4 @ params[f"w_cv_{t}"].T
-            Hv_new = np.maximum(preV, 0.0)
-            rec.update(hvmean=hvmean, pre4=pre4, ho_s4=ho_s4, rows4=rows4,
-                       preV=preV, Hv_new=Hv_new)
-
-        if for_backward:
-            rec.update(st1=st1, st2=st2, st3=st3, st4=st4, Hv_ev=Hv_ev,
-                       Hc_ec=Hc_ec)
-        # inference frees the per-edge gathers before the next transition
-        del Hv_ev, Hc_ec
-        Hv, Hc, ho = rec["Hv_new"], rec["Hc_new"], rec["ho_s4"]
-        tape["steps"].append(rec)
-
-    u = np.concatenate([Hv0, Hv], axis=1)
+    u = np.concatenate([Hv0, emb["v"]], axis=1)
     a_out = u @ params["out_w1"].T + params["out_b1"]
     r_out = np.maximum(a_out, 0.0)
-    logits = r_out @ params["out_w2"][0] + params["out_b2"][0]
-    z = _sigmoid(logits)
-    tape.update(u=u, a_out=a_out, r_out=r_out, logits=logits, z=z, HvT=Hv)
-    return z, tape
+    z = _sigmoid(r_out @ params["out_w2"][0] + params["out_b2"][0])
+    return z, {"halves": halves, "u": u, "a_out": a_out, "r_out": r_out,
+               "z": z}
+
+
+def _half_forward(h: _Half, Hs, Hd, ho, params, t, hyper: GcnHyper, keep):
+    """The record of one half-transition of transition ``t`` from the
+    source embeddings ``Hs`` to the target embeddings ``Hd``, ending in
+    the new target embeddings ``Hd_new`` and objective ``ho_new``.
+
+    Steps 1 and 3 of the paper's four: the source informs the objective
+    by global attention.  Then each target aggregates its source
+    neighbors by per-edge attention, centred on its previous embedding.
+    Steps 2 and 4: the objective is refreshed from the targets and every
+    target is updated from the objective and its aggregate.  With
+    ``keep`` the record also holds the attention inputs and the source
+    gather for the backward pass.
+    """
+    d = hyper.hidden_dim
+    s, dst = h.src, h.dst
+    r_o, a_o, st_o = _global_attention(ho, Hs, h.obj_feats,
+                                       params[f"att_{s}_to_o"],
+                                       hyper.attention, keep)
+    agg_o = a_o @ Hs if h.n_src else np.zeros(d)
+    pre_o = params[f"w_{s}o_{t}"] @ np.concatenate([ho, agg_o])
+    ho_o = np.maximum(pre_o, 0.0)
+
+    Hs_e = Hs[h.e_src]
+    r_e, a_e, st_e = _edge_attention(Hd[h.e_dst], Hs_e, h.edge_feats,
+                                     params[f"att_{s}_to_{dst}"],
+                                     h.counts_dst, h.e_dst, hyper.attention,
+                                     keep)
+    agg = h.sum_dst @ (a_e[:, None] * Hs_e) if len(h.e_src) \
+        else np.zeros((h.n_dst, d))
+    rec = dict(Hs=Hs, Hd=Hd, ho=ho, r_o=r_o, a_o=a_o, agg_o=agg_o,
+               pre_o=pre_o, ho_o=ho_o, r_e=r_e, a_e=a_e, agg=agg)
+
+    w_od, w_sd = params[f"w_o{dst}_{t}"], params[f"w_{s}{dst}_{t}"]
+    if hyper.literal_loops:
+        # the objective is re-updated after each target in turn
+        chain = np.zeros((h.n_dst + 1, d))
+        chain[0] = ho_o
+        pre_a = np.zeros((h.n_dst, d))
+        pre_d = np.zeros((h.n_dst, d))
+        for i in range(h.n_dst):
+            pre_a[i] = w_od @ np.concatenate([chain[i], Hd[i]])
+            chain[i + 1] = np.maximum(pre_a[i], 0.0)
+            pre_d[i] = w_sd @ np.concatenate([chain[i + 1], agg[i]])
+        ho_new = chain[h.n_dst]
+        rec.update(chain=chain, pre_a=pre_a)
+    else:
+        if h.n_dst:
+            hdmean = Hd.mean(axis=0)
+            pre_m = w_od @ np.concatenate([ho_o, hdmean])
+            ho_new = np.maximum(pre_m, 0.0)
+        else:
+            hdmean, pre_m, ho_new = None, None, ho_o
+        rows = np.concatenate(
+            [np.broadcast_to(ho_new, (h.n_dst, d)), agg], axis=1)
+        pre_d = rows @ w_sd.T
+        rec.update(hdmean=hdmean, pre_m=pre_m, rows=rows)
+    rec.update(pre_d=pre_d, Hd_new=np.maximum(pre_d, 0.0), ho_new=ho_new)
+    if keep:
+        rec.update(st_o=st_o, st_e=st_e, Hs_e=Hs_e)
+    return rec
 
 
 def _check_shapes(params, hyper: GcnHyper) -> None:
@@ -430,11 +426,6 @@ def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz, grads):
     """Add the loss gradients to ``grads``, zero arrays keyed like
     ``params``, from a tape recorded with ``for_backward``."""
     d = hyper.hidden_dim
-    nv, nc = graph.n_vars, graph.n_cons
-    s_cons, s_var, _, _ = _segments(graph)
-    ev, ec = graph.vc_var, graph.vc_cons
-    att_on = hyper.attention
-
     z = tape["z"]
     dlogits = dz * z * (1.0 - z)
     grads["out_b2"][0] = dlogits.sum()
@@ -444,152 +435,97 @@ def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz, grads):
     grads["out_w1"] += da_out.T @ tape["u"]
     grads["out_b1"] += da_out.sum(axis=0)
     du = da_out @ params["out_w1"]
-    gHv0_out = du[:, :d]
-    gHv = du[:, d:].copy()
-    gHc = np.zeros((nc, d))
+
+    g_emb = {"v": du[:, d:], "c": np.zeros((graph.n_cons, d))}
     gho = np.zeros(d)
+    for t, h, rec in reversed(tape["halves"]):
+        g_emb[h.dst], gho = _half_backward(h, rec, params, t, hyper,
+                                           g_emb[h.dst], gho, g_emb[h.src],
+                                           grads)
 
-    for t in range(hyper.transitions, 0, -1):
-        rec = tape["steps"][t - 1]
-        Hv_prev, Hc_prev, ho_prev = rec["Hv_prev"], rec["Hc_prev"], rec["ho_prev"]
-        gHv_prev = np.zeros((nv, d))
-        gHc_prev = np.zeros((nc, d))
-        gHc_new = gHc
-        gho_s2 = np.zeros(d)
-
-        # ---- step 4 backward
-        if hyper.literal_loops:
-            chain, pre4a, preV = rec["chain4"], rec["pre4a"], rec["preV"]
-            d_preV = gHv * (preV > 0)
-            d_aggv = d_preV @ params[f"w_cv_{t}"][:, d:]
-            gh = gho.copy()
-            for j in range(nv - 1, -1, -1):
-                gh += params[f"w_cv_{t}"][:, :d].T @ d_preV[j]
-                grads[f"w_cv_{t}"] += d_preV[j][:, None] * np.concatenate(
-                    [chain[j + 1], rec["aggv"][j]])
-                d_pa = gh * (pre4a[j] > 0)
-                grads[f"w_ov_{t}"] += d_pa[:, None] * np.concatenate(
-                    [chain[j], Hv_prev[j]])
-                gHv_prev[j] += params[f"w_ov_{t}"][:, d:].T @ d_pa
-                gh = params[f"w_ov_{t}"][:, :d].T @ d_pa
-            gho_s3 = gh
-        else:
-            d_preV = gHv * (rec["preV"] > 0)
-            grads[f"w_cv_{t}"] += d_preV.T @ rec["rows4"]
-            gho_s4 = gho + (d_preV @ params[f"w_cv_{t}"][:, :d]).sum(axis=0)
-            d_aggv = d_preV @ params[f"w_cv_{t}"][:, d:]
-            if nv:
-                d_pre4 = gho_s4 * (rec["pre4"] > 0)
-                grads[f"w_ov_{t}"] += d_pre4[:, None] * np.concatenate(
-                    [rec["ho_s3"], rec["hvmean"]])
-                gho_s3 = params[f"w_ov_{t}"][:, :d].T @ d_pre4
-                gHv_prev += (params[f"w_ov_{t}"][:, d:].T @ d_pre4) / nv
-            else:
-                gho_s3 = gho_s4
-
-        # aggv = sum over edges of a4 * Hc_new[neighbor], grouped by var
-        if len(ev):
-            gathered = d_aggv[ev]
-            gHc_new = gHc_new + s_cons @ (rec["a4"][:, None] * gathered)
-            if att_on:
-                d_a4 = np.einsum("ed,ed->e", gathered, rec["Hc_ec"])
-                d_r4 = _softmax_backward(rec["a4"], d_a4, ev, nv)
-                d_s4 = d_r4 * rec["r4"] * (1.0 - rec["r4"])
-                att = params["att_c_to_v"]
-                grads["att_c_to_v"] += rec["st4"].T @ d_s4
-                gHv_prev += np.bincount(ev, weights=d_s4,
-                                        minlength=nv)[:, None] * att[:d]
-                gHc_new = gHc_new + np.bincount(
-                    ec, weights=d_s4, minlength=nc)[:, None] * att[d + 2:]
-
-        # ---- step 3 backward
-        d_pre3 = gho_s3 * (rec["pre3"] > 0)
-        grads[f"w_co_{t}"] += d_pre3[:, None] * np.concatenate(
-            [rec["ho_s2"], rec["agg3"]])
-        gho_s2 += params[f"w_co_{t}"][:, :d].T @ d_pre3
-        d_agg3 = params[f"w_co_{t}"][:, d:].T @ d_pre3
-        if nc:
-            d_a3 = rec["Hc_new"] @ d_agg3
-            gHc_new = gHc_new + rec["a3"][:, None] * d_agg3
-            if att_on:
-                d_r3 = _softmax_backward(rec["a3"], d_a3)
-                d_s3 = d_r3 * rec["r3"] * (1.0 - rec["r3"])
-                att = params["att_c_to_o"]
-                grads["att_c_to_o"] += rec["st3"].T @ d_s3
-                gho_s2 += d_s3.sum() * att[:d]
-                gHc_new = gHc_new + d_s3[:, None] * att[d + 2:]
-
-        # ---- step 2 backward
-        if hyper.literal_loops:
-            chain, pre2a, preC = rec["chain2"], rec["pre2a"], rec["preC"]
-            d_preC = gHc_new * (preC > 0)
-            d_aggc = d_preC @ params[f"w_vc_{t}"][:, d:]
-            gh = gho_s2.copy()
-            for i in range(nc - 1, -1, -1):
-                gh += params[f"w_vc_{t}"][:, :d].T @ d_preC[i]
-                grads[f"w_vc_{t}"] += d_preC[i][:, None] * np.concatenate(
-                    [chain[i + 1], rec["aggc"][i]])
-                d_pa = gh * (pre2a[i] > 0)
-                grads[f"w_oc_{t}"] += d_pa[:, None] * np.concatenate(
-                    [chain[i], Hc_prev[i]])
-                gHc_prev[i] += params[f"w_oc_{t}"][:, d:].T @ d_pa
-                gh = params[f"w_oc_{t}"][:, :d].T @ d_pa
-            gho_s1 = gh
-        else:
-            d_preC = gHc_new * (rec["preC"] > 0)
-            grads[f"w_vc_{t}"] += d_preC.T @ rec["rows2"]
-            gho_s2 += (d_preC @ params[f"w_vc_{t}"][:, :d]).sum(axis=0)
-            d_aggc = d_preC @ params[f"w_vc_{t}"][:, d:]
-            if nc:
-                d_pre2 = gho_s2 * (rec["pre2"] > 0)
-                grads[f"w_oc_{t}"] += d_pre2[:, None] * np.concatenate(
-                    [rec["ho_s1"], rec["hcmean"]])
-                gho_s1 = params[f"w_oc_{t}"][:, :d].T @ d_pre2
-                gHc_prev += (params[f"w_oc_{t}"][:, d:].T @ d_pre2) / nc
-            else:
-                gho_s1 = gho_s2
-
-        # aggc = sum over edges of a2 * Hv_prev[neighbor], grouped by cons
-        if len(ev):
-            gathered = d_aggc[ec]
-            gHv_prev += s_var @ (rec["a2"][:, None] * gathered)
-            if att_on:
-                d_a2 = np.einsum("ed,ed->e", gathered, rec["Hv_ev"])
-                d_r2 = _softmax_backward(rec["a2"], d_a2, ec, nc)
-                d_s2 = d_r2 * rec["r2"] * (1.0 - rec["r2"])
-                att = params["att_v_to_c"]
-                grads["att_v_to_c"] += rec["st2"].T @ d_s2
-                gHc_prev += np.bincount(ec, weights=d_s2,
-                                        minlength=nc)[:, None] * att[:d]
-                gHv_prev += np.bincount(ev, weights=d_s2,
-                                        minlength=nv)[:, None] * att[d + 2:]
-
-        # ---- step 1 backward
-        d_pre1 = gho_s1 * (rec["pre1"] > 0)
-        grads[f"w_vo_{t}"] += d_pre1[:, None] * np.concatenate(
-            [ho_prev, rec["agg1"]])
-        gho_prev = params[f"w_vo_{t}"][:, :d].T @ d_pre1
-        d_agg1 = params[f"w_vo_{t}"][:, d:].T @ d_pre1
-        if nv:
-            d_a1 = Hv_prev @ d_agg1
-            gHv_prev += rec["a1"][:, None] * d_agg1
-            if att_on:
-                d_r1 = _softmax_backward(rec["a1"], d_a1)
-                d_s1 = d_r1 * rec["r1"] * (1.0 - rec["r1"])
-                att = params["att_v_to_o"]
-                grads["att_v_to_o"] += rec["st1"].T @ d_s1
-                gho_prev += d_s1.sum() * att[:d]
-                gHv_prev += d_s1[:, None] * att[d + 2:]
-
-        gHv, gHc, gho = gHv_prev, gHc_prev, gho_prev
-
-    gHv0 = gHv + gHv0_out
+    gHv0 = g_emb["v"] + du[:, :d]
     grads["emb_var_w"] += gHv0.T @ graph.var_feats
     grads["emb_var_b"] += gHv0.sum(axis=0)
-    grads["emb_cons_w"] += gHc.T @ graph.cons_feats
-    grads["emb_cons_b"] += gHc.sum(axis=0)
+    grads["emb_cons_w"] += g_emb["c"].T @ graph.cons_feats
+    grads["emb_cons_b"] += g_emb["c"].sum(axis=0)
     grads["emb_obj_w"] += gho[:, None] * graph.obj_feats
     grads["emb_obj_b"] += gho
+
+
+def _half_backward(h: _Half, rec, params, t, hyper: GcnHyper, gHd_new,
+                   gho_new, gHs, grads):
+    """Reverse ``_half_forward`` from the gradients of its outputs,
+    ``gHd_new`` and ``gho_new``: add the parameter gradients to ``grads``
+    and the source embeddings' gradient to ``gHs`` in place, and return
+    the gradients of the previous target embeddings and of the incoming
+    objective embedding.
+    """
+    d = hyper.hidden_dim
+    s, dst = h.src, h.dst
+    k_so, k_od, k_sd = f"w_{s}o_{t}", f"w_o{dst}_{t}", f"w_{s}{dst}_{t}"
+    k_att_o, k_att_e = f"att_{s}_to_o", f"att_{s}_to_{dst}"
+    w_so, w_od, w_sd = params[k_so], params[k_od], params[k_sd]
+    gHd_prev = np.zeros((h.n_dst, d))
+
+    # objective refresh and target update
+    d_pre = gHd_new * (rec["pre_d"] > 0)
+    d_agg = d_pre @ w_sd[:, d:]
+    if hyper.literal_loops:
+        chain, pre_a = rec["chain"], rec["pre_a"]
+        agg, Hd = rec["agg"], rec["Hd"]
+        gh = gho_new.copy()
+        for i in range(h.n_dst - 1, -1, -1):
+            gh += w_sd[:, :d].T @ d_pre[i]
+            grads[k_sd] += d_pre[i][:, None] * np.concatenate(
+                [chain[i + 1], agg[i]])
+            d_pa = gh * (pre_a[i] > 0)
+            grads[k_od] += d_pa[:, None] * np.concatenate([chain[i], Hd[i]])
+            gHd_prev[i] += w_od[:, d:].T @ d_pa
+            gh = w_od[:, :d].T @ d_pa
+        gho_o = gh
+    else:
+        grads[k_sd] += d_pre.T @ rec["rows"]
+        gho_new = gho_new + (d_pre @ w_sd[:, :d]).sum(axis=0)
+        if h.n_dst:
+            d_pm = gho_new * (rec["pre_m"] > 0)
+            grads[k_od] += d_pm[:, None] * np.concatenate(
+                [rec["ho_o"], rec["hdmean"]])
+            gho_o = w_od[:, :d].T @ d_pm
+            gHd_prev += (w_od[:, d:].T @ d_pm) / h.n_dst
+        else:
+            gho_o = gho_new
+
+    # agg = sum over edges of a_e * Hs[source], grouped by target
+    if len(h.e_src):
+        gathered = d_agg[h.e_dst]
+        gHs += h.sum_src @ (rec["a_e"][:, None] * gathered)
+        if hyper.attention:
+            d_a = np.einsum("ed,ed->e", gathered, rec["Hs_e"])
+            d_r = _softmax_backward(rec["a_e"], d_a, h.e_dst, h.n_dst)
+            d_sc = d_r * rec["r_e"] * (1.0 - rec["r_e"])
+            att = params[k_att_e]
+            grads[k_att_e] += rec["st_e"].T @ d_sc
+            gHd_prev += np.bincount(h.e_dst, weights=d_sc,
+                                    minlength=h.n_dst)[:, None] * att[:d]
+            gHs += np.bincount(h.e_src, weights=d_sc,
+                               minlength=h.n_src)[:, None] * att[d + 2:]
+
+    # source -> objective
+    d_pre_o = gho_o * (rec["pre_o"] > 0)
+    grads[k_so] += d_pre_o[:, None] * np.concatenate([rec["ho"], rec["agg_o"]])
+    gho = w_so[:, :d].T @ d_pre_o
+    d_agg_o = w_so[:, d:].T @ d_pre_o
+    if h.n_src:
+        d_a = rec["Hs"] @ d_agg_o
+        gHs += rec["a_o"][:, None] * d_agg_o
+        if hyper.attention:
+            d_r = _softmax_backward(rec["a_o"], d_a)
+            d_sc = d_r * rec["r_o"] * (1.0 - rec["r_o"])
+            att = params[k_att_o]
+            grads[k_att_o] += rec["st_o"].T @ d_sc
+            gho += d_sc.sum() * att[:d]
+            gHs += d_sc[:, None] * att[d + 2:]
+    return gHd_prev, gho
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from .core import (
     hamming_coeffs,
 )
 from . import bnb
+from .simplex import OPTIMAL as LP_OPTIMAL
+from .simplex import LpWorkspace
 
 STABLE0 = "stable0"
 STABLE1 = "stable1"
@@ -76,22 +78,20 @@ class LabelSet:
 
 
 def initial_solution(inst: MipInstance, base_time_limit_s: float = 5.0) -> Solution:
-    """First feasible solution, doubling the time limit on failure.
+    """First feasible solution within 63 times ``base_time_limit_s``.
 
-    The limit starts at ``base_time_limit_s`` and doubles up to five
-    times.  A proved-infeasible instance fails immediately since more
-    time cannot help.
+    The budget is that of an attempt at the base limit followed by five
+    retries, each with double the last one's limit; as the search is
+    deterministic, one search under the whole budget finds the same
+    solution no later.  A proved-infeasible instance fails as soon as
+    the search proves it.
     """
-    limit = float(base_time_limit_s)
-    for _ in range(6):
-        res = bnb.solve(inst, bnb.BnbConfig(time_limit_s=limit,
-                                            mode=bnb.FIRST_FEASIBLE))
-        if res.incumbent is not None:
-            return res.incumbent
-        if res.status == bnb.INFEASIBLE:
-            raise NoFeasibleSolutionError(
-                f"instance {inst.name!r} is infeasible")
-        limit *= 2.0
+    res = bnb.solve(inst, bnb.BnbConfig(time_limit_s=63.0 * base_time_limit_s,
+                                        mode=bnb.FIRST_FEASIBLE))
+    if res.incumbent is not None:
+        return res.incumbent
+    if res.status == bnb.INFEASIBLE:
+        raise NoFeasibleSolutionError(f"instance {inst.name!r} is infeasible")
     raise NoFeasibleSolutionError(
         f"no feasible solution for {inst.name!r} within the capped budget")
 
@@ -146,10 +146,8 @@ def generate_labels(inst: MipInstance,
     canon = canonicalize(inst)
     c = canon.objective_vector()
     obj0 = float(np.dot(c, x0.values))
-    root = bnb.collect_root_info(inst)
-    lb = -math.inf
-    if root.lp.status == "optimal":
-        lb = root.lp.objective + root.objective_offset
+    root_lp, _ = LpWorkspace(canon).solve()
+    lb = root_lp.objective if root_lp.status == LP_OPTIMAL else -math.inf
     delta = 0.01 * (obj0 - lb)
     if not math.isfinite(delta) or delta <= 0.0:
         delta = 1e-6 * (1.0 + abs(obj0))

@@ -113,15 +113,14 @@ def _variable_feature_rows(inst: MipInstance, root: RootInfo,
     c = inst.objective_vector()
     x = root.lp.x
     up, down = x - np.floor(x), np.ceil(x) - x
-    pc_up, pc_down = root.pseudocost_up, root.pseudocost_down
     feats = np.zeros((n, N_VAR_FEATURES))
-    feats[:, :20] = np.column_stack((
+    # 12-16 are the pseudocost block, all zero at the root
+    feats[:, :12] = np.column_stack((
         np.ones(n), np.zeros(n),           # binary, not general integer
         c, np.where(0.0 > c, 0.0, c), np.where(0.0 > -c, 0.0, -c),
         np.bincount(col, minlength=n), root.up_locks, root.down_locks,
-        x, up, down, np.minimum(up, down) > 1e-6,
-        pc_up, pc_down, pc_up / (pc_down + 1.0), pc_up + pc_down,
-        pc_up * pc_down,
+        x, up, down, np.minimum(up, down) > 1e-6))
+    feats[:, 17:20] = np.column_stack((
         [v.lb for v in inst.variables], [v.ub for v in inst.variables],
         root.lp.reduced_costs))
     feats[:, 20:24] = _stats(np.diff(ra.indptr)[rid].astype(float), col,
@@ -164,7 +163,7 @@ def variable_features(inst: MipInstance, root: RootInfo, j: int) -> np.ndarray:
     """57 features for one binary variable of the presolved instance.
 
     Layout: 8 basic (type flags, objective coefficient split, row count,
-    locks), 12 relaxation (LP value triple, fractionality, pseudocost
+    locks), 12 relaxation (LP value triple, fractionality, zero pseudocost
     block, bounds, reduced cost), 37 structural (degrees, side ratios,
     signed coefficient statistics, weighted coefficient statistics under
     unit, dual and inverse-row-sum weights).

@@ -285,13 +285,7 @@ def reference_variable_rows(inst, root, cols):
         out[9] = xj - math.floor(xj)
         out[10] = math.ceil(xj) - xj
         out[11] = 1.0 if min(out[9], out[10]) > 1e-6 else 0.0
-        pc_up = float(root.pseudocost_up[j])
-        pc_down = float(root.pseudocost_down[j])
-        out[12] = pc_up
-        out[13] = pc_down
-        out[14] = pc_up / (pc_down + 1.0)
-        out[15] = pc_up + pc_down
-        out[16] = pc_up * pc_down
+        out[12:17] = 0.0  # pseudocosts, zero at the root
         out[17] = var.lb
         out[18] = var.ub
         out[19] = float(root.lp.reduced_costs[j])

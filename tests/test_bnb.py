@@ -273,12 +273,6 @@ def test_root_rows_equal_row_arrays_of_presolved_instance(problem):
         assert got.tobytes() == ref.tobytes(), field
 
 
-def test_root_pseudocosts_zero():
-    root = bnb.collect_root_info(generate(GenSpec("sc", "tiny", seed=0)))
-    assert np.all(root.pseudocost_up == 0.0)
-    assert np.all(root.pseudocost_down == 0.0)
-
-
 def test_lower_bound_monotone_and_valid():
     for seed in range(5):
         inst = generate(GenSpec("mk", "tiny", seed=seed))

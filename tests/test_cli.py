@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -153,6 +154,41 @@ def test_regenerated_instances_are_byte_identical(pipeline, tmp_path):
         for path in sorted((tmp_path / "instances" / split).glob("*.json")):
             twin = pipeline / "instances" / split / path.name
             assert path.read_bytes() == twin.read_bytes()
+
+
+def _results_without_times(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        del row["wall_time_s"]
+    return rows
+
+
+def test_process_pool_stages_equal_serial_ones(pipeline, tmp_path):
+    # --jobs 2 maps each stage's instances over a process pool; the
+    # outputs must equal the serial fixture's
+    cfgf = write_config(tmp_path)
+    shutil.copytree(pipeline / "instances", tmp_path / "instances")
+    for stage in ("label", "featurize"):
+        assert run(tmp_path, stage, "--config", str(cfgf),
+                   "--jobs", "2") == 0, stage
+    for sub in ("labels", "graphs"):
+        names = sorted(p.name for p in (pipeline / sub).iterdir())
+        assert sorted(p.name for p in (tmp_path / sub).iterdir()) == names
+        for name in names:
+            assert (tmp_path / sub / name).read_bytes() == \
+                (pipeline / sub / name).read_bytes(), f"{sub}/{name}"
+    assert (tmp_path / "scaler.json").read_bytes() == \
+        (pipeline / "scaler.json").read_bytes()
+
+    shutil.copytree(pipeline / "predictions", tmp_path / "predictions")
+    shutil.copy(pipeline / "tuned.json", tmp_path / "tuned.json")
+    for mode in ("approx", "exact", "baseline"):
+        assert run(tmp_path, "run", "--mode", mode, "--config", str(cfgf),
+                   "--jobs", "2") == 0, mode
+        name = f"results_{mode}.csv"
+        assert _results_without_times(tmp_path / name) == \
+            _results_without_times(pipeline / name)
 
 
 def test_scale_flag_shrinks_counts(tmp_path):

@@ -167,6 +167,13 @@ def test_lock_counts_in_features():
     assert vec[7] == 0.0
 
 
+def test_pseudocost_features_zero():
+    # features 12-16 are the pseudocost block, zero at the root
+    g = graph_of(generate(GenSpec("sc", "tiny", seed=0)))
+    assert g.n_vars > 0
+    assert np.all(g.var_feats[:, 12:17] == 0.0)
+
+
 def test_variable_features_reject_continuous():
     inst = MipInstance(
         "mixed", "min",
