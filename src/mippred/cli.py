@@ -11,6 +11,13 @@ Every subcommand works inside one experiment directory (``--workdir``):
     results_{mode}.csv                    written by  run
     report.json, report.csv, curves/      written by  eval
 
+``train`` reads the graphs and labels of the train and valid splits: it
+fits the model on the train split and stops early on the valid split's
+loss, keeping the epoch where that loss was lowest (``gcn.train``).
+history.csv holds one row per epoch run, with the columns ``epoch``,
+``loss`` (mean training loss) and ``valid_loss`` (mean validation loss,
+empty when no valid instance has a stable label).
+
 Stages only read earlier outputs and only write their own files, so any
 stage can be rerun in place; identical configuration and seeds give
 byte-identical outputs (wall-clock timings are kept under a separate
@@ -378,27 +385,43 @@ def cmd_featurize(cfg: ExperimentConfig) -> None:
           f"and {cfg.workdir / 'scaler.json'}")
 
 
+def _labelled_graphs(cfg: ExperimentConfig, split: str, graphs_dir: Path,
+                     labels_dir: Path, scaler) -> list:
+    """(scaled graph, labels) of every instance in ``split``."""
+    pairs = []
+    for path in _split_instances(cfg, split):
+        graph = trigraph.read_trigraph(
+            _require_file(graphs_dir / path.name, "featurize"))
+        labels = labeler.read_labels(
+            _require_file(labels_dir / path.name, "label"))
+        pairs.append((trigraph.apply_scaler(graph, scaler), labels))
+    return pairs
+
+
 def cmd_train(cfg: ExperimentConfig) -> None:
     graphs_dir = _require_dir(cfg.workdir / "graphs", "featurize")
     labels_dir = _require_dir(cfg.workdir / "labels", "label")
     scaler = trigraph.read_scaler(
         _require_file(cfg.workdir / "scaler.json", "featurize"))
-    dataset = []
-    for path in _split_instances(cfg, "train"):
-        graph = trigraph.read_trigraph(
-            _require_file(graphs_dir / path.name, "featurize"))
-        labels = labeler.read_labels(
-            _require_file(labels_dir / path.name, "label"))
-        dataset.append((trigraph.apply_scaler(graph, scaler), labels))
-    params, history = gcn.train(dataset, cfg.hyper)
+    dataset = _labelled_graphs(cfg, "train", graphs_dir, labels_dir, scaler)
+    valid = _labelled_graphs(cfg, "valid", graphs_dir, labels_dir, scaler)
+    params, history, valid_history = gcn.train(dataset, cfg.hyper, valid)
     gcn.save_params(cfg.workdir / "model.json", params, cfg.hyper)
     with open(cfg.workdir / "history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
+        writer.writerow(["epoch", "loss", "valid_loss"])
         for epoch, loss in enumerate(history):
-            writer.writerow([epoch, _fmt(loss)])
-    print(f"train: {len(dataset)} graphs, {len(history)} epochs, "
-          f"final loss {history[-1]:.6f}; wrote {cfg.workdir / 'model.json'}")
+            writer.writerow([epoch, _fmt(loss), _fmt(valid_history[epoch])
+                             if valid_history else ""])
+    if valid_history:
+        kept = int(np.argmin(valid_history))
+        kept_text = (f"kept epoch {kept}, validation loss "
+                     f"{valid_history[kept]:.6f}")
+    else:
+        kept_text = "no stable validation labels, kept the last epoch"
+    print(f"train: {len(dataset)} graphs, {len(history)} epochs run, "
+          f"final loss {history[-1]:.6f}, {kept_text}; "
+          f"wrote {cfg.workdir / 'model.json'}")
 
 
 def cmd_predict(cfg: ExperimentConfig) -> None:

@@ -26,6 +26,13 @@ order-dependently.  The half is written once, as a forward and a
 hand-derived reverse-mode backward covering both modes; correctness is
 pinned by finite-difference tests.
 
+Training stops early on a validation set: after every epoch the mean
+loss over the validation graphs with stable labels is computed, and
+training ends once ``PATIENCE`` epochs in a row have not lowered it
+strictly.  The parameters of the epoch with the lowest validation loss
+are the ones returned (Prechelt, "Early Stopping -- But When?", 1998).
+The number of epochs in the hyperparameters is only a cap.
+
 The public entry points (``forward``, ``loss_and_gradients``,
 ``gradients``, ``train``) check the hyperparameters and, where the
 caller passes them, the parameter shapes once per call; the inner
@@ -60,6 +67,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # elements per in-place Adam pass: the six slices of one pass (1.5 MB)
 # stay in cache, and the two scratch buffers stay this small
 ADAM_CHUNK = 32768
+# epochs without a strictly lower validation loss before training stops
+PATIENCE = 10
 
 
 @dataclass
@@ -80,6 +89,12 @@ class GcnHyper:
             raise ValueError("transitions must be >= 1")
         if self.output_hidden < 1:
             raise ValueError("output_hidden must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate)
+                and self.learning_rate >= 0.0):
+            raise ValueError("learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
 
 
 def param_shapes(hyper: GcnHyper) -> dict[str, tuple]:
@@ -532,12 +547,23 @@ def _half_backward(h: _Half, rec, params, t, hyper: GcnHyper, gHd_new,
 # Training
 
 
-def train(dataset, hyper: GcnHyper):
-    """Adam over per-graph full-batch steps; returns (params, history).
+def train(dataset, hyper: GcnHyper, valid=()):
+    """Adam over per-graph full-batch steps with early stopping on
+    ``valid``; returns (params, history, valid_history).
 
     Each epoch visits the graphs once in a freshly shuffled order; the
-    history records the mean training loss per epoch.  Fully determined
-    by the seed, the hyperparameters and the dataset order.
+    history records the mean training loss per epoch.  After each epoch
+    the mean loss over the ``valid`` graphs with stable labels, from the
+    same forward pass as inference, goes to ``valid_history``.  Training
+    stops after ``PATIENCE`` epochs without a strictly lower validation
+    loss, or after ``hyper.epochs`` epochs, and returns the parameters
+    of the epoch with the lowest one; the shuffles and Adam steps do not
+    depend on ``valid``, so these are bit for bit the parameters that
+    training with ``epochs`` set to that epoch's number plus one ends
+    with.  Without a valid graph that has stable labels
+    ``valid_history`` stays empty and all ``hyper.epochs`` epochs run.
+    Fully determined by the seed, the hyperparameters and the dataset
+    order.
 
     Parameters, gradients and both Adam moments each live in one flat
     float64 buffer; the named arrays are views into it in
@@ -547,8 +573,9 @@ def train(dataset, hyper: GcnHyper):
     this is the textbook expression in a fixed order,
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``, so the result does not
-    depend on the buffer layout or the chunking.  The hyperparameters
-    are checked once per call, not once per step.
+    depend on the buffer layout or the chunking.  The best epoch's
+    parameters are kept in one more buffer of the same size.  The
+    hyperparameters are checked once per call, not once per step.
     """
     hyper.validate()
     if not dataset:
@@ -561,6 +588,11 @@ def train(dataset, hyper: GcnHyper):
         aligned.append((graph, y, mask))
     if not any_stable:
         raise ValueError("no stable labels anywhere in the training set")
+    checks = []
+    for graph, labels in valid:
+        y, mask = targets_for(graph, labels)
+        if mask.any():
+            checks.append((graph, y, mask))
 
     rng = np.random.default_rng(hyper.seed)
     shapes = param_shapes(hyper)
@@ -576,10 +608,12 @@ def train(dataset, hyper: GcnHyper):
         start = stop
     for name, arr in init_params(hyper).items():
         params[name][...] = arr
+    best_p = flat_p.copy()
+    best_loss, kept = math.inf, -1
 
     step = 0
-    history = []
-    for _ in range(hyper.epochs):
+    history, valid_history = [], []
+    for epoch in range(hyper.epochs):
         order = rng.permutation(len(aligned))
         losses = []
         for idx in order:
@@ -599,7 +633,20 @@ def train(dataset, hyper: GcnHyper):
                 _adam_update(flat_p[part], flat_g[part], m[part], v[part],
                              s1, s2, hyper.learning_rate, c1, c2)
         history.append(float(np.mean(losses)))
-    return params, history
+        if not checks:
+            continue
+        valid_history.append(float(np.mean([
+            _bce(_forward_tape(graph, params, hyper, for_backward=False)[0],
+                 y, mask)
+            for graph, y, mask in checks])))
+        if valid_history[-1] < best_loss:
+            best_loss, kept = valid_history[-1], epoch
+            best_p[...] = flat_p
+        elif epoch - kept >= PATIENCE:
+            break
+    if checks:
+        flat_p[...] = best_p
+    return params, history, valid_history
 
 
 def _adam_update(p, g, m, v, s1, s2, lr, c1, c2):
@@ -649,7 +696,9 @@ def _hyper_from_dict(data: dict) -> GcnHyper:
     missing = expected - set(data)
     if missing:
         raise ValueError(f"missing hyperparameter keys: {sorted(missing)}")
-    return GcnHyper(**data)
+    hyper = GcnHyper(**data)
+    hyper.validate()
+    return hyper
 
 
 def save_params(path, params: dict, hyper: GcnHyper) -> None:

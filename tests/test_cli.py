@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shutil
 
 import pytest
@@ -91,8 +92,17 @@ def test_graphs_cover_every_split_plus_scaler(pipeline):
 def test_model_and_history(pipeline):
     assert (pipeline / "model.json").is_file()
     lines = (pipeline / "history.csv").read_text().splitlines()
-    assert lines[0] == "epoch,loss"
+    assert lines[0] == "epoch,loss,valid_loss"
     assert len(lines) == 6  # header + 5 epochs
+
+
+def test_history_records_validation_loss(pipeline):
+    with open(pipeline / "history.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["epoch"]) for row in rows] == list(range(5))
+    for row in rows:
+        assert math.isfinite(float(row["loss"]))
+        assert math.isfinite(float(row["valid_loss"]))
 
 
 def test_predictions_are_probabilities(pipeline):
@@ -229,6 +239,20 @@ def test_missing_stage_input_exits_2(tmp_path, capsys):
     assert "featurize" in err
 
 
+def test_train_requires_valid_labels_exits_2(pipeline, tmp_path, capsys):
+    cfgf = write_config(tmp_path)
+    for sub in ("instances", "labels", "graphs"):
+        shutil.copytree(pipeline / sub, tmp_path / sub)
+    shutil.copy(pipeline / "scaler.json", tmp_path / "scaler.json")
+    (tmp_path / "labels" / "sc-tiny-valid-0001.json").unlink()
+    rc = run(tmp_path, "train", "--config", str(cfgf))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "sc-tiny-valid-0001.json" in err
+    assert "'label' stage" in err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_eval_requires_all_run_modes(tmp_path, capsys):
     cfgf = write_config(tmp_path)
     rc = run(tmp_path, "eval", "--config", str(cfgf))
@@ -248,6 +272,17 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     cfgf.write_text("[experiment]\nflavor = mild\n")
     assert run(tmp_path, "gen", "--config", str(cfgf)) == 3
     assert "flavor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["epochs = 0", "learning_rate = nan"])
+def test_bad_training_hyperparameter_exits_3(tmp_path, capsys, line):
+    key = line.split()[0]
+    text = "\n".join(line if row.startswith(key) else row
+                     for row in SMOKE_CONFIG.splitlines())
+    assert line in text
+    cfgf = write_config(tmp_path, text)
+    assert run(tmp_path, "train", "--config", str(cfgf)) == 3
+    assert f"[gcn] {key}" in capsys.readouterr().err
 
 
 def test_absent_config_file_exits_3(tmp_path):

@@ -1,5 +1,6 @@
 """Network forward/backward: attention, loss, gradients, training, files."""
 
+import dataclasses
 import json
 import math
 
@@ -113,6 +114,21 @@ def test_hyper_validation():
                 GcnHyper(output_hidden=0)):
         with pytest.raises(ValueError):
             bad.validate()
+
+
+BAD_TRAINING_VALUES = [
+    pytest.param({"epochs": 0}, "epochs", id="epochs_0"),
+    pytest.param({"epochs": -3}, "epochs", id="epochs_negative"),
+    pytest.param({"learning_rate": math.nan}, "learning_rate", id="lr_nan"),
+    pytest.param({"learning_rate": math.inf}, "learning_rate", id="lr_inf"),
+    pytest.param({"learning_rate": -1e-3}, "learning_rate",
+                 id="lr_negative")]
+
+
+@pytest.mark.parametrize("changes, field", BAD_TRAINING_VALUES)
+def test_hyper_rejects_bad_training_values(changes, field):
+    with pytest.raises(ValueError, match=field):
+        GcnHyper(**changes).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +438,7 @@ def test_training_reduces_loss():
     data = sc_dataset(10)
     hyper = GcnHyper(hidden_dim=8, transitions=2, output_hidden=8,
                      epochs=50, seed=0)
-    _, history = train(data, hyper)
+    _, history, _ = train(data, hyper)
     assert len(history) == 50
     assert history[-1] < history[0]
 
@@ -431,7 +447,7 @@ def test_zero_learning_rate_changes_nothing():
     data = sc_dataset(2)
     hyper = GcnHyper(hidden_dim=4, transitions=1, output_hidden=4,
                      epochs=3, learning_rate=0.0, seed=1)
-    params, _ = train(data, hyper)
+    params, _, _ = train(data, hyper)
     fresh = init_params(hyper)
     for name in fresh:
         np.testing.assert_array_equal(params[name], fresh[name])
@@ -503,7 +519,7 @@ def test_training_equals_reference_adam_bitwise(changes):
     if "hidden_dim" in changes:
         shapes = gcn.param_shapes(hyper).values()
         assert sum(math.prod(s) for s in shapes) > 3 * gcn.ADAM_CHUNK
-    params, history = train(data, hyper)
+    params, history, _ = train(data, hyper)
     ref_params, ref_history = reference_train(data, hyper)
     assert history == ref_history
     assert list(params) == list(ref_params)
@@ -515,11 +531,82 @@ def test_training_is_deterministic():
     data = sc_dataset(3)
     hyper = GcnHyper(hidden_dim=4, transitions=1, output_hidden=4,
                      epochs=8, seed=2)
-    p1, h1 = train(data, hyper)
-    p2, h2 = train(data, hyper)
+    p1, h1, _ = train(data, hyper)
+    p2, h2, _ = train(data, hyper)
     assert h1 == h2
     for name in p1:
         np.testing.assert_array_equal(p1[name], p2[name])
+
+
+@pytest.fixture(scope="module")
+def mis_split():
+    """(train, valid): three mis tiny graphs each, scaled on the train
+    graphs.  At ``EARLY`` the validation loss turns upward within the
+    epoch cap."""
+    insts = [generate(GenSpec("mis", "tiny", seed=s)) for s in range(6)]
+    graphs = [build_trigraph(i, bnb.collect_root_info(i)) for i in insts]
+    scaler = fit_scaler(graphs[:3])
+    pairs = [(apply_scaler(g, scaler), labeler.generate_labels(i))
+             for g, i in zip(graphs, insts)]
+    return pairs[:3], pairs[3:]
+
+
+EARLY = GcnHyper(hidden_dim=8, transitions=1, output_hidden=8, epochs=40,
+                 learning_rate=0.02, seed=0)
+
+
+def test_early_stop_keeps_the_best_epoch_bitwise(mis_split):
+    data, valid = mis_split
+    params, history, valid_history = train(data, EARLY, valid)
+    kept = int(np.argmin(valid_history))
+    assert len(history) == len(valid_history) == kept + 1 + gcn.PATIENCE
+    assert len(history) < EARLY.epochs
+    assert min(valid_history[kept + 1:]) >= valid_history[kept]
+
+    # the kept parameters are those of a run capped at the kept epoch
+    ref_params, ref_history = reference_train(
+        data, dataclasses.replace(EARLY, epochs=kept + 1))
+    assert history[:kept + 1] == ref_history
+    assert list(params) == list(ref_params)
+    for name in ref_params:
+        np.testing.assert_array_equal(params[name], ref_params[name])
+
+    # and they give the kept validation loss
+    losses = []
+    for g, labels in valid:
+        assert labels.var_names == list(g.var_names)
+        losses.append(bce_loss(forward(g, params, EARLY), labels))
+    assert valid_history[kept] == float(np.mean(losses))
+
+    # without a valid set the same epochs run first, then the rest
+    _, full_history, full_valid = train(data, EARLY)
+    assert full_valid == []
+    assert len(full_history) == EARLY.epochs
+    assert history == full_history[:len(history)]
+
+
+def test_flat_validation_loss_stops_at_the_first_epoch(mis_split):
+    # at learning rate 0 every epoch ties; only a strictly lower loss
+    # counts as progress
+    data, valid = mis_split
+    frozen = dataclasses.replace(EARLY, learning_rate=0.0)
+    _, history, valid_history = train(data, frozen, valid)
+    assert len(history) == 1 + gcn.PATIENCE
+    assert valid_history == [valid_history[0]] * len(history)
+
+
+def test_unstable_valid_set_changes_nothing(mis_split):
+    data, valid = mis_split
+    unstable = [(g, LabelSet(instance=g.name, var_names=list(g.var_names),
+                             labels=[UNSTABLE] * g.n_vars, delta_used=0.0,
+                             iterations=1))
+                for g, _ in valid]
+    params, history, valid_history = train(data, EARLY, unstable)
+    ref_params, ref_history, ref_valid = train(data, EARLY)
+    assert valid_history == ref_valid == []
+    assert history == ref_history
+    for name in ref_params:
+        np.testing.assert_array_equal(params[name], ref_params[name])
 
 
 def test_training_rejects_empty_or_unstable_sets():
@@ -583,6 +670,17 @@ def test_model_file_rejects_truncation(tmp_path):
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
     with pytest.raises(ValueError, match="JSON"):
+        gcn.load_params(path)
+
+
+@pytest.mark.parametrize("changes, field", BAD_TRAINING_VALUES)
+def test_model_file_rejects_bad_hyperparameters(tmp_path, changes, field):
+    path = tmp_path / "model.json"
+    gcn.save_params(path, init_params(HYPER), HYPER)
+    blob = json.loads(path.read_text())
+    blob["hyper"].update(changes)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=field):
         gcn.load_params(path)
 
 
