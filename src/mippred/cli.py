@@ -18,6 +18,46 @@ history.csv holds one row per epoch run, with the columns ``epoch``,
 ``loss`` (mean training loss) and ``valid_loss`` (mean validation loss,
 empty when no valid instance has a stable label).
 
+``eval`` scores the predictions on the valid split only, as the test
+split has no labels.  The report's validation AP is therefore an
+in-sample figure: the same split picks the kept epoch in ``train`` and
+(phi, eta) in ``gridsearch``.
+
+The configuration is an INI file (``--config``).  Every key may be left
+out and then takes its default; an unknown section or key, a value that
+does not parse, or one out of its range exits 3.  Lists are separated
+by spaces or commas.  The keys, with their defaults and ranges:
+
+    [experiment]
+    problem           sc        fcnf, cfl, ga, mis, mk, sc, tsp or vrp
+    preset            tiny      a preset of the problem, or custom
+    params            {}        JSON object over the preset's parameters
+    train             140       instances per split; --scale multiplies
+    valid             20        each count, and a count below 1 is
+    test              40        raised to 1
+    seed              0         >= 0
+    [labeler]
+    max_iters         40        >= 1, proximity-search rounds
+    time_limit_s      5.0       > 0, seconds per proximity solve (63
+                                times this for the first solution)
+    [gcn]                       checked by gcn.GcnHyper.validate
+    hidden_dim        64        >= 1
+    transitions       2         >= 1, message-passing rounds
+    output_hidden     64        >= 1
+    learning_rate     0.001     finite and >= 0
+    epochs            200       >= 1, the cap on training epochs
+    seed              0         >= 0
+    attention         true      boolean
+    literal_loops     false     boolean
+    [predictor]
+    phi_grid          0 5 10 15 20           integers >= 0
+    eta_grid          0.8 0.9 0.95 0.99 1.0  values in (0, 1]
+    time_limit_s      5.0       > 0, seconds per gridsearch or run solve
+    node_limit        (empty)   empty for none, or >= 1
+    [eval]
+    fractions         0.25 0.5 0.75 0.9 1.0  values in (0, 1]
+    ref_time_limit_s  60.0      > 0, seconds per reference solve
+
 Stages only read earlier outputs and only write their own files, so any
 stage can be rerun in place; identical configuration and seeds give
 byte-identical outputs (wall-clock timings are kept under a separate
@@ -41,7 +81,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bnb, gcn, generators, labeler, metrics, predictor, trigraph
-from .core import BINARY, MipInstance, read_instance, write_instance
+from .core import (BINARY, MipInstance, check_keys, read_instance,
+                   read_json, write_instance, write_json)
 
 EXIT_MISSING_INPUT = 2
 EXIT_BAD_CONFIG = 3
@@ -91,126 +132,106 @@ class ExperimentConfig:
     jobs: int = 1
 
 
-_SECTION_KEYS = {
-    "experiment": {"problem", "preset", "params", "train", "valid", "test",
-                   "seed"},
-    "labeler": {"max_iters", "time_limit_s"},
-    "gcn": {"hidden_dim", "transitions", "output_hidden", "learning_rate",
-            "epochs", "seed", "attention", "literal_loops"},
-    "predictor": {"phi_grid", "eta_grid", "time_limit_s", "node_limit"},
-    "eval": {"fractions", "ref_time_limit_s"},
-}
+def _json_object(raw: str) -> dict:
+    parsed = json.loads(raw)
+    if not isinstance(parsed, dict):
+        raise ValueError("must be a JSON object")
+    return parsed
 
 
-def _parse_list(raw: str, conv, where: str) -> tuple:
-    tokens = [tok for tok in raw.replace(",", " ").split() if tok]
-    if not tokens:
-        raise ConfigError(f"{where}: empty list")
-    try:
+def _list_of(conv):
+    def parse(raw: str) -> tuple:
+        tokens = raw.replace(",", " ").split()
+        if not tokens:
+            raise ValueError("empty list")
         return tuple(conv(tok) for tok in tokens)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return parse
 
 
-def _typed(cp: configparser.ConfigParser, getter: str, section: str,
-           key: str, fallback):
+def _boolean(raw: str) -> bool:
     try:
-        return getattr(cp, getter)(section, key, fallback=fallback)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {raw}") from None
+
+
+# (test, rule) of a final value; a comparison with NaN is false, so "> 0"
+# also rejects NaN
+_POSITIVE = (lambda v: v > 0, "> 0")
+_IN_UNIT = (lambda vs: all(0.0 < v <= 1.0 for v in vs), "values in (0, 1]")
+
+# One row per INI key: section, key, the field of ExperimentConfig (of
+# GcnHyper in [gcn]) it sets, the parser of its text, and the (test,
+# rule) of its final value.  Rows with no test: problem, preset and
+# params are checked together by the generators, the [gcn] keys by
+# GcnHyper.validate, and the split counts are at least 1 once scaled.
+_KEYS = (
+    ("experiment", "problem", "problem", str.lower, None),
+    ("experiment", "preset", "preset", str.lower, None),
+    ("experiment", "params", "gen_params", _json_object, None),
+    ("experiment", "train", "n_train", int, None),
+    ("experiment", "valid", "n_valid", int, None),
+    ("experiment", "test", "n_test", int, None),
+    ("experiment", "seed", "seed", int, (lambda v: v >= 0, ">= 0")),
+    ("labeler", "max_iters", "label_max_iters", int,
+     (lambda v: v >= 1, ">= 1")),
+    ("labeler", "time_limit_s", "label_time_limit_s", float, _POSITIVE),
+    ("gcn", "hidden_dim", "hidden_dim", int, None),
+    ("gcn", "transitions", "transitions", int, None),
+    ("gcn", "output_hidden", "output_hidden", int, None),
+    ("gcn", "learning_rate", "learning_rate", float, None),
+    ("gcn", "epochs", "epochs", int, None),
+    ("gcn", "seed", "seed", int, None),
+    ("gcn", "attention", "attention", _boolean, None),
+    ("gcn", "literal_loops", "literal_loops", _boolean, None),
+    ("predictor", "phi_grid", "phi_grid", _list_of(int),
+     (lambda vs: all(v >= 0 for v in vs), "integers >= 0")),
+    ("predictor", "eta_grid", "eta_grid", _list_of(float), _IN_UNIT),
+    ("predictor", "time_limit_s", "solve_time_limit_s", float, _POSITIVE),
+    ("predictor", "node_limit", "solve_node_limit",
+     lambda raw: int(raw) if raw.strip() else None,
+     (lambda v: v is None or v >= 1, "empty or >= 1")),
+    ("eval", "fractions", "fractions", _list_of(float), _IN_UNIT),
+    ("eval", "ref_time_limit_s", "ref_time_limit_s", float, _POSITIVE),
+)
+
+
+def _owner(cfg: ExperimentConfig, section: str):
+    return cfg.hyper if section == "gcn" else cfg
 
 
 def _apply_config(cfg: ExperimentConfig, cp: configparser.ConfigParser) -> None:
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        keys = {row[1] for row in _KEYS if row[0] == section}
+        if not keys:
             raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(cp[section]) - _SECTION_KEYS[section]
+        unknown = set(cp[section]) - keys
         if unknown:
             raise ConfigError(
                 f"unknown keys {sorted(unknown)} in section [{section}]")
-
-    cfg.problem = cp.get("experiment", "problem", fallback=cfg.problem).lower()
-    cfg.preset = cp.get("experiment", "preset", fallback=cfg.preset).lower()
-    if cp.has_option("experiment", "params"):
-        raw = cp.get("experiment", "params")
-        try:
-            parsed = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"[experiment] params: {exc}") from None
-        if not isinstance(parsed, dict):
-            raise ConfigError("[experiment] params must be a JSON object")
-        cfg.gen_params = parsed
-    cfg.n_train = _typed(cp, "getint", "experiment", "train", cfg.n_train)
-    cfg.n_valid = _typed(cp, "getint", "experiment", "valid", cfg.n_valid)
-    cfg.n_test = _typed(cp, "getint", "experiment", "test", cfg.n_test)
-    cfg.seed = _typed(cp, "getint", "experiment", "seed", cfg.seed)
-
-    cfg.label_max_iters = _typed(cp, "getint", "labeler", "max_iters",
-                                 cfg.label_max_iters)
-    cfg.label_time_limit_s = _typed(cp, "getfloat", "labeler", "time_limit_s",
-                                    cfg.label_time_limit_s)
-
-    h = cfg.hyper
-    h.hidden_dim = _typed(cp, "getint", "gcn", "hidden_dim", h.hidden_dim)
-    h.transitions = _typed(cp, "getint", "gcn", "transitions", h.transitions)
-    h.output_hidden = _typed(cp, "getint", "gcn", "output_hidden",
-                             h.output_hidden)
-    h.learning_rate = _typed(cp, "getfloat", "gcn", "learning_rate",
-                             h.learning_rate)
-    h.epochs = _typed(cp, "getint", "gcn", "epochs", h.epochs)
-    h.seed = _typed(cp, "getint", "gcn", "seed", h.seed)
-    h.attention = _typed(cp, "getboolean", "gcn", "attention", h.attention)
-    h.literal_loops = _typed(cp, "getboolean", "gcn", "literal_loops",
-                             h.literal_loops)
-
-    if cp.has_option("predictor", "phi_grid"):
-        cfg.phi_grid = _parse_list(cp.get("predictor", "phi_grid"), int,
-                                   "[predictor] phi_grid")
-    if cp.has_option("predictor", "eta_grid"):
-        cfg.eta_grid = _parse_list(cp.get("predictor", "eta_grid"), float,
-                                   "[predictor] eta_grid")
-    cfg.solve_time_limit_s = _typed(cp, "getfloat", "predictor",
-                                    "time_limit_s", cfg.solve_time_limit_s)
-    if cp.get("predictor", "node_limit", fallback="").strip():
-        cfg.solve_node_limit = _typed(cp, "getint", "predictor", "node_limit",
-                                      None)
-
-    if cp.has_option("eval", "fractions"):
-        cfg.fractions = _parse_list(cp.get("eval", "fractions"), float,
-                                    "[eval] fractions")
-    cfg.ref_time_limit_s = _typed(cp, "getfloat", "eval", "ref_time_limit_s",
-                                  cfg.ref_time_limit_s)
+    for section, key, attr, parse, _ in _KEYS:
+        if cp.has_option(section, key):
+            try:
+                value = parse(cp.get(section, key))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+            setattr(_owner(cfg, section), attr, value)
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
+    for section, key, attr, _, check in _KEYS:
+        value = getattr(_owner(cfg, section), attr)
+        if check is not None and not check[0](value):
+            raise ConfigError(
+                f"[{section}] {key} must be {check[1]}, got {value!r}")
     try:
         generators._merged_params(cfg.problem, cfg.preset, cfg.gen_params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for label, count in (("train", cfg.n_train), ("valid", cfg.n_valid),
-                         ("test", cfg.n_test)):
-        if count < 1:
-            raise ConfigError(f"{label} count must be at least 1, got {count}")
-    if cfg.label_max_iters < 1:
-        raise ConfigError("labeler max_iters must be at least 1")
-    if cfg.label_time_limit_s <= 0:
-        raise ConfigError("labeler time_limit_s must be positive")
     try:
         cfg.hyper.validate()
     except ValueError as exc:
         raise ConfigError(f"[gcn] {exc}") from None
-    if any(phi < 0 for phi in cfg.phi_grid):
-        raise ConfigError("phi_grid values must be nonnegative")
-    if any(not 0.0 < eta <= 1.0 for eta in cfg.eta_grid):
-        raise ConfigError("eta_grid values must lie in (0, 1]")
-    if cfg.solve_time_limit_s <= 0:
-        raise ConfigError("predictor time_limit_s must be positive")
-    if cfg.solve_node_limit is not None and cfg.solve_node_limit < 1:
-        raise ConfigError("predictor node_limit must be at least 1")
-    if cfg.ref_time_limit_s <= 0:
-        raise ConfigError("eval ref_time_limit_s must be positive")
-    if any(not 0.0 < f <= 1.0 for f in cfg.fractions):
-        raise ConfigError("eval fractions must lie in (0, 1]")
     if cfg.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
 
@@ -253,23 +274,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _require_dir(path: Path, producer: str) -> Path:
-    if not path.is_dir():
+def _require(path: Path, producer: str) -> Path:
+    """``path``, which the stage ``producer`` writes; MissingInputError if
+    it is absent."""
+    if not path.exists():
         raise MissingInputError(
-            f"missing directory {path} (run the '{producer}' stage first)")
-    return path
-
-
-def _require_file(path: Path, producer: str) -> Path:
-    if not path.is_file():
-        raise MissingInputError(
-            f"missing file {path} (run the '{producer}' stage first)")
+            f"missing {path} (run the '{producer}' stage first)")
     return path
 
 
 def _split_instances(cfg: ExperimentConfig, split: str) -> list[Path]:
-    base = _require_dir(cfg.workdir / "instances", "gen")
-    d = _require_dir(base / split, "gen")
+    base = _require(cfg.workdir / "instances", "gen")
+    d = _require(base / split, "gen")
     paths = sorted(d.glob("*.json"))
     if not paths:
         raise MissingInputError(
@@ -290,20 +306,24 @@ def _pmap(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 def _read_predictions(path: Path) -> dict[str, float]:
+    """varname -> z of a predictions file; each z must lie in [0, 1]."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["varname", "z"]:
-            raise RuntimeError(f"{path}: expected a 'varname,z' header, "
-                               f"got {header}")
-        return {name: float(z) for name, z in reader}
+        rows = list(csv.reader(fh))
+    if rows[:1] != [["varname", "z"]]:
+        raise ValueError(f"{path}: expected a 'varname,z' header, "
+                         f"got {rows[:1]}")
+    pred = {}
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            name, z = row
+            pred[name] = float(z)
+            if not 0.0 <= pred[name] <= 1.0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}: line {line}: expected 'varname,z' "
+                             f"with z in [0, 1], got {row}") from None
+    return pred
 
 
 def _z_for_instance(inst: MipInstance, pred: dict[str, float]) -> np.ndarray:
@@ -391,18 +411,17 @@ def _labelled_graphs(cfg: ExperimentConfig, split: str, graphs_dir: Path,
     pairs = []
     for path in _split_instances(cfg, split):
         graph = trigraph.read_trigraph(
-            _require_file(graphs_dir / path.name, "featurize"))
-        labels = labeler.read_labels(
-            _require_file(labels_dir / path.name, "label"))
+            _require(graphs_dir / path.name, "featurize"))
+        labels = labeler.read_labels(_require(labels_dir / path.name, "label"))
         pairs.append((trigraph.apply_scaler(graph, scaler), labels))
     return pairs
 
 
 def cmd_train(cfg: ExperimentConfig) -> None:
-    graphs_dir = _require_dir(cfg.workdir / "graphs", "featurize")
-    labels_dir = _require_dir(cfg.workdir / "labels", "label")
+    graphs_dir = _require(cfg.workdir / "graphs", "featurize")
+    labels_dir = _require(cfg.workdir / "labels", "label")
     scaler = trigraph.read_scaler(
-        _require_file(cfg.workdir / "scaler.json", "featurize"))
+        _require(cfg.workdir / "scaler.json", "featurize"))
     dataset = _labelled_graphs(cfg, "train", graphs_dir, labels_dir, scaler)
     valid = _labelled_graphs(cfg, "valid", graphs_dir, labels_dir, scaler)
     params, history, valid_history = gcn.train(dataset, cfg.hyper, valid)
@@ -426,17 +445,17 @@ def cmd_train(cfg: ExperimentConfig) -> None:
 
 def cmd_predict(cfg: ExperimentConfig) -> None:
     params, hyper = gcn.load_params(
-        _require_file(cfg.workdir / "model.json", "train"))
+        _require(cfg.workdir / "model.json", "train"))
     scaler = trigraph.read_scaler(
-        _require_file(cfg.workdir / "scaler.json", "featurize"))
-    graphs_dir = _require_dir(cfg.workdir / "graphs", "featurize")
+        _require(cfg.workdir / "scaler.json", "featurize"))
+    graphs_dir = _require(cfg.workdir / "graphs", "featurize")
     out = cfg.workdir / "predictions"
     out.mkdir(parents=True, exist_ok=True)
     n = 0
     for split in ("valid", "test"):
         for path in _split_instances(cfg, split):
             graph = trigraph.read_trigraph(
-                _require_file(graphs_dir / path.name, "featurize"))
+                _require(graphs_dir / path.name, "featurize"))
             z = gcn.forward(trigraph.apply_scaler(graph, scaler), params,
                             hyper)
             with open(out / f"{path.stem}.csv", "w", newline="") as fh:
@@ -464,12 +483,12 @@ def _reference_objective(cfg: ExperimentConfig, inst: MipInstance) -> float:
 
 
 def _validation_triples(cfg: ExperimentConfig):
-    preds_dir = _require_dir(cfg.workdir / "predictions", "predict")
+    preds_dir = _require(cfg.workdir / "predictions", "predict")
     triples = []
     for path in _split_instances(cfg, "valid"):
         inst = read_instance(path)
         pred = _read_predictions(
-            _require_file(preds_dir / f"{path.stem}.csv", "predict"))
+            _require(preds_dir / f"{path.stem}.csv", "predict"))
         triples.append((inst, _z_for_instance(inst, pred),
                         _reference_objective(cfg, inst)))
     return triples
@@ -479,23 +498,23 @@ def cmd_gridsearch(cfg: ExperimentConfig) -> None:
     phi, eta, mean_gap = predictor.grid_search(
         _validation_triples(cfg), cfg.phi_grid, cfg.eta_grid,
         predictor.ApplyConfig(solver=_solver_config(cfg)))
-    _write_json(cfg.workdir / "tuned.json",
-                {"phi": int(phi), "eta": float(eta),
-                 "mean_primal_gap": mean_gap})
+    write_json(cfg.workdir / "tuned.json",
+               {"phi": int(phi), "eta": float(eta),
+                "mean_primal_gap": mean_gap})
     print(f"gridsearch: phi={phi} eta={eta} "
           f"mean primal gap {mean_gap:.4f}% on validation")
+
+
+def _tuned_from_dict(data: dict) -> tuple[int, float]:
+    check_keys(data, {"phi", "eta", "mean_primal_gap"}, "tuned settings")
+    predictor.ApplyConfig(phi=data["phi"], eta=data["eta"]).validate()
+    return int(data["phi"]), float(data["eta"])
 
 
 def _tuned_pair(cfg: ExperimentConfig) -> tuple[int, float]:
     path = cfg.workdir / "tuned.json"
     if path.is_file():
-        with open(path) as fh:
-            tuned = json.load(fh)
-        try:
-            return int(tuned["phi"]), float(tuned["eta"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RuntimeError(f"{path}: malformed tuned settings "
-                               f"({exc})") from None
+        return read_json(path, _tuned_from_dict)
     return predictor.DEFAULTS.get(cfg.problem, (0, 1.0))
 
 
@@ -539,9 +558,8 @@ def cmd_run(cfg: ExperimentConfig, mode: str) -> None:
     for path in paths:
         pred_path = None
         if mode != "baseline":
-            preds_dir = _require_dir(cfg.workdir / "predictions", "predict")
-            pred_path = _require_file(preds_dir / f"{path.stem}.csv",
-                                      "predict")
+            preds_dir = _require(cfg.workdir / "predictions", "predict")
+            pred_path = _require(preds_dir / f"{path.stem}.csv", "predict")
         tasks.append((path, pred_path, mode, phi, eta,
                       cfg.solve_time_limit_s, cfg.solve_node_limit))
     rows = _pmap(_run_one, tasks, cfg.jobs)
@@ -568,17 +586,16 @@ def _read_results(path: Path) -> list[dict]:
 
 def _prediction_quality(cfg: ExperimentConfig, report: metrics.EvalReport):
     """AP and accuracy curves of the validation predictions."""
-    labels_dir = _require_dir(cfg.workdir / "labels", "label")
-    preds_dir = _require_dir(cfg.workdir / "predictions", "predict")
+    labels_dir = _require(cfg.workdir / "labels", "label")
+    preds_dir = _require(cfg.workdir / "predictions", "predict")
     curves_dir = cfg.workdir / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
     per_instance = []
     for path in _split_instances(cfg, "valid"):
         name = path.stem
-        ls = labeler.read_labels(_require_file(labels_dir / path.name,
-                                               "label"))
-        pred = _read_predictions(_require_file(preds_dir / f"{name}.csv",
-                                               "predict"))
+        ls = labeler.read_labels(_require(labels_dir / path.name, "label"))
+        pred = _read_predictions(_require(preds_dir / f"{name}.csv",
+                                          "predict"))
         mask = ls.stable_mask()
         y = ls.targets()[mask]
         z = np.array([pred.get(v, 0.5) for v in ls.var_names])[mask]
@@ -665,9 +682,9 @@ def cmd_eval(cfg: ExperimentConfig) -> None:
     _prediction_quality(cfg, report)
     _solver_quality(cfg, report, runtimes)
     runtimes["eval_s"] = time.perf_counter() - started
-    _write_json(cfg.workdir / "report.json",
-                {"summary": report.summary, "rows": report.rows,
-                 "runtimes": runtimes})
+    write_json(cfg.workdir / "report.json",
+               {"summary": report.summary, "rows": report.rows,
+                "runtimes": runtimes})
     metrics.write_report_csv(cfg.workdir / "report.csv", report)
     print("mode      instances  with_solution  mean_primal_gap%")
     for mode, stats in report.summary["modes"].items():

@@ -4,7 +4,9 @@ A problem is ``min/max c.x`` subject to ranged linear constraints
 ``lhs <= a.x <= rhs`` and variable bounds ``lb <= x <= ub``, with each
 variable typed binary, integer, or continuous.  Everything downstream
 (LP relaxation, branch and bound, labeling, feature extraction) works
-on this representation.
+on this representation.  The module also holds the one path by which
+every pipeline file in JSON is written and read (``write_json``,
+``read_json``, ``check_keys``).
 """
 
 from __future__ import annotations
@@ -253,18 +255,52 @@ def _num_in(raw, where: str) -> float:
     return float(raw)
 
 
-def _checked_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def check_keys(data, expected: set[str], where: str,
+               error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``data`` is an object with exactly the keys
+    ``expected``."""
+    if not isinstance(data, dict):
+        raise error(f"{where}: expected an object")
+    unknown, missing = set(data) - expected, expected - set(data)
     if unknown:
-        raise InstanceFormatError(f"{where}: unknown keys {sorted(unknown)}")
+        raise error(f"{where}: unknown keys {sorted(unknown)}")
+    if missing:
+        raise error(f"{where}: missing keys {sorted(missing)}")
 
 
 def _pairs_hook(pairs):
     keys = [k for k, _ in pairs]
     if len(keys) != len(set(keys)):
         dup = sorted({k for k in keys if keys.count(k) > 1})
-        raise InstanceFormatError(f"duplicate keys {dup} in object")
+        raise ValueError(f"duplicate keys {dup} in object")
     return dict(pairs)
+
+
+def write_json(path, payload, indent: int | None = 1) -> None:
+    """Write ``payload`` to ``path`` as JSON plus a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=indent)
+        fh.write("\n")
+
+
+def read_json(path, parse, error: type[ValueError] = ValueError):
+    """``parse(data)`` of the JSON document in ``path``.
+
+    Objects with duplicate keys are rejected.  A document that does not
+    decode, or on which ``parse`` fails with a LookupError,
+    AttributeError, TypeError or ValueError, raises ``error`` with the
+    path in front of the message.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh, object_pairs_hook=_pairs_hook)
+        return parse(data)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise error(f"{path}: missing key {exc}") from None
+    except (LookupError, AttributeError, TypeError, ValueError) as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def instance_to_dict(inst: MipInstance) -> dict:
@@ -290,34 +326,16 @@ def instance_to_dict(inst: MipInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> MipInstance:
-    if not isinstance(data, dict):
-        raise InstanceFormatError("top level must be an object")
-    _checked_keys(data, {"name", "sense", "variables", "constraints", "objective"}, "top level")
-    for key in ("name", "sense", "variables", "constraints", "objective"):
-        if key not in data:
-            raise InstanceFormatError(f"missing top-level key {key!r}")
-    sense = data["sense"]
-    if sense not in (MINIMIZE, MAXIMIZE):
-        raise InstanceFormatError(f"sense must be 'min' or 'max', got {sense!r}")
+    check_keys(data, {"name", "sense", "variables", "constraints", "objective"},
+               "top level", InstanceFormatError)
     variables = []
     index: dict[str, int] = {}
     for k, raw in enumerate(data["variables"]):
         where = f"variables[{k}]"
-        if not isinstance(raw, dict):
-            raise InstanceFormatError(f"{where}: expected object")
-        _checked_keys(raw, {"name", "vtype", "lb", "ub"}, where)
-        try:
-            name, vtype = raw["name"], raw["vtype"]
-        except KeyError as exc:
-            raise InstanceFormatError(f"{where}: missing key {exc}") from None
-        if vtype not in VTYPES:
-            raise InstanceFormatError(f"{where}: unknown vtype {vtype!r}")
-        if name in index:
-            raise InstanceFormatError(f"{where}: duplicate variable name {name!r}")
-        index[name] = k
-        variables.append(
-            Variable(name, vtype, _num_in(raw["lb"], where), _num_in(raw["ub"], where))
-        )
+        check_keys(raw, {"name", "vtype", "lb", "ub"}, where, InstanceFormatError)
+        index[raw["name"]] = k
+        variables.append(Variable(raw["name"], raw["vtype"], _num_in(raw["lb"], where),
+                                  _num_in(raw["ub"], where)))
 
     def var_index(name, where):
         try:
@@ -328,25 +346,19 @@ def instance_from_dict(data: dict) -> MipInstance:
     constraints = []
     for k, raw in enumerate(data["constraints"]):
         where = f"constraints[{k}]"
-        if not isinstance(raw, dict):
-            raise InstanceFormatError(f"{where}: expected object")
-        _checked_keys(raw, {"name", "lhs", "rhs", "coeffs"}, where)
-        try:
-            name, coeffs_raw = raw["name"], raw["coeffs"]
-        except KeyError as exc:
-            raise InstanceFormatError(f"{where}: missing key {exc}") from None
+        check_keys(raw, {"name", "lhs", "rhs", "coeffs"}, where, InstanceFormatError)
         coeffs = {
             var_index(vn, where): _num_in(a, f"{where}.coeffs[{vn!r}]")
-            for vn, a in coeffs_raw.items()
+            for vn, a in raw["coeffs"].items()
         }
         constraints.append(
-            Constraint(name, coeffs, _num_in(raw["lhs"], where), _num_in(raw["rhs"], where))
+            Constraint(raw["name"], coeffs, _num_in(raw["lhs"], where), _num_in(raw["rhs"], where))
         )
     objective = {
         var_index(vn, "objective"): _num_in(c, f"objective[{vn!r}]")
         for vn, c in data["objective"].items()
     }
-    inst = MipInstance(data["name"], sense, variables, constraints, objective)
+    inst = MipInstance(data["name"], data["sense"], variables, constraints, objective)
     errs = validate_instance(inst)
     if errs:
         raise InstanceFormatError("; ".join(errs))
@@ -354,18 +366,8 @@ def instance_from_dict(data: dict) -> MipInstance:
 
 
 def write_instance(inst: MipInstance, path) -> None:
-    with open(path, "w") as f:
-        json.dump(instance_to_dict(inst), f, indent=1)
-        f.write("\n")
+    write_json(path, instance_to_dict(inst))
 
 
 def read_instance(path) -> MipInstance:
-    with open(path) as f:
-        try:
-            data = json.load(f, object_pairs_hook=_pairs_hook)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"{path}: {exc}") from None
-    try:
-        return instance_from_dict(data)
-    except InstanceFormatError as exc:
-        raise InstanceFormatError(f"{path}: {exc}") from None
+    return read_json(path, instance_from_dict, InstanceFormatError)

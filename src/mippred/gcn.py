@@ -45,14 +45,14 @@ place, with the same per-element arithmetic as a per-array update.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
+from .core import check_keys, read_json, write_json
 from .labeler import LabelSet, STABLE1, UNSTABLE
 from .trigraph import (
     N_CONS_FEATURES,
@@ -91,6 +91,8 @@ class GcnHyper:
             raise ValueError("output_hidden must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.learning_rate)
                 and self.learning_rate >= 0.0):
             raise ValueError("learning_rate must be finite and >= 0, "
@@ -675,79 +677,50 @@ def _adam_update(p, g, m, v, s1, s2, lr, c1, c2):
 # Model files
 
 
-def _hyper_to_dict(hyper: GcnHyper) -> dict:
-    return {
-        "hidden_dim": hyper.hidden_dim,
-        "transitions": hyper.transitions,
-        "output_hidden": hyper.output_hidden,
-        "learning_rate": hyper.learning_rate,
-        "epochs": hyper.epochs,
-        "seed": hyper.seed,
-        "attention": hyper.attention,
-        "literal_loops": hyper.literal_loops,
-    }
-
-
-def _hyper_from_dict(data: dict) -> GcnHyper:
-    expected = set(_hyper_to_dict(GcnHyper()))
-    unknown = set(data) - expected
-    if unknown:
-        raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
-    missing = expected - set(data)
-    if missing:
-        raise ValueError(f"missing hyperparameter keys: {sorted(missing)}")
-    hyper = GcnHyper(**data)
-    hyper.validate()
-    return hyper
-
-
 def save_params(path, params: dict, hyper: GcnHyper) -> None:
     blob = {"format_version": FORMAT_VERSION,
-            "hyper": _hyper_to_dict(hyper), "params": {}}
+            "hyper": asdict(hyper), "params": {}}
     for name, arr in params.items():
         mat = arr if arr.ndim == 2 else arr.reshape(-1, 1)
         blob["params"][name] = {
             "rows": mat.shape[0], "cols": mat.shape[1],
             "data": [float(x) for x in mat.ravel()],
         }
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
-        fh.write("\n")
+    write_json(path, blob, indent=None)
 
 
-def load_params(path):
-    """(params, hyper) from a model file, with shape validation."""
-    with open(path) as fh:
-        try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if blob.get("format_version") != FORMAT_VERSION:
+def _params_from_dict(blob: dict):
+    check_keys(blob, {"format_version", "hyper", "params"}, "model file")
+    if blob["format_version"] != FORMAT_VERSION:
         raise ValueError(
-            f"{path}: unsupported format version {blob.get('format_version')!r}")
-    hyper = _hyper_from_dict(blob["hyper"])
+            f"unsupported format version {blob['format_version']!r}")
+    check_keys(blob["hyper"], {f.name for f in fields(GcnHyper)},
+               "hyperparameters")
+    hyper = GcnHyper(**blob["hyper"])
+    hyper.validate()
     shapes = param_shapes(hyper)
-    params = {}
     stored = blob["params"]
-    unknown = set(stored) - set(shapes)
-    if unknown:
-        raise ValueError(f"{path}: unknown parameters {sorted(unknown)}")
+    check_keys(stored, set(shapes), "parameters")
+    params = {}
     for name, shape in shapes.items():
-        if name not in stored:
-            raise ValueError(f"{path}: missing parameter {name!r}")
         entry = stored[name]
+        check_keys(entry, {"rows", "cols", "data"}, f"parameter {name!r}")
         rows, cols = entry["rows"], entry["cols"]
         want = shape if len(shape) == 2 else (shape[0], 1)
         if (rows, cols) != want:
             raise ValueError(
-                f"{path}: parameter {name!r} is {rows}x{cols}, "
+                f"parameter {name!r} is {rows}x{cols}, "
                 f"expected {want[0]}x{want[1]}")
         arr = np.array(entry["data"], float)
         if arr.size != rows * cols:
-            raise ValueError(f"{path}: parameter {name!r} has "
+            raise ValueError(f"parameter {name!r} has "
                              f"{arr.size} values, expected {rows * cols}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: parameter {name!r} has non-finite values")
-        params[name] = arr.reshape(rows, cols) if len(shape) == 2 \
-            else arr.reshape(shape)
+            raise ValueError(f"parameter {name!r} has non-finite values")
+        params[name] = arr.reshape(shape)
     return params, hyper
+
+
+def load_params(path):
+    """(params, hyper) from a model file, with shape validation."""
+    return read_json(path, _params_from_dict)

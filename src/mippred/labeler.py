@@ -11,7 +11,6 @@ are excluded from training downstream.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,8 +22,11 @@ from .core import (
     MipInstance,
     Solution,
     canonicalize,
+    check_keys,
     evaluate_solution,
     hamming_coeffs,
+    read_json,
+    write_json,
 )
 from . import bnb
 from .simplex import OPTIMAL as LP_OPTIMAL
@@ -202,13 +204,8 @@ def labelset_to_dict(ls: LabelSet) -> dict:
 
 
 def labelset_from_dict(data: dict) -> LabelSet:
-    expected = {"instance", "delta", "iterations", "labels", "trace"}
-    unknown = set(data) - expected
-    if unknown:
-        raise ValueError(f"unknown label file keys: {sorted(unknown)}")
-    missing = expected - set(data)
-    if missing:
-        raise ValueError(f"missing label file keys: {sorted(missing)}")
+    check_keys(data, {"instance", "delta", "iterations", "labels", "trace"},
+               "label file")
     labels = data["labels"]
     for name, lab in labels.items():
         if lab not in _LABEL_VALUES:
@@ -224,18 +221,8 @@ def labelset_from_dict(data: dict) -> LabelSet:
 
 
 def write_labels(path, ls: LabelSet) -> None:
-    with open(path, "w") as fh:
-        json.dump(labelset_to_dict(ls), fh, indent=1)
-        fh.write("\n")
+    write_json(path, labelset_to_dict(ls))
 
 
 def read_labels(path) -> LabelSet:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return labelset_from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_json(path, labelset_from_dict)

@@ -53,7 +53,7 @@ class ApplyConfig:
     mode: str = APPROXIMATE
 
     def validate(self) -> None:
-        if self.phi < 0 or self.phi != int(self.phi):
+        if not (self.phi >= 0 and float(self.phi).is_integer()):
             raise ValueError("phi must be a nonnegative integer")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")

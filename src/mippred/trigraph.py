@@ -18,12 +18,12 @@ mean ``mu_i`` and squared deviation ``M2_i`` by the parallel-axis form
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BINARY, CONTINUOUS, MipInstance, RowArrays, row_arrays
+from .core import (BINARY, CONTINUOUS, MipInstance, RowArrays, check_keys,
+                   read_json, row_arrays, write_json)
 from .bnb import RootInfo
 
 N_VAR_FEATURES = 57
@@ -274,6 +274,8 @@ def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
 # Standardization
 
 _FAMILIES = ("var", "cons", "obj", "vc", "vo", "co")
+_WIDTHS = dict(zip(_FAMILIES, (N_VAR_FEATURES, N_CONS_FEATURES,
+                               N_OBJ_FEATURES, 2, 2, 2)))
 
 
 @dataclass
@@ -300,15 +302,13 @@ def fit_scaler(graphs: list[TriGraph]) -> FeatureScaler:
     columns keep scale 1 so they pass through unchanged."""
     if not graphs:
         raise ValueError("need at least one graph to fit a scaler")
-    widths = {"var": N_VAR_FEATURES, "cons": N_CONS_FEATURES,
-              "obj": N_OBJ_FEATURES, "vc": 2, "vo": 2, "co": 2}
     shift, scale = {}, {}
     for fam in _FAMILIES:
         stacked = [_family_arrays(g)[fam] for g in graphs]
         stacked = [a for a in stacked if a.size]
         if not stacked:
-            shift[fam] = np.zeros(widths[fam])
-            scale[fam] = np.ones(widths[fam])
+            shift[fam] = np.zeros(_WIDTHS[fam])
+            scale[fam] = np.ones(_WIDTHS[fam])
             continue
         allrows = np.vstack(stacked)
         mu = allrows.mean(axis=0)
@@ -345,90 +345,63 @@ def apply_scaler(graph: TriGraph, scaler: FeatureScaler) -> TriGraph:
 
 
 def trigraph_to_dict(graph: TriGraph) -> dict:
-    edges = []
-    for e in range(len(graph.vc_var)):
-        edges.append({"type": "vc",
-                      "from": graph.var_names[graph.vc_var[e]],
-                      "to": graph.cons_names[graph.vc_cons[e]],
-                      "features": [float(v) for v in graph.vc_feats[e]]})
-    for t, name in enumerate(graph.var_names):
-        edges.append({"type": "vo", "from": name, "to": "obj",
-                      "features": [float(v) for v in graph.vo_feats[t]]})
-    for i, name in enumerate(graph.cons_names):
-        edges.append({"type": "co", "from": name, "to": "obj",
-                      "features": [float(v) for v in graph.co_feats[i]]})
-    return {
-        "name": graph.name,
-        "var_nodes": [{"name": n, "features": [float(v) for v in row]}
-                      for n, row in zip(graph.var_names, graph.var_feats)],
-        "cons_nodes": [{"name": n, "features": [float(v) for v in row]}
-                       for n, row in zip(graph.cons_names, graph.cons_feats)],
-        "obj_features": [float(v) for v in graph.obj_feats],
-        "edges": edges,
-    }
+    """The fields of ``graph`` under their own names, arrays as (nested)
+    lists."""
+    out = {}
+    for f in fields(TriGraph):
+        value = getattr(graph, f.name)
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
+def _array(data: dict, key: str, shape: tuple, bound: int | None = None):
+    """``data[key]`` as an array of ``shape``: finite floats, or with a
+    ``bound`` integer indices in ``[0, bound)``."""
+    arr = np.array(data[key], dtype=float if bound is None else None)
+    if arr.size == 0:
+        arr = arr.reshape(0, *shape[1:])
+    if arr.shape != shape:
+        raise ValueError(f"{key} has shape {arr.shape}, expected {shape}")
+    if bound is None:
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{key} has non-finite values")
+        return arr
+    if arr.size and (arr.dtype.kind != "i" or arr.min() < 0
+                     or arr.max() >= bound):
+        raise ValueError(f"{key} holds a value that is not an index "
+                         f"in [0, {bound})")
+    return arr.astype(np.int64)
 
 
 def trigraph_from_dict(data: dict) -> TriGraph:
-    expected = {"name", "var_nodes", "cons_nodes", "obj_features", "edges"}
-    unknown = set(data) - expected
-    if unknown:
-        raise ValueError(f"unknown graph file keys: {sorted(unknown)}")
-    missing = expected - set(data)
-    if missing:
-        raise ValueError(f"missing graph file keys: {sorted(missing)}")
-    var_names = [n["name"] for n in data["var_nodes"]]
-    cons_names = [n["name"] for n in data["cons_nodes"]]
-    vpos = {n: t for t, n in enumerate(var_names)}
-    cpos = {n: i for i, n in enumerate(cons_names)}
-    var_feats = np.array([n["features"] for n in data["var_nodes"]]
-                         ).reshape(len(var_names), N_VAR_FEATURES)
-    cons_feats = np.array([n["features"] for n in data["cons_nodes"]]
-                          ).reshape(len(cons_names), N_CONS_FEATURES)
-    vc_var, vc_cons, vc_feats = [], [], []
-    vo_feats = np.zeros((len(var_names), 2))
-    co_feats = np.zeros((len(cons_names), 2))
-    for e in data["edges"]:
-        if e["type"] == "vc":
-            vc_var.append(vpos[e["from"]])
-            vc_cons.append(cpos[e["to"]])
-            vc_feats.append(e["features"])
-        elif e["type"] == "vo":
-            vo_feats[vpos[e["from"]]] = e["features"]
-        elif e["type"] == "co":
-            co_feats[cpos[e["from"]]] = e["features"]
-        else:
-            raise ValueError(f"unknown edge type {e['type']!r}")
+    check_keys(data, {f.name for f in fields(TriGraph)}, "graph file")
+    for key in ("var_names", "cons_names"):
+        if not (isinstance(data[key], list)
+                and all(isinstance(s, str) for s in data[key])):
+            raise ValueError(f"{key} must be a list of strings")
+    n, m = len(data["var_names"]), len(data["cons_names"])
+    n_edges = len(data["vc_var"])
     return TriGraph(
         name=data["name"],
-        var_names=var_names,
-        cons_names=cons_names,
-        var_feats=var_feats,
-        cons_feats=cons_feats,
-        obj_feats=np.array(data["obj_features"], float),
-        vc_var=np.array(vc_var, dtype=np.int64),
-        vc_cons=np.array(vc_cons, dtype=np.int64),
-        vc_feats=np.array(vc_feats, float).reshape(len(vc_var), 2),
-        vo_feats=vo_feats,
-        co_feats=co_feats,
+        var_names=data["var_names"],
+        cons_names=data["cons_names"],
+        var_feats=_array(data, "var_feats", (n, N_VAR_FEATURES)),
+        cons_feats=_array(data, "cons_feats", (m, N_CONS_FEATURES)),
+        obj_feats=_array(data, "obj_feats", (N_OBJ_FEATURES,)),
+        vc_var=_array(data, "vc_var", (n_edges,), bound=n),
+        vc_cons=_array(data, "vc_cons", (n_edges,), bound=m),
+        vc_feats=_array(data, "vc_feats", (n_edges, 2)),
+        vo_feats=_array(data, "vo_feats", (n, 2)),
+        co_feats=_array(data, "co_feats", (m, 2)),
     )
 
 
 def write_trigraph(path, graph: TriGraph) -> None:
-    with open(path, "w") as fh:
-        json.dump(trigraph_to_dict(graph), fh, indent=1)
-        fh.write("\n")
+    write_json(path, trigraph_to_dict(graph))
 
 
 def read_trigraph(path) -> TriGraph:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return trigraph_from_dict(data)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_json(path, trigraph_from_dict)
 
 
 def scaler_to_dict(scaler: FeatureScaler) -> dict:
@@ -438,30 +411,23 @@ def scaler_to_dict(scaler: FeatureScaler) -> dict:
 
 
 def scaler_from_dict(data: dict) -> FeatureScaler:
-    unknown = set(data) - set(_FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown scaler keys: {sorted(unknown)}")
+    check_keys(data, set(_FAMILIES), "scaler file")
     shift, scale = {}, {}
     for fam in _FAMILIES:
-        if fam not in data:
-            raise ValueError(f"missing scaler family {fam!r}")
+        check_keys(data[fam], {"shift", "scale"}, f"scaler family {fam!r}")
         shift[fam] = np.array(data[fam]["shift"], float)
         scale[fam] = np.array(data[fam]["scale"], float)
+        if not shift[fam].shape == scale[fam].shape == (_WIDTHS[fam],):
+            raise ValueError(f"scaler family {fam!r} is not "
+                             f"{_WIDTHS[fam]} features wide")
         if np.any(scale[fam] <= 0):
             raise ValueError(f"nonpositive scale in family {fam!r}")
     return FeatureScaler(shift=shift, scale=scale)
 
 
 def write_scaler(path, scaler: FeatureScaler) -> None:
-    with open(path, "w") as fh:
-        json.dump(scaler_to_dict(scaler), fh, indent=1)
-        fh.write("\n")
+    write_json(path, scaler_to_dict(scaler))
 
 
 def read_scaler(path) -> FeatureScaler:
-    with open(path) as fh:
-        data = json.load(fh)
-    try:
-        return scaler_from_dict(data)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_json(path, scaler_from_dict)

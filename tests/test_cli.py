@@ -285,6 +285,49 @@ def test_bad_training_hyperparameter_exits_3(tmp_path, capsys, line):
     assert f"[gcn] {key}" in capsys.readouterr().err
 
 
+def with_line(section, line, text=SMOKE_CONFIG):
+    """``text`` with ``line`` as the first key of ``[section]``."""
+    assert f"[{section}]" in text
+    return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "seed", "-1"),
+    ("gcn", "seed", "-1"),
+    ("labeler", "time_limit_s", "nan"),
+    ("predictor", "time_limit_s", "nan"),
+    ("eval", "ref_time_limit_s", "nan"),
+])
+def test_out_of_range_value_exits_3(tmp_path, capsys, section, key, value):
+    text = "\n".join(row for row in SMOKE_CONFIG.splitlines()
+                     if not row.startswith(f"{key} ="))
+    cfgf = write_config(tmp_path, with_line(section, f"{key} = {value}",
+                                            text))
+    assert run(tmp_path, "gen", "--config", str(cfgf)) == 3
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "instances").exists()
+
+
+def test_config_loads_every_key(tmp_path):
+    text = SMOKE_CONFIG
+    for section, line in (("experiment", 'params = {"sets": 12}'),
+                          ("gcn", "attention = off"),
+                          ("gcn", "literal_loops = yes"),
+                          ("predictor", "node_limit = 7")):
+        text = with_line(section, line, text)
+    cfg = cli.load_config(write_config(tmp_path, text), tmp_path, scale=0.5)
+    assert (cfg.problem, cfg.preset, cfg.gen_params) == ("sc", "tiny",
+                                                         {"sets": 12})
+    assert (cfg.n_train, cfg.n_valid, cfg.n_test, cfg.seed) == (2, 1, 1, 0)
+    assert (cfg.label_max_iters, cfg.label_time_limit_s) == (5, 2.0)
+    assert (cfg.hyper.hidden_dim, cfg.hyper.output_hidden, cfg.hyper.epochs,
+            cfg.hyper.learning_rate, cfg.hyper.attention,
+            cfg.hyper.literal_loops) == (8, 8, 5, 0.005, False, True)
+    assert (cfg.phi_grid, cfg.eta_grid) == ((0,), (0.9, 1.0))
+    assert (cfg.solve_time_limit_s, cfg.solve_node_limit) == (2.0, 7)
+    assert (cfg.ref_time_limit_s, cfg.fractions) == (10.0, (0.5, 1.0))
+
+
 def test_absent_config_file_exits_3(tmp_path):
     assert run(tmp_path, "gen", "--config",
                str(tmp_path / "nope.ini")) == 3
@@ -309,3 +352,60 @@ def test_corrupt_instance_file_exits_4(tmp_path, capsys):
     rc = run(tmp_path, "label", "--config", str(cfgf))
     assert rc == 4
     capsys.readouterr()
+
+
+def copy_stage_outputs(src, dst, *names):
+    for name in names:
+        if (src / name).is_dir():
+            shutil.copytree(src / name, dst / name)
+        else:
+            shutil.copy(src / name, dst / name)
+
+
+def test_corrupt_scaler_file_exits_4_naming_it(pipeline, tmp_path, capsys):
+    cfgf = write_config(tmp_path)
+    copy_stage_outputs(pipeline, tmp_path, "instances", "graphs",
+                       "model.json")
+    (tmp_path / "scaler.json").write_text("{broken")
+    assert run(tmp_path, "predict", "--config", str(cfgf)) == 4
+    assert "scaler.json: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("{broken", "not valid JSON"),
+    ('{"phi": 2.7, "eta": 0.9, "mean_primal_gap": 0.0}', "phi"),
+    ('{"phi": 0, "eta": 1.5, "mean_primal_gap": 0.0}', "eta"),
+    ('{"phi": 0, "eta": 0.9}', "missing keys"),
+], ids=["json", "fractional_phi", "eta_above_1", "missing_key"])
+def test_bad_tuned_file_exits_4_naming_it(pipeline, tmp_path, capsys, text,
+                                          problem):
+    cfgf = write_config(tmp_path)
+    copy_stage_outputs(pipeline, tmp_path, "instances", "predictions")
+    (tmp_path / "tuned.json").write_text(text)
+    assert run(tmp_path, "run", "--mode", "approx", "--config",
+               str(cfgf)) == 4
+    err = capsys.readouterr().err
+    assert "tuned.json: " in err
+    assert problem in err
+    assert not (tmp_path / "results_approx.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["x_0,abc", "x_0,0.5,0.5", "x_0", "x_0,nan",
+                                 "x_0,1.5", "x_0,-0.25", "x_0,inf"])
+def test_bad_prediction_row_is_rejected_naming_the_file(tmp_path, row):
+    path = tmp_path / "p.csv"
+    path.write_text(f"varname,z\nx_1,0.5\n{row}\n")
+    with pytest.raises(ValueError, match=r"p\.csv: line 3"):
+        cli._read_predictions(path)
+
+
+def test_bad_prediction_file_fails_run_naming_it(pipeline, tmp_path,
+                                                 capsys):
+    cfgf = write_config(tmp_path)
+    copy_stage_outputs(pipeline, tmp_path, "instances", "predictions",
+                       "tuned.json")
+    victim = tmp_path / "predictions" / "sc-tiny-test-0000.csv"
+    victim.write_text(victim.read_text() + "x_0,1.5\n")
+    assert run(tmp_path, "run", "--mode", "exact", "--config",
+               str(cfgf)) == 4
+    assert "sc-tiny-test-0000.csv: line" in capsys.readouterr().err

@@ -122,7 +122,8 @@ BAD_TRAINING_VALUES = [
     pytest.param({"learning_rate": math.nan}, "learning_rate", id="lr_nan"),
     pytest.param({"learning_rate": math.inf}, "learning_rate", id="lr_inf"),
     pytest.param({"learning_rate": -1e-3}, "learning_rate",
-                 id="lr_negative")]
+                 id="lr_negative"),
+    pytest.param({"seed": -1}, "seed", id="seed_negative")]
 
 
 @pytest.mark.parametrize("changes, field", BAD_TRAINING_VALUES)

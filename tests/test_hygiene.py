@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: unused imports,
-private helpers nothing references, and what importing the command-line
-module loads."""
+private helpers nothing references, what importing the command-line
+module loads, one place that reads and writes JSON files, and a
+documented line for every configuration key."""
 
 import ast
 import os
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mippred import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mippred"
 
@@ -121,3 +124,67 @@ def test_cli_import_does_not_load_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def json_file_calls(source: str) -> list[str]:
+    """The enclosing function (``<module>`` at top level) of every
+    ``json.load``/``json.dump`` call and ``from json import load/dump``,
+    in source order."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None)
+            calls = (isinstance(func, ast.Attribute)
+                     and isinstance(func.value, ast.Name)
+                     and func.value.id == "json"
+                     and func.attr in ("load", "dump"))
+            imports = (isinstance(child, ast.ImportFrom)
+                       and child.module == "json"
+                       and {a.name for a in child.names} & {"load", "dump"})
+            if calls or imports:
+                out.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_json_scan_flags_file_calls_by_enclosing_function():
+    source = ("import json\n"
+              "from json import dump\n"
+              "def save(x, fh):\n"
+              "    json.dump(x, fh)\n"
+              "def parse(s):\n"
+              "    return json.loads(s)\n"
+              "data = json.load(open('f'))\n")
+    assert json_file_calls(source) == ["<module>", "save", "<module>"]
+
+
+def test_json_files_go_through_the_core_helpers():
+    calls = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in json_file_calls(path.read_text())}
+    assert calls == {("core.py", "read_json"), ("core.py", "write_json")}
+
+
+def documented_config_keys(doc: str) -> set[tuple[str, str]]:
+    """(section, first word) of each indented line below an indented
+    ``[section]`` line, up to the next unindented line."""
+    keys, section = set(), None
+    for line in doc.splitlines():
+        words = line.split()
+        if not line.startswith("    "):
+            section = None
+        elif words[0].startswith("[") and words[0].endswith("]"):
+            section = words[0][1:-1]
+        elif section is not None:
+            keys.add((section, words[0]))
+    return keys
+
+
+def test_every_config_key_is_documented():
+    table = {(section, key) for section, key, *_ in cli._KEYS}
+    assert table - documented_config_keys(cli.__doc__) == set()

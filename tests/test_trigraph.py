@@ -1,5 +1,6 @@
 """Graph extraction: node/edge layout, feature values, scaling, files."""
 
+import json
 import math
 
 import numpy as np
@@ -41,7 +42,10 @@ def test_two_vars_one_row_gives_five_edges():
     assert len(g.vc_var) == 2
     assert g.vo_feats.shape == (2, 2)
     assert g.co_feats.shape == (1, 2)
-    assert len(trigraph.trigraph_to_dict(g)["edges"]) == 5
+    data = trigraph.trigraph_to_dict(g)
+    # two v-c edges, one v-o edge per variable, one c-o edge per row
+    assert len(data["vc_var"]) + len(data["vo_feats"]) + \
+        len(data["co_feats"]) == 5
 
 
 def test_zero_coefficient_variable_keeps_objective_edge_only():
@@ -520,22 +524,24 @@ def test_fit_scaler_needs_graphs():
 # Files
 
 
-def test_graph_file_round_trip(tmp_path):
-    g = graph_of(generate(GenSpec("mk", "tiny", seed=2)))
+GRAPH_ARRAYS = ("var_feats", "cons_feats", "obj_feats", "vc_var", "vc_cons",
+                "vc_feats", "vo_feats", "co_feats")
+
+
+@pytest.mark.parametrize("problem", ["fcnf", "cfl", "ga", "mis", "mk", "sc",
+                                     "tsp", "vrp"])
+def test_graph_file_round_trip(tmp_path, problem):
+    g = graph_of(generate(GenSpec(problem, "tiny", seed=2)))
     path = tmp_path / "g.json"
     trigraph.write_trigraph(path, g)
     back = trigraph.read_trigraph(path)
     assert back.name == g.name
     assert back.var_names == g.var_names
     assert back.cons_names == g.cons_names
-    np.testing.assert_array_equal(back.var_feats, g.var_feats)
-    np.testing.assert_array_equal(back.cons_feats, g.cons_feats)
-    np.testing.assert_array_equal(back.obj_feats, g.obj_feats)
-    np.testing.assert_array_equal(back.vc_var, g.vc_var)
-    np.testing.assert_array_equal(back.vc_cons, g.vc_cons)
-    np.testing.assert_array_equal(back.vc_feats, g.vc_feats)
-    np.testing.assert_array_equal(back.vo_feats, g.vo_feats)
-    np.testing.assert_array_equal(back.co_feats, g.co_feats)
+    for key in GRAPH_ARRAYS:
+        want, got = getattr(g, key), getattr(back, key)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+        assert got.tobytes() == want.tobytes(), key
 
 
 def test_graph_file_write_is_deterministic(tmp_path):
@@ -546,24 +552,48 @@ def test_graph_file_write_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def write_dict(path, data):
+    path.write_text(json.dumps(data))
+    return path
+
+
 def test_graph_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"name": "g", "var_nodes": [], "cons_nodes": [], '
-                    '"obj_features": [0, 0], "edges": [], "bogus": 1}\n')
+    data = trigraph.trigraph_to_dict(graph_of(pair_instance()))
+    data["bogus"] = 1
     with pytest.raises(ValueError, match="unknown"):
+        trigraph.read_trigraph(write_dict(tmp_path / "bad.json", data))
+
+
+@pytest.mark.parametrize("key, names", [("vc_var", "var_names"),
+                                        ("vc_cons", "cons_names")])
+@pytest.mark.parametrize("bad", ["past_end", "negative", "fractional"])
+def test_graph_file_rejects_out_of_range_index(tmp_path, key, names, bad):
+    data = trigraph.trigraph_to_dict(graph_of(pair_instance()))
+    data[key][0] = {"past_end": len(data[names]), "negative": -1,
+                    "fractional": 0.5}[bad]
+    path = write_dict(tmp_path / "bad.json", data)
+    with pytest.raises(ValueError, match=f"bad.json: {key} .*index"):
         trigraph.read_trigraph(path)
 
 
-def test_graph_file_rejects_bad_edge_type(tmp_path):
+@pytest.mark.parametrize("key", GRAPH_ARRAYS)
+def test_graph_file_rejects_wrong_shape(tmp_path, key):
+    data = trigraph.trigraph_to_dict(graph_of(pair_instance()))
+    data[key] = data[key][:-1]
+    path = write_dict(tmp_path / "bad.json", data)
+    # vc_var sets the edge count, so a short vc_var is caught on vc_cons
+    with pytest.raises(ValueError, match="bad.json: vc_cons has shape"
+                       if key == "vc_var" else f"bad.json: {key} has shape"):
+        trigraph.read_trigraph(path)
+
+
+def test_graph_file_names_the_path_of_bad_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(
-        '{"name": "g", '
-        '"var_nodes": [{"name": "x", "features": ' +
-        str([0.0] * 57) + '}], '
-        '"cons_nodes": [], "obj_features": [0, 0], '
-        '"edges": [{"type": "vv", "from": "x", "to": "x", '
-        '"features": [0, 0]}]}\n')
-    with pytest.raises(ValueError, match="edge type"):
+    path.write_text('{"name": "g", "name": "h"}')
+    with pytest.raises(ValueError, match="bad.json: duplicate keys"):
+        trigraph.read_trigraph(path)
+    path.write_text("{broken")
+    with pytest.raises(ValueError, match="bad.json: not valid JSON"):
         trigraph.read_trigraph(path)
 
 
@@ -578,12 +608,19 @@ def test_scaler_file_round_trip(tmp_path):
         np.testing.assert_array_equal(back.scale[fam], scaler.scale[fam])
 
 
+@pytest.mark.parametrize("part", ["shift", "scale"])
+def test_scaler_file_rejects_wrong_width(tmp_path, part):
+    data = trigraph.scaler_to_dict(fit_scaler([graph_of(pair_instance())]))
+    data["var"][part] = data["var"][part][:1]
+    path = write_dict(tmp_path / "bad.json", data)
+    with pytest.raises(ValueError, match="bad.json: .*'var' is not 57"):
+        trigraph.read_scaler(path)
+
+
 def test_scaler_file_rejects_nonpositive_scale(tmp_path):
     g = graph_of(pair_instance())
     data = trigraph.scaler_to_dict(fit_scaler([g]))
     data["var"]["scale"][0] = 0.0
-    path = tmp_path / "bad.json"
-    import json
-    path.write_text(json.dumps(data))
+    path = write_dict(tmp_path / "bad.json", data)
     with pytest.raises(ValueError, match="nonpositive"):
         trigraph.read_scaler(path)
