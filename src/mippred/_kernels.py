@@ -53,6 +53,17 @@ optimal basis whose fresh prices are not dual feasible is not reported
 as optimal.  It bails out (for a primal fallback) when the starting
 basis is not dual feasible.
 
+A bound change leaves the basis matrix and the costs alone, so a
+re-solve from the basis an earlier dual solve ended on need not
+refactorize, reprice or recompute its steepest-edge weights: that solve
+returns its end state (``DualState``: ``T``, the reduced costs, the
+weights and the pivots since the last refactorization), and a
+re-solve given it only places the new nonbasic point and the basic
+values it implies, then resumes the loop with refactorizations on the
+shared pivot count (as Huangfu & Hall and Koberstein keep the
+factorization through a dive).  The loop updates ``T`` in place, so a
+state serves one re-solve.  Without a state the kernel refactorizes.
+
 Both kernels count pivots as moves: a pass that changes the basis or
 flips a bound counts, the final pass that only proves the status does
 not.  A rowless LP (m = 0) runs the same loops on empty arrays.
@@ -178,18 +189,24 @@ def _invert(sp, basis, sl):
     return T
 
 
-def _factor(sp, low, upp, basis, vstat, z):
-    """Invert the basis matrix (``_invert``) and put ``z`` on the basic
-    solution; return the transposed inverse.
+def _place(sp, low, upp, basis, vstat, z, T):
+    """Put ``z`` on the basic solution of the basis whose transposed
+    inverse is ``T``.
 
     Nonbasic entries of ``z`` move to the bound named by ``vstat`` (0
     for free ones); basic entries are ``z_B = -Binv @ (G @ z_N)``, with
     ``G @ z_N`` from the block's entries in O(nnz + m).
     """
-    T = _invert(sp, basis, _slack_rows(basis, sp.n, sp.m))
     zn = np.where(vstat == AT_LOWER, low, np.where(vstat == AT_UPPER, upp, 0.0))
     z[:] = zn
     z[basis] = -np.dot(_times(sp, zn), T)
+
+
+def _factor(sp, low, upp, basis, vstat, z):
+    """Invert the basis matrix (``_invert``) and put ``z`` on the basic
+    solution (``_place``); return the transposed inverse."""
+    T = _invert(sp, basis, _slack_rows(basis, sp.n, sp.m))
+    _place(sp, low, upp, basis, vstat, z, T)
     return T
 
 
@@ -403,51 +420,93 @@ def simplex_core(sp, c, low, upp, basis, vstat, z,
     return status, pivots, y, d
 
 
-def dual_core(sp, c, low, upp, basis, vstat, z,
-              feas_tol, piv_tol, max_iter, bland_after, refactor_every):
-    """Dual simplex from a dual-feasible basis; return (status, pivots, y, d).
+class DualState(NamedTuple):
+    """Where a dual solve ended, for the basis it ended on: the transposed
+    inverse ``T``, the reduced costs ``d`` (priced from scratch), the
+    steepest-edge weights ``beta`` and the pivots since the last
+    refactorization.  A later ``dual_core`` call on the same basis and
+    costs may start from it; that call updates ``T`` in place, so a
+    state serves one start."""
 
-    Arguments and in-place conventions mirror ``simplex_core``.  The
-    start basis must price dual feasible with the true costs, otherwise
-    NOT_DUAL_FEASIBLE comes back and the caller should fall back to the
-    primal core; so it does when the final basis is primal feasible but
-    its fresh prices are not dual feasible.  INFEASIBLE is proved: some
-    out-of-bound basic row admits no entering column, and bound flips
-    cannot absorb the violation either.
+    T: np.ndarray
+    d: np.ndarray
+    beta: np.ndarray
+    since_refactor: int
+
+
+def dual_core(sp, c, low, upp, basis, vstat, z,
+              feas_tol, piv_tol, max_iter, bland_after, refactor_every,
+              start=None):
+    """Dual simplex from a dual-feasible basis; return (status, pivots, y,
+    d, state).
+
+    Arguments and in-place conventions mirror ``simplex_core``.  Without
+    ``start`` the basis is refactorized, priced and its steepest-edge
+    weights computed; with ``start``, the ``DualState`` of an earlier
+    solve that ended on this basis, only ``z`` is placed and the loop
+    resumes from that state, refactorizing on the shared pivot count.
+    The start basis must price dual feasible with the true costs,
+    otherwise NOT_DUAL_FEASIBLE comes back (with y None when the start
+    was carried) and the caller should fall back to the primal core; so
+    it does when the final basis is primal feasible but its fresh prices
+    are not dual feasible.  INFEASIBLE is proved: some out-of-bound
+    basic row admits no entering column, and bound flips cannot absorb
+    the violation either.  state is the end state (``DualState``), None
+    when the start was refused.
     """
-    T = _factor(sp, low, upp, basis, vstat, z)
-    y, d = _price(sp, c, basis, T)
+    if start is None:
+        T = _factor(sp, low, upp, basis, vstat, z)
+        y, d = _price(sp, c, basis, T)
+        beta = None
+        since_refactor = 0
+    else:
+        T, d, beta, since_refactor = start
+        _place(sp, low, upp, basis, vstat, z, T)
+        y = None
 
     if _improving(vstat, d, 10.0 * feas_tol).any():
-        return NOT_DUAL_FEASIBLE, 0, y, d
+        return NOT_DUAL_FEASIBLE, 0, y, d, None
 
     # steepest-edge row weights beta_k = ||row k of Binv||^2
-    beta = _row_norms(T, _slack_rows(basis, sp.n, sp.m))
+    if beta is None:
+        beta = _row_norms(T, _slack_rows(basis, sp.n, sp.m))
     span = upp - low
-    bounded = np.isfinite(span)
+    # kept in step across pivots: the basic values and bounds by basis
+    # position (the basic entries of z go stale in the loop; a
+    # refactorization recomputes them and the end writes zb back), and
+    # _SIDE[vstat] for the eligibility test; the free nonbasic set only
+    # shrinks, so without one at the start none appears
+    zb = z[basis]
+    lowb = low[basis]
+    uppb = upp[basis]
+    side = _SIDE[vstat]
+    any_free = bool((vstat == FREE).any())
 
     pivots = 0
     degen = 0
     bland = False
-    since_refactor = 0
     status = ITER_LIMIT
 
     while pivots < max_iter:
         # leaving choice: steepest-edge score viol^2 / beta, first maximum;
         # a row under its lower bound wins a tie with its own upper side
-        # (with lower <= upper only one side can be violated)
-        zb = z[basis]
-        v_low = low[basis] - zb
-        v_upp = zb - upp[basis]
-        viol = np.fmax(v_low, v_upp)
-        score = np.where(viol > feas_tol, viol * viol / beta, 0.0)
-        if not score.any():
+        # (with lower <= upper only one side can be violated).  Scores are
+        # positive where a row is violated, so a zero maximum means none is
+        if not sp.m:
             status = OPTIMAL
             break
+        v_low = lowb - zb
+        v_upp = zb - uppb
+        viol = np.fmax(v_low, v_upp)
+        score = np.where(viol > feas_tol, viol * viol / beta, 0.0)
         r = int(np.argmax(score))
+        if score[r] == 0.0:
+            status = OPTIMAL
+            break
         below = bool(v_low[r] >= v_upp[r])
 
-        rho = _row_times(sp, T[:, r])
+        tr = T[:, r]
+        rho = _row_times(sp, tr)
         lv = basis[r]
 
         # entering choice: the columns whose move off their bound shrinks
@@ -456,7 +515,11 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
         # bound-flipped (each absorbs |rho_j|*range of the violation with
         # no basis change) and the breakpoint that exhausts the violation
         # enters.  Bland = first column at the smallest ratio, no flips.
-        elig = _improving(vstat, rho if below else -rho, piv_tol).nonzero()[0]
+        g = side * rho
+        mask = g > piv_tol if below else g < -piv_tol
+        if any_free:
+            mask |= (vstat == FREE) & ((rho < -piv_tol) | (rho > piv_tol))
+        elig = mask.nonzero()[0]
         if elig.size == 0:
             status = INFEASIBLE
             break
@@ -467,9 +530,10 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
         if bland:
             enter = int(elig[np.argmin(ratio)])
         else:
-            cap = np.where(bounded[elig], piv * span[elig], np.inf)
+            # piv > 0, so an infinite span caps at inf
+            cap = piv * span[elig]
             order = np.argsort(ratio)
-            rem = (low[lv] - z[lv]) if below else (z[lv] - upp[lv])
+            rem = (lowb[r] - zb[r]) if below else (zb[r] - uppb[r])
             kk = 0
             enter = -1
             for capk in cap[order].tolist():
@@ -498,8 +562,9 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
             dzF = np.zeros(len(z))
             dzF[flips] = np.where(up, span[flips], low[flips] - upp[flips])
             vstat[flips] = np.where(up, AT_UPPER, AT_LOWER)
+            side[flips] = np.where(up, 1.0, -1.0)
             z[flips] = np.where(up, upp[flips], low[flips])
-            z[basis] = z[basis] - _ftran(T, _times(sp, dzF))
+            zb -= _ftran(T, _times(sp, dzF))
 
         w = _column(sp, T, enter)
         alpha = w[r]
@@ -508,14 +573,19 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
             break
         pivots += 1
 
-        bnd = low[lv] if below else upp[lv]
-        dz = (z[lv] - bnd) / alpha
-        z[enter] = z[enter] + dz
-        z[basis] = z[basis] - dz * w
+        bnd = lowb[r] if below else uppb[r]
+        dz = (zb[r] - bnd) / alpha
+        ze = z[enter] + dz
+        zb -= dz * w
+        zb[r] = ze
+        lowb[r] = low[enter]
+        uppb[r] = upp[enter]
         z[lv] = bnd
         vstat[lv] = AT_LOWER if below else AT_UPPER
+        side[lv] = -1.0 if below else 1.0
         basis[r] = enter
         vstat[enter] = BASIC
+        side[enter] = 0.0
 
         # dual step: the entering reduced cost goes to zero and the
         # leaving column takes -theta (its rho entry is 1)
@@ -532,25 +602,28 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
             degen = 0
 
         # steepest-edge weight update (exact, using the old Binv) and the
-        # rank-1 update, over the rows of T where Binv[r] is nonzero
-        nz = T[:, r].nonzero()[0]
+        # rank-1 update, sharing one gather of the rows of T where Binv[r]
+        # is nonzero
+        nz = tr.nonzero()[0]
         rows = T[nz]
         tau = np.dot(rows[:, r], rows)
         br = beta[r]
         ratio = w / alpha
         beta = beta - 2.0 * ratio * tau + ratio * ratio * br
         beta[r] = br / (alpha * alpha)
-        beta = np.where(beta < 1e-12, 1e-12, beta)
+        np.maximum(beta, 1e-12, out=beta)
         _update(T, r, w, nz, rows)
 
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
             T = _factor(sp, low, upp, basis, vstat, z)
+            zb = z[basis]
             beta = _row_norms(T, _slack_rows(basis, sp.n, sp.m))
             d = _price(sp, c, basis, T)[1]
 
+    z[basis] = zb
     y, d = _price(sp, c, basis, T)
     if status == OPTIMAL and _improving(vstat, d, 10.0 * feas_tol).any():
         status = NOT_DUAL_FEASIBLE
-    return status, pivots, y, d
+    return status, pivots, y, d, DualState(T, d, beta, since_refactor)

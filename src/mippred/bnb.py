@@ -4,7 +4,12 @@ Branching is most-fractional (ties to the lowest index), node selection
 is best-bound with depth-first plunging: after branching, the child on
 the rounded side of the fractional value is explored next and the
 sibling parked in a best-bound heap.  Node LPs warm-start from the
-parent basis; correctness does not depend on that.
+parent basis.  The plunge child, solved next, also gets the parent's
+dual end state (``simplex.WarmStart.state``) and re-solves without
+refactorizing; the parked sibling and the exact mode's far root box get
+only the basis and variable statuses, so no parked node holds a basis
+inverse and at most one state is alive per solve.  Correctness does
+not depend on either.
 
 Predictions enter as a ``HammingBall``: one continuous variable ``d``
 appended to the LP with the row ``d = sum_{j in S, x_hat_j = 0} x_j +
@@ -47,7 +52,7 @@ from .core import (
 )
 from .simplex import INFEASIBLE as LP_INFEASIBLE
 from .simplex import UNBOUNDED as LP_UNBOUNDED
-from .simplex import LpSolution, LpWorkspace
+from .simplex import LpSolution, LpWorkspace, WarmStart
 
 OPTIMIZE = "optimize"
 FIRST_FEASIBLE = "first_feasible"
@@ -338,7 +343,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
             continue
         # the far root box starts from the basis of the first root LP
         lp, warm = ws.solve(node.low, node.upp, node.warm or root_warm)
-        root_warm = root_warm or warm
+        root_warm = root_warm or WarmStart(warm.basis, warm.vstat)
         nodes_done += 1
         lp_pivots += lp.iterations
         lp_fallbacks += lp.fallbacks
@@ -393,11 +398,13 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
 
         frac_j = int(ints[k])
         f = lp.x[frac_j] - math.floor(lp.x[frac_j])
-        lo_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), warm, node.depth + 1)
+        lo_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), None, node.depth + 1)
         lo_child.upp[frac_j] = math.floor(lp.x[frac_j])
-        hi_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), warm, node.depth + 1)
+        hi_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), None, node.depth + 1)
         hi_child.low[frac_j] = math.floor(lp.x[frac_j]) + 1.0
         first, second = (hi_child, lo_child) if f >= 0.5 else (lo_child, hi_child)
+        first.warm = warm
+        second.warm = WarmStart(warm.basis, warm.vstat)
         seq += 1
         heapq.heappush(heap, (second.bound, seq, second))
         plunge.append(first)

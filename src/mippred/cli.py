@@ -32,9 +32,9 @@ by spaces or commas.  The keys, with their defaults and ranges:
     problem           sc        fcnf, cfl, ga, mis, mk, sc, tsp or vrp
     preset            tiny      a preset of the problem, or custom
     params            {}        JSON object over the preset's parameters
-    train             140       instances per split; --scale multiplies
-    valid             20        each count, and a count below 1 is
-    test              40        raised to 1
+    train             140       >= 1 each, instances per split;
+    valid             20        --scale multiplies each count, and a
+    test              40        scaled count below 1 is raised to 1
     seed              0         >= 0
     [labeler]
     max_iters         40        >= 1, proximity-search rounds
@@ -155,26 +155,26 @@ def _boolean(raw: str) -> bool:
         raise ValueError(f"Not a boolean: {raw}") from None
 
 
-# (test, rule) of a final value; a comparison with NaN is false, so "> 0"
-# also rejects NaN
+# (test, rule) of a value as read; a comparison with NaN is false, so
+# "> 0" also rejects NaN
 _POSITIVE = (lambda v: v > 0, "> 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _IN_UNIT = (lambda vs: all(0.0 < v <= 1.0 for v in vs), "values in (0, 1]")
 
 # One row per INI key: section, key, the field of ExperimentConfig (of
 # GcnHyper in [gcn]) it sets, the parser of its text, and the (test,
-# rule) of its final value.  Rows with no test: problem, preset and
-# params are checked together by the generators, the [gcn] keys by
-# GcnHyper.validate, and the split counts are at least 1 once scaled.
+# rule) of its value as read, before --scale.  Rows with no test:
+# problem, preset and params are checked together by the generators, and
+# the [gcn] keys by GcnHyper.validate.
 _KEYS = (
     ("experiment", "problem", "problem", str.lower, None),
     ("experiment", "preset", "preset", str.lower, None),
     ("experiment", "params", "gen_params", _json_object, None),
-    ("experiment", "train", "n_train", int, None),
-    ("experiment", "valid", "n_valid", int, None),
-    ("experiment", "test", "n_test", int, None),
+    ("experiment", "train", "n_train", int, _AT_LEAST_ONE),
+    ("experiment", "valid", "n_valid", int, _AT_LEAST_ONE),
+    ("experiment", "test", "n_test", int, _AT_LEAST_ONE),
     ("experiment", "seed", "seed", int, (lambda v: v >= 0, ">= 0")),
-    ("labeler", "max_iters", "label_max_iters", int,
-     (lambda v: v >= 1, ">= 1")),
+    ("labeler", "max_iters", "label_max_iters", int, _AT_LEAST_ONE),
     ("labeler", "time_limit_s", "label_time_limit_s", float, _POSITIVE),
     ("gcn", "hidden_dim", "hidden_dim", int, None),
     ("gcn", "transitions", "transitions", int, None),
@@ -241,8 +241,9 @@ def load_config(path, workdir, scale: float = 1.0,
     """Experiment configuration from an INI file plus command-line knobs.
 
     ``scale`` multiplies the train/valid/test counts (never below one
-    instance per split).  A missing or malformed file, an unknown key,
-    or an out-of-range value raises ConfigError.
+    instance per split); the range checks see the counts as read.  A
+    missing or malformed file, an unknown key, or an out-of-range value
+    raises ConfigError.
     """
     if not np.isfinite(scale) or scale <= 0:
         raise ConfigError(f"--scale must be positive, got {scale}")
@@ -258,10 +259,10 @@ def load_config(path, workdir, scale: float = 1.0,
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
         _apply_config(cfg, cp)
+    _validate_config(cfg)
     cfg.n_train = max(1, round(cfg.n_train * scale))
     cfg.n_valid = max(1, round(cfg.n_valid * scale))
     cfg.n_test = max(1, round(cfg.n_test * scale))
-    _validate_config(cfg)
     return cfg
 
 

@@ -277,10 +277,13 @@ def _pairs_hook(pairs):
 
 
 def write_json(path, payload, indent: int | None = 1) -> None:
-    """Write ``payload`` to ``path`` as JSON plus a final newline."""
+    """Write ``payload`` to ``path`` as JSON plus a final newline.
+
+    The text is built in one ``json.dumps`` call (the C encoder when
+    ``indent`` is None) and written once.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=indent)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=indent) + "\n")
 
 
 def read_json(path, parse, error: type[ValueError] = ValueError):

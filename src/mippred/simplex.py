@@ -23,9 +23,16 @@ pivot between refactorizations.  The explicit basis inverse is stored
 transposed and sized by its live part, the k rows whose slack is
 nonbasic (k basic structurals): the steepest-edge product and the
 rank-1 update are O(m k) per pivot, a refactorization inverts only the
-k x k kernel.  Every attempt starts by refactorizing its basis, warm
-ones too.  ``LpSolution.iterations`` counts the pivots (basis changes
-and bound flips) of the attempt that proved the status.
+k x k kernel.  A solve that the dual kernel settles hands its end
+state (``_kernels.DualState``: the transposed inverse, reduced costs,
+steepest-edge weights and pivots since the last refactorization) out
+in its ``WarmStart``; the next warm solve given that snapshot starts
+its dual attempt from the state instead of refactorizing, and takes
+the state out of the snapshot, since the kernel updates it in place.
+Every other attempt starts by refactorizing its basis: cold ones, the
+primal core, and a warm dual attempt whose snapshot holds no state.
+``LpSolution.iterations`` counts the pivots (basis changes and bound
+flips) of the attempt that proved the status.
 
 Conventions: the relaxation is solved in minimization form (maximize
 instances are canonicalized internally and the reported objective is
@@ -39,6 +46,7 @@ side and Basic when slack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,10 +94,18 @@ class LpSolution:
 
 @dataclass
 class WarmStart:
-    """Basis snapshot reusable by a later solve on the same workspace."""
+    """Basis snapshot reusable by a later solve on the same workspace.
+
+    ``state`` is the dual kernel's end state for this basis when a dual
+    attempt proved the snapshot's solve, else None.  The solve given the
+    snapshot takes the state out (sets it to None) and resumes from it;
+    later solves from the same snapshot refactorize.  A snapshot holding
+    only the basis is ``WarmStart(basis, vstat)``.
+    """
 
     basis: np.ndarray
     vstat: np.ndarray
+    state: _kernels.DualState | None = None
 
 
 class LpWorkspace:
@@ -98,7 +114,8 @@ class LpWorkspace:
     ``rows`` keeps the instance's ``core.row_arrays``, and ``sparse`` is
     the same entries as the kernels' ``SparseBlock``: the constraint
     matrix ``G = [A | -I]`` exists only in these forms, the slack block
-    ``-I`` implicit.  No basis inverse outlives a solve.
+    ``-I`` implicit.  The workspace keeps no basis inverse; one lives on
+    only in the ``WarmStart.state`` a dual solve hands out.
     """
 
     def __init__(self, inst: MipInstance):
@@ -165,7 +182,8 @@ class LpWorkspace:
         vstat[free & fin_low] = _kernels.AT_LOWER
         vstat[free & ~fin_low & fin_upp] = _kernels.AT_UPPER
 
-    def _package(self, status, basis, vstat, z, y, d, iters, fallbacks):
+    def _package(self, status, basis, vstat, z, y, d, iters, fallbacks,
+                 end):
         n = self.n
         sol = LpSolution(
             status=_STATUS_NAME[status],
@@ -179,7 +197,7 @@ class LpWorkspace:
             iterations=int(iters),
             fallbacks=fallbacks,
         )
-        return sol, WarmStart(basis.copy(), vstat.copy())
+        return sol, WarmStart(basis.copy(), vstat.copy(), *end)
 
     def solve(self, low_struct=None, upp_struct=None, warm: WarmStart | None = None):
         """Solve under optional structural bound arrays; return (LpSolution, WarmStart)."""
@@ -197,7 +215,8 @@ class LpWorkspace:
             self._snap_vstat(vstat, low, upp)
             z = np.zeros(n + m)
             try:
-                status, iters, y, d = core(
+                # the dual kernel also returns its end state
+                status, iters, y, d, *end = core(
                     self.sparse, self.c, low, upp, basis, vstat, z,
                     FEAS_TOL, PIVOT_TOL, max_iter, self.bland_after,
                     REFACTOR_EVERY,
@@ -208,7 +227,7 @@ class LpWorkspace:
                 continue
             if status in _STATUS_NAME:
                 return self._package(status, basis, vstat, z, y, d, iters,
-                                     fallbacks)
+                                     fallbacks, end)
             # NOT_DUAL_FEASIBLE, ITER_LIMIT or NUMERICAL
             last_exc = RuntimeError(f"simplex did not converge (code {status})")
             fallbacks += 1
@@ -219,9 +238,13 @@ class LpWorkspace:
         start is built only when its attempt comes up."""
         if warm is not None:
             # bound changes keep the old optimal basis dual feasible, so a
-            # dual re-solve is usually a handful of pivots; then the primal
-            # core from that basis
-            yield (_kernels.dual_core, warm.basis.copy(), warm.vstat.copy(),
+            # dual re-solve is usually a handful of pivots, resumed from
+            # the carried state when the snapshot holds one; then the
+            # primal core from that basis
+            state, warm.state = warm.state, None
+            dual = (_kernels.dual_core if state is None
+                    else partial(_kernels.dual_core, start=state))
+            yield (dual, warm.basis.copy(), warm.vstat.copy(),
                    self.dual_max_iter)
             yield (_kernels.simplex_core, warm.basis.copy(),
                    warm.vstat.copy(), self.max_iter)

@@ -8,6 +8,12 @@ remainder is completed with scipy's HiGHS interface.
 The featurization reference walks each row's ``coeffs`` dict and calls
 numpy's ``mean``/``std``/``min``/``max`` once per variable and per row,
 so it shares no arithmetic with the segment reductions in ``trigraph``.
+
+The reference dual loop is the dual simplex kernel with nothing kept
+in step across passes: every pass gathers the basic values and bounds
+and derives the eligibility signs from ``vstat`` anew.  It shares the
+kernel's factorization, pricing, sparse products and rank-1 update, so
+the kernel, started fresh, must return its results byte for byte.
 """
 
 import math
@@ -15,6 +21,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
+from mippred import _kernels as K
 from mippred.core import BINARY, CONTINUOUS, INTEGER, canonicalize
 from mippred.trigraph import (CONS_TYPES, INF_SENTINEL, N_CONS_FEATURES,
                               N_VAR_FEATURES)
@@ -401,3 +408,133 @@ def reference_graph(root):
         "vo_feats": vo_feats,
         "co_feats": co_feats,
     }
+
+
+# ---------------------------------------------------------------------------
+# Reference dual simplex loop
+
+
+def reference_dual_core(sp, c, low, upp, basis, vstat, z,
+                        feas_tol, piv_tol, max_iter, bland_after,
+                        refactor_every):
+    """``_kernels.dual_core`` started fresh, one pass at a time: return
+    (status, pivots, y, d) and update basis, vstat and z in place."""
+    T = K._factor(sp, low, upp, basis, vstat, z)
+    y, d = K._price(sp, c, basis, T)
+
+    if K._improving(vstat, d, 10.0 * feas_tol).any():
+        return K.NOT_DUAL_FEASIBLE, 0, y, d
+
+    beta = K._row_norms(T, K._slack_rows(basis, sp.n, sp.m))
+    span = upp - low
+    bounded = np.isfinite(span)
+
+    pivots = 0
+    degen = 0
+    bland = False
+    since_refactor = 0
+    status = K.ITER_LIMIT
+
+    while pivots < max_iter:
+        zb = z[basis]
+        v_low = low[basis] - zb
+        v_upp = zb - upp[basis]
+        viol = np.fmax(v_low, v_upp)
+        score = np.where(viol > feas_tol, viol * viol / beta, 0.0)
+        if not score.any():
+            status = K.OPTIMAL
+            break
+        r = int(np.argmax(score))
+        below = bool(v_low[r] >= v_upp[r])
+
+        rho = K._row_times(sp, T[:, r])
+        lv = basis[r]
+
+        elig = K._improving(vstat, rho if below else -rho,
+                            piv_tol).nonzero()[0]
+        if elig.size == 0:
+            status = K.INFEASIBLE
+            break
+
+        piv = np.abs(rho[elig])
+        ratio = np.abs(d[elig]) / piv
+        flips = elig[:0]
+        if bland:
+            enter = int(elig[np.argmin(ratio)])
+        else:
+            cap = np.where(bounded[elig], piv * span[elig], np.inf)
+            order = np.argsort(ratio)
+            rem = (low[lv] - z[lv]) if below else (z[lv] - upp[lv])
+            kk = 0
+            enter = -1
+            for capk in cap[order].tolist():
+                if not capk < rem:
+                    enter = int(elig[order[kk]])
+                    break
+                rem -= capk
+                kk += 1
+            if enter < 0:
+                if rem > feas_tol:
+                    status = K.INFEASIBLE
+                    break
+                kk -= 1
+                enter = int(elig[order[kk]])
+            flips = elig[order[:kk]]
+
+        if flips.size:
+            up = vstat[flips] == K.AT_LOWER
+            dzF = np.zeros(len(z))
+            dzF[flips] = np.where(up, span[flips], low[flips] - upp[flips])
+            vstat[flips] = np.where(up, K.AT_UPPER, K.AT_LOWER)
+            z[flips] = np.where(up, upp[flips], low[flips])
+            z[basis] = z[basis] - K._ftran(T, K._times(sp, dzF))
+
+        w = K._column(sp, T, enter)
+        alpha = w[r]
+        if alpha <= piv_tol and alpha >= -piv_tol:
+            status = K.NUMERICAL
+            break
+        pivots += 1
+
+        bnd = low[lv] if below else upp[lv]
+        dz = (z[lv] - bnd) / alpha
+        z[enter] = z[enter] + dz
+        z[basis] = z[basis] - dz * w
+        z[lv] = bnd
+        vstat[lv] = K.AT_LOWER if below else K.AT_UPPER
+        basis[r] = enter
+        vstat[enter] = K.BASIC
+
+        theta = d[enter] / rho[enter]
+        d -= theta * rho
+        d[basis] = 0.0
+        d[lv] = -theta
+
+        if dz <= 1e-10 and dz >= -1e-10:
+            degen += 1
+            if degen > bland_after:
+                bland = True
+        else:
+            degen = 0
+
+        nz = T[:, r].nonzero()[0]
+        rows = T[nz]
+        tau = np.dot(rows[:, r], rows)
+        br = beta[r]
+        ratio = w / alpha
+        beta = beta - 2.0 * ratio * tau + ratio * ratio * br
+        beta[r] = br / (alpha * alpha)
+        beta = np.where(beta < 1e-12, 1e-12, beta)
+        K._update(T, r, w, nz, rows)
+
+        since_refactor += 1
+        if since_refactor >= refactor_every:
+            since_refactor = 0
+            T = K._factor(sp, low, upp, basis, vstat, z)
+            beta = K._row_norms(T, K._slack_rows(basis, sp.n, sp.m))
+            d = K._price(sp, c, basis, T)[1]
+
+    y, d = K._price(sp, c, basis, T)
+    if status == K.OPTIMAL and K._improving(vstat, d, 10.0 * feas_tol).any():
+        status = K.NOT_DUAL_FEASIBLE
+    return status, pivots, y, d

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mippred import bnb, predictor, simplex
+from mippred import _kernels, bnb, predictor, simplex
 from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INTEGER, Constraint,
                           MipInstance, RowArrays, Variable, canonicalize,
                           evaluate_solution, hamming_coeffs, row_arrays)
@@ -541,3 +541,44 @@ def test_solve_sums_lp_pivots_and_fallbacks(monkeypatch):
     assert res.nodes == len(seen) > 1
     assert res.lp_pivots == sum(lp.iterations for lp in seen) > 0
     assert res.lp_fallbacks == sum(lp.fallbacks for lp in seen)
+
+
+def test_plunge_children_resume_and_parked_nodes_refactorize(monkeypatch):
+    """``_kernels._factor`` calls per node LP over a tree search: a plunge
+    child resumes from its parent's carried state and refactorizes only
+    where the shared pivot count passes REFACTOR_EVERY; a parked node
+    carries no state and refactorizes its basis."""
+    factors = []
+    real_factor = _kernels._factor
+
+    def counting(*args):
+        factors.append(1)
+        return real_factor(*args)
+
+    nodes = []
+    solve_lp = simplex.LpWorkspace.solve
+
+    def recording(self, low, upp, warm):
+        state = warm.state if warm is not None else None
+        since = state.since_refactor if state is not None else None
+        factors.clear()
+        out = solve_lp(self, low, upp, warm)
+        nodes.append((warm is not None, since, len(factors), out[0]))
+        return out
+
+    monkeypatch.setattr(_kernels, "_factor", counting)
+    monkeypatch.setattr(simplex.LpWorkspace, "solve", recording)
+    res = bnb.solve(generate(GenSpec("sc", "custom",
+                                     params={"sets": 40, "elements": 30,
+                                             "density": 0.15},
+                                     seed=2)))
+    assert res.nodes == len(nodes)
+    carried = [nd for nd in nodes if nd[1] is not None]
+    parked = [nd for nd in nodes if nd[0] and nd[1] is None]
+    assert carried and parked
+    for _, since, n_factor, lp in carried:
+        assert lp.fallbacks == 0
+        assert n_factor == (since + lp.iterations) // simplex.REFACTOR_EVERY
+    assert sum(n_factor for *_, n_factor, _ in carried) < len(carried)
+    for _, _, n_factor, lp in parked:
+        assert n_factor >= 1

@@ -292,6 +292,9 @@ def with_line(section, line, text=SMOKE_CONFIG):
 
 
 @pytest.mark.parametrize("section, key, value", [
+    ("experiment", "train", "0"),
+    ("experiment", "valid", "-2"),
+    ("experiment", "test", "0"),
     ("experiment", "seed", "-1"),
     ("gcn", "seed", "-1"),
     ("labeler", "time_limit_s", "nan"),

@@ -11,7 +11,7 @@ from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
                           canonicalize,
                           evaluate_solution, instance_from_dict,
                           instance_to_dict, read_instance, row_arrays,
-                          validate_instance, write_instance)
+                          validate_instance, write_instance, write_json)
 from mippred.generators import GenSpec, generate
 
 
@@ -256,3 +256,21 @@ def test_write_is_deterministic(tmp_path):
     write_instance(inst, a)
     write_instance(inst, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_json_bytes_are_pinned(tmp_path):
+    """Floats (shortest round-trip repr, inf and nan as JSON's extension
+    tokens), nested lists and non-ASCII names (escaped), indented and
+    compact."""
+    payload = {"naïve Σ": [0.1, -2.5e-300, [1, [2.0, None]], []],
+               "x": {"ü": 1e16, "inf": float("inf"), "nan": float("nan")}}
+    path = tmp_path / "p.json"
+    write_json(path, payload)
+    assert path.read_bytes() == (
+        b'{\n "na\\u00efve \\u03a3": [\n  0.1,\n  -2.5e-300,\n  [\n   1,\n'
+        b'   [\n    2.0,\n    null\n   ]\n  ],\n  []\n ],\n "x": {\n'
+        b'  "\\u00fc": 1e+16,\n  "inf": Infinity,\n  "nan": NaN\n }\n}\n')
+    write_json(path, payload, indent=None)
+    assert path.read_bytes() == (
+        b'{"na\\u00efve \\u03a3": [0.1, -2.5e-300, [1, [2.0, null]], []], '
+        b'"x": {"\\u00fc": 1e+16, "inf": Infinity, "nan": NaN}}\n')

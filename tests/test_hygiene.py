@@ -128,8 +128,9 @@ def test_cli_import_does_not_load_scipy_sparse():
 
 def json_file_calls(source: str) -> list[str]:
     """The enclosing function (``<module>`` at top level) of every
-    ``json.load``/``json.dump`` call and ``from json import load/dump``,
-    in source order."""
+    ``json.load``/``json.dump``/``json.dumps`` call and ``from json
+    import load/dump/dumps``, in source order: ``json.dumps`` builds the
+    text of a file as ``core.write_json`` writes it."""
     out = []
 
     def visit(node, scope):
@@ -141,10 +142,11 @@ def json_file_calls(source: str) -> list[str]:
             calls = (isinstance(func, ast.Attribute)
                      and isinstance(func.value, ast.Name)
                      and func.value.id == "json"
-                     and func.attr in ("load", "dump"))
+                     and func.attr in ("load", "dump", "dumps"))
             imports = (isinstance(child, ast.ImportFrom)
                        and child.module == "json"
-                       and {a.name for a in child.names} & {"load", "dump"})
+                       and {a.name for a in child.names}
+                       & {"load", "dump", "dumps"})
             if calls or imports:
                 out.append(scope)
             visit(child, scope)
@@ -160,8 +162,11 @@ def test_json_scan_flags_file_calls_by_enclosing_function():
               "    json.dump(x, fh)\n"
               "def parse(s):\n"
               "    return json.loads(s)\n"
+              "def text(x):\n"
+              "    return json.dumps(x)\n"
               "data = json.load(open('f'))\n")
-    assert json_file_calls(source) == ["<module>", "save", "<module>"]
+    assert json_file_calls(source) == ["<module>", "save", "text",
+                                       "<module>"]
 
 
 def test_json_files_go_through_the_core_helpers():

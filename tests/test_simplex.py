@@ -13,7 +13,8 @@ from mippred import _kernels, bnb, simplex
 from mippred.core import (BINARY, CONTINUOUS, Constraint, MipInstance,
                           RowArrays, Variable, canonicalize)
 from mippred.generators import PROBLEMS, GenSpec, generate
-from oracles import TINY_SPECS, brute_force_optimum, dict_walk
+from oracles import (TINY_SPECS, brute_force_optimum, dict_walk,
+                     reference_dual_core)
 
 
 def one_var_lp():
@@ -338,7 +339,7 @@ def test_pivots_count_moves_not_passes():
     for cap, want in ((cold.iterations, _kernels.ITER_LIMIT),
                       (cold.iterations + 1, _kernels.OPTIMAL)):
         basis, vstat = ws._signed_slack_start(low, upp)
-        status, pivots, _, _ = _kernels.dual_core(
+        status, pivots, _, _, _ = _kernels.dual_core(
             ws.sparse, ws.c, low, upp, basis, vstat, np.zeros(ws.n + ws.m),
             simplex.FEAS_TOL, simplex.PIVOT_TOL, cap, ws.bland_after,
             simplex.REFACTOR_EVERY)
@@ -508,7 +509,7 @@ def test_dual_bland_rule_enters_at_the_smallest_ratio():
     low, upp = ws.base_low.copy(), ws.base_upp.copy()
     basis, vstat = ws._signed_slack_start(low, upp)
     z = np.zeros(ws.n + ws.m)
-    status, _, _, _ = _kernels.dual_core(
+    status, _, _, _, _ = _kernels.dual_core(
         ws.sparse, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
         simplex.PIVOT_TOL, ws.max_iter, 0, simplex.REFACTOR_EVERY)
     assert status == _kernels.OPTIMAL
@@ -543,7 +544,7 @@ def test_dual_core_rechecks_prices_before_claiming_optimal():
     basis, vstat = ws._signed_slack_start(low, upp)
     z = np.zeros(3)
     with mock.patch.object(_kernels, "_price", price):
-        status, _, _, _ = _kernels.dual_core(
+        status, _, _, _, _ = _kernels.dual_core(
             ws.sparse, ws.c, low, upp, basis, vstat, z,
             simplex.FEAS_TOL, simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
             simplex.REFACTOR_EVERY)
@@ -892,7 +893,7 @@ def test_dual_core_refactors_and_rechecks(inst, refactor_every):
 
     with mock.patch.object(_kernels, "_factor", factor), \
             mock.patch.object(_kernels, "_price", price):
-        status, iters, _, d = _kernels.dual_core(
+        status, iters, _, d, _ = _kernels.dual_core(
             ws.sparse, ws.c, low, upp, basis, vstat, z,
             simplex.FEAS_TOL, simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
             refactor_every)
@@ -915,3 +916,150 @@ def test_dual_core_refactors_and_rechecks(inst, refactor_every):
     if status == _kernels.OPTIMAL:
         assert float(ws.c @ z) == pytest.approx(fun, abs=1e-7)
         assert prices_dual_feasible(ws, simplex.WarmStart(basis, vstat))
+
+
+# ---------------------------------------------------------------------------
+# The trimmed dual loop against the reference loop, and the carried state
+
+
+def _recorded_dual_calls(monkeypatch, run):
+    """Inputs of every ``dual_core`` call made by ``run()``."""
+    calls = []
+    real = _kernels.dual_core
+
+    def recording(sp, c, low, upp, basis, vstat, z, *args, **kwargs):
+        calls.append((sp, c, low.copy(), upp.copy(), basis.copy(),
+                      vstat.copy(), args))
+        return real(sp, c, low, upp, basis, vstat, z, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "dual_core", recording)
+    run()
+    monkeypatch.setattr(_kernels, "dual_core", real)
+    return calls
+
+
+def _fresh_outcome(kernel, sp, c, low, upp, basis, vstat, args):
+    """Status, pivots and the bytes of basis, vstat, z, y and d of one
+    kernel call started fresh."""
+    basis, vstat, z = basis.copy(), vstat.copy(), np.zeros(sp.n + sp.m)
+    status, pivots, y, d = kernel(sp, c, low, upp, basis, vstat, z,
+                                  *args)[:4]
+    return (status, pivots, basis.tobytes(), vstat.tobytes(), z.tobytes(),
+            y.tobytes(), d.tobytes())
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
+def test_dual_kernel_equals_reference_loop_bitwise(problem, monkeypatch):
+    """The cold root LP and every node LP of one branch-and-bound tree,
+    each replayed from a fresh start: the kernel and the reference loop
+    return the same status, pivots, basis, vstat, z, y and d, byte for
+    byte."""
+    preset, params = TINY_SPECS[problem]
+    inst = generate(GenSpec(problem, preset, params=params, seed=0))
+    calls = _recorded_dual_calls(monkeypatch, lambda: bnb.solve(inst))
+    assert len(calls) > 1
+    for sp, c, low, upp, basis, vstat, args in calls:
+        want = _fresh_outcome(reference_dual_core, sp, c, low, upp, basis,
+                              vstat, args)
+        got = _fresh_outcome(_kernels.dual_core, sp, c, low, upp, basis,
+                             vstat, args)
+        assert got == want
+
+
+def _dive_instance():
+    params = {"sets": 80, "elements": 60, "density": 0.15}
+    return canonicalize(generate(GenSpec("sc", "custom", params=params,
+                                         seed=0)))
+
+
+def test_carried_state_chain_crosses_refactorizations(monkeypatch):
+    """A dive of warm solves, each from the state the previous one carried
+    out, long enough that the shared pivot count passes REFACTOR_EVERY at
+    least twice: every status equals a cold solve of the same bounds and
+    every optimal objective is within 1e-9 relative."""
+    ws = simplex.LpWorkspace(_dive_instance())
+    sol, warm = ws.solve()
+    low = ws.base_low[:ws.n].copy()
+    upp = ws.base_upp[:ws.n].copy()
+    real_factor = _kernels._factor
+    factors = []
+
+    def counting(*args):
+        factors.append(1)
+        return real_factor(*args)
+
+    refactors = 0
+    while refactors < 2:
+        assert warm.state is not None
+        frac = np.minimum(sol.x - np.floor(sol.x), np.ceil(sol.x) - sol.x)
+        j = int(np.argmax(frac))
+        if frac[j] > 1e-6:
+            upp[j] = 0.0
+        else:  # integral: fix the first free set into the cover
+            j = int(np.flatnonzero(low < upp)[0])
+            low[j] = 1.0
+        factors.clear()
+        monkeypatch.setattr(_kernels, "_factor", counting)
+        wsol, wwarm = ws.solve(low, upp, warm)
+        monkeypatch.setattr(_kernels, "_factor", real_factor)
+        refactors += len(factors)
+        csol, _ = ws.solve(low, upp)
+        assert wsol.status == csol.status
+        if csol.status != simplex.OPTIMAL:
+            break
+        assert wsol.fallbacks == 0
+        assert wsol.objective == pytest.approx(csol.objective, rel=1e-9,
+                                               abs=0.0)
+        sol, warm = wsol, wwarm
+    assert refactors >= 2
+
+
+def test_parked_sibling_equals_a_fresh_basis_copy():
+    """Solving the sibling after the plunge child took the carried state
+    gives the result of solving it from a fresh copy of the parent's
+    basis: the child used the state up and left basis and vstat alone."""
+    ws = simplex.LpWorkspace(_dive_instance())
+    root, warm = ws.solve()
+    fresh = simplex.WarmStart(warm.basis.copy(), warm.vstat.copy())
+    j = int(np.argmax(np.minimum(root.x - np.floor(root.x),
+                                 np.ceil(root.x) - root.x)))
+    down = ws.base_upp[:ws.n].copy()
+    down[j] = 0.0
+    up = ws.base_low[:ws.n].copy()
+    up[j] = 1.0
+    assert warm.state is not None
+    child, _ = ws.solve(None, down, warm)
+    assert warm.state is None and child.iterations > 0
+    sibling, _ = ws.solve(up, None, warm)
+    want, _ = ws.solve(up, None, fresh)
+    assert sibling.status == want.status == simplex.OPTIMAL
+    assert (sibling.iterations, sibling.fallbacks) == (want.iterations,
+                                                       want.fallbacks)
+    assert sibling.x.tobytes() == want.x.tobytes()
+    assert sibling.objective == want.objective
+
+
+def test_carried_dual_failure_falls_back_to_primal(monkeypatch):
+    """A dual attempt that fails from a carried state hands over to the
+    primal core from the same basis and counts one fallback."""
+    ws = simplex.LpWorkspace(_dive_instance())
+    root, warm = ws.solve()
+    assert warm.state is not None
+    j = int(np.argmax(np.minimum(root.x - np.floor(root.x),
+                                 np.ceil(root.x) - root.x)))
+    upp = ws.base_upp[:ws.n].copy()
+    upp[j] = 0.0
+    starts = []
+
+    def singular(*args, start=None, **kwargs):
+        starts.append(start)
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(_kernels, "dual_core", singular)
+    sol, _ = ws.solve(None, upp, warm)
+    monkeypatch.undo()
+    assert starts and starts[0] is not None
+    csol, _ = ws.solve(None, upp)
+    assert sol.status == csol.status == simplex.OPTIMAL
+    assert sol.fallbacks == 1
+    assert sol.objective == pytest.approx(csol.objective, abs=1e-7)
