@@ -61,8 +61,10 @@ weights and the pivots since the last refactorization), and a
 re-solve given it only places the new nonbasic point and the basic
 values it implies, then resumes the loop with refactorizations on the
 shared pivot count (as Huangfu & Hall and Koberstein keep the
-factorization through a dive).  The loop updates ``T`` in place, so a
-state serves one re-solve.  Without a state the kernel refactorizes.
+factorization across the search tree).  The loop updates ``T`` in
+place, so a state serves one re-solve; a second re-solve from the same
+basis starts from a ``DualState.copy()``.  Without a state the kernel
+refactorizes.
 
 Both kernels count pivots as moves: a pass that changes the basis or
 flips a bound counts, the final pass that only proves the status does
@@ -425,13 +427,24 @@ class DualState(NamedTuple):
     inverse ``T``, the reduced costs ``d`` (priced from scratch), the
     steepest-edge weights ``beta`` and the pivots since the last
     refactorization.  A later ``dual_core`` call on the same basis and
-    costs may start from it; that call updates ``T`` in place, so a
-    state serves one start."""
+    costs may start from it; that call updates ``T`` and ``d`` in place,
+    so a state serves one start, and a second start from the same basis
+    needs its own ``copy()``, made before the first one runs."""
 
     T: np.ndarray
     d: np.ndarray
     beta: np.ndarray
     since_refactor: int
+
+    def copy(self) -> DualState:
+        """A state with its own arrays, for a second start."""
+        return DualState(self.T.copy(), self.d.copy(), self.beta.copy(),
+                         self.since_refactor)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the state's arrays (``T`` is m x m of them)."""
+        return self.T.nbytes + self.d.nbytes + self.beta.nbytes
 
 
 def dual_core(sp, c, low, upp, basis, vstat, z,

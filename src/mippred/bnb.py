@@ -4,12 +4,16 @@ Branching is most-fractional (ties to the lowest index), node selection
 is best-bound with depth-first plunging: after branching, the child on
 the rounded side of the fractional value is explored next and the
 sibling parked in a best-bound heap.  Node LPs warm-start from the
-parent basis.  The plunge child, solved next, also gets the parent's
-dual end state (``simplex.WarmStart.state``) and re-solves without
-refactorizing; the parked sibling and the exact mode's far root box get
-only the basis and variable statuses, so no parked node holds a basis
-inverse and at most one state is alive per solve.  Correctness does
-not depend on either.
+parent basis and resume from the parent's dual end state
+(``simplex.WarmStart.state``: the transposed basis inverse, reduced
+costs, steepest-edge weights and pivot count) instead of refactorizing
+it.  The plunge child, solved next, takes the parent's state itself;
+the parked sibling, and the exact mode's far root box from the root
+LP, get a copy made before the plunge child runs.  The copies that
+parked nodes hold in one solve are capped at ``STATE_BYTES_CAP``; a
+sibling whose copy would pass the cap parks with only the basis and
+variable statuses and refactorizes when it is popped, and a popped
+node gives its bytes back.  Correctness depends on none of this.
 
 Predictions enter as a ``HammingBall``: one continuous variable ``d``
 appended to the LP with the row ``d = sum_{j in S, x_hat_j = 0} x_j +
@@ -64,6 +68,16 @@ LIMIT_REACHED = "limit_reached"
 
 # relative gap at which a node is pruned and an incumbent proved optimal
 GAP_LIMIT = 1e-9
+
+# Bytes of the dual-state copies (``_kernels.DualState``) the parked
+# nodes of one solve may hold.  A state is dominated by its m x m
+# float64 inverse: 45 kB for a 75-row set cover, so a heap of hundreds
+# of parked nodes fits, and 24.7 MiB at m = 1799 (the largest row count
+# of the small presets, mis), which is also the share of that root LP's
+# own memory peak the inverse takes.  So 32 MiB lets every preset park
+# at least one copy, and keeps a deep search's heap from adding more
+# than about one root LP's worth of memory to the solve.
+STATE_BYTES_CAP = 32 * 2**20
 
 
 @dataclass
@@ -297,13 +311,24 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     seq = 0
     root = _Node(-math.inf, low0, upp0, None, 0)
     plunge.append(root)
+    far = None
     if dist is not None and ball.exact and ball.phi < upp0[n]:
         root.upp = upp0.copy()
         root.upp[n] = ball.phi
         far = _Node(-math.inf, low0.copy(), upp0, None, 0)
         far.low[n] = ball.phi + 1.0
         heapq.heappush(heap, (far.bound, seq, far))
-    root_warm = None
+    held = 0  # bytes of the state copies that parked nodes hold
+
+    def parked(warm: WarmStart) -> WarmStart:
+        """A snapshot of ``warm`` for a node that waits in the heap: with
+        a copy of its state while the copies stay within the cap."""
+        nonlocal held
+        state = warm.state
+        if state is None or held + state.nbytes > STATE_BYTES_CAP:
+            return WarmStart(warm.basis, warm.vstat)
+        held += state.nbytes
+        return WarmStart(warm.basis, warm.vstat, state.copy())
 
     incumbent: Solution | None = None
     inc_min = math.inf
@@ -337,13 +362,19 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         if nodes_done >= node_limit:
             stop = "nodes"
             break
-        node = plunge.pop() if plunge else heapq.heappop(heap)[2]
+        if plunge:
+            node = plunge.pop()
+        else:
+            node = heapq.heappop(heap)[2]
+            if node.warm is not None and node.warm.state is not None:
+                held -= node.warm.state.nbytes
         prune_eps = GAP_LIMIT * (1.0 + abs(inc_min)) if incumbent else 0.0
         if node.bound >= inc_min - prune_eps:
             continue
-        # the far root box starts from the basis of the first root LP
-        lp, warm = ws.solve(node.low, node.upp, node.warm or root_warm)
-        root_warm = root_warm or WarmStart(warm.basis, warm.vstat)
+        lp, warm = ws.solve(node.low, node.upp, node.warm)
+        if far is not None:
+            # the far root box starts from the end of the first root LP
+            far.warm, far = parked(warm), None
         nodes_done += 1
         lp_pivots += lp.iterations
         lp_fallbacks += lp.fallbacks
@@ -403,8 +434,9 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         hi_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), None, node.depth + 1)
         hi_child.low[frac_j] = math.floor(lp.x[frac_j]) + 1.0
         first, second = (hi_child, lo_child) if f >= 0.5 else (lo_child, hi_child)
+        # copy the state for the sibling before the plunge child uses it
+        second.warm = parked(warm)
         first.warm = warm
-        second.warm = WarmStart(warm.basis, warm.vstat)
         seq += 1
         heapq.heappush(heap, (second.bound, seq, second))
         plunge.append(first)

@@ -18,8 +18,11 @@ history.csv holds one row per epoch run, with the columns ``epoch``,
 ``loss`` (mean training loss) and ``valid_loss`` (mean validation loss,
 empty when no valid instance has a stable label).
 
-``eval`` scores the predictions on the valid split only, as the test
-split has no labels.  The report's validation AP is therefore an
+``eval`` measures each mode's primal gap against a reference objective
+per test instance: the baseline's objective where results_baseline.csv
+reports it optimal, else a baseline solve under ``ref_time_limit_s``.
+It scores the predictions on the valid split only, as the test split
+has no labels.  The report's validation AP is therefore an
 in-sample figure: the same split picks the kept epoch in ``train`` and
 (phi, eta) in ``gridsearch``.
 
@@ -634,10 +637,18 @@ def _solver_quality(cfg: ExperimentConfig, report: metrics.EvalReport,
         raise MissingInputError(
             f"no results_*.csv under {cfg.workdir} "
             f"(run the 'run' stage first)")
+    # a baseline row proved optimal already holds the reference solve's
+    # result: both run the same tree until it closes, and the objective
+    # column round-trips exactly
+    baseline = dict(present).get("baseline")
+    optima = {} if baseline is None else {
+        row["instance"]: float(row["objective"])
+        for row in _read_results(baseline) if row["status"] == bnb.OPTIMAL}
     references = {}
     for path in _split_instances(cfg, "test"):
         inst = read_instance(path)
-        references[inst.name] = _reference_objective(cfg, inst)
+        references[inst.name] = (optima[inst.name] if inst.name in optima
+                                 else _reference_objective(cfg, inst))
     mode_summary = {}
     for mode, path in present:
         gaps, opt_gaps, solved = [], [], 0

@@ -279,11 +279,33 @@ def _pairs_hook(pairs):
 def write_json(path, payload, indent: int | None = 1) -> None:
     """Write ``payload`` to ``path`` as JSON plus a final newline.
 
-    The text is built in one ``json.dumps`` call (the C encoder when
-    ``indent`` is None) and written once.
+    Indented text is built in one ``json.dumps`` call and written once.
+    Compact text (``indent`` None) goes through the C encoder one dict
+    value at a time, nested dicts included, so the encoded pieces of a
+    large payload (the parameter arrays of ``model.json``) are never
+    all held at once; the bytes equal one ``json.dumps`` call's.
     """
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=indent) + "\n")
+        if indent is not None:
+            fh.write(json.dumps(payload, indent=indent) + "\n")
+            return
+        # depth first: each entry is text to write as is or a value to
+        # encode, the next one last; a one-entry dict encodes each key
+        # as json.dumps does
+        todo = [("text", "\n"), ("value", payload)]
+        while todo:
+            kind, item = todo.pop()
+            if kind == "text":
+                fh.write(item)
+            elif isinstance(item, dict) and item:
+                todo.append(("text", "}"))
+                seps = ["{"] + [", "] * (len(item) - 1)
+                for sep, (key, value) in reversed(list(zip(seps,
+                                                           item.items()))):
+                    todo.append(("value", value))
+                    todo.append(("text", sep + json.dumps({key: None})[1:-5]))
+            else:
+                fh.write(json.dumps(item))
 
 
 def read_json(path, parse, error: type[ValueError] = ValueError):

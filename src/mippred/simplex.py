@@ -29,8 +29,11 @@ steepest-edge weights and pivots since the last refactorization) out
 in its ``WarmStart``; the next warm solve given that snapshot starts
 its dual attempt from the state instead of refactorizing, and takes
 the state out of the snapshot, since the kernel updates it in place.
-Every other attempt starts by refactorizing its basis: cold ones, the
-primal core, and a warm dual attempt whose snapshot holds no state.
+A caller that means to start two solves from one snapshot gives the
+second a ``WarmStart`` of its own state copy (``DualState.copy()``),
+as branch and bound does for a parked sibling.  Every other attempt
+starts by refactorizing its basis: cold ones, the primal core, and a
+warm dual attempt whose snapshot holds no state.
 ``LpSolution.iterations`` counts the pivots (basis changes and bound
 flips) of the attempt that proved the status.
 
@@ -75,21 +78,43 @@ _STATUS_NAME = {
 _VSTAT_NAME = np.empty(4, dtype=object)
 _VSTAT_NAME[[_kernels.BASIC, _kernels.AT_LOWER, _kernels.AT_UPPER,
              _kernels.FREE]] = [BASIC, AT_LOWER, AT_UPPER, AT_LOWER]
+# the status _snap_vstat gives, indexed by 4 * vstat + 2 * (lower bound
+# finite) + (upper bound finite); one line per vstat code, in code order
+_B, _L, _U, _F = (_kernels.BASIC, _kernels.AT_LOWER, _kernels.AT_UPPER,
+                  _kernels.FREE)
+_SNAP = np.array([
+    # finite: neither, upper, lower, both
+    _B, _B, _B, _B,  # basic
+    _F, _U, _L, _L,  # at lower
+    _F, _U, _L, _U,  # at upper
+    _F, _U, _L, _L,  # free
+], dtype=np.int8)
 
 
 @dataclass
 class LpSolution:
+    """One LP result.  ``vstat`` holds the kernel's status codes of the
+    n structurals followed by the m row slacks; ``var_status`` and
+    ``row_status`` name them on demand."""
+
     status: str
     x: np.ndarray
     objective: float
     duals: np.ndarray
     reduced_costs: np.ndarray
-    var_status: list[str]
-    row_status: list[str]
+    vstat: np.ndarray
     iterations: int
     # failed attempts before this one: dual -> primal, warm -> cold, and
     # tries lost to a singular basis or non-convergence
     fallbacks: int = 0
+
+    @property
+    def var_status(self) -> list[str]:
+        return _VSTAT_NAME[self.vstat[:len(self.x)]].tolist()
+
+    @property
+    def row_status(self) -> list[str]:
+        return _VSTAT_NAME[self.vstat[len(self.x):]].tolist()
 
 
 @dataclass
@@ -99,8 +124,10 @@ class WarmStart:
     ``state`` is the dual kernel's end state for this basis when a dual
     attempt proved the snapshot's solve, else None.  The solve given the
     snapshot takes the state out (sets it to None) and resumes from it;
-    later solves from the same snapshot refactorize.  A snapshot holding
-    only the basis is ``WarmStart(basis, vstat)``.
+    later solves from the same snapshot refactorize.  So a second solve
+    that should resume too gets its own snapshot, ``WarmStart(basis,
+    vstat, state.copy())``, made before the first solve runs; a
+    snapshot holding only the basis is ``WarmStart(basis, vstat)``.
     """
 
     basis: np.ndarray
@@ -170,21 +197,17 @@ class LpWorkspace:
 
         A status whose bound is no longer finite moves to the other
         bound, or to free; a free nonbasic (which sits at 0) moves to a
-        bound that has become finite, since 0 may lie outside it now.
+        bound that has become finite (the lower one when both have),
+        since 0 may lie outside it now.  One lookup in ``_SNAP``.
         """
-        fin_low = np.isfinite(low)
-        fin_upp = np.isfinite(upp)
-        off_low = (vstat == _kernels.AT_LOWER) & ~fin_low
-        off_upp = (vstat == _kernels.AT_UPPER) & ~fin_upp
-        free = vstat == _kernels.FREE
-        vstat[off_low] = np.where(fin_upp[off_low], _kernels.AT_UPPER, _kernels.FREE)
-        vstat[off_upp] = np.where(fin_low[off_upp], _kernels.AT_LOWER, _kernels.FREE)
-        vstat[free & fin_low] = _kernels.AT_LOWER
-        vstat[free & ~fin_low & fin_upp] = _kernels.AT_UPPER
+        vstat[:] = _SNAP[4 * vstat + 2 * np.isfinite(low) + np.isfinite(upp)]
 
     def _package(self, status, basis, vstat, z, y, d, iters, fallbacks,
                  end):
         n = self.n
+        # the solution and the snapshot share one vstat copy; neither
+        # changes it (a solve from the snapshot works on its own copy)
+        vstat = vstat.copy()
         sol = LpSolution(
             status=_STATUS_NAME[status],
             x=z[:n].copy(),
@@ -192,12 +215,11 @@ class LpWorkspace:
                        else float(np.dot(self.c, z))),
             duals=np.asarray(y, dtype=float).copy(),
             reduced_costs=np.asarray(d[:n], dtype=float).copy(),
-            var_status=_VSTAT_NAME[vstat[:n]].tolist(),
-            row_status=_VSTAT_NAME[vstat[n:]].tolist(),
+            vstat=vstat,
             iterations=int(iters),
             fallbacks=fallbacks,
         )
-        return sol, WarmStart(basis.copy(), vstat.copy(), *end)
+        return sol, WarmStart(basis.copy(), vstat, *end)
 
     def solve(self, low_struct=None, upp_struct=None, warm: WarmStart | None = None):
         """Solve under optional structural bound arrays; return (LpSolution, WarmStart)."""

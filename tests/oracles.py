@@ -14,6 +14,10 @@ in step across passes: every pass gathers the basic values and bounds
 and derives the eligibility signs from ``vstat`` anew.  It shares the
 kernel's factorization, pricing, sparse products and rank-1 update, so
 the kernel, started fresh, must return its results byte for byte.
+``reference_snap_vstat`` states the warm-start status snap as masks,
+one rule at a time, against the workspace's table lookup.
+``record_lp_solves`` keeps the inputs of every LP solve of a run, so a
+test can solve each node LP again from another start.
 """
 
 import math
@@ -22,6 +26,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from mippred import _kernels as K
+from mippred import simplex
 from mippred.core import BINARY, CONTINUOUS, INTEGER, canonicalize
 from mippred.trigraph import (CONS_TYPES, INF_SENTINEL, N_CONS_FEATURES,
                               N_VAR_FEATURES)
@@ -538,3 +543,51 @@ def reference_dual_core(sp, c, low, upp, basis, vstat, z,
     if status == K.OPTIMAL and K._improving(vstat, d, 10.0 * feas_tol).any():
         status = K.NOT_DUAL_FEASIBLE
     return status, pivots, y, d
+
+
+# ---------------------------------------------------------------------------
+# Warm-start status snap, and recorded LP solves
+
+
+def reference_snap_vstat(vstat, low, upp):
+    """The nonbasic statuses of ``vstat`` put on finite bounds, in place,
+    by masks taken from the statuses as given: an at-lower status whose
+    lower bound is infinite goes to the upper bound if finite, else free;
+    at-upper mirrors that; a free status goes to a finite lower bound,
+    else to a finite upper bound."""
+    fin_low = np.isfinite(low)
+    fin_upp = np.isfinite(upp)
+    off_low = (vstat == K.AT_LOWER) & ~fin_low
+    off_upp = (vstat == K.AT_UPPER) & ~fin_upp
+    free = vstat == K.FREE
+    vstat[off_low] = np.where(fin_upp[off_low], K.AT_UPPER, K.FREE)
+    vstat[off_upp] = np.where(fin_low[off_upp], K.AT_LOWER, K.FREE)
+    vstat[free & fin_low] = K.AT_LOWER
+    vstat[free & ~fin_low & fin_upp] = K.AT_UPPER
+
+
+def record_lp_solves(run):
+    """Every ``LpWorkspace.solve`` call made by ``run()``, as (workspace,
+    structural lower bounds, structural upper bounds, snapshot).  The
+    bounds are copies (None where the call passed none); the snapshot is
+    a ``WarmStart`` with copies of the given basis, vstat and state
+    (None without a snapshot), taken before the call could use it up."""
+    real = simplex.LpWorkspace.solve
+    calls = []
+
+    def recording(self, low=None, upp=None, warm=None):
+        snap = None
+        if warm is not None:
+            state = None if warm.state is None else warm.state.copy()
+            snap = simplex.WarmStart(warm.basis.copy(), warm.vstat.copy(),
+                                     state)
+        calls.append((self, None if low is None else low.copy(),
+                      None if upp is None else upp.copy(), snap))
+        return real(self, low, upp, warm)
+
+    simplex.LpWorkspace.solve = recording
+    try:
+        run()
+    finally:
+        simplex.LpWorkspace.solve = real
+    return calls

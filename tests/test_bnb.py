@@ -543,11 +543,19 @@ def test_solve_sums_lp_pivots_and_fallbacks(monkeypatch):
     assert res.lp_fallbacks == sum(lp.fallbacks for lp in seen)
 
 
-def test_plunge_children_resume_and_parked_nodes_refactorize(monkeypatch):
-    """``_kernels._factor`` calls per node LP over a tree search: a plunge
-    child resumes from its parent's carried state and refactorizes only
-    where the shared pivot count passes REFACTOR_EVERY; a parked node
-    carries no state and refactorizes its basis."""
+def _small_sc():
+    return generate(GenSpec("sc", "custom",
+                            params={"sets": 40, "elements": 30,
+                                    "density": 0.15},
+                            seed=2))
+
+
+def _node_lps(monkeypatch):
+    """Per node LP of one ``bnb.solve`` on a small set cover: (kind, the
+    ``since_refactor`` of the state it starts from or None, its
+    ``_kernels._factor`` calls, its LpSolution).  kind is "root", "plunge"
+    for a node given the snapshot the previous LP returned, else
+    "parked"."""
     factors = []
     real_factor = _kernels._factor
 
@@ -556,29 +564,88 @@ def test_plunge_children_resume_and_parked_nodes_refactorize(monkeypatch):
         return real_factor(*args)
 
     nodes = []
+    last = [None]
     solve_lp = simplex.LpWorkspace.solve
 
     def recording(self, low, upp, warm):
         state = warm.state if warm is not None else None
         since = state.since_refactor if state is not None else None
+        kind = ("root" if warm is None
+                else "plunge" if warm is last[0] else "parked")
         factors.clear()
         out = solve_lp(self, low, upp, warm)
-        nodes.append((warm is not None, since, len(factors), out[0]))
+        nodes.append((kind, since, len(factors), out[0]))
+        last[0] = out[1]
         return out
 
-    monkeypatch.setattr(_kernels, "_factor", counting)
-    monkeypatch.setattr(simplex.LpWorkspace, "solve", recording)
-    res = bnb.solve(generate(GenSpec("sc", "custom",
-                                     params={"sets": 40, "elements": 30,
-                                             "density": 0.15},
-                                     seed=2)))
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "_factor", counting)
+        mp.setattr(simplex.LpWorkspace, "solve", recording)
+        res = bnb.solve(_small_sc())
     assert res.nodes == len(nodes)
-    carried = [nd for nd in nodes if nd[1] is not None]
-    parked = [nd for nd in nodes if nd[0] and nd[1] is None]
-    assert carried and parked
-    for _, since, n_factor, lp in carried:
-        assert lp.fallbacks == 0
+    return nodes
+
+
+def test_parked_nodes_resume_unless_the_cap_is_reached(monkeypatch):
+    """``_kernels._factor`` calls per node LP over a tree search.  Plunge
+    children and parked nodes both resume from a carried state and
+    refactorize only where the shared pivot count passes REFACTOR_EVERY;
+    with ``STATE_BYTES_CAP`` at 0 a parked node carries no state and
+    refactorizes its basis, while plunge children still resume."""
+    nodes = _node_lps(monkeypatch)
+    resumed = [nd for nd in nodes if nd[0] != "root"]
+    assert [nd[0] for nd in nodes].count("root") == 1
+    assert any(nd[0] == "parked" for nd in resumed)
+    for _, since, n_factor, lp in resumed:
+        assert since is not None and lp.fallbacks == 0
         assert n_factor == (since + lp.iterations) // simplex.REFACTOR_EVERY
-    assert sum(n_factor for *_, n_factor, _ in carried) < len(carried)
-    for _, _, n_factor, lp in parked:
-        assert n_factor >= 1
+    assert sum(nd[2] for nd in resumed) < len(resumed)
+
+    monkeypatch.setattr(bnb, "STATE_BYTES_CAP", 0)
+    capped = _node_lps(monkeypatch)
+    parked = [nd for nd in capped if nd[0] == "parked"]
+    plunged = [nd for nd in capped if nd[0] == "plunge"]
+    assert parked and plunged
+    for _, since, n_factor, _ in parked:
+        assert since is None and n_factor >= 1
+    for _, since, n_factor, lp in plunged:
+        assert since is not None
+        assert n_factor == (since + lp.iterations) // simplex.REFACTOR_EVERY
+
+
+def test_parked_state_bytes_stay_within_the_cap(monkeypatch):
+    """With a cap of a few states, the state copies held in the heap never
+    pass it, measured at every push; some parked nodes still get a copy
+    and some are refused one."""
+    state_bytes = []
+    solve_lp = simplex.LpWorkspace.solve
+
+    def sizing(self, *args):
+        out = solve_lp(self, *args)
+        if out[1].state is not None:
+            state_bytes.append(out[1].state.nbytes)
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex.LpWorkspace, "solve", sizing)
+        bnb.solve(_small_sc())
+    assert len(set(state_bytes)) == 1
+    cap = 3 * state_bytes[0] + state_bytes[0] // 2
+    monkeypatch.setattr(bnb, "STATE_BYTES_CAP", cap)
+
+    held, with_state, without = [], [], []
+    push = bnb.heapq.heappush
+
+    def watching(heap, entry):
+        push(heap, entry)
+        warm = entry[2].warm
+        (with_state if warm.state is not None else without).append(1)
+        held.append(sum(nd.warm.state.nbytes for *_, nd in heap
+                        if nd.warm is not None and nd.warm.state is not None))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bnb.heapq, "heappush", watching)
+        bnb.solve(_small_sc())
+    assert with_state and without
+    assert max(held) <= cap
+    assert max(held) > 2 * state_bytes[0]

@@ -412,3 +412,70 @@ def test_bad_prediction_file_fails_run_naming_it(pipeline, tmp_path,
     assert run(tmp_path, "run", "--mode", "exact", "--config",
                str(cfgf)) == 4
     assert "sc-tiny-test-0000.csv: line" in capsys.readouterr().err
+
+
+def _eval_with_recorded_references(pipeline, tmp_path, monkeypatch,
+                                   feasible=()):
+    """Run eval on a copy of the fixture's outputs, with the baseline rows
+    of the instances in ``feasible`` rewritten from optimal to feasible;
+    return the instances whose reference was solved and the report."""
+    cfgf = write_config(tmp_path)
+    copy_stage_outputs(pipeline, tmp_path, "instances", "labels",
+                       "predictions", *(f"results_{mode}.csv"
+                                        for mode in cli.RUN_MODES))
+    path = tmp_path / "results_baseline.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(row["status"] == "optimal" for row in rows)
+    for row in rows:
+        if row["instance"] in feasible:
+            row["status"] = "feasible"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    solved = []
+    real = cli._reference_objective
+
+    def recording(cfg, inst):
+        solved.append(inst.name)
+        return real(cfg, inst)
+
+    monkeypatch.setattr(cli, "_reference_objective", recording)
+    assert run(tmp_path, "eval", "--config", str(cfgf)) == 0
+    return solved, json.loads((tmp_path / "report.json").read_text())
+
+
+def _report_without_runtimes(report):
+    return {key: value for key, value in report.items() if key != "runtimes"}
+
+
+def test_eval_takes_optimal_baseline_objectives_without_solving(
+        pipeline, tmp_path, monkeypatch):
+    # every baseline row is optimal, so no reference solve runs, and each
+    # reference is the objective a reference solve gives
+    solved, report = _eval_with_recorded_references(pipeline, tmp_path,
+                                                    monkeypatch)
+    assert solved == []
+    cfg = cli.load_config(pipeline / "exp.ini", pipeline)
+    for path in sorted((pipeline / "instances" / "test").glob("*.json")):
+        inst = read_instance(path)
+        want = cli._fmt(cli._reference_objective(cfg, inst))
+        refs = {row["reference"] for row in report["rows"]
+                if row["instance"] == inst.name}
+        assert refs == {want}
+    assert _report_without_runtimes(report) == _report_without_runtimes(
+        json.loads((pipeline / "report.json").read_text()))
+
+
+def test_eval_solves_the_reference_of_a_feasible_baseline_row(
+        pipeline, tmp_path, monkeypatch):
+    name = read_instance(sorted(
+        (pipeline / "instances" / "test").glob("*.json"))[0]).name
+    solved, report = _eval_with_recorded_references(
+        pipeline, tmp_path, monkeypatch, feasible={name})
+    assert solved == [name]
+    baseline = [row for row in report["rows"]
+                if row["mode"] == "baseline" and row["instance"] == name]
+    assert [row["status"] for row in baseline] == ["feasible"]
+    assert baseline[0]["reference"] == baseline[0]["objective"]

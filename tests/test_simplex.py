@@ -14,7 +14,8 @@ from mippred.core import (BINARY, CONTINUOUS, Constraint, MipInstance,
                           RowArrays, Variable, canonicalize)
 from mippred.generators import PROBLEMS, GenSpec, generate
 from oracles import (TINY_SPECS, brute_force_optimum, dict_walk,
-                     reference_dual_core)
+                     record_lp_solves, reference_dual_core,
+                     reference_snap_vstat)
 
 
 def one_var_lp():
@@ -1037,6 +1038,50 @@ def test_parked_sibling_equals_a_fresh_basis_copy():
                                                        want.fallbacks)
     assert sibling.x.tobytes() == want.x.tobytes()
     assert sibling.objective == want.objective
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
+def test_node_lps_resume_like_a_basis_start(problem):
+    """Every node LP that started from a carried state, plunge child,
+    parked node or the exact mode's far root box, in two
+    branch-and-bound trees (plain, and split at distance 1 from the
+    all-zero point), solved again from a copy of that state and from its
+    basis alone: same status, and optimal objectives within 1e-9
+    relative."""
+    preset, params = TINY_SPECS[problem]
+    inst = generate(GenSpec(problem, preset, params=params, seed=0))
+    ball = bnb.HammingBall(np.zeros(inst.n_vars), inst.binary_indices(), 1,
+                           exact=True)
+    calls = record_lp_solves(lambda: (bnb.solve(inst),
+                                      bnb.solve(inst, ball=ball)))
+    carried = [call for call in calls
+               if call[3] is not None and call[3].state is not None]
+    assert len(carried) > 2
+    for ws, low, upp, snap in carried:
+        resumed, _ = ws.solve(low, upp, simplex.WarmStart(
+            snap.basis, snap.vstat, snap.state.copy()))
+        based, _ = ws.solve(low, upp, simplex.WarmStart(snap.basis,
+                                                        snap.vstat))
+        assert resumed.status == based.status
+        if based.status == simplex.OPTIMAL:
+            assert resumed.objective == pytest.approx(based.objective,
+                                                      rel=1e-9, abs=0.0)
+
+
+def test_snap_table_equals_the_mask_rules():
+    """The status snap's table, on all 16 cases of a status code and the
+    finiteness of the two bounds, equals the rules stated as masks."""
+    code, fin_low, fin_upp = (a.ravel() for a in np.meshgrid(
+        np.arange(4, dtype=np.int8), [False, True], [False, True],
+        indexing="ij"))
+    low = np.where(fin_low, -1.0, -np.inf)
+    upp = np.where(fin_upp, 1.0, np.inf)
+    want = code.copy()
+    reference_snap_vstat(want, low, upp)
+    assert simplex._SNAP.tolist() == want.tolist()
+    got = code.copy()
+    simplex.LpWorkspace._snap_vstat(got, low, upp)
+    assert got.dtype == np.int8 and got.tolist() == want.tolist()
 
 
 def test_carried_dual_failure_falls_back_to_primal(monkeypatch):
