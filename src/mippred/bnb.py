@@ -15,6 +15,16 @@ sibling whose copy would pass the cap parks with only the basis and
 variable statuses and refactorizes when it is popped, and a popped
 node gives its bytes back.  Correctness depends on none of this.
 
+A node is closed, and the incumbent proved optimal once every open
+node is, when its bound lies within a relative ``GAP_LIMIT`` of the
+incumbent.  When every solution's objective is an integer (every
+nonzero cost is integral and sits on a binary or integer variable),
+the cutoff is instead a whole unit below the incumbent, less a 1e-6
+relative tolerance: a bound above it leaves no room for a better
+integer value.  This is decided once per solve and holds for baseline,
+approx and exact alike, since ``d`` costs nothing.  First-feasible
+solves stop at their first incumbent, before any cutoff applies.
+
 Predictions enter as a ``HammingBall``: one continuous variable ``d``
 appended to the LP with the row ``d = sum_{j in S, x_hat_j = 0} x_j +
 sum_{j in S, x_hat_j = 1} (1 - x_j)``.  ``d`` is integral whenever the
@@ -66,7 +76,8 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 LIMIT_REACHED = "limit_reached"
 
-# relative gap at which a node is pruned and an incumbent proved optimal
+# relative gap at which a node is pruned and an incumbent proved optimal,
+# unless every objective value is an integer (see the module docstring)
 GAP_LIMIT = 1e-9
 
 # Bytes of the dual-state copies (``_kernels.DualState``) the parked
@@ -113,6 +124,10 @@ class SolveResult:
     bound each time it improves, so it is nondecreasing for either
     sense.  ``heuristic`` marks results whose bound is not valid for the
     original instance (set for solves restricted to a Hamming ball).
+    A proved bound is reported equal to the objective.  When every
+    objective value is an integer, the proof needs the open bounds only
+    less than one unit below the incumbent (the integral cutoff of the
+    module docstring); first-feasible solves stop before any cutoff.
     ``lp_pivots`` and ``lp_fallbacks`` sum ``LpSolution.iterations`` (the
     pivots of each node LP: basis changes and bound flips) and
     ``LpSolution.fallbacks`` over the node LPs.
@@ -205,11 +220,16 @@ def _repair_rounding(rows: _Rows, lp_x, x_cand, low0, upp0):
     violation, preferring the variable the LP likes most for that
     direction (large LP value for up-steps, small for down-steps).
     Returns True when every row ended inside its range; the attempt is
-    capped, not exhaustive.  The walk is sequential, so it runs on
-    Python floats; only the starting activities are a segment sum."""
-    acts = rows.activities(x_cand).tolist()
-    lo = (rows.lhs - INT_TOL).tolist()
-    hi = (rows.rhs + INT_TOL).tolist()
+    capped, not exhaustive.  A point that already meets every row has
+    nothing to repair: it is left as it is and False comes back.  The
+    walk is sequential, so it runs on Python floats; only the starting
+    activities and that first check are vectorized."""
+    acts = rows.activities(x_cand)
+    lo = rows.lhs - INT_TOL
+    hi = rows.rhs + INT_TOL
+    if not ((acts < lo) | (acts > hi)).any():
+        return False
+    acts, lo, hi = acts.tolist(), lo.tolist(), hi.tolist()
     x, lpx = x_cand.tolist(), lp_x.tolist()
     low, upp = low0.tolist(), upp0.tolist()
     flips = 0
@@ -251,6 +271,44 @@ def _repair_rounding(rows: _Rows, lp_x, x_cand, low0, upp0):
                 break
     x_cand[:] = x
     return not any(a < lo_i or a > hi_i for lo_i, a, hi_i in zip(lo, acts, hi))
+
+
+def _rounding_probes(rows: _Rows, lp_x, n, ints, low0, upp0):
+    """Integral candidates snapped from a node LP point ``lp_x``: its
+    first ``n`` entries with the integer ones rounded to nearest, down
+    and up (clamped to the root bounds), then nearest after
+    ``_repair_rounding``.  A candidate equal to nearest is left out, as
+    it would only get nearest's verdict again: floor or ceil equal to
+    it, and nearest itself when it meets every row, which the repair
+    hands back unchanged."""
+    x_lp = lp_x[:n]
+    xi = x_lp[ints]
+    low_i, upp_i = low0[ints], upp0[ints]
+    near = None
+    for r in (np.floor(xi + 0.5), np.floor(xi), np.ceil(xi)):
+        # + 0.0 turns a rounded -0.0 into 0.0
+        r = r + 0.0
+        r = np.where(low_i > r, low_i, r)
+        r = np.where(upp_i < r, upp_i, r)
+        if near is None:
+            near = r
+        elif np.array_equal(r, near):
+            continue
+        x_cand = x_lp.copy()
+        x_cand[ints] = r
+        yield x_cand
+    x_cand = x_lp.copy()
+    x_cand[ints] = near
+    if _repair_rounding(rows, lp_x, x_cand, low0, upp0):
+        yield x_cand
+
+
+def _integral_objective(c_min, ints) -> bool:
+    """Whether every solution's objective is an integer: every cost is
+    integral and only integer variables carry nonzero ones."""
+    cont = np.ones(len(c_min), dtype=bool)
+    cont[ints] = False
+    return bool((c_min == np.floor(c_min)).all() and not c_min[cont].any())
 
 
 def _with_distance(canon: MipInstance, ball: HammingBall):
@@ -302,7 +360,6 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
                      if v.vtype in (BINARY, INTEGER)], dtype=np.int64)
     low0 = ws.base_low[:ws.n].copy()
     upp0 = ws.base_upp[:ws.n].copy()
-    low_i, upp_i = low0[ints], upp0[ints]
     # the probes see the instance's own rows; d follows the binaries
     rows = _Rows(canon, ws)
 
@@ -338,6 +395,16 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     lb_history: list[float] = []
     proved = False
     node_limit = cfg.node_limit if cfg.node_limit is not None else math.inf
+    # with an integral objective a node must promise a whole unit below
+    # the incumbent to stay open
+    unit = 1.0 if _integral_objective(c_min, ints) else 0.0
+
+    def gap():
+        """How far below the incumbent a bound must lie for its node to
+        stay open: a relative ``GAP_LIMIT``, or a whole unit less a 1e-6
+        relative tolerance when every objective value is an integer."""
+        scale = 1.0 + abs(inc_min)
+        return max(GAP_LIMIT * scale, unit - 1e-6 * scale)
 
     def open_lb():
         lb = math.inf
@@ -368,7 +435,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
             node = heapq.heappop(heap)[2]
             if node.warm is not None and node.warm.state is not None:
                 held -= node.warm.state.nbytes
-        prune_eps = GAP_LIMIT * (1.0 + abs(inc_min)) if incumbent else 0.0
+        prune_eps = gap() if incumbent else 0.0
         if node.bound >= inc_min - prune_eps:
             continue
         lp, warm = ws.solve(node.low, node.upp, node.warm)
@@ -388,20 +455,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         if lp.objective >= inc_min - prune_eps:
             continue
 
-        # rounding probes: integral candidates snapped from the node LP
-        # (nearest / floor / ceil / nearest-with-repair), kept when
-        # feasible and improving; + 0.0 turns a rounded -0.0 into 0.0
-        x_lp = lp.x[:n]
-        xi = x_lp[ints]
-        near = np.floor(xi + 0.5) + 0.0
-        for mode, r in enumerate((near, np.floor(xi) + 0.0,
-                                  np.ceil(xi) + 0.0, near)):
-            x_cand = x_lp.copy()
-            r = np.where(low_i > r, low_i, r)
-            x_cand[ints] = np.where(upp_i < r, upp_i, r)
-            if mode == 3 and not _repair_rounding(rows, lp.x, x_cand,
-                                                  low0, upp0):
-                continue
+        for x_cand in _rounding_probes(rows, lp.x, n, ints, low0, upp0):
             cand_min = float(np.dot(c_min, x_cand))
             if cand_min >= inc_min:
                 continue
@@ -420,6 +474,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
             break
 
         # most fractional integer variable, ties to the lowest index
+        xi = lp.x[ints]
         frac = xi - np.floor(xi)
         frac = np.minimum(frac, 1.0 - frac)
         k = int(np.argmax(frac)) if ints.size else 0
@@ -442,8 +497,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         plunge.append(first)
 
         if incumbent is not None:
-            lb_now = open_lb()
-            if inc_min - lb_now <= GAP_LIMIT * (1.0 + abs(inc_min)):
+            if inc_min - open_lb() <= gap():
                 proved = True
                 break
 

@@ -206,15 +206,17 @@ class LpWorkspace:
                  end):
         n = self.n
         # the solution and the snapshot share one vstat copy; neither
-        # changes it (a solve from the snapshot works on its own copy)
+        # changes it (a solve from the snapshot works on its own copy).
+        # y is priced afresh by either kernel; d is the carried state's
+        # reduced costs, which the next solve from it updates in place
         vstat = vstat.copy()
         sol = LpSolution(
             status=_STATUS_NAME[status],
             x=z[:n].copy(),
             objective=(-np.inf if status == _kernels.UNBOUNDED
                        else float(np.dot(self.c, z))),
-            duals=np.asarray(y, dtype=float).copy(),
-            reduced_costs=np.asarray(d[:n], dtype=float).copy(),
+            duals=y,
+            reduced_costs=d[:n].copy(),
             vstat=vstat,
             iterations=int(iters),
             fallbacks=fallbacks,

@@ -5,6 +5,10 @@ and bound: binary assignments are enumerated exhaustively with numpy,
 rows touching only binaries are checked vectorized, and any continuous
 remainder is completed with scipy's HiGHS interface.
 
+``milp_optimum`` hands a whole instance, integrality included, to
+scipy's HiGHS MIP solver with a zero gap tolerance, as the reference
+for property tests of the branch and bound.
+
 The featurization reference walks each row's ``coeffs`` dict and calls
 numpy's ``mean``/``std``/``min``/``max`` once per variable and per row,
 so it shares no arithmetic with the segment reductions in ``trigraph``.
@@ -23,7 +27,7 @@ test can solve each node LP again from another start.
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from mippred import _kernels as K
 from mippred import simplex
@@ -195,6 +199,30 @@ def brute_force_optimum(inst, feas_tol=1e-6):
     if inst.sense == "max":
         best_obj = -best_obj
     return float(best_obj), best_x
+
+
+def milp_optimum(inst):
+    """(status, objective) of ``scipy.optimize.milp`` (HiGHS) on the
+    instance, objective in its own sense: status 0 is optimal, 2
+    infeasible.  The gap tolerance is zero, so an optimal status is the
+    optimum."""
+    n = inst.n_vars
+    sign = -1.0 if inst.sense == "max" else 1.0
+    constraints = ()
+    if inst.constraints:
+        A = np.zeros((len(inst.constraints), n))
+        for i, con in enumerate(inst.constraints):
+            for j, a in con.coeffs.items():
+                A[i, j] = a
+        constraints = LinearConstraint(
+            A, [con.lhs for con in inst.constraints],
+            [con.rhs for con in inst.constraints])
+    res = milp(sign * inst.objective_vector(), constraints=constraints,
+               integrality=[v.vtype != CONTINUOUS for v in inst.variables],
+               bounds=Bounds([v.lb for v in inst.variables],
+                             [v.ub for v in inst.variables]),
+               options={"mip_rel_gap": 0.0})
+    return res.status, (None if res.fun is None else sign * res.fun)
 
 
 def average_precision_reference(scores, labels):

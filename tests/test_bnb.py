@@ -6,13 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mippred import _kernels, bnb, predictor, simplex
-from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INTEGER, Constraint,
-                          MipInstance, RowArrays, Variable, canonicalize,
-                          evaluate_solution, hamming_coeffs, row_arrays)
+from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INT_TOL, INTEGER,
+                          Constraint, MipInstance, RowArrays, Variable,
+                          canonicalize, evaluate_solution, hamming_coeffs,
+                          row_arrays)
 from mippred.generators import GenSpec, generate
-from oracles import TINY_SPECS, brute_force_optimum, dict_walk
+from oracles import TINY_SPECS, brute_force_optimum, dict_walk, milp_optimum
 
 
 def binary_chain(n=3):
@@ -613,6 +616,13 @@ def test_parked_nodes_resume_unless_the_cap_is_reached(monkeypatch):
         assert n_factor == (since + lp.iterations) // simplex.REFACTOR_EVERY
 
 
+def _cap_instance():
+    """A facility location whose tree parks dozens of nodes at once.  Its
+    costs sit on continuous flows, so the integral-objective cutoff
+    leaves its tree alone."""
+    return generate(GenSpec("cfl", "small", seed=0))
+
+
 def test_parked_state_bytes_stay_within_the_cap(monkeypatch):
     """With a cap of a few states, the state copies held in the heap never
     pass it, measured at every push; some parked nodes still get a copy
@@ -628,7 +638,7 @@ def test_parked_state_bytes_stay_within_the_cap(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(simplex.LpWorkspace, "solve", sizing)
-        bnb.solve(_small_sc())
+        bnb.solve(_cap_instance())
     assert len(set(state_bytes)) == 1
     cap = 3 * state_bytes[0] + state_bytes[0] // 2
     monkeypatch.setattr(bnb, "STATE_BYTES_CAP", cap)
@@ -645,7 +655,352 @@ def test_parked_state_bytes_stay_within_the_cap(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(bnb.heapq, "heappush", watching)
-        bnb.solve(_small_sc())
+        bnb.solve(_cap_instance())
     assert with_state and without
     assert max(held) <= cap
     assert max(held) > 2 * state_bytes[0]
+
+
+# ---------------------------------------------------------------------------
+# integral-objective cutoff
+
+
+def capped_pair(extra=None):
+    """max x0 + x1 over binaries with x0 + x1 <= 1.7, optionally plus a
+    third column (vtype, cost) in no row.  The root LP reaches 1.7, the
+    floor probe finds 1, and every other node's bound lies in (1, 1.7]."""
+    variables = [Variable("x0", BINARY, 0.0, 1.0),
+                 Variable("x1", BINARY, 0.0, 1.0)]
+    objective = {0: 1.0, 1: 1.0}
+    if extra is not None:
+        vtype, cost = extra
+        variables.append(Variable("e", vtype, 0.0, 1.0))
+        objective[2] = cost
+    return MipInstance("pair", "max", variables,
+                       [Constraint("cap", {0: 1.0, 1: 1.0}, -math.inf, 1.7)],
+                       objective)
+
+
+def integral_rule_applies(inst):
+    canon = canonicalize(inst)
+    ints = np.array([j for j, v in enumerate(canon.variables)
+                     if v.vtype != CONTINUOUS], dtype=np.int64)
+    return bnb._integral_objective(canon.objective_vector(), ints)
+
+
+def test_integral_objective_closes_a_node_within_one_unit():
+    res = bnb.solve(capped_pair())
+    assert res.status == bnb.OPTIMAL
+    assert res.objective == res.lower_bound == 1.0
+    assert res.nodes == 1
+    # an integral cost on an extra binary keeps the rule
+    res = bnb.solve(capped_pair((BINARY, 1.0)))
+    assert (res.status, res.objective, res.nodes) == (bnb.OPTIMAL, 2.0, 1)
+
+
+@pytest.mark.parametrize("extra", [(BINARY, 0.5), (CONTINUOUS, 1.0)])
+def test_fractional_or_continuous_cost_keeps_the_gap_rule(extra):
+    """One fractional cost, or a cost on a continuous column, and the
+    root's bound 0.7 above the incumbent is no longer enough to close
+    it: the search branches and proves the same optimum."""
+    inst = capped_pair(extra)
+    assert integral_rule_applies(capped_pair())
+    assert not integral_rule_applies(inst)
+    res = bnb.solve(inst)
+    obj, _ = brute_force_optimum(inst)
+    assert res.status == bnb.OPTIMAL
+    assert res.objective == pytest.approx(obj, abs=1e-9)
+    assert res.nodes > 1
+
+
+def test_integral_objective_needs_integral_costs_on_integer_columns():
+    ints = np.array([0, 1], dtype=np.int64)
+    assert bnb._integral_objective(np.array([3.0, -2.0, 0.0]), ints)
+    assert not bnb._integral_objective(np.array([3.0, -2.5, 0.0]), ints)
+    assert not bnb._integral_objective(np.array([3.0, -2.0, 1.0]), ints)
+    assert bnb._integral_objective(np.zeros(0), np.zeros(0, dtype=np.int64))
+
+
+def _node_trace(monkeypatch, inst):
+    """Per node LP of ``bnb.solve(inst)`` on a min-sense instance: (its LP
+    objective, the best incumbent objective before it, whether its
+    rounding probes ran)."""
+    events = []
+    solve_lp = simplex.LpWorkspace.solve
+    probes = bnb._rounding_probes
+    evaluate = bnb.evaluate_solution
+    best = [math.inf]
+
+    def lp_recording(self, *args):
+        out = solve_lp(self, *args)
+        events.append([out[0].objective, best[0], False])
+        return out
+
+    def probe_recording(*args):
+        events[-1][2] = True
+        return probes(*args)
+
+    def evaluate_recording(inst, x):
+        sol = evaluate(inst, x)
+        if sol.feasible:
+            best[0] = min(best[0], sol.objective)
+        return sol
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex.LpWorkspace, "solve", lp_recording)
+        mp.setattr(bnb, "_rounding_probes", probe_recording)
+        mp.setattr(bnb, "evaluate_solution", evaluate_recording)
+        res = bnb.solve(inst)
+    assert res.nodes == len(events)
+    return res, events
+
+
+def test_node_within_one_unit_of_the_incumbent_is_not_branched(monkeypatch):
+    """On set covers (integral costs, min sense), no node whose LP bound
+    lies in (inc - 1, inc) runs its probes or branches, and such nodes
+    occur; without the rule such nodes are probed and branched.  Both
+    runs prove the same optimum.  A bound within 1e-6 relative of inc - 1
+    counts as inc - 1, which a node may still reach."""
+
+    def within_one_unit(bound, inc):
+        return inc - 1.0 + 1e-6 * (1.0 + abs(inc)) <= bound < inc
+
+    closed = opened = 0
+    for seed in range(4):
+        inst = generate(GenSpec("sc", "custom",
+                                params={"sets": 60, "elements": 45,
+                                        "density": 0.12}, seed=seed))
+        res, events = _node_trace(monkeypatch, inst)
+        assert res.status == bnb.OPTIMAL
+        for bound, inc, probed in events:
+            if within_one_unit(bound, inc):
+                assert not probed, seed
+                closed += 1
+        monkeypatch.setattr(bnb, "_integral_objective", lambda *a: False)
+        plain, plain_events = _node_trace(monkeypatch, inst)
+        monkeypatch.undo()
+        assert plain.objective == res.objective
+        opened += sum(probed for bound, inc, probed in plain_events
+                      if within_one_unit(bound, inc))
+    assert closed > 0 and opened > 0
+
+
+@pytest.mark.parametrize("problem", ["cfl", "fcnf"])
+def test_continuous_cost_classes_keep_their_trees(problem, monkeypatch):
+    """cfl and fcnf put costs on continuous flows: the rule does not
+    apply, and every tree equals a run with the rule switched off."""
+    preset, params = TINY_SPECS[problem]
+    insts = [generate(GenSpec(problem, preset, params=params, seed=seed))
+             for seed in range(4)]
+    runs = [bnb.solve(inst) for inst in insts]
+    monkeypatch.setattr(bnb, "_integral_objective", lambda *a: False)
+    for inst, res in zip(insts, runs):
+        plain = bnb.solve(inst)
+        assert (res.nodes, res.objective, res.lower_bound) == \
+            (plain.nodes, plain.objective, plain.lower_bound)
+    monkeypatch.undo()
+    assert not any(integral_rule_applies(inst) for inst in insts)
+
+
+def test_first_feasible_solves_ignore_the_rule(monkeypatch):
+    """The labeler's first-feasible solves stop at their first incumbent,
+    before the cutoff can close a node."""
+    for problem in ("sc", "mis", "mk"):
+        preset, params = TINY_SPECS[problem]
+        inst = generate(GenSpec(problem, preset, params=params, seed=1))
+        cfg = bnb.BnbConfig(mode=bnb.FIRST_FEASIBLE)
+        res = bnb.solve(inst, cfg)
+        monkeypatch.setattr(bnb, "_integral_objective", lambda *a: False)
+        plain = bnb.solve(inst, cfg)
+        monkeypatch.undo()
+        assert (res.status, res.nodes, res.objective) == \
+            (plain.status, plain.nodes, plain.objective)
+        assert res.incumbent.values.tobytes() == \
+            plain.incumbent.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# rounding probes that repeat nearest are left out
+
+
+def every_probe(rows, lp_x, n, ints, low0, upp0):
+    """The rounding probes of a node with none left out: nearest, floor,
+    ceil, and nearest after the repair, which hands back a nearest point
+    that meets every row as it is."""
+    x_lp = lp_x[:n]
+    xi = x_lp[ints]
+    low_i, upp_i = low0[ints], upp0[ints]
+    near = np.floor(xi + 0.5) + 0.0
+    for mode, r in enumerate((near, np.floor(xi) + 0.0, np.ceil(xi) + 0.0,
+                              near)):
+        x_cand = x_lp.copy()
+        r = np.where(low_i > r, low_i, r)
+        x_cand[ints] = np.where(upp_i < r, upp_i, r)
+        if mode == 3:
+            acts = rows.activities(x_cand)
+            meets = not ((acts < rows.lhs - INT_TOL)
+                         | (acts > rows.rhs + INT_TOL)).any()
+            if not (meets or bnb._repair_rounding(rows, lp_x, x_cand,
+                                                  low0, upp0)):
+                continue
+        yield x_cand
+
+
+def _counted_solve(monkeypatch, inst, cfg=None, ball=None, probes=None):
+    """``bnb.solve`` with its ``may_hold`` and ``evaluate_solution`` calls
+    counted, optionally with another probe generator."""
+    counts = {"may_hold": 0, "evaluate": 0}
+    may_hold = bnb._Rows.may_hold
+    evaluate = bnb.evaluate_solution
+
+    def counting_may_hold(self, x):
+        counts["may_hold"] += 1
+        return may_hold(self, x)
+
+    def counting_evaluate(inst, x):
+        counts["evaluate"] += 1
+        return evaluate(inst, x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bnb._Rows, "may_hold", counting_may_hold)
+        mp.setattr(bnb, "evaluate_solution", counting_evaluate)
+        if probes is not None:
+            mp.setattr(bnb, "_rounding_probes", probes)
+        res = bnb.solve(inst, cfg, ball)
+    return res, counts
+
+
+def _outputs(res):
+    return (res.status, res.objective, res.lower_bound, res.nodes,
+            res.lb_history, res.lp_pivots,
+            None if res.incumbent is None else res.incumbent.values.tobytes())
+
+
+def test_repeated_probes_are_skipped_with_equal_outputs(monkeypatch):
+    """Over every tiny class, plain and with both kinds of ball, and
+    node-limited set covers: outputs equal those of a search that judges
+    every probe, with no more ``may_hold`` or ``evaluate_solution``
+    calls and, in all, fewer ``may_hold`` calls."""
+    runs = []
+    for problem, (preset, params) in sorted(TINY_SPECS.items()):
+        for seed in range(2):
+            inst = generate(GenSpec(problem, preset, params=params,
+                                    seed=seed))
+            bins = inst.binary_indices()
+            x_hat = np.zeros(inst.n_vars)
+            x_hat[bins[::2]] = 1.0
+            runs.append((inst, None, None))
+            for exact in (False, True):
+                runs.append((inst, None, bnb.HammingBall(x_hat, bins, 2,
+                                                         exact=exact)))
+    for seed in range(3):
+        inst = generate(GenSpec("sc", "custom",
+                                params={"sets": 100, "elements": 75,
+                                        "density": 0.06}, seed=seed))
+        runs.append((inst, bnb.BnbConfig(node_limit=30), None))
+    saved = 0
+    for inst, cfg, ball in runs:
+        res, counts = _counted_solve(monkeypatch, inst, cfg, ball)
+        ref, ref_counts = _counted_solve(monkeypatch, inst, cfg, ball,
+                                         every_probe)
+        assert _outputs(res) == _outputs(ref), inst.name
+        assert counts["may_hold"] <= ref_counts["may_hold"], inst.name
+        assert counts["evaluate"] <= ref_counts["evaluate"], inst.name
+        saved += ref_counts["may_hold"] - counts["may_hold"]
+    assert saved > 0
+
+
+def test_ceil_equal_to_nearest_is_not_judged_again(monkeypatch):
+    """The root LP of the capped pair is (1, 0.7) up to order: nearest
+    (1, 1) misses the row, floor finds the optimum, ceil equals nearest
+    and is skipped, and the repaired nearest no longer improves."""
+    res, counts = _counted_solve(monkeypatch, capped_pair())
+    ref, ref_counts = _counted_solve(monkeypatch, capped_pair(),
+                                     probes=every_probe)
+    assert _outputs(res) == _outputs(ref)
+    assert counts == {"may_hold": 2, "evaluate": 1}
+    assert ref_counts == {"may_hold": 3, "evaluate": 1}
+
+
+def test_repair_leaves_a_point_that_meets_every_row():
+    inst = cycle_cover(5)
+    x = np.ones(5)
+    assert not bnb._repair_rounding(instance_rows(inst), np.full(5, 0.5), x,
+                                    np.zeros(5), np.ones(5))
+    assert x.tolist() == [1.0] * 5
+
+
+# ---------------------------------------------------------------------------
+# property test against HiGHS's MIP solver
+
+
+@st.composite
+def random_mips(draw):
+    """Random small MIPs over binary, general integer and continuous
+    columns with finite bounds, in either sense.  Rows are <=, >=,
+    equality or ranged, with coefficients in multiples of 1/2, mostly
+    positive, drawn to hold at one integral point or shifted off it (so
+    some instances are infeasible).  Most costs push their column up
+    against the rows, as in a knapsack.  Costs are integral or multiples
+    of 1/4, on integer columns only or on continuous ones too."""
+    n = draw(st.integers(4, 14))
+    sense = draw(st.sampled_from(("min", "max")))
+    variables, x0 = [], []
+    for j in range(n):
+        vtype = draw(st.sampled_from((BINARY, BINARY, INTEGER, CONTINUOUS)))
+        lb = 0 if vtype == BINARY else draw(st.integers(-3, 1))
+        ub = 1 if vtype == BINARY else lb + draw(st.integers(0, 4))
+        variables.append(Variable(f"x{j}", vtype, float(lb), float(ub)))
+        x0.append(draw(st.integers(lb, ub)))
+    constraints = []
+    for i in range(draw(st.integers(1, 5))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                max_size=n, unique=True))
+        coeffs = {j: 0.5 * draw(st.integers(-3, 12)) for j in support}
+        coeffs = {j: a for j, a in coeffs.items() if a} or {support[0]: 1.0}
+        act = (sum(a * x0[j] for j, a in coeffs.items())
+               + draw(st.sampled_from((0, 0, 0, -2, 2))))
+        lo = act - draw(st.integers(0, 2))
+        hi = act + draw(st.integers(0, 2))
+        lhs, rhs = {"le": (-math.inf, hi), "ge": (lo, math.inf),
+                    "eq": (act, act), "range": (lo, hi)}[
+            draw(st.sampled_from(("le", "le", "le", "ge", "eq", "range")))]
+        constraints.append(Constraint(f"r{i}", coeffs, lhs, rhs))
+    scale = draw(st.sampled_from((1.0, 0.25)))
+    continuous_costs = draw(st.booleans())
+    up = 1.0 if sense == "max" else -1.0
+    objective = {}
+    for j, var in enumerate(variables):
+        cost = scale * up * draw(st.integers(-4, 20))
+        if continuous_costs or var.vtype != CONTINUOUS:
+            objective[j] = cost
+    return MipInstance("prop", sense, variables, constraints, objective)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(random_mips(), st.data())
+def test_solve_matches_milp(inst, data):
+    """Status and objective (1e-6 relative) equal HiGHS's, the incumbent
+    passes ``evaluate_solution``, and the bound lies on the instance's
+    side of the optimum and meets the objective; the same for a search
+    split by an exact ball around a drawn point."""
+    status, opt = milp_optimum(inst)
+    assert status in (0, 2)
+    bins = inst.binary_indices()
+    x_hat = np.zeros(inst.n_vars)
+    x_hat[bins] = data.draw(st.lists(st.sampled_from((0.0, 1.0)),
+                                     min_size=len(bins), max_size=len(bins)))
+    ball = bnb.HammingBall(x_hat, bins, data.draw(st.integers(0, len(bins))),
+                           exact=True)
+    for res in (bnb.solve(inst), bnb.solve(inst, ball=ball)):
+        if status == 2:
+            assert res.status == bnb.INFEASIBLE and res.incumbent is None
+            continue
+        tol = 1e-6 * (1.0 + abs(opt))
+        assert res.status == bnb.OPTIMAL
+        assert abs(res.objective - opt) <= tol
+        assert evaluate_solution(inst, res.incumbent.values).feasible
+        side = 1.0 if inst.sense == "min" else -1.0
+        assert side * res.lower_bound <= side * opt + tol
+        assert abs(res.lower_bound - res.objective) <= tol

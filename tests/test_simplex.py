@@ -1040,6 +1040,28 @@ def test_parked_sibling_equals_a_fresh_basis_copy():
     assert sibling.objective == want.objective
 
 
+def test_later_warm_solves_leave_earlier_duals_alone():
+    """A solution's duals and reduced costs stay as returned while warm
+    solves go on from its snapshot and from theirs, which update the
+    carried state in place."""
+    ws = simplex.LpWorkspace(_dive_instance())
+    sol, warm = ws.solve()
+    low = ws.base_low[:ws.n].copy()
+    upp = ws.base_upp[:ws.n].copy()
+    seen = []
+    for _ in range(4):
+        assert warm.state is not None
+        seen.append((sol, sol.duals.copy(), sol.reduced_costs.copy()))
+        j = int(np.argmax(np.minimum(sol.x - np.floor(sol.x),
+                                     np.ceil(sol.x) - sol.x)))
+        upp[j] = 0.0
+        sol, warm = ws.solve(low, upp, warm)
+        assert sol.status == simplex.OPTIMAL and sol.iterations > 0
+    for old, duals, reduced in seen:
+        assert old.duals.tobytes() == duals.tobytes()
+        assert old.reduced_costs.tobytes() == reduced.tobytes()
+
+
 @pytest.mark.parametrize("problem", sorted(TINY_SPECS))
 def test_node_lps_resume_like_a_basis_start(problem):
     """Every node LP that started from a carried state, plunge child,
