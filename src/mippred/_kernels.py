@@ -1,16 +1,15 @@
-"""Hot numeric kernel: a bounded-variable primal and dual simplex.
+"""Hot numeric kernel: a bounded-variable dual simplex.
 
-One interpreted numpy path.  Basis assembly, the nonbasic point,
-pricing, the leaving-row scores, the eligibility scans and the ratio
-candidates are array operations; Python loops remain only where a rule
-is sequential: the bound-flipping walk of the dual ratio test and the
-primal ratio-test tie rule over its candidate rows.
+One interpreted numpy path and one simplex loop, ``dual_core``.  Basis
+assembly, the nonbasic point, pricing, the leaving-row scores and the
+eligibility scans are array operations; a Python loop remains only
+where a rule is sequential: the bound-flipping walk of the ratio test.
 Every choice is made with first-index ``argmax``/``argsort`` tie breaks
 on the same inputs, so pivot sequences are deterministic.
 
 The core works on the computational form ``G z = 0`` with
 ``G = [A | -I]``: one slack per ranged row, slack bounds equal to the
-row's (lhs, rhs).  The loops read the structural block ``A`` only
+row's (lhs, rhs).  The loop reads the structural block ``A`` only
 through its nonzeros (``SparseBlock``: the CSR entries plus a
 column-major index) and handle ``-I`` analytically, so a pivot row
 ``Binv[r] @ G`` costs O(nnz + m) and ``G^T y`` O(nnz + m).  No dense
@@ -33,25 +32,21 @@ of ``T`` per entry of column q.  The update leaves the rows of basic
 slacks exactly ``-e_p``, so the structure holds between
 refactorizations too.
 
-Phase 1 of the primal core minimizes total bound infeasibility of the
-basic variables (composite method, no artificial columns), which makes
-warm starts from an arbitrary basis cheap; phase 2 minimizes the true
-cost.  Pricing uses devex weights (reset on overflow) and switches to
-Bland's rule after a run of degenerate pivots; the basis inverse is
+The loop starts from a dual-feasible basis: after bound changes the
+optimal basis of the parent problem (it stays dual feasible when only
+bounds move, so driving the handful of out-of-bound basics to their
+bounds takes few pivots), and on a cold solve the slack basis with each
+structural on the bound its cost favours.  Its entering choice is the
+bound-flipping ratio test of the dual revised simplex (Huangfu & Hall
+2018).  Its reduced costs are updated with the dual step of each pivot
+(Koberstein 2005) and priced from scratch only at each refactorization
+and before returning; an optimal basis whose fresh prices are not dual
+feasible is not reported as optimal.  A start basis that does not price
+dual feasible is refused (NOT_DUAL_FEASIBLE) with the state it was
+priced in; the caller reaches dual feasibility with one more call on
+boxed bounds (``simplex``'s phase 1).  Pricing switches to Bland's rule
+after a run of degenerate pivots, and the basis inverse is
 refactorized from scratch at a fixed pivot interval.
-
-A separate dual simplex loop serves every solve that starts from a
-dual-feasible basis: re-solves after bound changes (the optimal basis of
-the parent problem stays dual feasible when only bounds move, so driving
-the handful of out-of-bound basics to their bounds takes few pivots) and
-cold solves from the slack basis with each structural on the bound its
-cost favours.  Its entering choice is the bound-flipping ratio test of
-the dual revised simplex (Huangfu & Hall 2018).  Its reduced costs are
-updated with the dual step of each pivot (Koberstein 2005) and priced
-from scratch only at each refactorization and before returning; an
-optimal basis whose fresh prices are not dual feasible is not reported
-as optimal.  It bails out (for a primal fallback) when the starting
-basis is not dual feasible.
 
 A bound change leaves the basis matrix and the costs alone, so a
 re-solve from the basis an earlier dual solve ended on need not
@@ -66,9 +61,9 @@ place, so a state serves one re-solve; a second re-solve from the same
 basis starts from a ``DualState.copy()``.  Without a state the kernel
 refactorizes.
 
-Both kernels count pivots as moves: a pass that changes the basis or
+The kernel counts pivots as moves: a pass that changes the basis or
 flips a bound counts, the final pass that only proves the status does
-not.  A rowless LP (m = 0) runs the same loops on empty arrays.
+not.  A rowless LP (m = 0) runs the same loop on empty arrays.
 """
 
 from __future__ import annotations
@@ -261,167 +256,6 @@ def _improving(vstat, g, tol):
     return mask
 
 
-def simplex_core(sp, c, low, upp, basis, vstat, z,
-                 feas_tol, piv_tol, max_iter, bland_after, refactor_every):
-    """Run the simplex loop in place; return (status, pivots, y, d).
-
-    sp is the structural block of ``G`` (``SparseBlock``), c the cost
-    over all N = n + m columns (slacks cost 0).  basis (m,), vstat (N,)
-    and z (N,) describe the starting point: nonbasic entries of z must
-    sit on the bound named by vstat; basic entries are recomputed here.
-    All three are updated in place so callers can warm-start the next
-    call.  y and d are the duals and reduced costs priced with the true
-    costs.  pivots counts the passes that moved: a basis change or a
-    bound flip, not the final pass that proves the status; max_iter
-    caps the passes.
-    """
-    N = sp.n + sp.m
-    T = _factor(sp, low, upp, basis, vstat, z)
-
-    pivots = 0
-    degen = 0
-    bland = False
-    since_refactor = 0
-    status = ITER_LIMIT
-    gamma = np.ones(N)
-
-    while pivots < max_iter:
-        # phase test: any basic variable outside its bounds?
-        zb = z[basis]
-        lowb = low[basis]
-        uppb = upp[basis]
-        below = zb < lowb - feas_tol
-        above = zb > uppb + feas_tol
-        inside = ~(below | above)
-        phase1 = not inside.all()
-
-        if phase1:
-            cb = np.where(below, -1.0, np.where(above, 1.0, 0.0))
-        else:
-            cb = c[basis]
-        d = -_row_times(sp, _btran(T, cb))
-        if not phase1:
-            d = d + c
-
-        # pricing: devex d^2/gamma over eligible nonbasics, Bland = first
-        elig = _improving(vstat, d, piv_tol)
-        if not elig.any():
-            status = INFEASIBLE if phase1 else OPTIMAL
-            break
-        if bland:
-            enter = int(np.argmax(elig))
-        else:
-            score = np.where(elig, d * d / gamma, -1.0)
-            enter = int(np.argmax(score))
-        sigma = 1.0 if d[enter] < 0.0 else -1.0
-
-        # ratio test over basic rows plus the entering variable's own range.
-        # A row rising toward its bound (rate > 0) stops at its lower bound
-        # when below it, else at a finite upper bound unless already above;
-        # a falling row mirrors that.
-        w = _column(sp, T, enter)
-        rate = -sigma * w
-        rise = rate > piv_tol
-        fall = rate < -piv_tol
-        to_low = (rise & below) | (fall & inside & np.isfinite(lowb))
-        to_upp = (fall & above) | (rise & inside & np.isfinite(uppb))
-        cand = (to_low | to_upp).nonzero()[0]
-        at_low = to_low[cand]
-        rc = rate[cand]
-        t = (np.where(at_low, lowb[cand], uppb[cand]) - zb[cand]) / rc
-        t = np.where(t < 0.0, 0.0, t)
-        piv = np.abs(rc)
-
-        tmax = np.inf
-        leave = -1            # -2 = bound flip, >=0 = basis position
-        leave_to = AT_LOWER
-        best_piv = 0.0
-        rng = upp[enter] - low[enter]
-        if np.isfinite(rng):
-            tmax = rng
-            leave = -2
-        if cand.size > 8:
-            # a row can only be taken while its ratio is within the 1e-12
-            # tie window of the running minimum, and that minimum never
-            # exceeds the smallest earlier ratio by more than the window;
-            # rows far above every earlier ratio never change the state
-            # (worth the array work only past a handful of rows)
-            prev = np.fmin.accumulate(np.concatenate(([tmax], t[:-1])))
-            keep = t <= prev + (1e-11 + 1e-14 * np.abs(prev))
-            cand, t, piv, at_low = cand[keep], t[keep], piv[keep], at_low[keep]
-        for k, tk, pk, lo in zip(cand.tolist(), t.tolist(), piv.tolist(),
-                                 at_low.tolist()):
-            if tk < tmax - 1e-12:
-                take = True
-            elif tk <= tmax + 1e-12:
-                if leave == -2:
-                    take = True
-                elif bland:
-                    take = basis[k] < basis[leave]
-                else:
-                    take = pk > best_piv
-            else:
-                take = False
-            if take:
-                if tk < tmax:
-                    tmax = tk
-                leave = k
-                leave_to = AT_LOWER if lo else AT_UPPER
-                best_piv = pk
-
-        if leave == -1:
-            status = UNBOUNDED if not phase1 else NUMERICAL
-            break
-        pivots += 1
-
-        if tmax > 0.0:
-            z[enter] = z[enter] + sigma * tmax
-            z[basis] = zb - sigma * tmax * w
-        if tmax <= 1e-10:
-            degen += 1
-            if degen > bland_after:
-                bland = True
-        else:
-            degen = 0
-
-        if leave == -2:
-            if vstat[enter] == AT_LOWER:
-                vstat[enter] = AT_UPPER
-                z[enter] = upp[enter]
-            else:
-                vstat[enter] = AT_LOWER
-                z[enter] = low[enter]
-            continue
-
-        lv = basis[leave]
-        vstat[lv] = leave_to
-        z[lv] = low[lv] if leave_to == AT_LOWER else upp[lv]
-        basis[leave] = enter
-        vstat[enter] = BASIC
-
-        alpha = w[leave]
-
-        # devex update: reference weights grow with the squared pivot row
-        arow = _row_times(sp, T[:, leave]) / alpha
-        gq = gamma[enter]
-        gamma = np.maximum(gamma, arow * arow * gq)
-        glv = gq / (alpha * alpha)
-        gamma[lv] = glv if glv > 1.0 else 1.0
-        if np.max(gamma) > 1e12:
-            gamma = np.ones(N)
-
-        nz = T[:, leave].nonzero()[0]
-        _update(T, leave, w, nz, T[nz])
-
-        since_refactor += 1
-        if since_refactor >= refactor_every:
-            since_refactor = 0
-            T = _factor(sp, low, upp, basis, vstat, z)
-
-    y, d = _price(sp, c, basis, T)
-    return status, pivots, y, d
-
-
 class DualState(NamedTuple):
     """Where a dual solve ended, for the basis it ended on: the transposed
     inverse ``T``, the reduced costs ``d`` (priced from scratch), the
@@ -453,24 +287,33 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
     """Dual simplex from a dual-feasible basis; return (status, pivots, y,
     d, state).
 
-    Arguments and in-place conventions mirror ``simplex_core``.  Without
-    ``start`` the basis is refactorized, priced and its steepest-edge
-    weights computed; with ``start``, the ``DualState`` of an earlier
-    solve that ended on this basis, only ``z`` is placed and the loop
-    resumes from that state, refactorizing on the shared pivot count.
-    The start basis must price dual feasible with the true costs,
-    otherwise NOT_DUAL_FEASIBLE comes back (with y None when the start
-    was carried) and the caller should fall back to the primal core; so
-    it does when the final basis is primal feasible but its fresh prices
-    are not dual feasible.  INFEASIBLE is proved: some out-of-bound
-    basic row admits no entering column, and bound flips cannot absorb
-    the violation either.  state is the end state (``DualState``), None
-    when the start was refused.
+    sp is the structural block of ``G`` (``SparseBlock``), c the cost
+    over all N = n + m columns (slacks cost 0).  basis (m,), vstat (N,)
+    and z (N,) describe the starting point: nonbasic entries of z are
+    placed on the bound named by vstat; basic entries are recomputed.
+    All three are updated in place so callers can warm-start the next
+    call.  y and d are the duals and reduced costs priced with c (y is
+    None when a carried start is refused).  pivots counts the passes
+    that moved: a basis change or a bound flip, not the final pass that
+    proves the status; max_iter caps the passes.
+
+    Without ``start`` the basis is refactorized, priced and its
+    steepest-edge weights computed; with ``start``, the ``DualState`` of
+    an earlier solve that ended on this basis with the same costs, only
+    ``z`` is placed and the loop resumes from that state, refactorizing
+    on the shared pivot count.  The start basis must price dual feasible
+    with c, otherwise NOT_DUAL_FEASIBLE comes back at once; so it does
+    when the final basis is primal feasible but its fresh prices are not
+    dual feasible.  INFEASIBLE is proved: some out-of-bound basic row
+    admits no entering column, and bound flips cannot absorb the
+    violation either.  state is the end state (``DualState``), the
+    start's own when the start is refused.
     """
     if start is None:
         T = _factor(sp, low, upp, basis, vstat, z)
         y, d = _price(sp, c, basis, T)
-        beta = None
+        # steepest-edge row weights beta_k = ||row k of Binv||^2
+        beta = _row_norms(T, _slack_rows(basis, sp.n, sp.m))
         since_refactor = 0
     else:
         T, d, beta, since_refactor = start
@@ -478,11 +321,9 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
         y = None
 
     if _improving(vstat, d, 10.0 * feas_tol).any():
-        return NOT_DUAL_FEASIBLE, 0, y, d, None
+        return (NOT_DUAL_FEASIBLE, 0, y, d,
+                DualState(T, d, beta, since_refactor))
 
-    # steepest-edge row weights beta_k = ||row k of Binv||^2
-    if beta is None:
-        beta = _row_norms(T, _slack_rows(basis, sp.n, sp.m))
     span = upp - low
     # kept in step across pivots: the basic values and bounds by basis
     # position (the basic entries of z go stale in the loop; a

@@ -276,14 +276,21 @@ def _pairs_hook(pairs):
     return dict(pairs)
 
 
+# array elements per encoder call in compact ``write_json``
+JSON_CHUNK = 4096
+
+
 def write_json(path, payload, indent: int | None = 1) -> None:
     """Write ``payload`` to ``path`` as JSON plus a final newline.
 
     Indented text is built in one ``json.dumps`` call and written once.
     Compact text (``indent`` None) goes through the C encoder one dict
-    value at a time, nested dicts included, so the encoded pieces of a
-    large payload (the parameter arrays of ``model.json``) are never
-    all held at once; the bytes equal one ``json.dumps`` call's.
+    value at a time, nested dicts included, and a numpy array value is
+    written as the JSON list of its flattened elements, ``JSON_CHUNK`` of
+    them at a time.  So the encoded pieces of a large payload (the
+    parameter arrays of ``model.json``) are never all held at once, nor
+    is a Python float per element; the bytes equal one ``json.dumps``
+    call's on the payload with each array as ``arr.ravel().tolist()``.
     """
     with open(path, "w") as fh:
         if indent is not None:
@@ -297,6 +304,13 @@ def write_json(path, payload, indent: int | None = 1) -> None:
             kind, item = todo.pop()
             if kind == "text":
                 fh.write(item)
+            elif isinstance(item, np.ndarray):
+                flat = item.ravel()
+                fh.write("[")
+                for at in range(0, flat.size, JSON_CHUNK):
+                    text = json.dumps(flat[at:at + JSON_CHUNK].tolist())
+                    fh.write((", " if at else "") + text[1:-1])
+                fh.write("]")
             elif isinstance(item, dict) and item:
                 todo.append(("text", "}"))
                 seps = ["{"] + [", "] * (len(item) - 1)

@@ -678,13 +678,14 @@ def _adam_update(p, g, m, v, s1, s2, lr, c1, c2):
 
 
 def save_params(path, params: dict, hyper: GcnHyper) -> None:
+    """Write the parameters and hyperparameters to ``path`` as compact
+    JSON; each array is encoded inside the write (``core.write_json``)."""
     blob = {"format_version": FORMAT_VERSION,
             "hyper": asdict(hyper), "params": {}}
     for name, arr in params.items():
         mat = arr if arr.ndim == 2 else arr.reshape(-1, 1)
         blob["params"][name] = {
-            "rows": mat.shape[0], "cols": mat.shape[1],
-            "data": [float(x) for x in mat.ravel()],
+            "rows": mat.shape[0], "cols": mat.shape[1], "data": mat,
         }
     write_json(path, blob, indent=None)
 

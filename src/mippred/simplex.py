@@ -1,41 +1,39 @@
-"""Bounded-variable dual and primal simplex for LP relaxations.
+"""Bounded-variable dual simplex for LP relaxations.
 
 ``solve_lp`` is the one-shot entry point; ``LpWorkspace`` keeps the
 constraint matrix of one instance around so branch and bound can
-re-solve under changed variable bounds with warm starts.  A solve tries,
-in order, until one attempt proves a status:
+re-solve under changed variable bounds with warm starts.  Every solve
+runs the one kernel, ``_kernels.dual_core``, from up to two starts in
+order until one proves a status: a given warm basis, resumed from the
+dual state its snapshot carries when it holds one; then the slack basis
+with each structural on the bound its cost favours.  A warm attempt that
+fails (iteration cap, tiny pivot, singular basis) counts one fallback
+and hands over to the cold start; a failed cold attempt raises.
 
-- warm (a basis from an earlier solve is given): the dual simplex from
-  that basis, then the primal core from it, then a cold primal start;
-- cold: the dual simplex from the slack basis with each structural on
-  the bound its cost favours (dual feasible by construction; skipped
-  when some cost points at an infinite bound), then a cold primal start.
+Phase 1 is the subproblem method (Fourer 1994; compared by Koberstein &
+Suhl 2007).  When the kernel refuses a basis that does not price dual
+feasible (a cost toward an infinite bound, a stale warm basis, fresh
+prices that drifted at the end), one more call from that basis and
+state solves the LP with the same costs under unit boxes (``_boxes``).
+That LP is feasible at z = 0, and the basis is dual feasible for it once
+each nonbasic column takes the side its reduced cost favours.  Its
+optimal basis prices dual feasible under the true bounds exactly when
+some basis does; the solve then resumes from phase 1's state, since a
+change of bounds keeps the inverse and the reduced costs.  Otherwise the
+LP is infeasible or unbounded, and a last call with zero costs from the
+slack basis (dual feasible for any bounds) proves which.  No box size
+and no enlarging loop: every reported status is a proof.  No generated
+class needs phase 1.
 
-Each failed attempt counts one fallback; a dual attempt also fails when
-its final basis does not price dual feasible from scratch.  A start is
-built only when its attempt comes up.  An LP without rows takes the
-same path.  The kernels in ``_kernels`` are one interpreted numpy path
-with deterministic pivot rules; nothing selects between
-implementations.  They read the constraint matrix only through the
-nonzeros of its structural block, so a pivot row or a pricing costs
-O(nnz + m), and the dual kernel updates its reduced costs pivot by
-pivot between refactorizations.  The explicit basis inverse is stored
-transposed and sized by its live part, the k rows whose slack is
-nonbasic (k basic structurals): the steepest-edge product and the
-rank-1 update are O(m k) per pivot, a refactorization inverts only the
-k x k kernel.  A solve that the dual kernel settles hands its end
-state (``_kernels.DualState``: the transposed inverse, reduced costs,
-steepest-edge weights and pivots since the last refactorization) out
-in its ``WarmStart``; the next warm solve given that snapshot starts
-its dual attempt from the state instead of refactorizing, and takes
-the state out of the snapshot, since the kernel updates it in place.
-A caller that means to start two solves from one snapshot gives the
-second a ``WarmStart`` of its own state copy (``DualState.copy()``),
-as branch and bound does for a parked sibling.  Every other attempt
-starts by refactorizing its basis: cold ones, the primal core, and a
-warm dual attempt whose snapshot holds no state.
+A solve that a call with the true costs proved hands that call's end
+state (``_kernels.DualState``) out in its ``WarmStart``; the next warm
+solve given that snapshot starts from the state instead of
+refactorizing, and takes the state out of the snapshot, since the
+kernel updates it in place.  A caller that means to start two solves
+from one snapshot gives the second a ``WarmStart`` of its own state copy
+(``DualState.copy()``), as branch and bound does for a parked sibling.
 ``LpSolution.iterations`` counts the pivots (basis changes and bound
-flips) of the attempt that proved the status.
+flips) of the attempt that proved the status, phase 1 included.
 
 Conventions: the relaxation is solved in minimization form (maximize
 instances are canonicalized internally and the reported objective is
@@ -49,7 +47,6 @@ side and Basic when slack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -104,8 +101,10 @@ class LpSolution:
     reduced_costs: np.ndarray
     vstat: np.ndarray
     iterations: int
-    # failed attempts before this one: dual -> primal, warm -> cold, and
-    # tries lost to a singular basis or non-convergence
+    # failed attempts before this one: 1 when a warm attempt failed (the
+    # iteration cap, a tiny pivot, a singular basis, or prices that drifted
+    # again after phase 1) and the cold start proved the status, else 0;
+    # phase 1 is part of an attempt, not a fallback
     fallbacks: int = 0
 
     @property
@@ -121,10 +120,10 @@ class LpSolution:
 class WarmStart:
     """Basis snapshot reusable by a later solve on the same workspace.
 
-    ``state`` is the dual kernel's end state for this basis when a dual
-    attempt proved the snapshot's solve, else None.  The solve given the
-    snapshot takes the state out (sets it to None) and resumes from it;
-    later solves from the same snapshot refactorize.  So a second solve
+    ``state`` is the kernel's end state for this basis, None when the
+    zero-cost call after phase 1 proved the snapshot's solve.  The solve
+    given the snapshot takes the state out (sets it to None) and resumes
+    from it; later solves from the same snapshot refactorize.  So a second solve
     that should resume too gets its own snapshot, ``WarmStart(basis,
     vstat, state.copy())``, made before the first solve runs; a
     snapshot holding only the basis is ``WarmStart(basis, vstat)``.
@@ -133,6 +132,13 @@ class WarmStart:
     basis: np.ndarray
     vstat: np.ndarray
     state: _kernels.DualState | None = None
+
+
+def _boxes(low, upp):
+    """Phase 1 bounds: [-1, 1] for a free column, [0, 1] for a lower
+    bound alone, [-1, 0] for an upper bound alone, [0, 0] for two."""
+    return (np.where(np.isfinite(low), 0.0, -1.0),
+            np.where(np.isfinite(upp), 0.0, 1.0))
 
 
 class LpWorkspace:
@@ -163,33 +169,20 @@ class LpWorkspace:
             ([v.ub for v in inst.variables], rows.rhs))
         self.max_iter = 2000 + 30 * N
         self.bland_after = 10 * N
-        # warm re-solves from a dual-feasible basis should take few pivots;
-        # past this cap the primal fallback is the better bet
-        self.dual_max_iter = 500 + 2 * m
-
-    def _cold_start(self, low, upp):
-        n, m = self.n, self.m
-        basis = np.arange(n, n + m, dtype=np.int64)
-        vstat = np.where(np.isfinite(low), _kernels.AT_LOWER,
-                         np.where(np.isfinite(upp), _kernels.AT_UPPER,
-                                  _kernels.FREE)).astype(np.int8)
-        vstat[n:] = _kernels.BASIC
-        return basis, vstat
 
     def _signed_slack_start(self, low, upp):
         """The slack basis with each structural at its lower bound if its
-        cost is positive and at its upper bound if negative (zero-cost
-        ones as in ``_cold_start``).  It prices d = c, so it is dual
-        feasible; None when some cost points at an infinite bound."""
-        n = self.n
-        c = self.c[:n]
-        if (((c > 0.0) & ~np.isfinite(low[:n]))
-                | ((c < 0.0) & ~np.isfinite(upp[:n]))).any():
-            return None
-        basis, vstat = self._cold_start(low, upp)
-        vstat[:n] = np.where(c > 0.0, _kernels.AT_LOWER,
-                             np.where(c < 0.0, _kernels.AT_UPPER, vstat[:n]))
-        return basis, vstat
+        cost is positive and at its upper bound if negative, then snapped
+        onto finite bounds (``_snap_vstat``): a zero-cost column takes its
+        lower bound where finite, else its upper, else free.  It prices d
+        = c, so it is dual feasible unless some cost points at an
+        infinite bound."""
+        n, m = self.n, self.m
+        vstat = np.full(n + m, _kernels.BASIC, dtype=np.int8)
+        vstat[:n] = np.where(self.c[:n] < 0.0, _kernels.AT_UPPER,
+                             _kernels.AT_LOWER)
+        self._snap_vstat(vstat, low, upp)
+        return np.arange(n, n + m, dtype=np.int64), vstat
 
     @staticmethod
     def _snap_vstat(vstat, low, upp):
@@ -202,13 +195,13 @@ class LpWorkspace:
         """
         vstat[:] = _SNAP[4 * vstat + 2 * np.isfinite(low) + np.isfinite(upp)]
 
-    def _package(self, status, basis, vstat, z, y, d, iters, fallbacks,
-                 end):
+    def _package(self, status, iters, basis, vstat, z, y, d, state,
+                 fallbacks):
         n = self.n
         # the solution and the snapshot share one vstat copy; neither
         # changes it (a solve from the snapshot works on its own copy).
-        # y is priced afresh by either kernel; d is the carried state's
-        # reduced costs, which the next solve from it updates in place
+        # y is priced afresh; d is the carried state's reduced costs, which
+        # the next solve from it updates in place
         vstat = vstat.copy()
         sol = LpSolution(
             status=_STATUS_NAME[status],
@@ -221,7 +214,7 @@ class LpWorkspace:
             iterations=int(iters),
             fallbacks=fallbacks,
         )
-        return sol, WarmStart(basis.copy(), vstat, *end)
+        return sol, WarmStart(basis.copy(), vstat, state)
 
     def solve(self, low_struct=None, upp_struct=None, warm: WarmStart | None = None):
         """Solve under optional structural bound arrays; return (LpSolution, WarmStart)."""
@@ -234,51 +227,78 @@ class LpWorkspace:
             upp[:n] = upp_struct
 
         fallbacks = 0
-        last_exc = None
-        for core, basis, vstat, max_iter in self._attempts(low, upp, warm):
-            self._snap_vstat(vstat, low, upp)
-            z = np.zeros(n + m)
+        for basis, vstat, state in self._starts(low, upp, warm):
             try:
-                # the dual kernel also returns its end state
-                status, iters, y, d, *end = core(
-                    self.sparse, self.c, low, upp, basis, vstat, z,
-                    FEAS_TOL, PIVOT_TOL, max_iter, self.bland_after,
-                    REFACTOR_EVERY,
-                )
+                out = self._attempt(low, upp, basis, vstat, state)
             except np.linalg.LinAlgError as exc:
                 last_exc = exc
-                fallbacks += 1
-                continue
-            if status in _STATUS_NAME:
-                return self._package(status, basis, vstat, z, y, d, iters,
-                                     fallbacks, end)
-            # NOT_DUAL_FEASIBLE, ITER_LIMIT or NUMERICAL
-            last_exc = RuntimeError(f"simplex did not converge (code {status})")
+            else:
+                if out[0] in _STATUS_NAME:
+                    return self._package(*out, fallbacks)
+                # ITER_LIMIT, NUMERICAL, or prices that drifted again
+                last_exc = RuntimeError(
+                    f"simplex did not converge (code {out[0]})")
             fallbacks += 1
         raise RuntimeError(f"simplex failed: {last_exc}")
 
-    def _attempts(self, low, upp, warm):
-        """(kernel, basis, vstat, iteration cap) in the order tried; each
-        start is built only when its attempt comes up."""
+    def _starts(self, low, upp, warm):
+        """(basis, vstat, dual state) of each attempt in the order tried:
+        the snapshot's basis, resumed from its carried state when it holds
+        one (taken out of the snapshot), then the cost-signed slack basis,
+        built only when its attempt comes up."""
         if warm is not None:
             # bound changes keep the old optimal basis dual feasible, so a
-            # dual re-solve is usually a handful of pivots, resumed from
-            # the carried state when the snapshot holds one; then the
-            # primal core from that basis
+            # dual re-solve is usually a handful of pivots
             state, warm.state = warm.state, None
-            dual = (_kernels.dual_core if state is None
-                    else partial(_kernels.dual_core, start=state))
-            yield (dual, warm.basis.copy(), warm.vstat.copy(),
-                   self.dual_max_iter)
-            yield (_kernels.simplex_core, warm.basis.copy(),
-                   warm.vstat.copy(), self.max_iter)
-        else:
-            # cold: the dual kernel from the cost-signed slack basis first
-            start = self._signed_slack_start(low, upp)
-            if start is not None:
-                yield (_kernels.dual_core, *start, self.max_iter)
-        yield (_kernels.simplex_core, *self._cold_start(low, upp),
-               self.max_iter)
+            yield warm.basis.copy(), warm.vstat.copy(), state
+        yield (*self._signed_slack_start(low, upp), None)
+
+    def _run(self, c, low, upp, basis, vstat, z, state=None):
+        return _kernels.dual_core(
+            self.sparse, c, low, upp, basis, vstat, z, FEAS_TOL, PIVOT_TOL,
+            self.max_iter, self.bland_after, REFACTOR_EVERY, start=state)
+
+    def _attempt(self, low, upp, basis, vstat, state):
+        """The dual kernel from one start, through phase 1 when the start
+        (or the basis it ends on) does not price dual feasible; return
+        (status, pivots, basis, vstat, z, y, d, end state).  pivots sum
+        over the kernel calls; the end state is None when no call with the
+        true costs proved the status."""
+        self._snap_vstat(vstat, low, upp)
+        z = np.zeros(self.n + self.m)
+        status, iters, y, d, state = self._run(self.c, low, upp, basis,
+                                               vstat, z, state)
+        if status != _kernels.NOT_DUAL_FEASIBLE:
+            return status, iters, basis, vstat, z, y, d, state
+        # phase 1: the same basis, costs and state under unit boxes, each
+        # nonbasic column on the side its reduced cost favours
+        nonbasic = vstat != _kernels.BASIC
+        vstat[nonbasic] = np.where(d[nonbasic] < 0.0, _kernels.AT_UPPER,
+                                   _kernels.AT_LOWER)
+        status, pivots, y, d, state = self._run(self.c, *_boxes(low, upp),
+                                                basis, vstat, z, state)
+        iters += pivots
+        if status != _kernels.OPTIMAL:
+            # the boxed LP has an optimum, so no other status is a proof
+            if status in _STATUS_NAME:
+                status = _kernels.NUMERICAL
+            return status, iters, basis, vstat, z, y, d, None
+        self._snap_vstat(vstat, low, upp)
+        if not _kernels._improving(vstat, d, 10.0 * FEAS_TOL).any():
+            # a bound change keeps T and d valid: no refactorization
+            status, pivots, y, d, state = self._run(self.c, low, upp, basis,
+                                                    vstat, z, state)
+            return status, iters + pivots, basis, vstat, z, y, d, state
+        # no basis prices dual feasible, so the LP is infeasible or
+        # unbounded; zero costs make the slack basis dual feasible, and
+        # that solve tells which
+        basis, vstat = self._signed_slack_start(low, upp)
+        status, pivots, _, _, state = self._run(np.zeros_like(self.c), low,
+                                                upp, basis, vstat, z)
+        if status == _kernels.OPTIMAL:
+            status = _kernels.UNBOUNDED
+        y, d = _kernels._price(self.sparse, self.c, basis, state.T)
+        return status, iters + pivots, basis, vstat, z, y, d, None
 
 
 def solve_lp(inst: MipInstance) -> LpSolution:

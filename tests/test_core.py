@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mippred import core
 from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
                           InstanceFormatError, MipInstance, Variable,
                           canonicalize,
@@ -274,3 +275,21 @@ def test_write_json_bytes_are_pinned(tmp_path):
     assert path.read_bytes() == (
         b'{"na\\u00efve \\u03a3": [0.1, -2.5e-300, [1, [2.0, null]], []], '
         b'"x": {"\\u00fc": 1e+16, "inf": Infinity, "nan": NaN}}\n')
+
+
+def test_compact_json_writes_arrays_in_chunks(tmp_path, monkeypatch):
+    """A numpy array in a compact write is encoded a few elements at a
+    time and reads as its flattened list: the bytes equal those of the
+    payload with each array as ``ravel().tolist()``, at every chunk
+    boundary, for 2-D and empty arrays too."""
+    monkeypatch.setattr(core, "JSON_CHUNK", 3)
+    arrays = [np.array([0.1, -2.5e-300, 1e16, 3.0, -0.0, 7.25, 1 / 3]),
+              np.arange(6.0).reshape(2, 3) / 7.0, np.zeros(0),
+              np.array([1.5, 2.5, 3.5])]
+    payload = {"a": {f"p{k}": {"rows": 1, "data": arr}
+                     for k, arr in enumerate(arrays)}}
+    want = {"a": {f"p{k}": {"rows": 1, "data": arr.ravel().tolist()}
+                  for k, arr in enumerate(arrays)}}
+    path = tmp_path / "m.json"
+    write_json(path, payload, indent=None)
+    assert path.read_text() == json.dumps(want) + "\n"

@@ -284,7 +284,7 @@ def test_warm_resolve_detects_infeasible_child():
     assert csol.status == simplex.INFEASIBLE
 
 
-def test_stale_warm_basis_still_solves():
+def test_stale_warm_basis_still_solves(monkeypatch):
     """A basis whose reduced costs do not fit the objective is unusable
     for the bound-change shortcut; the solve must recover on its own."""
     inst = MipInstance(
@@ -299,11 +299,14 @@ def test_stale_warm_basis_still_solves():
     vstat[:ws.n] = _kernels.AT_LOWER
     vstat[ws.n:] = _kernels.BASIC
     stale = simplex.WarmStart(basis, vstat)
+    boxes = _counting_boxes(monkeypatch)
     sol, _ = ws.solve(warm=stale)
     assert sol.status == simplex.OPTIMAL
     assert sol.objective == pytest.approx(-1.0)
-    # the dual re-solve refused the basis; the primal core from it succeeded
-    assert sol.fallbacks == 1
+    # the dual kernel refused the basis; phase 1 from it, within the same
+    # attempt, reached a dual-feasible one
+    assert len(boxes) == 1
+    assert sol.fallbacks == 0
 
 
 def test_warm_resolve_puts_free_variable_on_its_new_bound():
@@ -363,9 +366,9 @@ def test_rowless_lps_take_the_kernel_path():
     calls = []
     real = _kernels.dual_core
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[0].m)
-        return real(*args)
+        return real(*args, **kwargs)
 
     with mock.patch.object(_kernels, "dual_core", counting):
         sol = simplex.solve_lp(bounded)
@@ -404,17 +407,33 @@ def test_unbounded_lp_with_rows_reports_minus_inf():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("this kernel must not run")
+    raise AssertionError("this must not run")
+
+
+def _counting_boxes(monkeypatch):
+    """A list that gains one entry each time a solve enters phase 1 (asks
+    for the unit boxes)."""
+    calls = []
+    real = simplex._boxes
+
+    def counting(low, upp):
+        calls.append(len(low))
+        return real(low, upp)
+
+    monkeypatch.setattr(simplex, "_boxes", counting)
+    return calls
 
 
 def test_cold_solve_takes_the_dual_path_on_every_class(monkeypatch):
     """Every generated class prices dual feasible from the cost-signed
-    slack basis, so a cold solve never needs the primal core."""
-    monkeypatch.setattr(_kernels, "simplex_core", _refuse)
+    slack basis, and every node LP of a 200-node tree from its parent's
+    basis, so no solve needs phase 1 and none falls back."""
+    monkeypatch.setattr(simplex, "_boxes", _refuse)
     for problem, (preset, params) in TINY_SPECS.items():
         for seed in range(3):
-            canon = canonicalize(generate(GenSpec(problem, preset,
-                                                  params=params, seed=seed)))
+            inst = generate(GenSpec(problem, preset, params=params,
+                                    seed=seed))
+            canon = canonicalize(inst)
             sol, _ = simplex.LpWorkspace(canon).solve()
             status, fun = highs_status(canon)
             assert status == 0, (problem, seed)
@@ -422,10 +441,12 @@ def test_cold_solve_takes_the_dual_path_on_every_class(monkeypatch):
             assert sol.objective == pytest.approx(fun, abs=1e-7), \
                 (problem, seed)
             assert sol.fallbacks == 0, (problem, seed)
+            res = bnb.solve(inst, bnb.BnbConfig(node_limit=200))
+            assert res.nodes > 0 and res.lp_fallbacks == 0, (problem, seed)
 
 
 def test_cold_dual_proves_boxed_lp_infeasible(monkeypatch):
-    monkeypatch.setattr(_kernels, "simplex_core", _refuse)
+    monkeypatch.setattr(simplex, "_boxes", _refuse)
     inst = MipInstance(
         "boxed", "min",
         [Variable("x1", CONTINUOUS, 0.0, 1.0),
@@ -437,10 +458,10 @@ def test_cold_dual_proves_boxed_lp_infeasible(monkeypatch):
     assert sol.fallbacks == 0
 
 
-def test_cost_toward_infinite_bound_goes_to_primal(monkeypatch):
+def test_cost_toward_infinite_bound_goes_through_phase_1(monkeypatch):
     """c_j > 0 with lb = -inf: the slack basis is not dual feasible, so
-    the solve starts in the primal core and counts no fallback."""
-    monkeypatch.setattr(_kernels, "dual_core", _refuse)
+    the cold attempt runs phase 1 and counts no fallback."""
+    boxes = _counting_boxes(monkeypatch)
     inst = MipInstance(
         "open", "min",
         [Variable("x", CONTINUOUS, -math.inf, 4.0),
@@ -453,17 +474,44 @@ def test_cost_toward_infinite_bound_goes_to_primal(monkeypatch):
     assert sol.status == simplex.OPTIMAL
     assert sol.objective == pytest.approx(fun, abs=1e-7)
     assert sol.fallbacks == 0
+    assert len(boxes) == 1
 
 
-def test_cold_dual_failure_falls_back_to_primal(monkeypatch):
+def test_primal_and_dual_infeasible_lp_is_infeasible(monkeypatch):
+    """min -x1 - x2 with x1 - x2 >= 1 and x2 - x1 >= 1 over x >= 0: the
+    rows contradict each other, and so do the dual's.  Phase 1 finds no
+    dual-feasible basis, and the solve with zero costs from the slack
+    basis proves the LP infeasible, as HiGHS reports."""
+    inst = MipInstance(
+        "both", "min",
+        [Variable("x1", CONTINUOUS, 0.0, math.inf),
+         Variable("x2", CONTINUOUS, 0.0, math.inf)],
+        [Constraint("a", {0: 1.0, 1: -1.0}, 1.0, math.inf),
+         Constraint("b", {0: -1.0, 1: 1.0}, 1.0, math.inf)],
+        {0: -1.0, 1: -1.0})
+    costs = []
+    real = _kernels.dual_core
+
+    def recording(sp, c, *args, **kwargs):
+        costs.append(c.copy())
+        return real(sp, c, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "dual_core", recording)
+    sol = simplex.solve_lp(inst)
+    assert sol.status == simplex.INFEASIBLE
+    assert highs_status(inst)[0] == 2
+    assert sol.fallbacks == 0
+    assert not costs[-1].any() and all(c.any() for c in costs[:-1])
+
+
+def test_cold_dual_failure_raises(monkeypatch):
+    """The cold attempt is the last one: a singular basis there raises."""
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular")
 
     monkeypatch.setattr(_kernels, "dual_core", singular)
-    sol, _ = simplex.LpWorkspace(one_var_lp()).solve()
-    assert sol.status == simplex.OPTIMAL
-    assert sol.objective == pytest.approx(1.0)
-    assert sol.fallbacks == 1
+    with pytest.raises(RuntimeError, match="singular"):
+        simplex.LpWorkspace(one_var_lp()).solve()
 
 
 def prices_dual_feasible(ws, warm):
@@ -523,8 +571,9 @@ def test_dual_core_rechecks_prices_before_claiming_optimal():
     """Prices that went stale in the loop must not end in OPTIMAL.  The
     first pricing is skewed so that x1 (cost 2) looks cheaper than x0
     (cost 1) and enters; the fresh prices of the basis {x1} then make x0
-    improving, so the kernel returns a non-final code and the solve
-    falls back to the primal core for the true optimum 1."""
+    improving, so the kernel returns a non-final code and the solve runs
+    phase 1 from that basis, in the same attempt, to the true optimum
+    1."""
     inst = MipInstance(
         "stale", "min",
         [Variable(f"x{j}", CONTINUOUS, 0.0, 10.0) for j in range(2)],
@@ -555,7 +604,7 @@ def test_dual_core_rechecks_prices_before_claiming_optimal():
     with mock.patch.object(_kernels, "_price", price):
         sol, _ = ws.solve()
     assert sol.status == simplex.OPTIMAL
-    assert sol.fallbacks == 1
+    assert sol.fallbacks == 0
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
 
@@ -797,11 +846,13 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
 @PROPERTY
 @given(small_lps())
 def test_cold_solve_matches_highs(inst):
-    sol = simplex.solve_lp(inst)
+    ws = simplex.LpWorkspace(inst)
+    sol, warm = ws.solve()
     status, fun = highs_status(inst)
     assert _STATUS_CODE[sol.status] == status
     if status == 0:
         assert sol.objective == pytest.approx(fun, abs=1e-7)
+        assert prices_dual_feasible(ws, warm)
 
 
 @PROPERTY
@@ -844,29 +895,6 @@ def with_bounds(inst, low, upp):
 
 
 @PROPERTY
-@given(small_lps())
-def test_cold_dual_matches_primal_core(inst):
-    """The cold solve (dual kernel from the cost-signed slack basis when
-    that basis is dual feasible) agrees with the primal core run from
-    ``_cold_start`` on the same bounds."""
-    ws = simplex.LpWorkspace(inst)
-    sol, warm = ws.solve()
-    low, upp = ws.base_low.copy(), ws.base_upp.copy()
-    if ws._signed_slack_start(low, upp) is not None:
-        assert sol.fallbacks == 0  # the dual kernel gave the answer
-    basis, vstat = ws._cold_start(low, upp)
-    z = np.zeros(ws.n + ws.m)
-    status, _, _, _ = _kernels.simplex_core(
-        ws.sparse, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
-        simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
-        simplex.REFACTOR_EVERY)
-    assert sol.status == simplex._STATUS_NAME[status]
-    if status == _kernels.OPTIMAL:
-        assert sol.objective == pytest.approx(float(ws.c @ z), abs=1e-7)
-        assert prices_dual_feasible(ws, warm)
-
-
-@PROPERTY
 @given(small_lps(), st.sampled_from((1, 3, 100)))
 def test_dual_core_refactors_and_rechecks(inst, refactor_every):
     """The dual kernel from the cost-signed slack basis, refactorizing
@@ -876,9 +904,10 @@ def test_dual_core_refactors_and_rechecks(inst, refactor_every):
     refactorization and before returning."""
     ws = simplex.LpWorkspace(inst)
     low, upp = ws.base_low.copy(), ws.base_upp.copy()
-    start = ws._signed_slack_start(low, upp)
-    assume(start is not None)
-    basis, vstat = start
+    basis, vstat = ws._signed_slack_start(low, upp)
+    # the slack basis prices d = c; the kernel refuses it when some cost
+    # points at an infinite bound
+    assume(not _kernels._improving(vstat, ws.c, 10.0 * simplex.FEAS_TOL).any())
     z = np.zeros(ws.n + ws.m)
     calls = []
     real_factor, real_price = _kernels._factor, _kernels._price
@@ -1106,9 +1135,9 @@ def test_snap_table_equals_the_mask_rules():
     assert got.dtype == np.int8 and got.tolist() == want.tolist()
 
 
-def test_carried_dual_failure_falls_back_to_primal(monkeypatch):
-    """A dual attempt that fails from a carried state hands over to the
-    primal core from the same basis and counts one fallback."""
+def test_carried_dual_failure_falls_back_to_cold(monkeypatch):
+    """A warm attempt that fails from a carried state hands over to the
+    cold start and counts one fallback."""
     ws = simplex.LpWorkspace(_dive_instance())
     root, warm = ws.solve()
     assert warm.state is not None
@@ -1117,15 +1146,19 @@ def test_carried_dual_failure_falls_back_to_primal(monkeypatch):
     upp = ws.base_upp[:ws.n].copy()
     upp[j] = 0.0
     starts = []
+    real = _kernels.dual_core
 
     def singular(*args, start=None, **kwargs):
         starts.append(start)
-        raise np.linalg.LinAlgError("singular")
+        if start is not None:
+            raise np.linalg.LinAlgError("singular")
+        return real(*args, start=start, **kwargs)
 
     monkeypatch.setattr(_kernels, "dual_core", singular)
     sol, _ = ws.solve(None, upp, warm)
     monkeypatch.undo()
-    assert starts and starts[0] is not None
+    assert len(starts) == 2
+    assert starts[0] is not None and starts[1] is None
     csol, _ = ws.solve(None, upp)
     assert sol.status == csol.status == simplex.OPTIMAL
     assert sol.fallbacks == 1
