@@ -17,7 +17,6 @@ from .core import (
     FEAS_TOL,
     INT_TOL,
     INTEGER,
-    Constraint,
     InstanceFormatError,
     MipInstance,
     Solution,
@@ -36,7 +35,6 @@ __all__ = [
     "FEAS_TOL",
     "INT_TOL",
     "Variable",
-    "Constraint",
     "MipInstance",
     "Solution",
     "InstanceFormatError",

@@ -55,7 +55,6 @@ from .core import (
     INT_TOL,
     INTEGER,
     MAXIMIZE,
-    Constraint,
     MipInstance,
     RowArrays,
     Solution,
@@ -147,18 +146,13 @@ class SolveResult:
 
 @dataclass
 class RootInfo:
-    """Presolved canonical instance plus everything features need at the root.
-
-    ``rows`` are the instance's ``core.row_arrays``, as the root LP's
-    workspace built them.
-    """
+    """Presolved canonical instance plus everything features need at the root."""
 
     instance: MipInstance
     lp: LpSolution
     up_locks: np.ndarray
     down_locks: np.ndarray
     objective_offset: float
-    rows: RowArrays
 
 
 class _Node:
@@ -175,24 +169,19 @@ class _Node:
 class _Rows:
     """The rows ``lhs <= A x <= rhs`` of an instance, built once per solve.
 
-    The instance's rows are the first ``m`` rows of the workspace's
-    ``SparseBlock`` (the workspace may append the distance row); their
-    entries give the activities and the screen as segment sums.  The
-    repair walks each row's integer terms and each column's terms in
-    the rows' own order.
+    The instance's stored entries give the activities and the screen as
+    segment sums.  The repair walks each row's integer terms and each
+    column's terms in the rows' own order.
     """
 
-    def __init__(self, inst: MipInstance, ws: LpWorkspace):
-        n, m = inst.n_vars, len(inst.constraints)
-        ra, sp = ws.rows, ws.sparse
-        end = int(ra.indptr[m])
-        self.rid, self.cols = sp.rid[:end], sp.cols[:end]
-        self.vals = sp.vals[:end]
-        self.lhs, self.rhs = ra.lhs[:m], ra.rhs[:m]
+    def __init__(self, inst: MipInstance):
+        n, m, ra = inst.n_vars, len(inst.row_names), inst.rows
+        self.rid, self.cols, self.vals = ra.row_ids(), ra.cols, ra.vals
+        self.lhs, self.rhs = ra.lhs, ra.rhs
         self.l1 = np.bincount(self.rid, np.abs(self.vals), minlength=m)
         is_int = [v.vtype in (BINARY, INTEGER) for v in inst.variables]
         terms = list(zip(self.cols.tolist(), self.vals.tolist()))
-        ptr = ra.indptr[:m + 1].tolist()
+        ptr = ra.indptr.tolist()
         self.int_terms = [[(j, a) for j, a in terms[lo:hi]
                            if a != 0.0 and is_int[j]]
                           for lo, hi in zip(ptr, ptr[1:])]
@@ -321,15 +310,16 @@ def _with_distance(canon: MipInstance, ball: HammingBall):
     for j in ball.S:
         if j not in binaries:
             raise ValueError(f"index {j} in S is not a binary variable")
+    # a dict, so an index repeated in S counts once
     coeffs = hamming_coeffs(ball.x_hat, ball.S)
-    n_ones = float(sum(1 for a in coeffs.values() if a < 0.0))
-    n = canon.n_vars
+    n_ones, n = float(sum(1 for a in coeffs.values() if a < 0.0)), canon.n_vars
     d_ub = len(coeffs) if ball.exact else min(ball.phi, len(coeffs))
     aug = replace(
         canon,
         variables=canon.variables + [Variable("d", CONTINUOUS, 0.0, float(d_ub))],
-        constraints=canon.constraints + [
-            Constraint("hamming_distance", {**coeffs, n: -1.0}, -n_ones, -n_ones)],
+        rows=canon.rows.with_row([*coeffs, n], [*coeffs.values(), -1.0],
+                                 -n_ones, -n_ones),
+        row_names=canon.row_names + ["hamming_distance"],
     )
     coef = np.zeros(n)
     coef[list(coeffs)] = list(coeffs.values())
@@ -361,7 +351,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     low0 = ws.base_low[:ws.n].copy()
     upp0 = ws.base_upp[:ws.n].copy()
     # the probes see the instance's own rows; d follows the binaries
-    rows = _Rows(canon, ws)
+    rows = _Rows(canon)
 
     heap: list[tuple[float, int, _Node]] = []
     plunge: list[_Node] = []
@@ -532,34 +522,34 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
 
 def _presolve(canon: MipInstance):
     """Drop empty rows and substitute fixed variables; return the reduced
-    instance and the objective offset of the fixed variables."""
-    keep_vars = []
-    fixed: dict[int, float] = {}
-    for j, v in enumerate(canon.variables):
-        if v.lb == v.ub:
-            fixed[j] = v.lb
-        else:
-            keep_vars.append(j)
-    remap = {j: k for k, j in enumerate(keep_vars)}
+    instance and the objective offset of the fixed variables.  The kept
+    entries keep their order, and each shift sums its entries in order."""
+    lbs = [v.lb for v in canon.variables]
+    fixed = np.array([v.lb == v.ub for v in canon.variables], dtype=bool)
+    remap = np.cumsum(~fixed) - 1  # new index of each kept column
     offset = 0.0
     objective = {}
     for j, cj in canon.objective.items():
-        if j in fixed:
-            offset += cj * fixed[j]
+        if fixed[j]:
+            offset += cj * lbs[j]
         else:
-            objective[remap[j]] = cj
-    constraints = []
-    for con in canon.constraints:
-        shift = sum(a * fixed[j] for j, a in con.coeffs.items() if j in fixed)
-        coeffs = {remap[j]: a for j, a in con.coeffs.items() if j not in fixed and a != 0.0}
-        if not coeffs:
-            continue
-        lhs = con.lhs - shift if math.isfinite(con.lhs) else con.lhs
-        rhs = con.rhs - shift if math.isfinite(con.rhs) else con.rhs
-        constraints.append(Constraint(con.name, coeffs, lhs, rhs))
-    variables = [canon.variables[j] for j in keep_vars]
-    reduced = MipInstance(canon.name, canon.sense, variables, constraints,
-                          objective)
+            objective[int(remap[j])] = cj
+    ra, m = canon.rows, len(canon.row_names)
+    rid, on_fixed = ra.row_ids(), fixed[ra.cols]
+    shift = np.bincount(rid[on_fixed], ra.vals[on_fixed]
+                        * np.array(lbs)[ra.cols[on_fixed]], m)
+    keep = ~on_fixed & (ra.vals != 0.0)
+    counts = np.bincount(rid[keep], minlength=m)
+    rows = counts > 0
+    lhs, rhs = (np.where(np.isfinite(side), side - shift, side)[rows]
+                for side in (ra.lhs, ra.rhs))
+    reduced = replace(
+        canon,
+        variables=[v for v, f in zip(canon.variables, fixed) if not f],
+        rows=RowArrays(np.concatenate(([0], np.cumsum(counts[rows]))),
+                       remap[ra.cols[keep]], ra.vals[keep], lhs, rhs),
+        row_names=[canon.row_names[i] for i in np.flatnonzero(rows).tolist()],
+        objective=objective)
     return reduced, offset
 
 
@@ -571,10 +561,8 @@ def collect_root_info(inst: MipInstance) -> RootInfo:
     """
     canon = canonicalize(inst)
     reduced, offset = _presolve(canon)
-    ws = LpWorkspace(reduced)
-    lp, _ = ws.solve()
-    n = reduced.n_vars
-    ra = ws.rows
+    lp, _ = LpWorkspace(reduced).solve()
+    n, ra = reduced.n_vars, reduced.rows
     rid = ra.row_ids()
     fin_lhs, fin_rhs = (np.isfinite(side)[rid] for side in (ra.lhs, ra.rhs))
     pos, neg = ra.vals > 0.0, ra.vals < 0.0
@@ -586,6 +574,5 @@ def collect_root_info(inst: MipInstance) -> RootInfo:
         up_locks=up,
         down_locks=down,
         objective_offset=offset,
-        rows=ra,
     )
 

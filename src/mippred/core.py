@@ -2,9 +2,9 @@
 
 A problem is ``min/max c.x`` subject to ranged linear constraints
 ``lhs <= a.x <= rhs`` and variable bounds ``lb <= x <= ub``, with each
-variable typed binary, integer, or continuous.  Everything downstream
-(LP relaxation, branch and bound, labeling, feature extraction) works
-on this representation.  The module also holds the one path by which
+variable typed binary, integer, or continuous.  An instance stores its
+rows as ``RowArrays``, which everything downstream reads and derived
+instances edit.  The module also holds the one path by which
 every pipeline file in JSON is written and read (``write_json``,
 ``read_json``, ``check_keys``).
 """
@@ -48,7 +48,7 @@ class Constraint:
     """Ranged row ``lhs <= sum(coeffs[j] * x[j]) <= rhs``.
 
     ``coeffs`` maps variable index to coefficient; either side may be
-    infinite but not both.
+    infinite but not both.  Instances store their rows as ``RowArrays``.
     """
 
     name: str
@@ -57,13 +57,70 @@ class Constraint:
     rhs: float
 
 
+class RowArrays(NamedTuple):
+    """The rows an instance stores, in compressed sparse row form.
+
+    Row ``i`` holds the entries ``indptr[i]:indptr[i + 1]`` of ``cols``
+    (variable indices) and ``vals`` (coefficients), in the order the row
+    was built in; ``lhs``/``rhs`` are the row sides.
+    """
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, RowArrays) and all(map(np.array_equal, self, other))
+
+    def row_ids(self) -> np.ndarray:
+        """The row index of every entry."""
+        return np.repeat(np.arange(len(self.lhs)), np.diff(self.indptr))
+
+    def with_row(self, cols, vals, lhs: float, rhs: float) -> RowArrays:
+        """These rows plus one more, with entries ``cols``/``vals`` in
+        that order."""
+        end = self.indptr[-1] + len(cols)
+        return RowArrays(*(np.append(a, np.asarray(b, a.dtype))
+                           for a, b in zip(self, (end, cols, vals, lhs, rhs))))
+
+
 @dataclass
 class MipInstance:
+    """A MIP whose rows are ``rows``, named by ``row_names``."""
+
     name: str
     sense: str
     variables: list[Variable]
-    constraints: list[Constraint]
+    rows: RowArrays
+    row_names: list[str]
     objective: dict[int, float]
+
+    @classmethod
+    def from_constraints(cls, name, sense, variables, constraints: list[Constraint],
+                         objective) -> MipInstance:
+        """The instance with the rows ``constraints``, each row's entries
+        in its ``coeffs`` order."""
+        cons = constraints
+        indptr = np.cumsum([0] + [len(con.coeffs) for con in cons], dtype=np.int64)
+        nnz = int(indptr[-1])
+        rows = RowArrays(
+            indptr,
+            np.fromiter(chain.from_iterable(con.coeffs for con in cons), np.int64, nnz),
+            np.fromiter(chain.from_iterable(con.coeffs.values() for con in cons),
+                        float, nnz),
+            np.array([con.lhs for con in cons], dtype=float),
+            np.array([con.rhs for con in cons], dtype=float))
+        return cls(name, sense, variables, rows, [con.name for con in cons], objective)
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        """The rows as ``Constraint`` records, built anew on every read."""
+        ptr, cols, vals, lhs, rhs = (a.tolist() for a in self.rows)
+        return [Constraint(*rec) for rec in zip(
+            self.row_names, (dict(zip(cols[lo:hi], vals[lo:hi]))
+                             for lo, hi in zip(ptr, ptr[1:])), lhs, rhs)]
 
     @property
     def n_vars(self) -> int:
@@ -79,42 +136,6 @@ class MipInstance:
         return c
 
 
-class RowArrays(NamedTuple):
-    """The rows of an instance in compressed sparse row form.
-
-    Row ``i`` holds the entries ``indptr[i]:indptr[i + 1]`` of ``cols``
-    (variable indices) and ``vals`` (coefficients), in the order of the
-    row's ``coeffs`` dict; ``lhs``/``rhs`` are the row sides.
-    """
-
-    indptr: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    def row_ids(self) -> np.ndarray:
-        """The row index of every entry."""
-        return np.repeat(np.arange(len(self.lhs)), np.diff(self.indptr))
-
-
-def row_arrays(inst: MipInstance) -> RowArrays:
-    """The rows of ``inst`` as numpy CSR arrays (see ``RowArrays``)."""
-    cons = inst.constraints
-    m = len(cons)
-    indptr = np.cumsum([0] + [len(con.coeffs) for con in cons], dtype=np.int64)
-    nnz = int(indptr[-1])
-    return RowArrays(
-        indptr=indptr,
-        cols=np.fromiter(chain.from_iterable(con.coeffs for con in cons),
-                         np.int64, nnz),
-        vals=np.fromiter(chain.from_iterable(con.coeffs.values()
-                                             for con in cons), float, nnz),
-        lhs=np.fromiter((con.lhs for con in cons), float, m),
-        rhs=np.fromiter((con.rhs for con in cons), float, m),
-    )
-
-
 @dataclass
 class Solution:
     values: np.ndarray
@@ -128,9 +149,9 @@ def validate_instance(inst: MipInstance) -> list[str]:
 
     An empty list means the instance is valid.  Checks: known sense and
     variable types, unique variable names, consistent bounds (binaries
-    within [0, 1]), constraint indices in range with non-empty
-    coefficients, and each row having lhs <= rhs with at least one
-    finite side.
+    within [0, 1]), constraint indices in range and not repeated within
+    a row, non-empty rows, and each row having lhs <= rhs with at least
+    one finite side.  The rows are checked as arrays.
     """
     errs: list[str] = []
     if inst.sense not in (MINIMIZE, MAXIMIZE):
@@ -146,17 +167,28 @@ def validate_instance(inst: MipInstance) -> list[str]:
             errs.append(f"variable {v.name!r}: lb {v.lb} > ub {v.ub}")
         if v.vtype == BINARY and (v.lb < 0.0 or v.ub > 1.0):
             errs.append(f"variable {v.name!r}: binary bounds outside [0, 1]")
-    n = len(inst.variables)
-    for con in inst.constraints:
-        if not con.coeffs:
-            errs.append(f"constraint {con.name!r}: empty coefficients")
-        for j in con.coeffs:
-            if not 0 <= j < n:
-                errs.append(f"constraint {con.name!r}: variable index {j} out of range")
-        if con.lhs > con.rhs:
-            errs.append(f"constraint {con.name!r}: lhs {con.lhs} > rhs {con.rhs}")
-        if math.isinf(con.lhs) and math.isinf(con.rhs):
-            errs.append(f"constraint {con.name!r}: both sides infinite")
+    n, ra, rid = len(inst.variables), inst.rows, inst.rows.row_ids()
+    outside = (ra.cols < 0) | (ra.cols >= n)
+    key = rid * (n + 1) + np.where(outside, n, ra.cols)  # sorts by row, column
+    order = np.argsort(key, kind="stable")
+    twin = np.zeros(len(key), dtype=bool)  # a column repeated in its row
+    twin[order[1:]] = (np.diff(key[order]) == 0) & ~outside[order[1:]]
+    bad = (np.diff(ra.indptr) == 0) | (ra.lhs > ra.rhs) | (
+        np.isinf(ra.lhs) & np.isinf(ra.rhs)) | (
+        np.bincount(rid, outside | twin, len(ra.lhs)) > 0)
+    for i in np.flatnonzero(bad).tolist():
+        name, (lo, hi) = inst.row_names[i], ra.indptr[i:i + 2]
+        lhs, rhs = float(ra.lhs[i]), float(ra.rhs[i])
+        if lo == hi:
+            errs.append(f"constraint {name!r}: empty coefficients")
+        for j in ra.cols[lo:hi][outside[lo:hi]].tolist():
+            errs.append(f"constraint {name!r}: variable index {j} out of range")
+        for j in np.unique(ra.cols[lo:hi][twin[lo:hi]]).tolist():
+            errs.append(f"constraint {name!r}: variable index {j} repeated")
+        if lhs > rhs:
+            errs.append(f"constraint {name!r}: lhs {lhs} > rhs {rhs}")
+        if math.isinf(lhs) and math.isinf(rhs):
+            errs.append(f"constraint {name!r}: both sides infinite")
     for j in inst.objective:
         if not 0 <= j < n:
             errs.append(f"objective: variable index {j} out of range")
@@ -198,12 +230,11 @@ def evaluate_solution(inst: MipInstance, x) -> Solution:
     Returns objective c.x (in the instance's own sense), the maximum
     violation over constraints, bounds and integrality residuals, and a
     feasibility flag at tolerance 1e-6.  Row activities are summed in
-    each row's ``coeffs`` order.  A point with a NaN or infinite entry
+    each row's entry order.  A point with a NaN or infinite entry
     is infeasible, with violation inf.  Raises ValueError on dimension
     mismatch.
     """
-    x = np.asarray(x, dtype=float)
-    n = len(inst.variables)
+    x, n, rows = np.asarray(x, dtype=float), len(inst.variables), inst.rows
     if x.shape != (n,):
         raise ValueError(
             f"solution has shape {x.shape}, instance has {n} variables"
@@ -212,7 +243,6 @@ def evaluate_solution(inst: MipInstance, x) -> Solution:
     if not np.isfinite(x).all():
         return Solution(values=x, objective=obj, feasible=False,
                         max_violation=math.inf)
-    rows = row_arrays(inst)
     act = np.bincount(rows.row_ids(), rows.vals * x[rows.cols],
                       minlength=len(rows.lhs))
     lb = np.fromiter((v.lb for v in inst.variables), float, n)
@@ -356,7 +386,7 @@ def instance_to_dict(inst: MipInstance) -> dict:
                 "name": con.name,
                 "lhs": _num_out(con.lhs),
                 "rhs": _num_out(con.rhs),
-                "coeffs": {names[j]: float(a) for j, a in con.coeffs.items()},
+                "coeffs": {names[j]: a for j, a in con.coeffs.items()},
             }
             for con in inst.constraints
         ],
@@ -390,14 +420,14 @@ def instance_from_dict(data: dict) -> MipInstance:
             var_index(vn, where): _num_in(a, f"{where}.coeffs[{vn!r}]")
             for vn, a in raw["coeffs"].items()
         }
-        constraints.append(
-            Constraint(raw["name"], coeffs, _num_in(raw["lhs"], where), _num_in(raw["rhs"], where))
-        )
+        constraints.append(Constraint(raw["name"], coeffs, _num_in(raw["lhs"], where),
+                                      _num_in(raw["rhs"], where)))
     objective = {
         var_index(vn, "objective"): _num_in(c, f"objective[{vn!r}]")
         for vn, c in data["objective"].items()
     }
-    inst = MipInstance(data["name"], data["sense"], variables, constraints, objective)
+    inst = MipInstance.from_constraints(data["name"], data["sense"], variables,
+                                        constraints, objective)
     errs = validate_instance(inst)
     if errs:
         raise InstanceFormatError("; ".join(errs))

@@ -36,17 +36,18 @@ The number of epochs in the hyperparameters is only a cap.
 The public entry points (``forward``, ``loss_and_gradients``,
 ``gradients``, ``train``) check the hyperparameters and, where the
 caller passes them, the parameter shapes once per call; the inner
-passes trust them.  A forward pass that a backward pass follows keeps
-the attention inputs and per-edge gathers on its tape, so the backward
-pass reads them instead of rebuilding them.  Training keeps the
-parameters, gradients and Adam moments in flat buffers updated in
-place, with the same per-element arithmetic as a per-array update.
+passes trust them.  ``train`` builds each graph's edge sums (``_halves``)
+once, the other entry points once per call; nothing outlives a call.
+A forward pass that a backward pass follows keeps the attention inputs
+and per-edge gathers on its tape, so the backward pass reads them
+instead of rebuilding them.  Training keeps the parameters, gradients
+and Adam moments in flat buffers updated in place, with the same
+per-element arithmetic as a per-array update.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -173,16 +174,9 @@ class _Half(NamedTuple):
     edge_feats: np.ndarray
 
 
-_HALF_CACHE: "weakref.WeakKeyDictionary[TriGraph, tuple]" = \
-    weakref.WeakKeyDictionary()
-
-
 def _halves(graph: TriGraph) -> tuple[_Half, _Half]:
     """The two halves of a transition, variables -> constraints and
-    constraints -> variables, cached per graph object."""
-    hit = _HALF_CACHE.get(graph)
-    if hit is not None:
-        return hit
+    constraints -> variables."""
     # imported here so that importing the package does not load scipy
     import scipy.sparse as sp
     ne = len(graph.vc_var)
@@ -193,14 +187,13 @@ def _halves(graph: TriGraph) -> tuple[_Half, _Half]:
                           shape=(graph.n_vars, ne))
     counts_c = np.bincount(graph.vc_cons, minlength=graph.n_cons)
     counts_v = np.bincount(graph.vc_var, minlength=graph.n_vars)
-    hit = _HALF_CACHE[graph] = (
+    return (
         _Half("v", "c", graph.n_vars, graph.n_cons, graph.vc_var,
               graph.vc_cons, s_var, s_cons, counts_c, graph.vo_feats,
               graph.vc_feats),
         _Half("c", "v", graph.n_cons, graph.n_vars, graph.vc_cons,
               graph.vc_var, s_cons, s_var, counts_v, graph.co_feats,
               graph.vc_feats))
-    return hit
 
 
 def _global_attention(center, neighbors, edges, att_vec, enabled,
@@ -258,12 +251,14 @@ def forward(graph: TriGraph, params: dict, hyper: GcnHyper) -> np.ndarray:
     """Predicted probability per variable node, strictly inside (0,1)."""
     hyper.validate()
     _check_shapes(params, hyper)
-    z, _ = _forward_tape(graph, params, hyper, for_backward=False)
+    z, _ = _forward_tape(graph, _halves(graph), params, hyper,
+                         for_backward=False)
     return z
 
 
-def _forward_tape(graph: TriGraph, params, hyper: GcnHyper, for_backward):
-    """(z, tape) for checked ``params`` and ``hyper``.
+def _forward_tape(graph: TriGraph, halves, params, hyper: GcnHyper,
+                  for_backward):
+    """(z, tape) of ``graph`` and its ``halves``, for checked params and hyper.
 
     With ``for_backward`` the tape also keeps the attention inputs and
     the per-edge gathers the backward pass reads; inference never holds
@@ -275,19 +270,19 @@ def _forward_tape(graph: TriGraph, params, hyper: GcnHyper, for_backward):
            "c": graph.cons_feats @ params["emb_cons_w"].T
            + params["emb_cons_b"]}
     ho = params["emb_obj_w"] @ graph.obj_feats + params["emb_obj_b"]
-    halves = []
+    records = []
     for t in range(1, hyper.transitions + 1):
-        for h in _halves(graph):
+        for h in halves:
             rec = _half_forward(h, emb[h.src], emb[h.dst], ho, params, t,
                                 hyper, for_backward)
             emb[h.dst], ho = rec["Hd_new"], rec["ho_new"]
-            halves.append((t, h, rec))
+            records.append((t, h, rec))
 
     u = np.concatenate([Hv0, emb["v"]], axis=1)
     a_out = u @ params["out_w1"].T + params["out_b1"]
     r_out = np.maximum(a_out, 0.0)
     z = _sigmoid(r_out @ params["out_w2"][0] + params["out_b2"][0])
-    return z, {"halves": halves, "u": u, "a_out": a_out, "r_out": r_out,
+    return z, {"halves": records, "u": u, "a_out": a_out, "r_out": r_out,
                "z": z}
 
 
@@ -425,7 +420,8 @@ def loss_and_gradients(graph: TriGraph, params, hyper: GcnHyper,
                        labels: LabelSet):
     hyper.validate()
     _check_shapes(params, hyper)
-    z, tape = _forward_tape(graph, params, hyper, for_backward=True)
+    z, tape = _forward_tape(graph, _halves(graph), params, hyper,
+                            for_backward=True)
     if len(labels.var_names) == graph.n_vars and \
             labels.var_names == graph.var_names:
         y, mask = labels.targets(), labels.stable_mask()
@@ -587,14 +583,14 @@ def train(dataset, hyper: GcnHyper, valid=()):
     for graph, labels in dataset:
         y, mask = targets_for(graph, labels)
         any_stable = any_stable or bool(mask.any())
-        aligned.append((graph, y, mask))
+        aligned.append((graph, _halves(graph), y, mask))
     if not any_stable:
         raise ValueError("no stable labels anywhere in the training set")
     checks = []
     for graph, labels in valid:
         y, mask = targets_for(graph, labels)
         if mask.any():
-            checks.append((graph, y, mask))
+            checks.append((graph, _halves(graph), y, mask))
 
     rng = np.random.default_rng(hyper.seed)
     shapes = param_shapes(hyper)
@@ -619,10 +615,11 @@ def train(dataset, hyper: GcnHyper, valid=()):
         order = rng.permutation(len(aligned))
         losses = []
         for idx in order:
-            graph, y, mask = aligned[idx]
+            graph, halves, y, mask = aligned[idx]
             if not mask.any():
                 continue
-            z, tape = _forward_tape(graph, params, hyper, for_backward=True)
+            z, tape = _forward_tape(graph, halves, params, hyper,
+                                    for_backward=True)
             losses.append(_bce(z, y, mask))
             flat_g.fill(0.0)
             _backward(graph, params, hyper, tape, _bce_grad(z, y, mask),
@@ -638,9 +635,9 @@ def train(dataset, hyper: GcnHyper, valid=()):
         if not checks:
             continue
         valid_history.append(float(np.mean([
-            _bce(_forward_tape(graph, params, hyper, for_backward=False)[0],
-                 y, mask)
-            for graph, y, mask in checks])))
+            _bce(_forward_tape(graph, halves, params, hyper,
+                               for_backward=False)[0], y, mask)
+            for graph, halves, y, mask in checks])))
         if valid_history[-1] < best_loss:
             best_loss, kept = valid_history[-1], epoch
             best_p[...] = flat_p

@@ -203,7 +203,7 @@ def _gen_fcnf(params, rng) -> MipInstance:
         constraints.append(
             Constraint(f"cap_{u}_{v}", {x0 + e: 1.0, e: -float(cap[e])}, -math.inf, 0.0)
         )
-    return MipInstance("fcnf", "min", variables, constraints, objective)
+    return MipInstance.from_constraints("fcnf", "min", variables, constraints, objective)
 
 
 def _count_fcnf(params):
@@ -243,7 +243,7 @@ def _gen_cfl(params, rng) -> MipInstance:
         coeffs = {yidx(i, j): float(demand[j]) for j in range(n)}
         coeffs[i] = -float(cap[i])
         constraints.append(Constraint(f"cap_{i}", coeffs, -math.inf, 0.0))
-    return MipInstance("cfl", "min", variables, constraints, objective)
+    return MipInstance.from_constraints("cfl", "min", variables, constraints, objective)
 
 
 def _count_cfl(params):
@@ -289,7 +289,7 @@ def _gen_ga(params, rng) -> MipInstance:
         Constraint(f"assign_{j}", {vidx(i, j): 1.0 for i in range(m)}, 1.0, 1.0)
         for j in range(n)
     ]
-    return MipInstance("ga", "max", variables, constraints, objective)
+    return MipInstance.from_constraints("ga", "max", variables, constraints, objective)
 
 
 def _count_ga(params):
@@ -313,7 +313,7 @@ def _gen_mis(params, rng) -> MipInstance:
         Constraint(f"e_{iu[p]}_{iv[p]}", {int(iu[p]): 1.0, int(iv[p]): 1.0}, -math.inf, 1.0)
         for p in pick
     ]
-    return MipInstance("mis", "max", variables, constraints, objective)
+    return MipInstance.from_constraints("mis", "max", variables, constraints, objective)
 
 
 def _count_mis(params):
@@ -342,7 +342,7 @@ def _gen_mk(params, rng) -> MipInstance:
         )
         for i in range(m)
     ]
-    return MipInstance("mk", "max", variables, constraints, objective)
+    return MipInstance.from_constraints("mk", "max", variables, constraints, objective)
 
 
 def _count_mk(params):
@@ -374,7 +374,7 @@ def _gen_sc(params, rng) -> MipInstance:
         )
         for i in range(n_elems)
     ]
-    return MipInstance("sc", "min", variables, constraints, objective)
+    return MipInstance.from_constraints("sc", "min", variables, constraints, objective)
 
 
 def _count_sc(params):
@@ -419,7 +419,7 @@ def _gen_tsp(params, rng) -> MipInstance:
                     float(n - 1),
                 )
             )
-    return MipInstance("tsp", "min", variables, constraints, objective)
+    return MipInstance.from_constraints("tsp", "min", variables, constraints, objective)
 
 
 def _count_tsp(params):
@@ -509,7 +509,7 @@ def _gen_vrp(params, rng) -> MipInstance:
                 float(Q),
             )
         )
-    return MipInstance("vrp", "min", variables, constraints, objective)
+    return MipInstance.from_constraints("vrp", "min", variables, constraints, objective)
 
 
 def _count_vrp(params):

@@ -12,13 +12,12 @@ are excluded from training downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import (
     BINARY,
-    Constraint,
     MipInstance,
     Solution,
     canonicalize,
@@ -29,8 +28,6 @@ from .core import (
     write_json,
 )
 from . import bnb
-from .simplex import OPTIMAL as LP_OPTIMAL
-from .simplex import LpWorkspace
 
 STABLE0 = "stable0"
 STABLE1 = "stable1"
@@ -79,19 +76,20 @@ class LabelSet:
         return np.array([1.0 if lab == STABLE1 else 0.0 for lab in self.labels])
 
 
-def initial_solution(inst: MipInstance, base_time_limit_s: float = 5.0) -> Solution:
-    """First feasible solution within 63 times ``base_time_limit_s``.
+def initial_solution(inst: MipInstance, base_time_limit_s: float = 5.0):
+    """(first feasible solution within 63 times ``base_time_limit_s``, root
+    LP bound of the canonical instance).
 
     The budget is that of an attempt at the base limit followed by five
     retries, each with double the last one's limit; as the search is
     deterministic, one search under the whole budget finds the same
-    solution no later.  A proved-infeasible instance fails as soon as
-    the search proves it.
+    solution no later, and its first recorded bound is the root LP's.
+    A proved-infeasible instance fails as soon as the search proves it.
     """
     res = bnb.solve(inst, bnb.BnbConfig(time_limit_s=63.0 * base_time_limit_s,
                                         mode=bnb.FIRST_FEASIBLE))
     if res.incumbent is not None:
-        return res.incumbent
+        return res.incumbent, res.lb_history[0]
     if res.status == bnb.INFEASIBLE:
         raise NoFeasibleSolutionError(f"instance {inst.name!r} is infeasible")
     raise NoFeasibleSolutionError(
@@ -114,17 +112,16 @@ def proximity_step(inst: MipInstance, x_bar: Solution, delta: float,
         raise ValueError("x_bar must be feasible")
     canon = canonicalize(inst)
     c = canon.objective_vector()
-    cut_coeffs = {j: float(c[j]) for j in range(canon.n_vars) if c[j] != 0.0}
-    if not cut_coeffs:
+    cut_cols = np.flatnonzero(c)
+    if not cut_cols.size:
         return None  # constant objective: nothing can improve
     obj_bar = float(np.dot(c, x_bar.values))
-    cutoff = Constraint(name="prox_cutoff", coeffs=cut_coeffs,
-                        lhs=-math.inf, rhs=obj_bar - delta)
-    aux = MipInstance(
+    aux = replace(
+        canon,
         name=f"{canon.name}-prox",
-        sense="min",
-        variables=list(canon.variables),
-        constraints=list(canon.constraints) + [cutoff],
+        rows=canon.rows.with_row(cut_cols, c[cut_cols], -math.inf,
+                                 obj_bar - delta),
+        row_names=canon.row_names + ["prox_cutoff"],
         objective=hamming_coeffs(x_bar.values, canon.binary_indices()),
     )
     res = bnb.solve(aux, bnb.BnbConfig(time_limit_s=time_limit_s,
@@ -144,12 +141,8 @@ def generate_labels(inst: MipInstance,
     """
     if cfg is None:
         cfg = LabelConfig()
-    x0 = initial_solution(inst, cfg.base_time_limit_s)
-    canon = canonicalize(inst)
-    c = canon.objective_vector()
-    obj0 = float(np.dot(c, x0.values))
-    root_lp, _ = LpWorkspace(canon).solve()
-    lb = root_lp.objective if root_lp.status == LP_OPTIMAL else -math.inf
+    x0, lb = initial_solution(inst, cfg.base_time_limit_s)
+    obj0 = float(np.dot(canonicalize(inst).objective_vector(), x0.values))
     delta = 0.01 * (obj0 - lb)
     if not math.isfinite(delta) or delta <= 0.0:
         delta = 1e-6 * (1.0 + abs(obj0))

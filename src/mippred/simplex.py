@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import MAXIMIZE, MipInstance, canonicalize, row_arrays
+from .core import MAXIMIZE, MipInstance, canonicalize
 
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
@@ -144,31 +144,24 @@ def _boxes(low, upp):
 class LpWorkspace:
     """LP data for one minimization instance, reusable across solves.
 
-    ``rows`` keeps the instance's ``core.row_arrays``, and ``sparse`` is
-    the same entries as the kernels' ``SparseBlock``: the constraint
-    matrix ``G = [A | -I]`` exists only in these forms, the slack block
-    ``-I`` implicit.  The workspace keeps no basis inverse; one lives on
-    only in the ``WarmStart.state`` a dual solve hands out.
+    ``sparse`` holds the entries the instance stores (``inst.rows``) as
+    the kernels' ``SparseBlock``: the constraint matrix ``G = [A | -I]``
+    exists only in these two forms, the slack block ``-I`` implicit.
+    The workspace keeps no basis inverse; one lives on only in the
+    ``WarmStart.state`` a dual solve hands out.
     """
 
     def __init__(self, inst: MipInstance):
         if inst.sense != "min":
             raise ValueError("LpWorkspace expects a canonical (min) instance")
-        self.inst = inst
-        n = inst.n_vars
-        m = len(inst.constraints)
-        self.n = n
-        self.m = m
-        N = n + m
-        self.rows = rows = row_arrays(inst)
-        self.sparse = _kernels.sparse_block(rows, n)
+        ra = inst.rows
+        self.n, self.m = n, m = inst.n_vars, len(inst.row_names)
+        self.sparse = _kernels.sparse_block(ra, n)
         self.c = np.concatenate((inst.objective_vector(), np.zeros(m)))
-        self.base_low = np.concatenate(
-            ([v.lb for v in inst.variables], rows.lhs))
-        self.base_upp = np.concatenate(
-            ([v.ub for v in inst.variables], rows.rhs))
-        self.max_iter = 2000 + 30 * N
-        self.bland_after = 10 * N
+        self.base_low = np.concatenate(([v.lb for v in inst.variables], ra.lhs))
+        self.base_upp = np.concatenate(([v.ub for v in inst.variables], ra.rhs))
+        self.max_iter = 2000 + 30 * (n + m)
+        self.bland_after = 10 * (n + m)
 
     def _signed_slack_start(self, low, upp):
         """The slack basis with each structural at its lower bound if its

@@ -8,12 +8,13 @@ presolved instance and its root relaxation, so the caller supplies the
 root information produced by the solver.
 
 Every per-variable and per-row statistic is a segment reduction over
-the CSR entries of ``core.row_arrays``: sums by ``np.bincount`` (in entry
-order), extrema by ``np.minimum.at``/``np.maximum.at``, deviations
-two-pass so that equal values deviate by exactly 0.  Statistics over
-every coefficient in a variable's rows pool the per-row count ``n_i``,
-mean ``mu_i`` and squared deviation ``M2_i`` by the parallel-axis form
-``M2 = sum(M2_i + n_i (mu_i - mean)**2)``; no row is expanded per variable.
+the CSR entries the instance stores (``inst.rows``): sums by
+``np.bincount`` (in entry order), extrema by ``np.minimum.at``/
+``np.maximum.at``, deviations two-pass so that equal values deviate by
+exactly 0.  Statistics over every coefficient in a variable's rows pool
+the per-row count ``n_i``, mean ``mu_i`` and squared deviation ``M2_i``
+by the parallel-axis form ``M2 = sum(M2_i + n_i (mu_i - mean)**2)``; no
+row is expanded per variable.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (BINARY, CONTINUOUS, MipInstance, RowArrays, check_keys,
-                   read_json, row_arrays, write_json)
+from .core import (BINARY, CONTINUOUS, MipInstance, check_keys, read_json,
+                   write_json)
 from .bnb import RootInfo
 
 N_VAR_FEATURES = 57
@@ -103,11 +104,10 @@ def _stats(values, key, n):
     return count, total, _summary(count, mean, m2, lo, hi)
 
 
-def _variable_feature_rows(inst: MipInstance, root: RootInfo,
-                           ra: RowArrays) -> np.ndarray:
+def _variable_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
     """``variable_features`` of every column of ``inst`` as if it were
-    binary, one row each, from the rows ``ra`` of ``inst``."""
-    n, m = inst.n_vars, len(ra.lhs)
+    binary, one row each."""
+    n, m, ra = inst.n_vars, len(inst.row_names), inst.rows
     rid, col, a = ra.row_ids(), ra.cols, ra.vals
 
     c = inst.objective_vector()
@@ -170,14 +170,12 @@ def variable_features(inst: MipInstance, root: RootInfo, j: int) -> np.ndarray:
     """
     if inst.variables[j].vtype != BINARY:
         raise ValueError(f"variable {inst.variables[j].name!r} is not binary")
-    return _variable_feature_rows(inst, root, row_arrays(inst))[j]
+    return _variable_feature_rows(inst, root)[j]
 
 
-def _constraint_feature_rows(inst: MipInstance, root: RootInfo,
-                             ra: RowArrays) -> np.ndarray:
-    """``constraint_features`` of every row, from the rows ``ra`` of
-    ``inst``."""
-    m = len(ra.lhs)
+def _constraint_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
+    """``constraint_features`` of every row of ``inst``."""
+    ra, m = inst.rows, len(inst.row_names)
     rid, col, a, lhs, rhs = ra.row_ids(), ra.cols, ra.vals, ra.lhs, ra.rhs
     vtype = np.array([v.vtype for v in inst.variables], dtype=str)[col]
 
@@ -212,7 +210,7 @@ def constraint_features(inst: MipInstance, root: RootInfo, i: int) -> np.ndarray
     """26 features for one row: 17 basic (type one-hot, clipped sides,
     signed counts), 2 relaxation (dual value, basis code), 7 structural
     (sum norms and coefficient statistics)."""
-    return _constraint_feature_rows(inst, root, row_arrays(inst))[i]
+    return _constraint_feature_rows(inst, root)[i]
 
 
 def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
@@ -229,8 +227,7 @@ def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
     red = root.instance
     if inst.name != red.name:
         raise ValueError("root info does not belong to this instance")
-    ra = root.rows
-    m = len(red.constraints)
+    ra, m = red.rows, len(red.row_names)
     bins = np.array(red.binary_indices(), dtype=np.int64)
     c = red.objective_vector()
     cmax = float(np.abs(c).max()) if c.size else 0.0
@@ -252,9 +249,9 @@ def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
     graph = TriGraph(
         name=red.name,
         var_names=[red.variables[j].name for j in bins],
-        cons_names=[con.name for con in red.constraints],
-        var_feats=_variable_feature_rows(red, root, ra)[bins],
-        cons_feats=_constraint_feature_rows(red, root, ra),
+        cons_names=list(red.row_names),
+        var_feats=_variable_feature_rows(red, root)[bins],
+        cons_feats=_constraint_feature_rows(red, root),
         obj_feats=np.array([float(np.abs(c[bins]).sum()), float(len(bins))]),
         vc_var=node_of[ra.cols[order]],
         vc_cons=vc_cons,

@@ -31,7 +31,8 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from mippred import _kernels as K
 from mippred import simplex
-from mippred.core import BINARY, CONTINUOUS, INTEGER, canonicalize
+from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
+                          MipInstance, canonicalize)
 from mippred.trigraph import (CONS_TYPES, INF_SENTINEL, N_CONS_FEATURES,
                               N_VAR_FEATURES)
 
@@ -54,9 +55,10 @@ def dict_walk(inst):
     each row's ``coeffs`` dict: the dense ``G = [A | -I]`` of the LP's
     computational form, its costs and bounds, and each row's nonzero
     integer terms and each column's terms in the rows' own order."""
-    n, m = inst.n_vars, len(inst.constraints)
+    cons = inst.constraints
+    n, m = inst.n_vars, len(cons)
     G = np.zeros((m, n + m))
-    for i, con in enumerate(inst.constraints):
+    for i, con in enumerate(cons):
         for j, a in con.coeffs.items():
             G[i, j] = a
         G[i, n + i] = -1.0
@@ -64,14 +66,14 @@ def dict_walk(inst):
     for j, cj in inst.objective.items():
         c[j] = cj
     low = np.array([v.lb for v in inst.variables]
-                   + [con.lhs for con in inst.constraints])
+                   + [con.lhs for con in cons])
     upp = np.array([v.ub for v in inst.variables]
-                   + [con.rhs for con in inst.constraints])
+                   + [con.rhs for con in cons])
     is_int = [v.vtype in (BINARY, INTEGER) for v in inst.variables]
     int_terms = [[(j, a) for j, a in con.coeffs.items()
-                  if a != 0.0 and is_int[j]] for con in inst.constraints]
+                  if a != 0.0 and is_int[j]] for con in cons]
     col_terms = [[] for _ in range(n)]
-    for i, con in enumerate(inst.constraints):
+    for i, con in enumerate(cons):
         for j, a in con.coeffs.items():
             col_terms[j].append((i, a))
     return G, c, low, upp, int_terms, col_terms
@@ -209,20 +211,56 @@ def milp_optimum(inst):
     n = inst.n_vars
     sign = -1.0 if inst.sense == "max" else 1.0
     constraints = ()
-    if inst.constraints:
-        A = np.zeros((len(inst.constraints), n))
-        for i, con in enumerate(inst.constraints):
+    cons = inst.constraints
+    if cons:
+        A = np.zeros((len(cons), n))
+        for i, con in enumerate(cons):
             for j, a in con.coeffs.items():
                 A[i, j] = a
         constraints = LinearConstraint(
-            A, [con.lhs for con in inst.constraints],
-            [con.rhs for con in inst.constraints])
+            A, [con.lhs for con in cons], [con.rhs for con in cons])
     res = milp(sign * inst.objective_vector(), constraints=constraints,
                integrality=[v.vtype != CONTINUOUS for v in inst.variables],
                bounds=Bounds([v.lb for v in inst.variables],
                              [v.ub for v in inst.variables]),
                options={"mip_rel_gap": 0.0})
     return res.status, (None if res.fun is None else sign * res.fun)
+
+
+def reference_presolve(canon):
+    """(reduced instance, objective offset) of presolve, by walking each
+    row's ``coeffs`` dict: fixed variables (lb == ub) are substituted into
+    the row sides and dropped, as are zero entries and the rows left
+    empty."""
+    keep_vars = []
+    fixed = {}
+    for j, v in enumerate(canon.variables):
+        if v.lb == v.ub:
+            fixed[j] = v.lb
+        else:
+            keep_vars.append(j)
+    remap = {j: k for k, j in enumerate(keep_vars)}
+    offset = 0.0
+    objective = {}
+    for j, cj in canon.objective.items():
+        if j in fixed:
+            offset += cj * fixed[j]
+        else:
+            objective[remap[j]] = cj
+    constraints = []
+    for con in canon.constraints:
+        shift = sum(a * fixed[j] for j, a in con.coeffs.items() if j in fixed)
+        coeffs = {remap[j]: a for j, a in con.coeffs.items()
+                  if j not in fixed and a != 0.0}
+        if not coeffs:
+            continue
+        lhs = con.lhs - shift if math.isfinite(con.lhs) else con.lhs
+        rhs = con.rhs - shift if math.isfinite(con.rhs) else con.rhs
+        constraints.append(Constraint(con.name, coeffs, lhs, rhs))
+    variables = [canon.variables[j] for j in keep_vars]
+    reduced = MipInstance.from_constraints(canon.name, canon.sense, variables,
+                                           constraints, objective)
+    return reduced, offset
 
 
 def average_precision_reference(scores, labels):
@@ -273,8 +311,7 @@ def reference_locks(inst):
     return up, down
 
 
-def _classify(inst, i):
-    con = inst.constraints[i]
+def _classify(inst, con):
     items = sorted(con.coeffs.items())
     if len(items) == 1:
         return "singleton"
@@ -297,14 +334,14 @@ def reference_variable_rows(inst, root, cols):
     with the locks recounted from the rows."""
     c = inst.objective_vector()
     up_locks, down_locks = reference_locks(inst)
+    cons = inst.constraints
     rows_of = {j: [] for j in cols}
-    for i, con in enumerate(inst.constraints):
+    for i, con in enumerate(cons):
         for k in con.coeffs:
             if k in rows_of:
                 rows_of[k].append(i)
-    row_coeffs = [np.array(list(con.coeffs.values()))
-                  for con in inst.constraints]
-    row_sums = [sum(con.coeffs.values()) for con in inst.constraints]
+    row_coeffs = [np.array(list(con.coeffs.values())) for con in cons]
+    row_sums = [sum(con.coeffs.values()) for con in cons]
     feats = np.zeros((len(cols), N_VAR_FEATURES))
     for j, out in zip(cols, feats):
         rows = rows_of[j]
@@ -335,7 +372,7 @@ def reference_variable_rows(inst, root, cols):
 
         pos_lhs, neg_lhs, pos_rhs, neg_rhs = [], [], [], []
         for i in rows:
-            con = inst.constraints[i]
+            con = cons[i]
             a = con.coeffs[j]
             if math.isfinite(con.lhs) and con.lhs != 0.0:
                 (pos_lhs if con.lhs > 0 else neg_lhs).append(a / con.lhs)
@@ -357,7 +394,7 @@ def reference_variable_rows(inst, root, cols):
         if neg.size:
             out[38:42] = _stats(neg)
 
-        own = np.array([inst.constraints[i].coeffs[j] for i in rows])
+        own = np.array([cons[i].coeffs[j] for i in rows])
         duals = np.array([float(root.lp.duals[i]) for i in rows])
         inv = np.zeros(len(rows))
         for t, i in enumerate(rows):
@@ -380,7 +417,7 @@ def reference_constraint_row(inst, root, i):
     con = inst.constraints[i]
     coeffs = np.array([a for _, a in sorted(con.coeffs.items())])
     out = np.zeros(N_CONS_FEATURES)
-    out[CONS_TYPES.index(_classify(inst, i))] = 1.0
+    out[CONS_TYPES.index(_classify(inst, con))] = 1.0
     out[12] = float(np.clip(con.lhs, -INF_SENTINEL, INF_SENTINEL))
     out[13] = float(np.clip(con.rhs, -INF_SENTINEL, INF_SENTINEL))
     out[14] = coeffs.size
@@ -404,8 +441,9 @@ def reference_graph(root):
     c = red.objective_vector()
     cbin = np.abs(c[bins]) if bins else np.zeros(0)
 
+    cons = red.constraints
     vc_var, vc_cons, vc_feats = [], [], []
-    for i, con in enumerate(red.constraints):
+    for i, con in enumerate(cons):
         items = sorted(con.coeffs.items())
         row_max = max(abs(a) for _, a in items)
         for j, a in items:
@@ -421,8 +459,8 @@ def reference_graph(root):
         vo_feats[t, 0] = c[j]
         vo_feats[t, 1] = c[j] / cmax if cmax > 0 else 0.0
 
-    co_feats = np.zeros((len(red.constraints), 2))
-    for i, con in enumerate(red.constraints):
+    co_feats = np.zeros((len(cons), 2))
+    for i, con in enumerate(cons):
         b = con.rhs if math.isfinite(con.rhs) else con.lhs
         row_max = max(abs(a) for a in con.coeffs.values())
         co_feats[i, 0] = b
@@ -431,9 +469,8 @@ def reference_graph(root):
     return {
         "var_feats": reference_variable_rows(red, root, bins),
         "cons_feats": np.array(
-            [reference_constraint_row(red, root, i)
-             for i in range(len(red.constraints))]
-        ).reshape(len(red.constraints), N_CONS_FEATURES),
+            [reference_constraint_row(red, root, i) for i in range(len(cons))]
+        ).reshape(len(cons), N_CONS_FEATURES),
         "obj_feats": np.array([float(cbin.sum()), float(len(bins))]),
         "vc_var": np.array(vc_var, dtype=np.int64),
         "vc_cons": np.array(vc_cons, dtype=np.int64),

@@ -13,14 +13,15 @@ from mippred import _kernels, bnb, predictor, simplex
 from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INT_TOL, INTEGER,
                           Constraint, MipInstance, RowArrays, Variable,
                           canonicalize, evaluate_solution, hamming_coeffs,
-                          row_arrays)
+                          instance_to_dict)
 from mippred.generators import GenSpec, generate
-from oracles import TINY_SPECS, brute_force_optimum, dict_walk, milp_optimum
+from oracles import (TINY_SPECS, brute_force_optimum, dict_walk, milp_optimum,
+                     reference_presolve)
 
 
 def binary_chain(n=3):
     """min -x1-...-xn over free binaries, no rows."""
-    return MipInstance(
+    return MipInstance.from_constraints(
         "chain", "min",
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(n)],
         [Constraint("cap", {j: 1.0 for j in range(n)}, -math.inf,
@@ -60,7 +61,7 @@ def test_integral_root_solves_in_one_node():
 
 
 def test_contradictory_rows_infeasible():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "contra", "min",
         [Variable("x1", BINARY, 0.0, 1.0)],
         [Constraint("ge", {0: 1.0}, 1.0, math.inf),
@@ -105,9 +106,9 @@ def test_cut_phi_zero_fixes_selection():
         x_hat = np.zeros(inst.n_vars)
         x_hat[bins] = rng.integers(0, 2, size=len(bins))
         res = bnb.solve(inst, ball=bnb.HammingBall(x_hat, S, phi=0))
-        fixed = MipInstance(inst.name, inst.sense,
-                            list(inst.variables), inst.constraints,
-                            inst.objective)
+        fixed = MipInstance.from_constraints(
+            inst.name, inst.sense, list(inst.variables), inst.constraints,
+            inst.objective)
         for j in S:
             fixed.variables[j] = Variable(inst.variables[j].name, BINARY,
                                           x_hat[j], x_hat[j])
@@ -231,7 +232,7 @@ def test_max_instance_in_canonical_form_reports_min_sense():
 
 
 def test_lock_counts():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "locks", "min",
         [Variable("a", BINARY, 0.0, 1.0),
          Variable("b", BINARY, 0.0, 1.0),
@@ -251,7 +252,7 @@ def test_lock_counts():
 
 def fixed_variable_instance():
     """x1 is fixed at 1: presolve drops it, shifts row a and drops row b."""
-    return MipInstance(
+    return MipInstance.from_constraints(
         "fixed", "min",
         [Variable("x0", BINARY, 0.0, 1.0), Variable("x1", BINARY, 1.0, 1.0),
          Variable("x2", CONTINUOUS, 0.0, 4.0)],
@@ -262,18 +263,26 @@ def fixed_variable_instance():
 
 @pytest.mark.parametrize("problem", sorted(TINY_SPECS) + ["fixed"])
 def test_root_rows_equal_row_arrays_of_presolved_instance(problem):
+    """The root pass's presolve, which masks entries and remaps columns
+    of the row arrays, gives byte for byte the instance and offset that
+    presolving each row's dict does (``reference_presolve``)."""
     if problem == "fixed":
         inst = fixed_variable_instance()
     else:
         preset, params = TINY_SPECS[problem]
         inst = generate(GenSpec(problem, preset, params=params, seed=0))
     root = bnb.collect_root_info(inst)
-    want = row_arrays(root.instance)
+    want, offset = reference_presolve(canonicalize(inst))
+    assert repr(root.objective_offset) == repr(offset)
+    assert repr(instance_to_dict(root.instance)) == repr(instance_to_dict(want))
     for field in RowArrays._fields:
-        got, ref = getattr(root.rows, field), getattr(want, field)
+        got, ref = getattr(root.instance.rows, field), getattr(want.rows, field)
         assert got.dtype == ref.dtype, field
         assert got.shape == ref.shape, field
         assert got.tobytes() == ref.tobytes(), field
+    if problem == "fixed":
+        assert root.instance.row_names == ["a"]
+        assert root.instance.rows.lhs.tolist() == [-1.0]
 
 
 def test_lower_bound_monotone_and_valid():
@@ -317,7 +326,7 @@ def cycle_cover(n=5):
     For odd n the LP optimum is all one-halves, so every node is
     fractional and any integral point must come from rounding.
     """
-    return MipInstance(
+    return MipInstance.from_constraints(
         "cycle", "min",
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(n)],
         [Constraint(f"e{i}", {i: 1.0, (i + 1) % n: 1.0}, 1.0, math.inf)
@@ -360,7 +369,7 @@ def test_repaired_probe_beats_blanket_cover():
 
 def instance_rows(inst):
     canon = canonicalize(inst)
-    return bnb._Rows(canon, simplex.LpWorkspace(canon))
+    return bnb._Rows(canon)
 
 
 @pytest.mark.parametrize("problem", sorted(TINY_SPECS))
@@ -385,7 +394,7 @@ def test_workspace_and_repair_rows_equal_dict_walk(problem):
                           (ws.base_upp, upp)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        rows = bnb._Rows(canon, ws)
+        rows = bnb._Rows(canon)
         assert rows.int_terms == int_terms
         assert rows.col_terms == col_terms
         m0, n0 = len(canon.constraints), canon.n_vars
@@ -414,8 +423,8 @@ def test_no_dense_matrix_on_a_row_heavy_instance():
     with m * n."""
     canon = canonicalize(generate(GenSpec("mis", "small", seed=0)))
     ws = simplex.LpWorkspace(canon)
-    rows = bnb._Rows(canon, ws)
-    n, m, nnz = ws.n, ws.m, len(ws.rows.cols)
+    rows = bnb._Rows(canon)
+    n, m, nnz = ws.n, ws.m, len(canon.rows.cols)
     assert (n, m) == (125, 1799)
     for obj in (ws, rows):
         sizes = [a.size for a in _held_arrays(obj)]
@@ -423,14 +432,14 @@ def test_no_dense_matrix_on_a_row_heavy_instance():
 
 
 def test_repair_rows_skip_zero_and_continuous_terms():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "terms", "min",
         [Variable("x", BINARY, 0.0, 1.0), Variable("k", INTEGER, 0.0, 3.0),
          Variable("f", CONTINUOUS, 0.0, 2.0)],
         [Constraint("r0", {2: 1.0, 1: 0.0, 0: -2.0}, -math.inf, 1.0),
          Constraint("r1", {1: 1.0, 2: 4.0}, 1.0, 1.0)],
         {0: 1.0, 1: 1.0, 2: 1.0})
-    rows = bnb._Rows(inst, simplex.LpWorkspace(inst))
+    rows = bnb._Rows(inst)
     _, _, _, _, int_terms, col_terms = dict_walk(inst)
     assert rows.int_terms == int_terms == [[(0, -2.0)], [(1, 1.0)]]
     assert rows.col_terms == col_terms
@@ -438,7 +447,7 @@ def test_repair_rows_skip_zero_and_continuous_terms():
 
 
 def test_repair_walks_toward_lp_preference():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "rep", "min",
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(3)],
         [Constraint("r0", {0: 1.0, 1: 1.0}, 1.0, math.inf),
@@ -454,7 +463,7 @@ def test_repair_walks_toward_lp_preference():
 
 
 def test_repair_reports_failure_when_out_of_room():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "hopeless", "min",
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("big", {0: 1.0}, 3.0, math.inf)],
@@ -473,7 +482,8 @@ def tight_copy(inst, x):
         constraints.append(replace(
             con, lhs=act if math.isfinite(con.lhs) else con.lhs,
             rhs=act if math.isfinite(con.rhs) else con.rhs))
-    return replace(inst, constraints=constraints)
+    return MipInstance.from_constraints(inst.name, inst.sense, inst.variables,
+                                        constraints, inst.objective)
 
 
 def edge_points(inst, x):
@@ -676,9 +686,9 @@ def capped_pair(extra=None):
         vtype, cost = extra
         variables.append(Variable("e", vtype, 0.0, 1.0))
         objective[2] = cost
-    return MipInstance("pair", "max", variables,
-                       [Constraint("cap", {0: 1.0, 1: 1.0}, -math.inf, 1.7)],
-                       objective)
+    return MipInstance.from_constraints(
+        "pair", "max", variables,
+        [Constraint("cap", {0: 1.0, 1: 1.0}, -math.inf, 1.7)], objective)
 
 
 def integral_rule_applies(inst):
@@ -974,7 +984,8 @@ def random_mips(draw):
         cost = scale * up * draw(st.integers(-4, 20))
         if continuous_costs or var.vtype != CONTINUOUS:
             objective[j] = cost
-    return MipInstance("prop", sense, variables, constraints, objective)
+    return MipInstance.from_constraints("prop", sense, variables, constraints,
+                                        objective)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,

@@ -5,19 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mippred import core
 from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
                           InstanceFormatError, MipInstance, Variable,
                           canonicalize,
                           evaluate_solution, instance_from_dict,
-                          instance_to_dict, read_instance, row_arrays,
+                          instance_to_dict, read_instance,
                           validate_instance, write_instance, write_json)
 from mippred.generators import GenSpec, generate
 
 
 def tiny_knapsack():
-    return MipInstance(
+    return MipInstance.from_constraints(
         name="knap",
         sense="min",
         variables=[Variable("x1", BINARY, 0.0, 1.0),
@@ -28,21 +30,24 @@ def tiny_knapsack():
 
 
 def test_row_arrays_keep_dict_order_and_sides():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "rows", "min",
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(3)],
         [Constraint("a", {2: 1.5, 0: -1.0}, -math.inf, 4.0),
          Constraint("b", {1: 2.0}, 0.0, 0.0),
          Constraint("c", {0: 1.0, 2: 0.0, 1: 3.0}, 1.0, math.inf)],
         {})
-    ra = row_arrays(inst)
+    ra = inst.rows
     assert ra.indptr.tolist() == [0, 2, 3, 6]
     assert ra.cols.tolist() == [2, 0, 1, 0, 2, 1]
     assert ra.vals.tolist() == [1.5, -1.0, 2.0, 1.0, 0.0, 3.0]
     assert ra.lhs.tolist() == [-math.inf, 0.0, 1.0]
     assert ra.rhs.tolist() == [4.0, 0.0, math.inf]
     assert ra.row_ids().tolist() == [0, 0, 1, 2, 2, 2]
-    empty = row_arrays(MipInstance("none", "min", [], [], {}))
+    assert inst.row_names == ["a", "b", "c"]
+    assert inst.constraints[2] == Constraint("c", {0: 1.0, 2: 0.0, 1: 3.0},
+                                             1.0, math.inf)
+    empty = MipInstance.from_constraints("none", "min", [], [], {}).rows
     assert empty.indptr.tolist() == [0]
     assert empty.cols.dtype == np.int64 and empty.cols.size == 0
 
@@ -53,10 +58,39 @@ def test_validate_well_formed():
 
 def test_validate_dangling_index():
     inst = tiny_knapsack()
-    inst.constraints.append(Constraint("bad", {99: 1.0}, -math.inf, 1.0))
+    inst.rows = inst.rows.with_row([99], [1.0], -math.inf, 1.0)
+    inst.row_names.append("bad")
     issues = validate_instance(inst)
     assert len(issues) == 1
     assert "99" in issues[0]
+
+
+def test_validate_repeated_column_in_a_row():
+    """Dict rows cannot repeat a column; array rows can, and a row that
+    does is rejected, once per repeated column."""
+    inst = tiny_knapsack()
+    inst.rows = inst.rows.with_row([1, 0, 1, 1], [1.0, 2.0, 3.0, 4.0],
+                                   -math.inf, 1.0)
+    inst.row_names.append("twice")
+    assert validate_instance(inst) == [
+        "constraint 'twice': variable index 1 repeated"]
+    with pytest.raises(ValueError, match="repeated"):
+        canonicalize(inst)
+
+
+def test_validate_messages_follow_row_order():
+    inst = MipInstance.from_constraints(
+        "bad", "min", [Variable("x", BINARY, 0.0, 1.0)],
+        [Constraint("ok", {0: 1.0}, 0.0, 1.0),
+         Constraint("e", {}, 0.0, 1.0),
+         Constraint("r", {0: 1.0, 3: 1.0, -1: 2.0}, 2.0, 1.0),
+         Constraint("f", {0: 1.0}, -math.inf, math.inf)], {0: 1.0})
+    assert validate_instance(inst) == [
+        "constraint 'e': empty coefficients",
+        "constraint 'r': variable index 3 out of range",
+        "constraint 'r': variable index -1 out of range",
+        "constraint 'r': lhs 2.0 > rhs 1.0",
+        "constraint 'f': both sides infinite"]
 
 
 def test_validate_binary_bound():
@@ -89,8 +123,10 @@ def test_canonicalize_identity_on_min():
 
 
 def test_canonicalize_keeps_equality_row():
-    inst = tiny_knapsack()
-    inst.constraints = [Constraint("eq", {0: 1.0, 1: 2.0}, 5.0, 5.0)]
+    knap = tiny_knapsack()
+    inst = MipInstance.from_constraints(
+        knap.name, knap.sense, knap.variables,
+        [Constraint("eq", {0: 1.0, 1: 2.0}, 5.0, 5.0)], knap.objective)
     canon = canonicalize(inst)
     assert canon.constraints[0].lhs == 5.0
     assert canon.constraints[0].rhs == 5.0
@@ -126,13 +162,13 @@ def test_evaluate_dimension_mismatch():
 def test_evaluate_rejects_non_finite_points():
     """NaN or infinite entries make a point infeasible with violation
     inf, in continuous and integer variables alike, without raising."""
-    lp = MipInstance(
+    lp = MipInstance.from_constraints(
         "lp", "min",
         [Variable("x", CONTINUOUS, 0.0, 10.0),
          Variable("y", CONTINUOUS, 0.0, 10.0)],
         [Constraint("cover", {0: 1.0, 1: 1.0}, 1.0, math.inf)],
         {0: 1.0, 1: 2.0})
-    ip = MipInstance(
+    ip = MipInstance.from_constraints(
         "ip", "min",
         [Variable("k", INTEGER, -math.inf, math.inf),
          Variable("x", CONTINUOUS, -math.inf, math.inf)],
@@ -190,11 +226,10 @@ def test_feasibility_invariant_under_row_permutation():
         inst = generate(GenSpec("sc", "tiny", seed=trial))
         x = rng.integers(0, 2, size=inst.n_vars).astype(float)
         base = evaluate_solution(inst, x)
-        shuffled = MipInstance(
+        cons = inst.constraints
+        shuffled = MipInstance.from_constraints(
             inst.name, inst.sense, inst.variables,
-            [inst.constraints[i]
-             for i in rng.permutation(len(inst.constraints))],
-            inst.objective)
+            [cons[i] for i in rng.permutation(len(cons))], inst.objective)
         assert evaluate_solution(shuffled, x).feasible == base.feasible
 
 
@@ -214,6 +249,54 @@ def test_round_trip_all_generators(tmp_path):
         assert read_instance(path) == inst
 
 
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def instances(draw):
+    """Valid instances of up to 5 variables and 4 rows, with infinite
+    bounds and sides, signed zeros and rows in any column order."""
+    n = draw(st.integers(1, 5))
+    variables = []
+    for j in range(n):
+        vtype = draw(st.sampled_from((BINARY, INTEGER, CONTINUOUS)))
+        if vtype == BINARY:
+            lb, ub = draw(st.sampled_from(((0.0, 1.0), (0.0, 0.0), (1.0, 1.0))))
+        else:
+            lb, ub = sorted(draw(st.lists(
+                st.one_of(_FINITE, st.sampled_from((-math.inf, math.inf))),
+                min_size=2, max_size=2)))
+        variables.append(Variable(f"x{j}", vtype, lb, ub))
+    constraints = []
+    for i in range(draw(st.integers(0, 4))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        lhs, rhs = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2)))
+        lhs = draw(st.sampled_from((lhs, -math.inf)))
+        rhs = draw(st.sampled_from((rhs, math.inf))) if lhs > -math.inf else rhs
+        constraints.append(Constraint(f"r{i}", {j: draw(_FINITE) for j in cols},
+                                      lhs, rhs))
+    objective = {j: draw(_FINITE) for j in draw(
+        st.lists(st.integers(0, n - 1), unique=True))}
+    return MipInstance.from_constraints(
+        "h", draw(st.sampled_from(("min", "max"))), variables, constraints,
+        objective)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances())
+def test_write_read_write_is_byte_identical(tmp_path_factory, inst):
+    assert validate_instance(inst) == []
+    d = tmp_path_factory.mktemp("trip")
+    write_instance(inst, d / "a.json")
+    back = read_instance(d / "a.json")
+    write_instance(back, d / "b.json")
+    assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
+    for got, want in zip(back.rows, inst.rows):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert back == inst
+
+
 def test_bad_vtype_rejected(tmp_path):
     data = instance_to_dict(tiny_knapsack())
     data["variables"][0]["vtype"] = "ternary"
@@ -231,15 +314,15 @@ def test_unknown_key_rejected():
 
 
 def test_empty_constraint_list_round_trips(tmp_path):
-    inst = MipInstance("free", "min",
-                       [Variable("x", CONTINUOUS, 0.0, 2.0)], [], {0: 1.0})
+    inst = MipInstance.from_constraints(
+        "free", "min", [Variable("x", CONTINUOUS, 0.0, 2.0)], [], {0: 1.0})
     path = tmp_path / "free.json"
     write_instance(inst, path)
     assert read_instance(path) == inst
 
 
 def test_infinite_bounds_round_trip(tmp_path):
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "inf", "min",
         [Variable("x", CONTINUOUS, -math.inf, math.inf)],
         [Constraint("row", {0: 1.0}, 1.0, math.inf)], {0: 1.0})

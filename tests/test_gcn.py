@@ -19,7 +19,7 @@ HYPER = GcnHyper(hidden_dim=4, transitions=2, output_hidden=5, seed=0)
 
 def toy_graph():
     """Scaled graph of a 3-variable, 2-row instance."""
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "toy", "min",
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(3)],
         [Constraint("cap", {0: 2.0, 1: 1.0, 2: 3.0}, -math.inf, 3.0),
@@ -224,7 +224,7 @@ def test_forward_on_generated_instance():
 
 
 def test_forward_handles_graph_without_rows():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "free", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [], {0: -1.0, 1: 1.0})

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: unused imports,
 private helpers nothing references, what importing the command-line
-module loads, one place that reads and writes JSON files, and a
-documented line for every configuration key."""
+module loads, one place that reads and writes JSON files, a documented
+line for every configuration key, and instance rows read as arrays
+outside ``core``."""
 
 import ast
 import os
@@ -193,3 +194,36 @@ def documented_config_keys(doc: str) -> set[tuple[str, str]]:
 def test_every_config_key_is_documented():
     table = {(section, key) for section, key, *_ in cli._KEYS}
     assert table - documented_config_keys(cli.__doc__) == set()
+
+
+def row_record_uses(source: str) -> list[str]:
+    """Each read of a ``.constraints`` or ``.coeffs`` attribute and each
+    import of ``Constraint``, in source order: the rows an instance
+    stores are arrays, and these are its dict-row records."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("constraints",
+                                                            "coeffs"):
+            found.append((node.lineno, node.col_offset, "." + node.attr))
+        elif isinstance(node, ast.ImportFrom) and any(
+                a.name == "Constraint" for a in node.names):
+            found.append((node.lineno, node.col_offset, "import Constraint"))
+    return [what for *_, what in sorted(found)]
+
+
+def test_row_record_scan_flags_reads_and_imports():
+    source = ("from .core import Constraint, MipInstance\n"
+              "rows = inst.constraints\n"
+              "c = rows[0].coeffs\n"
+              "solve(constraints=1, coeffs=2)\n"
+              "inst.rows.cols\n")
+    assert row_record_uses(source) == ["import Constraint", ".constraints",
+                                       ".coeffs"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_rows_are_read_as_arrays_outside_core(path):
+    allowed = {"core.py": {".constraints", ".coeffs", "import Constraint"},
+               "generators.py": {"import Constraint"}}.get(path.name, set())
+    assert set(row_record_uses(path.read_text())) <= allowed

@@ -11,12 +11,14 @@ from mippred.core import (BINARY, Constraint, MipInstance, Variable,
 from mippred.generators import GenSpec, generate
 from mippred.labeler import (STABLE0, STABLE1, UNSTABLE, LabelConfig,
                              NoFeasibleSolutionError)
+from mippred.simplex import OPTIMAL as LP_OPTIMAL
+from mippred.simplex import LpWorkspace
 from oracles import TINY_SPECS, brute_force_optimum
 
 
 def two_item_choice():
     """min -5*x1 - 4*x2 subject to x1 + x2 <= 1, both binary."""
-    return MipInstance(
+    return MipInstance.from_constraints(
         "choice", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("pick_one", {0: 1.0, 1: 1.0}, -math.inf, 1.0)],
@@ -25,7 +27,7 @@ def two_item_choice():
 
 def infeasible_binary():
     """One binary forced >= 0.75 and <= 0.25 at the same time."""
-    return MipInstance(
+    return MipInstance.from_constraints(
         "contradiction", "min",
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("hi", {0: 1.0}, 0.75, math.inf),
@@ -76,7 +78,7 @@ def test_step_rejects_infeasible_start():
 
 
 def test_step_constant_objective_returns_none():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "flat", "min",
         [Variable("x", BINARY, 0.0, 1.0)],
         [], {})
@@ -108,7 +110,7 @@ def test_single_solution_trace_is_all_stable():
 
 
 def test_flipping_variable_is_unstable():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "three", "min",
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(3)],
         [], {j: -1.0 for j in range(3)})
@@ -123,7 +125,7 @@ def test_flipping_variable_is_unstable():
 def test_labels_skip_continuous_variables():
     inst = generate(GenSpec("fcnf", "tiny", seed=1))
     names = {v.name for v in inst.variables if v.vtype == BINARY}
-    sol = labeler.initial_solution(inst)
+    sol, _ = labeler.initial_solution(inst)
     ls = labeler._labels_from_trace(inst, [sol], 1.0)
     assert set(ls.var_names) == names
 
@@ -135,8 +137,21 @@ def test_labels_skip_continuous_variables():
 def test_initial_solution_is_feasible():
     for seed in range(3):
         inst = generate(GenSpec("sc", "tiny", seed=seed))
-        sol = labeler.initial_solution(inst)
+        sol, _ = labeler.initial_solution(inst)
         assert sol.feasible
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
+def test_initial_solution_hands_back_the_root_lp_bound(problem):
+    """The bound that comes back is the canonical root LP's optimum, bit
+    for bit, so labeling need not solve that LP again."""
+    preset, params = TINY_SPECS[problem]
+    for seed in range(2):
+        inst = generate(GenSpec(problem, preset, params=params, seed=seed))
+        _, lb = labeler.initial_solution(inst)
+        root, _ = LpWorkspace(canonicalize(inst)).solve()
+        assert root.status == LP_OPTIMAL
+        assert lb == root.objective, (problem, seed)
 
 
 def test_initial_solution_raises_on_infeasible():

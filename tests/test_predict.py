@@ -19,7 +19,7 @@ from oracles import TINY_SPECS, brute_force_optimum
 
 def chain(n=4):
     """min -x1-...-xn with a slack capacity row; optimum is all ones."""
-    return MipInstance(
+    return MipInstance.from_constraints(
         "chain", "min",
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(n)],
         [Constraint("cap", {j: 1.0 for j in range(n)}, -math.inf, float(n))],

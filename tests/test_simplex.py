@@ -1,6 +1,7 @@
 """LP solver: spot solutions, strong duality, and an external cross-check."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from oracles import (TINY_SPECS, brute_force_optimum, dict_walk,
 
 
 def one_var_lp():
-    return MipInstance(
+    return MipInstance.from_constraints(
         "one", "min",
         [Variable("x", CONTINUOUS, 0.0, math.inf)],
         [Constraint("row", {0: 1.0}, 1.0, math.inf)], {0: 1.0})
@@ -34,7 +35,7 @@ def test_one_variable_lp():
 
 
 def test_box_vertex_lp():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "box", "min",
         [Variable("x1", CONTINUOUS, 0.0, 1.0),
          Variable("x2", CONTINUOUS, 0.0, 1.0)],
@@ -46,7 +47,7 @@ def test_box_vertex_lp():
 
 
 def test_infeasible_lp():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "bad", "min",
         [Variable("x", CONTINUOUS, 0.0, math.inf)],
         [Constraint("row", {0: 1.0}, -math.inf, -1.0)], {0: 1.0})
@@ -54,7 +55,7 @@ def test_infeasible_lp():
 
 
 def test_unbounded_lp():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "unb", "min",
         [Variable("x", CONTINUOUS, 0.0, math.inf)],
         [Constraint("row", {0: 1.0}, 1.0, math.inf)], {0: -1.0})
@@ -159,8 +160,9 @@ def test_statuses_match_scipy_on_random_boxes():
                 coeffs = {0: 1.0}
             rhs = float(rng.integers(-3, 7))
             constraints.append(Constraint(f"r{i}", coeffs, -math.inf, rhs))
-        inst = MipInstance(f"rand{trial}", "min", variables, constraints,
-                           {j: c[j] for j in range(n)})
+        inst = MipInstance.from_constraints(
+            f"rand{trial}", "min", variables, constraints,
+            {j: c[j] for j in range(n)})
         sol = simplex.solve_lp(inst)
         cc, A_ub, b_ub, A_eq, b_eq, bounds, _ = relaxation_arrays(inst)
         res = linprog(cc, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
@@ -190,7 +192,7 @@ def test_relaxation_bounds_integer_optimum():
 
 
 def test_canonical_max_instance_reports_min_sense():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "maxlp", "max",
         [Variable("x", CONTINUOUS, 0.0, 3.0),
          Variable("y", CONTINUOUS, 0.0, 3.0)],
@@ -267,7 +269,7 @@ def test_warm_dive_cheaper_than_cold():
 
 
 def test_warm_resolve_detects_infeasible_child():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "pair", "min",
         [Variable("x1", BINARY, 0.0, 1.0),
          Variable("x2", BINARY, 0.0, 1.0)],
@@ -287,7 +289,7 @@ def test_warm_resolve_detects_infeasible_child():
 def test_stale_warm_basis_still_solves(monkeypatch):
     """A basis whose reduced costs do not fit the objective is unusable
     for the bound-change shortcut; the solve must recover on its own."""
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "box", "min",
         [Variable("x1", CONTINUOUS, 0.0, 1.0),
          Variable("x2", CONTINUOUS, 0.0, 1.0)],
@@ -312,7 +314,7 @@ def test_stale_warm_basis_still_solves(monkeypatch):
 def test_warm_resolve_puts_free_variable_on_its_new_bound():
     """A free nonbasic sits at 0; once its upper bound becomes -1 the
     re-solve must not keep it there and call the LP optimal."""
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "free", "min",
         [Variable("x", CONTINUOUS, -math.inf, math.inf)],
         [Constraint("row", {0: 1.0}, 0.0, math.inf)], {0: 0.0})
@@ -356,7 +358,7 @@ def test_rowless_lps_take_the_kernel_path():
     columns stay where the cold start puts them, and an unbounded LP
     reports -inf in the minimization form (+inf for a max instance)."""
     V = Variable
-    bounded = MipInstance(
+    bounded = MipInstance.from_constraints(
         "bounded", "min",
         [V("x", CONTINUOUS, 0.0, 2.0), V("y", CONTINUOUS, -1.0, 3.0),
          V("z", CONTINUOUS, -math.inf, 4.0), V("f", CONTINUOUS, -math.inf,
@@ -381,7 +383,7 @@ def test_rowless_lps_take_the_kernel_path():
                               simplex.AT_LOWER]
     assert sol.row_status == [] and sol.duals.shape == (0,)
     for sense, want in (("min", -math.inf), ("max", math.inf)):
-        unbounded = MipInstance(
+        unbounded = MipInstance.from_constraints(
             "unbounded", sense,
             [V("x", CONTINUOUS, 0.0, 2.0),
              V("y", CONTINUOUS, -math.inf, math.inf)],
@@ -392,7 +394,7 @@ def test_rowless_lps_take_the_kernel_path():
 
 
 def test_unbounded_lp_with_rows_reports_minus_inf():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "ray", "min",
         [Variable("x", CONTINUOUS, 0.0, math.inf),
          Variable("y", CONTINUOUS, 0.0, math.inf)],
@@ -447,7 +449,7 @@ def test_cold_solve_takes_the_dual_path_on_every_class(monkeypatch):
 
 def test_cold_dual_proves_boxed_lp_infeasible(monkeypatch):
     monkeypatch.setattr(simplex, "_boxes", _refuse)
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "boxed", "min",
         [Variable("x1", CONTINUOUS, 0.0, 1.0),
          Variable("x2", CONTINUOUS, 0.0, 1.0)],
@@ -462,7 +464,7 @@ def test_cost_toward_infinite_bound_goes_through_phase_1(monkeypatch):
     """c_j > 0 with lb = -inf: the slack basis is not dual feasible, so
     the cold attempt runs phase 1 and counts no fallback."""
     boxes = _counting_boxes(monkeypatch)
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "open", "min",
         [Variable("x", CONTINUOUS, -math.inf, 4.0),
          Variable("y", CONTINUOUS, 0.0, 2.0)],
@@ -482,7 +484,7 @@ def test_primal_and_dual_infeasible_lp_is_infeasible(monkeypatch):
     rows contradict each other, and so do the dual's.  Phase 1 finds no
     dual-feasible basis, and the solve with zero costs from the slack
     basis proves the LP infeasible, as HiGHS reports."""
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "both", "min",
         [Variable("x1", CONTINUOUS, 0.0, math.inf),
          Variable("x2", CONTINUOUS, 0.0, math.inf)],
@@ -529,7 +531,7 @@ def test_flips_that_absorb_the_violation_still_pivot():
     leaves less than the tolerance of the violation.  The dual kernel
     must pivot x in rather than end the round on the flip, which would
     leave x at its upper bound with reduced cost +1."""
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "edge", "min",
         [Variable("x", CONTINUOUS, 0.0, 1.0)],
         [Constraint("row", {0: 1.0}, 1.0 + 5e-8, math.inf)], {0: 1.0})
@@ -548,7 +550,7 @@ def test_dual_bland_rule_enters_at_the_smallest_ratio():
     then has eligible columns x2 (ratio 5) and x3 (ratio 1): entering x2
     just because it comes first would leave x3 dual infeasible and stop
     at objective 3.5 instead of 1.5."""
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "bland", "min",
         [Variable(f"x{j}", CONTINUOUS, 0.0, 1.0) for j in range(4)],
         [Constraint("a", {0: 1.0, 1: 1.0}, 1.0 + 1e-12, math.inf),
@@ -574,7 +576,7 @@ def test_dual_core_rechecks_prices_before_claiming_optimal():
     improving, so the kernel returns a non-final code and the solve runs
     phase 1 from that basis, in the same attempt, to the true optimum
     1."""
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "stale", "min",
         [Variable(f"x{j}", CONTINUOUS, 0.0, 10.0) for j in range(2)],
         [Constraint("cover", {0: 1.0, 1: 1.0}, 1.0, math.inf)],
@@ -707,8 +709,9 @@ def _typed_rows_instance(rng, n, m):
         lhs, rhs = [(-math.inf, 2.0), (-1.0, math.inf), (0.5, 0.5),
                     (-1.0, 1.5)][i % 4]
         constraints.append(Constraint(f"r{i}", coeffs, lhs, rhs))
-    return MipInstance("typed", "min", variables, constraints,
-                       {j: float(rng.normal()) for j in range(n)})
+    return MipInstance.from_constraints(
+        "typed", "min", variables, constraints,
+        {j: float(rng.normal()) for j in range(n)})
 
 
 def _random_basis(rng, G, n, k):
@@ -820,7 +823,7 @@ def small_lps(draw):
                     "eq": (lo, lo), "range": (lo, lo + width)}[kind]
         constraints.append(Constraint(f"r{i}", coeffs, lhs, rhs))
     c = {j: float(draw(st.integers(-5, 5))) for j in range(n)}
-    return MipInstance("prop", "min", variables, constraints, c)
+    return MipInstance.from_constraints("prop", "min", variables, constraints, c)
 
 
 def highs_status(inst):
@@ -890,8 +893,7 @@ def with_bounds(inst, low, upp):
     """Copy of ``inst`` with the given variable bounds."""
     variables = [Variable(v.name, v.vtype, float(lo), float(up))
                  for v, lo, up in zip(inst.variables, low, upp)]
-    return MipInstance(inst.name, inst.sense, variables, inst.constraints,
-                       inst.objective)
+    return replace(inst, variables=variables)
 
 
 @PROPERTY

@@ -24,7 +24,7 @@ def graph_of(inst):
 
 def pair_instance():
     """Two binaries sharing one capacity row."""
-    return MipInstance(
+    return MipInstance.from_constraints(
         "pair", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 1.0, 1: 1.0}, -math.inf, 1.0)],
@@ -49,7 +49,7 @@ def test_two_vars_one_row_gives_five_edges():
 
 
 def test_zero_coefficient_variable_keeps_objective_edge_only():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "loner", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 1.0}, -math.inf, 1.0)],
@@ -83,7 +83,7 @@ def test_node_counts_match_presolved_instance():
 
 
 def test_build_requires_solved_relaxation():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "clash", "min",
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("hi", {0: 1.0}, 0.75, math.inf),
@@ -114,7 +114,7 @@ def test_variable_feature_dimension():
 
 def test_fractional_relaxation_value_triple():
     # min -x with 10x <= 3 puts the root LP at x = 0.3.
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "frac", "min",
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 10.0}, -math.inf, 3.0)],
@@ -145,7 +145,7 @@ def test_objective_coefficient_split():
 
 
 def test_isolated_variable_has_zero_structure_block():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "iso", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 1.0}, -math.inf, 1.0)],
@@ -160,7 +160,7 @@ def test_isolated_variable_has_zero_structure_block():
 
 def test_lock_counts_in_features():
     # coefficient +10 in a <=-row: moving up can violate it, down cannot
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "locks", "min",
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 10.0}, -math.inf, 3.0)],
@@ -179,7 +179,7 @@ def test_pseudocost_features_zero():
 
 
 def test_variable_features_reject_continuous():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "mixed", "min",
         [Variable("x", BINARY, 0.0, 1.0),
          Variable("f", CONTINUOUS, 0.0, 2.0)],
@@ -288,7 +288,8 @@ def small_mips(draw):
         constraints.append(Constraint(f"r{i}", coeffs, lhs, rhs))
     objective = {j: float(draw(st.integers(-4, 4))) for j in range(n + 1)}
     sense = draw(st.sampled_from(("min", "max")))
-    return MipInstance("prop", sense, variables, constraints, objective)
+    return MipInstance.from_constraints("prop", sense, variables, constraints,
+                                        objective)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -331,7 +332,7 @@ def test_constraint_feature_dimension():
 
 
 def test_set_covering_row_is_logicor():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "cover", "min",
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(3)],
         [Constraint("cov", {0: 1.0, 1: 1.0, 2: 1.0}, 1.0, math.inf)],
@@ -344,7 +345,7 @@ def test_set_covering_row_is_logicor():
 
 
 def test_mixed_sign_row_counts_and_norms():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "signs", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("row", {0: 2.0, 1: -3.0}, -math.inf, 1.0)],
@@ -364,7 +365,7 @@ def test_infinite_side_clipped_to_sentinel():
 
 
 def test_singleton_row_type():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "single", "min",
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("only", {0: 2.0}, -math.inf, 1.0)],
@@ -375,7 +376,7 @@ def test_singleton_row_type():
 
 
 def test_knapsack_row_type():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "knap", "max",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 3.0, 1: 4.0}, -math.inf, 5.0)],
@@ -390,7 +391,7 @@ def test_knapsack_row_type():
 
 
 def test_edge_coefficient_normalized_by_row_max():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "norm", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("row", {0: 2.0, 1: 4.0}, -math.inf, 4.0)],
@@ -402,7 +403,7 @@ def test_edge_coefficient_normalized_by_row_max():
 
 
 def test_zero_objective_coefficient_edge():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "zeroc", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 1.0, 1: 1.0}, -math.inf, 1.0)],
@@ -413,7 +414,7 @@ def test_zero_objective_coefficient_edge():
 
 
 def test_all_equal_coefficients_normalize_to_unit():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "equal", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("row", {0: 2.0, 1: 2.0}, -math.inf, 2.0)],
@@ -425,7 +426,7 @@ def test_all_equal_coefficients_normalize_to_unit():
 
 
 def test_objective_edge_on_geq_row_uses_lhs():
-    inst = MipInstance(
+    inst = MipInstance.from_constraints(
         "geq", "min",
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("cov", {0: 1.0, 1: 1.0}, 1.0, math.inf)],
@@ -449,7 +450,7 @@ def test_all_features_finite_on_generated_instances():
 
 
 def test_variable_permutation_permutes_feature_rows():
-    base = MipInstance(
+    base = MipInstance.from_constraints(
         "perm", "min",
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(3)],
         [Constraint("cap", {0: 1.0, 1: 2.0, 2: 3.0}, -math.inf, 3.0),
@@ -457,7 +458,7 @@ def test_variable_permutation_permutes_feature_rows():
         {0: -3.0, 1: -2.0, 2: -1.0})
     order = [2, 0, 1]
     inv = {old: new for new, old in enumerate(order)}
-    shuffled = MipInstance(
+    shuffled = MipInstance.from_constraints(
         "perm", "min",
         [base.variables[j] for j in order],
         [Constraint(c.name, {inv[j]: a for j, a in c.coeffs.items()},
