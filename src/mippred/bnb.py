@@ -126,7 +126,8 @@ class SolveResult:
     A proved bound is reported equal to the objective.  When every
     objective value is an integer, the proof needs the open bounds only
     less than one unit below the incumbent (the integral cutoff of the
-    module docstring); first-feasible solves stop before any cutoff.
+    module docstring; first-feasible solves stop before any cutoff), and
+    an unproved canonical bound b is reported as ceil(b - 1e-6 (1 + |b|)).
     ``lp_pivots`` and ``lp_fallbacks`` sum ``LpSolution.iterations`` (the
     pivots of each node LP: basis changes and bound flips) and
     ``LpSolution.fallbacks`` over the node LPs.
@@ -499,6 +500,8 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         status = OPTIMAL if incumbent is not None else INFEASIBLE
     else:
         lb_min = min(open_lb(), inc_min)
+        if unit and math.isfinite(lb_min):  # so is the integer above it
+            lb_min = float(math.ceil(lb_min - 1e-6 * (1.0 + abs(lb_min))))
         status = FEASIBLE if incumbent is not None else LIMIT_REACHED
     record_lb(lb_min)
 

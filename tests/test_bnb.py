@@ -311,6 +311,27 @@ def test_node_limit_reported():
     assert res.status in (bnb.OPTIMAL, bnb.LIMIT_REACHED, bnb.FEASIBLE)
 
 
+@pytest.mark.parametrize("spec", [
+    GenSpec("sc", "custom", {"sets": 40, "elements": 30, "density": 0.12},
+            seed=10),
+    GenSpec("mk", "tiny", seed=0)], ids=["sc", "mk"])
+def test_unproved_integral_bound_rounds_to_the_next_integer(spec):
+    """Two nodes leave these solves unproved with a fractional LP bound
+    (6.5 on the set cover, 340.41 on the max-sense knapsack); with every
+    objective value an integer the next integer is reported instead,
+    recorded last in the canonical history and still valid for HiGHS's
+    optimum (7 and 297)."""
+    inst = generate(spec)
+    res = bnb.solve(inst, bnb.BnbConfig(node_limit=2))
+    assert res.status == bnb.FEASIBLE
+    sign = -1.0 if inst.sense == "max" else 1.0
+    lb, before = sign * res.lower_bound, res.lb_history[-2]
+    assert lb == res.lb_history[-1] == math.ceil(before) > before
+    status, opt = milp_optimum(inst)
+    assert status == 0 and lb <= sign * opt
+    assert (res.lower_bound, opt) == ((7.0, 7.0) if sign > 0 else (340.0, 297.0))
+
+
 def test_solve_deterministic():
     inst = generate(GenSpec("vrp", "tiny", seed=8))
     a = bnb.solve(inst)
