@@ -420,8 +420,9 @@ def instance_from_dict(data: dict) -> MipInstance:
             var_index(vn, where): _num_in(a, f"{where}.coeffs[{vn!r}]")
             for vn, a in raw["coeffs"].items()
         }
-        constraints.append(Constraint(raw["name"], coeffs, _num_in(raw["lhs"], where),
-                                      _num_in(raw["rhs"], where)))
+        constraints.append(
+            Constraint(raw["name"], coeffs, _num_in(raw["lhs"], where), _num_in(raw["rhs"], where))
+        )
     objective = {
         var_index(vn, "objective"): _num_in(c, f"objective[{vn!r}]")
         for vn, c in data["objective"].items()

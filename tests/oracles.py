@@ -12,6 +12,9 @@ for property tests of the branch and bound.
 The featurization reference walks each row's ``coeffs`` dict and calls
 numpy's ``mean``/``std``/``min``/``max`` once per variable and per row,
 so it shares no arithmetic with the segment reductions in ``trigraph``.
+``reference_presolve`` presolves by the same dict walk, against the
+array edits of ``bnb._presolve``.  Each function reads the instance's
+``constraints`` records once, since every read rebuilds them.
 
 The reference dual loop is the dual simplex kernel with nothing kept
 in step across passes: every pass gathers the basic values and bounds

@@ -282,7 +282,7 @@ def instances(draw):
         objective)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(inst=instances())
 def test_write_read_write_is_byte_identical(tmp_path_factory, inst):
     assert validate_instance(inst) == []
