@@ -79,7 +79,7 @@ LIMIT_REACHED = "limit_reached"
 # unless every objective value is an integer (see the module docstring)
 GAP_LIMIT = 1e-9
 
-# Bytes of the dual-state copies (``_kernels.DualState``) the parked
+# Bytes of the dual-state copies (``simplex.DualState``) the parked
 # nodes of one solve may hold.  A state is dominated by its m x m
 # float64 inverse: 45 kB for a 75-row set cover, so a heap of hundreds
 # of parked nodes fits, and 24.7 MiB at m = 1799 (the largest row count
@@ -157,14 +157,13 @@ class RootInfo:
 
 
 class _Node:
-    __slots__ = ("bound", "low", "upp", "warm", "depth")
+    __slots__ = ("bound", "low", "upp", "warm")
 
-    def __init__(self, bound, low, upp, warm, depth):
+    def __init__(self, bound, low, upp, warm):
         self.bound = bound
         self.low = low
         self.upp = upp
         self.warm = warm
-        self.depth = depth
 
 
 class _Rows:
@@ -355,15 +354,15 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     rows = _Rows(canon)
 
     heap: list[tuple[float, int, _Node]] = []
-    plunge: list[_Node] = []
     seq = 0
-    root = _Node(-math.inf, low0, upp0, None, 0)
-    plunge.append(root)
+    # the node solved next, ahead of the heap: the root, then the plunge
+    # child of the node just branched on
+    plunge = _Node(-math.inf, low0, upp0, None)
     far = None
     if dist is not None and ball.exact and ball.phi < upp0[n]:
-        root.upp = upp0.copy()
-        root.upp[n] = ball.phi
-        far = _Node(-math.inf, low0.copy(), upp0, None, 0)
+        plunge.upp = upp0.copy()
+        plunge.upp[n] = ball.phi
+        far = _Node(-math.inf, low0.copy(), upp0, None)
         far.low[n] = ball.phi + 1.0
         heapq.heappush(heap, (far.bound, seq, far))
     held = 0  # bytes of the state copies that parked nodes hold
@@ -398,12 +397,8 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         return max(GAP_LIMIT * scale, unit - 1e-6 * scale)
 
     def open_lb():
-        lb = math.inf
-        if heap:
-            lb = heap[0][0]
-        for nd in plunge:
-            lb = min(lb, nd.bound)
-        return lb
+        lb = heap[0][0] if heap else math.inf
+        return lb if plunge is None else min(lb, plunge.bound)
 
     def record_lb(value):
         # the reported global bound is capped at the incumbent value, so
@@ -413,15 +408,15 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
             lb_history.append(value)
 
     stop = None
-    while heap or plunge:
+    while heap or plunge is not None:
         if time.perf_counter() - t0 > cfg.time_limit_s:
             stop = "time"
             break
         if nodes_done >= node_limit:
             stop = "nodes"
             break
-        if plunge:
-            node = plunge.pop()
+        if plunge is not None:
+            node, plunge = plunge, None
         else:
             node = heapq.heappop(heap)[2]
             if node.warm is not None and node.warm.state is not None:
@@ -437,7 +432,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         lp_pivots += lp.iterations
         lp_fallbacks += lp.fallbacks
         if lp.status == LP_INFEASIBLE:
-            record_lb(open_lb() if (heap or plunge) else inc_min)
+            record_lb(open_lb() if heap else inc_min)
             continue
         if lp.status == LP_UNBOUNDED:
             raise RuntimeError("unbounded LP relaxation; instance out of scope")
@@ -475,9 +470,9 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
 
         frac_j = int(ints[k])
         f = lp.x[frac_j] - math.floor(lp.x[frac_j])
-        lo_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), None, node.depth + 1)
+        lo_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), None)
         lo_child.upp[frac_j] = math.floor(lp.x[frac_j])
-        hi_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), None, node.depth + 1)
+        hi_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), None)
         hi_child.low[frac_j] = math.floor(lp.x[frac_j]) + 1.0
         first, second = (hi_child, lo_child) if f >= 0.5 else (lo_child, hi_child)
         # copy the state for the sibling before the plunge child uses it
@@ -485,14 +480,14 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         first.warm = warm
         seq += 1
         heapq.heappush(heap, (second.bound, seq, second))
-        plunge.append(first)
+        plunge = first
 
         if incumbent is not None:
             if inc_min - open_lb() <= gap():
                 proved = True
                 break
 
-    if stop is None and not proved and not heap and not plunge:
+    if stop is None and not proved and not heap and plunge is None:
         proved = True
 
     if proved:

@@ -83,7 +83,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bnb, gcn, generators, labeler, metrics, predictor, trigraph
+from . import (bnb, gcn, generators, labeler, metrics, predictor, simplex,
+               trigraph)
 from .core import (BINARY, MipInstance, check_keys, read_instance,
                    read_json, write_instance, write_json)
 
@@ -228,7 +229,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 f"[{section}] {key} must be {check[1]}, got {value!r}")
     try:
-        generators._merged_params(cfg.problem, cfg.preset, cfg.gen_params)
+        generators.merged_params(cfg.problem, cfg.preset, cfg.gen_params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
@@ -385,7 +386,7 @@ def _featurize_one(task) -> str:
     inst_path, out_path = task
     inst = read_instance(inst_path)
     root = bnb.collect_root_info(inst)
-    if root.lp.status != "optimal":
+    if root.lp.status != simplex.OPTIMAL:
         raise RuntimeError(f"root LP of {inst.name!r} ended "
                            f"{root.lp.status}; cannot featurize")
     trigraph.write_trigraph(out_path, trigraph.build_trigraph(inst, root))

@@ -34,10 +34,10 @@ are the ones returned (Prechelt, "Early Stopping -- But When?", 1998).
 The number of epochs in the hyperparameters is only a cap.
 
 The public entry points (``forward``, ``loss_and_gradients``,
-``gradients``, ``train``) check the hyperparameters and, where the
-caller passes them, the parameter shapes once per call; the inner
-passes trust them.  ``train`` builds each graph's edge sums (``_halves``)
-once, the other entry points once per call; nothing outlives a call.
+``train``) check the hyperparameters and, where the caller passes them,
+the parameter shapes once per call; the inner passes trust them.
+``train`` builds each graph's edge sums (``_halves``) once, the other
+entry points once per call; nothing outlives a call.
 A forward pass that a backward pass follows keeps the attention inputs
 and per-edge gathers on its tape, so the backward pass reads them
 instead of rebuilding them.  Training keeps the parameters, gradients
@@ -409,15 +409,9 @@ def _bce_grad(z, y, mask):
 # Backward
 
 
-def gradients(graph: TriGraph, params, hyper: GcnHyper,
-              labels: LabelSet) -> dict[str, np.ndarray]:
-    """Exact loss gradients for every parameter."""
-    _, grads = loss_and_gradients(graph, params, hyper, labels)
-    return grads
-
-
 def loss_and_gradients(graph: TriGraph, params, hyper: GcnHyper,
                        labels: LabelSet):
+    """(loss, exact loss gradients for every parameter) of one graph."""
     hyper.validate()
     _check_shapes(params, hyper)
     z, tape = _forward_tape(graph, _halves(graph), params, hyper,

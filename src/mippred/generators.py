@@ -95,7 +95,10 @@ def _rng(problem: str, seed: int) -> np.random.Generator:
     )
 
 
-def _merged_params(problem: str, preset: str, params: dict) -> dict:
+def merged_params(problem: str, preset: str, params: dict) -> dict:
+    """The parameters of ``preset`` (``tiny``'s for ``custom``) updated
+    with ``params``; ValueError for an unknown problem, preset or
+    parameter name."""
     if problem not in _PRESETS:
         raise ValueError(f"unknown problem {problem!r}; choose from {PROBLEMS}")
     if preset == "custom":
@@ -114,7 +117,7 @@ def _merged_params(problem: str, preset: str, params: dict) -> dict:
 def generate(spec: GenSpec) -> MipInstance:
     """Generate one instance; identical specs give identical instances."""
     problem = spec.problem.lower()
-    params = _merged_params(problem, spec.preset, spec.params)
+    params = merged_params(problem, spec.preset, spec.params)
     rng = _rng(problem, spec.seed)
     builder = _BUILDERS[problem]
     inst = builder(params, rng)

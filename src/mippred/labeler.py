@@ -1,9 +1,12 @@
 """Stability labels for binary variables via iterated proximity search.
 
 Starting from a first feasible solution, each round solves an auxiliary
-problem that asks for the nearest solution (in Hamming distance over the
-binaries) whose objective improves on the current one by at least delta.
-The rounds stop when no such solution exists or an iteration cap is hit.
+problem whose objective is the Hamming distance to the current solution
+over the binaries and whose feasible points improve on its objective by
+at least delta.  The search stops at its first incumbent, so a round
+takes an improving solution, not necessarily the nearest one.  The
+rounds stop when no improving solution is found or an iteration cap is
+hit.
 A binary variable that keeps one value across the whole trace is labeled
 stable at that value; variables that flip at least once are unstable and
 are excluded from training downstream.
@@ -98,13 +101,15 @@ def initial_solution(inst: MipInstance, base_time_limit_s: float = 5.0):
 
 def proximity_step(inst: MipInstance, x_bar: Solution, delta: float,
                    time_limit_s: float = math.inf) -> Solution | None:
-    """One proximity round: nearest improving solution, or None.
+    """One proximity round: an improving solution, or None.
 
     The auxiliary problem keeps the original rows and bounds, replaces
     the objective with the Hamming distance to ``x_bar`` over the binary
     variables, and adds a cutoff row forcing an objective improvement of
-    at least ``delta``.  It is solved in first-feasible mode; the result
-    is re-evaluated under the original objective.
+    at least ``delta``.  It is solved in first-feasible mode, so the
+    result is the search's first incumbent, which need not be the
+    nearest improving solution; it is re-evaluated under the original
+    objective.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")

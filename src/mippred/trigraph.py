@@ -26,6 +26,7 @@ import numpy as np
 from .core import (BINARY, CONTINUOUS, MipInstance, check_keys, read_json,
                    write_json)
 from .bnb import RootInfo
+from .simplex import AT_LOWER, FREE, OPTIMAL
 
 N_VAR_FEATURES = 57
 N_CONS_FEATURES = 26
@@ -37,8 +38,6 @@ INF_SENTINEL = 1e10
 CONS_TYPES = ("singleton", "aggregation", "precedence", "knapsack",
               "logicor", "general_linear", "and", "or", "xor",
               "linking", "cardinality", "variable_bound")
-
-_BASIS_CODE = {"basic": 0.0, "at_lower": 1.0, "at_upper": 2.0}
 
 
 @dataclass(eq=False)
@@ -105,8 +104,15 @@ def _stats(values, key, n):
 
 
 def _variable_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
-    """``variable_features`` of every column of ``inst`` as if it were
-    binary, one row each."""
+    """57 features of every column of ``inst`` as if it were binary, one
+    row each.
+
+    Layout: 8 basic (type flags, objective coefficient split, row count,
+    locks), 12 relaxation (LP value triple, fractionality, zero pseudocost
+    block, bounds, reduced cost), 37 structural (degrees, side ratios,
+    signed coefficient statistics, weighted coefficient statistics under
+    unit, dual and inverse-row-sum weights).
+    """
     n, m, ra = inst.n_vars, len(inst.row_names), inst.rows
     rid, col, a = ra.row_ids(), ra.cols, ra.vals
 
@@ -159,22 +165,11 @@ def _variable_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
     return feats
 
 
-def variable_features(inst: MipInstance, root: RootInfo, j: int) -> np.ndarray:
-    """57 features for one binary variable of the presolved instance.
-
-    Layout: 8 basic (type flags, objective coefficient split, row count,
-    locks), 12 relaxation (LP value triple, fractionality, zero pseudocost
-    block, bounds, reduced cost), 37 structural (degrees, side ratios,
-    signed coefficient statistics, weighted coefficient statistics under
-    unit, dual and inverse-row-sum weights).
-    """
-    if inst.variables[j].vtype != BINARY:
-        raise ValueError(f"variable {inst.variables[j].name!r} is not binary")
-    return _variable_feature_rows(inst, root)[j]
-
-
 def _constraint_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
-    """``constraint_features`` of every row of ``inst``."""
+    """26 features of every row of ``inst``, one row each: 17 basic (type
+    one-hot, clipped sides, signed counts), 2 relaxation (dual value,
+    basis code of the row's slack, free read as at lower), 7 structural
+    (sum norms and coefficient statistics)."""
     ra, m = inst.rows, len(inst.row_names)
     rid, col, a, lhs, rhs = ra.row_ids(), ra.cols, ra.vals, ra.lhs, ra.rhs
     vtype = np.array([v.vtype for v in inst.variables], dtype=str)[col]
@@ -194,23 +189,17 @@ def _constraint_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
          ("singleton", "logicor", "knapsack", "variable_bound")],
         CONS_TYPES.index("general_linear"))
 
+    slack = root.lp.vstat[inst.n_vars:]
     feats = np.zeros((m, N_CONS_FEATURES))
     feats[np.arange(m), kind] = 1.0
     feats[:, 12:26] = np.column_stack((
         np.clip(lhs, -INF_SENTINEL, INF_SENTINEL),
         np.clip(rhs, -INF_SENTINEL, INF_SENTINEL),
         n, count(a > 0.0), count(a < 0.0), root.lp.duals,
-        [_BASIS_CODE[status] for status in root.lp.row_status],
+        np.where(slack == FREE, AT_LOWER, slack),
         count(np.abs(a)), count(np.where(a > 0.0, a, 0.0)),
         -count(np.where(a < 0.0, a, 0.0)), st))
     return feats
-
-
-def constraint_features(inst: MipInstance, root: RootInfo, i: int) -> np.ndarray:
-    """26 features for one row: 17 basic (type one-hot, clipped sides,
-    signed counts), 2 relaxation (dual value, basis code), 7 structural
-    (sum norms and coefficient statistics)."""
-    return _constraint_feature_rows(inst, root)[i]
 
 
 def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
@@ -220,7 +209,7 @@ def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
     (variable names survive presolve, so downstream consumers match by
     name).  Fails if the root relaxation was not solved to optimality.
     """
-    if root.lp.status != "optimal":
+    if root.lp.status != OPTIMAL:
         raise ValueError(
             f"root relaxation of {inst.name!r} is {root.lp.status}; "
             "features need a solved relaxation")

@@ -32,7 +32,6 @@ import math
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from mippred import _kernels as K
 from mippred import simplex
 from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
                           MipInstance, canonicalize)
@@ -285,9 +284,6 @@ def average_precision_reference(scores, labels):
 # ---------------------------------------------------------------------------
 # Loop featurization of the tripartite graph
 
-_BASIS_CODE = {"basic": 0.0, "at_lower": 1.0, "at_upper": 2.0}
-
-
 def _stats(values):
     """(mean, std, min, max), all zero for an empty array."""
     if values.size == 0:
@@ -427,7 +423,9 @@ def reference_constraint_row(inst, root, i):
     out[15] = int((coeffs > 0).sum())
     out[16] = int((coeffs < 0).sum())
     out[17] = float(root.lp.duals[i])
-    out[18] = _BASIS_CODE[root.lp.row_status[i]]
+    # the basis code of the row's slack, a free one read as at lower
+    code = int(root.lp.vstat[inst.n_vars + i])
+    out[18] = float(simplex.AT_LOWER if code == simplex.FREE else code)
     out[19] = float(np.abs(coeffs).sum())
     out[20] = float(coeffs[coeffs > 0].sum())
     out[21] = float(-coeffs[coeffs < 0].sum())
@@ -490,15 +488,15 @@ def reference_graph(root):
 def reference_dual_core(sp, c, low, upp, basis, vstat, z,
                         feas_tol, piv_tol, max_iter, bland_after,
                         refactor_every):
-    """``_kernels.dual_core`` started fresh, one pass at a time: return
+    """``simplex.dual_core`` started fresh, one pass at a time: return
     (status, pivots, y, d) and update basis, vstat and z in place."""
-    T = K._factor(sp, low, upp, basis, vstat, z)
-    y, d = K._price(sp, c, basis, T)
+    T = simplex._factor(sp, low, upp, basis, vstat, z)
+    y, d = simplex._price(sp, c, basis, T)
 
-    if K._improving(vstat, d, 10.0 * feas_tol).any():
-        return K.NOT_DUAL_FEASIBLE, 0, y, d
+    if simplex._improving(vstat, d, 10.0 * feas_tol).any():
+        return simplex.NOT_DUAL_FEASIBLE, 0, y, d
 
-    beta = K._row_norms(T, K._slack_rows(basis, sp.n, sp.m))
+    beta = simplex._row_norms(T, simplex._slack_rows(basis, sp.n, sp.m))
     span = upp - low
     bounded = np.isfinite(span)
 
@@ -506,7 +504,7 @@ def reference_dual_core(sp, c, low, upp, basis, vstat, z,
     degen = 0
     bland = False
     since_refactor = 0
-    status = K.ITER_LIMIT
+    status = simplex.ITER_LIMIT
 
     while pivots < max_iter:
         zb = z[basis]
@@ -515,18 +513,18 @@ def reference_dual_core(sp, c, low, upp, basis, vstat, z,
         viol = np.fmax(v_low, v_upp)
         score = np.where(viol > feas_tol, viol * viol / beta, 0.0)
         if not score.any():
-            status = K.OPTIMAL
+            status = simplex.OPTIMAL
             break
         r = int(np.argmax(score))
         below = bool(v_low[r] >= v_upp[r])
 
-        rho = K._row_times(sp, T[:, r])
+        rho = simplex._row_times(sp, T[:, r])
         lv = basis[r]
 
-        elig = K._improving(vstat, rho if below else -rho,
+        elig = simplex._improving(vstat, rho if below else -rho,
                             piv_tol).nonzero()[0]
         if elig.size == 0:
-            status = K.INFEASIBLE
+            status = simplex.INFEASIBLE
             break
 
         piv = np.abs(rho[elig])
@@ -548,24 +546,24 @@ def reference_dual_core(sp, c, low, upp, basis, vstat, z,
                 kk += 1
             if enter < 0:
                 if rem > feas_tol:
-                    status = K.INFEASIBLE
+                    status = simplex.INFEASIBLE
                     break
                 kk -= 1
                 enter = int(elig[order[kk]])
             flips = elig[order[:kk]]
 
         if flips.size:
-            up = vstat[flips] == K.AT_LOWER
+            up = vstat[flips] == simplex.AT_LOWER
             dzF = np.zeros(len(z))
             dzF[flips] = np.where(up, span[flips], low[flips] - upp[flips])
-            vstat[flips] = np.where(up, K.AT_UPPER, K.AT_LOWER)
+            vstat[flips] = np.where(up, simplex.AT_UPPER, simplex.AT_LOWER)
             z[flips] = np.where(up, upp[flips], low[flips])
-            z[basis] = z[basis] - K._ftran(T, K._times(sp, dzF))
+            z[basis] = z[basis] - simplex._ftran(T, simplex._times(sp, dzF))
 
-        w = K._column(sp, T, enter)
+        w = simplex._column(sp, T, enter)
         alpha = w[r]
         if alpha <= piv_tol and alpha >= -piv_tol:
-            status = K.NUMERICAL
+            status = simplex.NUMERICAL
             break
         pivots += 1
 
@@ -574,9 +572,9 @@ def reference_dual_core(sp, c, low, upp, basis, vstat, z,
         z[enter] = z[enter] + dz
         z[basis] = z[basis] - dz * w
         z[lv] = bnd
-        vstat[lv] = K.AT_LOWER if below else K.AT_UPPER
+        vstat[lv] = simplex.AT_LOWER if below else simplex.AT_UPPER
         basis[r] = enter
-        vstat[enter] = K.BASIC
+        vstat[enter] = simplex.BASIC
 
         theta = d[enter] / rho[enter]
         d -= theta * rho
@@ -598,18 +596,19 @@ def reference_dual_core(sp, c, low, upp, basis, vstat, z,
         beta = beta - 2.0 * ratio * tau + ratio * ratio * br
         beta[r] = br / (alpha * alpha)
         beta = np.where(beta < 1e-12, 1e-12, beta)
-        K._update(T, r, w, nz, rows)
+        simplex._update(T, r, w, nz, rows)
 
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
-            T = K._factor(sp, low, upp, basis, vstat, z)
-            beta = K._row_norms(T, K._slack_rows(basis, sp.n, sp.m))
-            d = K._price(sp, c, basis, T)[1]
+            T = simplex._factor(sp, low, upp, basis, vstat, z)
+            beta = simplex._row_norms(T, simplex._slack_rows(basis, sp.n, sp.m))
+            d = simplex._price(sp, c, basis, T)[1]
 
-    y, d = K._price(sp, c, basis, T)
-    if status == K.OPTIMAL and K._improving(vstat, d, 10.0 * feas_tol).any():
-        status = K.NOT_DUAL_FEASIBLE
+    y, d = simplex._price(sp, c, basis, T)
+    if status == simplex.OPTIMAL and simplex._improving(
+            vstat, d, 10.0 * feas_tol).any():
+        status = simplex.NOT_DUAL_FEASIBLE
     return status, pivots, y, d
 
 
@@ -625,13 +624,13 @@ def reference_snap_vstat(vstat, low, upp):
     else to a finite upper bound."""
     fin_low = np.isfinite(low)
     fin_upp = np.isfinite(upp)
-    off_low = (vstat == K.AT_LOWER) & ~fin_low
-    off_upp = (vstat == K.AT_UPPER) & ~fin_upp
-    free = vstat == K.FREE
-    vstat[off_low] = np.where(fin_upp[off_low], K.AT_UPPER, K.FREE)
-    vstat[off_upp] = np.where(fin_low[off_upp], K.AT_LOWER, K.FREE)
-    vstat[free & fin_low] = K.AT_LOWER
-    vstat[free & ~fin_low & fin_upp] = K.AT_UPPER
+    off_low = (vstat == simplex.AT_LOWER) & ~fin_low
+    off_upp = (vstat == simplex.AT_UPPER) & ~fin_upp
+    free = vstat == simplex.FREE
+    vstat[off_low] = np.where(fin_upp[off_low], simplex.AT_UPPER, simplex.FREE)
+    vstat[off_upp] = np.where(fin_low[off_upp], simplex.AT_LOWER, simplex.FREE)
+    vstat[free & fin_low] = simplex.AT_LOWER
+    vstat[free & ~fin_low & fin_upp] = simplex.AT_UPPER
 
 
 def record_lp_solves(run):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mippred import _kernels, bnb, predictor, simplex
+from mippred import bnb, predictor, simplex
 from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INT_TOL, INTEGER,
                           Constraint, MipInstance, RowArrays, Variable,
                           canonicalize, evaluate_solution, hamming_coeffs,
@@ -587,11 +587,11 @@ def _small_sc():
 def _node_lps(monkeypatch):
     """Per node LP of one ``bnb.solve`` on a small set cover: (kind, the
     ``since_refactor`` of the state it starts from or None, its
-    ``_kernels._factor`` calls, its LpSolution).  kind is "root", "plunge"
+    ``simplex._factor`` calls, its LpSolution).  kind is "root", "plunge"
     for a node given the snapshot the previous LP returned, else
     "parked"."""
     factors = []
-    real_factor = _kernels._factor
+    real_factor = simplex._factor
 
     def counting(*args):
         factors.append(1)
@@ -613,7 +613,7 @@ def _node_lps(monkeypatch):
         return out
 
     with monkeypatch.context() as mp:
-        mp.setattr(_kernels, "_factor", counting)
+        mp.setattr(simplex, "_factor", counting)
         mp.setattr(simplex.LpWorkspace, "solve", recording)
         res = bnb.solve(_small_sc())
     assert res.nodes == len(nodes)
@@ -621,7 +621,7 @@ def _node_lps(monkeypatch):
 
 
 def test_parked_nodes_resume_unless_the_cap_is_reached(monkeypatch):
-    """``_kernels._factor`` calls per node LP over a tree search.  Plunge
+    """``simplex._factor`` calls per node LP over a tree search.  Plunge
     children and parked nodes both resume from a carried state and
     refactorize only where the shared pivot count passes REFACTOR_EVERY;
     with ``STATE_BYTES_CAP`` at 0 a parked node carries no state and

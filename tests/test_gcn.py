@@ -52,8 +52,18 @@ def generic_params(hyper, seed=11):
 
 
 def fd_gradient_gap(graph, labels, hyper, params, step=1e-4):
-    """Worst relative gap between analytic and central-difference grads."""
+    """Worst relative gap between analytic and central-difference grads.
+
+    The loss at each probe runs the forward pass on edge sums built once
+    for the graph; ``forward`` would rebuild them at every call."""
     _, grads = gcn.loss_and_gradients(graph, params, hyper, labels)
+    halves = gcn._halves(graph)
+
+    def loss():
+        z, _ = gcn._forward_tape(graph, halves, params, hyper,
+                                 for_backward=False)
+        return bce_loss(z, labels)
+
     worst = 0.0
     for name, arr in params.items():
         flat = arr.ravel()
@@ -61,9 +71,9 @@ def fd_gradient_gap(graph, labels, hyper, params, step=1e-4):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            up = bce_loss(forward(graph, params, hyper), labels)
+            up = loss()
             flat[k] = orig - step
-            dn = bce_loss(forward(graph, params, hyper), labels)
+            dn = loss()
             flat[k] = orig
             fd = (up - dn) / (2.0 * step)
             denom = max(abs(fd), abs(ana[k]), 1.0)
@@ -285,17 +295,17 @@ def test_checks_hold_for_gradients_and_train():
     params = init_params(HYPER)
     params["out_w1"] = params["out_w1"][:, :-1]
     with pytest.raises(ValueError, match="shape"):
-        gcn.gradients(g, params, HYPER, labels)
+        gcn.loss_and_gradients(g, params, HYPER, labels)
     params = init_params(HYPER)
     del params["emb_var_w"]
     with pytest.raises(ValueError, match="missing"):
-        gcn.gradients(g, params, HYPER, labels)
+        gcn.loss_and_gradients(g, params, HYPER, labels)
     bad = GcnHyper(hidden_dim=4, transitions=0, output_hidden=5)
     params = init_params(HYPER)
     with pytest.raises(ValueError, match="transitions"):
         forward(g, params, bad)
     with pytest.raises(ValueError, match="transitions"):
-        gcn.gradients(g, params, bad, labels)
+        gcn.loss_and_gradients(g, params, bad, labels)
     with pytest.raises(ValueError, match="transitions"):
         train([(g, labels)], bad)
 
@@ -397,8 +407,8 @@ def test_every_parameter_receives_gradient():
     # disconnected parameter stays at zero across all of them.
     total = None
     for seed in range(5):
-        grads = gcn.gradients(g, generic_params(HYPER, seed=seed), HYPER,
-                              labels)
+        grads = gcn.loss_and_gradients(
+            g, generic_params(HYPER, seed=seed), HYPER, labels)[1]
         if total is None:
             total = {name: np.abs(arr) for name, arr in grads.items()}
         else:
@@ -412,10 +422,11 @@ def test_gradients_add_over_repeated_graphs():
     g = toy_graph()
     labels = toy_labels(g)
     params = generic_params(HYPER)
-    single = gcn.gradients(g, params, HYPER, labels)
+    _, single = gcn.loss_and_gradients(g, params, HYPER, labels)
     total = {name: np.zeros_like(arr) for name, arr in single.items()}
     for _ in range(2):
-        for name, arr in gcn.gradients(g, params, HYPER, labels).items():
+        _, grads = gcn.loss_and_gradients(g, params, HYPER, labels)
+        for name, arr in grads.items():
             total[name] += arr
     for name in single:
         np.testing.assert_allclose(total[name], 2.0 * single[name],

@@ -1,8 +1,8 @@
 """Source hygiene that no installed linter checks: unused imports,
-private helpers nothing references, what importing the command-line
-module loads, one place that reads and writes JSON files, a documented
-line for every configuration key, and instance rows read as arrays
-outside ``core``."""
+private helpers nothing references, private names that one module reads
+from another, what importing the command-line module loads, one place
+that reads and writes JSON files, a documented line for every
+configuration key, and instance rows read as arrays outside ``core``."""
 
 import ast
 import os
@@ -56,13 +56,14 @@ def test_scanner_flags_unused_and_honours_all_and_future():
     assert unused_imports(source) == ["os", "loads"]
 
 
-def private_definitions(source: str) -> list[str]:
-    """Private (one leading underscore, not dunder) functions and classes
-    defined at module level, and private methods of module-level
-    classes, in source order."""
-    def private(name):
-        return name.startswith("_") and not name.endswith("__")
+def private(name: str) -> bool:
+    """One leading underscore, not dunder."""
+    return name.startswith("_") and not name.endswith("__")
 
+
+def private_definitions(source: str) -> list[str]:
+    """Private functions and classes defined at module level, and
+    private methods of module-level classes, in source order."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -110,6 +111,50 @@ def test_private_scan_flags_unreferenced_helpers():
     used = referenced_names([source])
     assert [n for n in private_definitions(source) if n not in used] == [
         "_dead", "_Dead", "_method"]
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """``module._name`` for each private name the source imports from
+    another package module or reads as an attribute of one, in source
+    order.  The package's modules are the names that ``from . import``
+    and ``from mippred import`` bind."""
+    modules, found = set(), []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not (
+                node.level or node.module.split(".")[0] == "mippred"):
+            continue
+        for a in node.names:
+            if node.module in (None, "mippred"):
+                modules.add(a.asname or a.name)
+            elif private(a.name):
+                found.append((node.lineno, node.col_offset,
+                              f"{node.module.split('.')[-1]}.{a.name}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            found.append((node.lineno, node.col_offset,
+                          f"{node.value.id}.{node.attr}"))
+    return [what for *_, what in sorted(found)]
+
+
+def test_foreign_private_scan_flags_package_modules_only():
+    source = ("from . import bnb, gcn as g\n"
+              "from .core import _hidden, public\n"
+              "from mippred.simplex import _price\n"
+              "import numpy as np\n"
+              "bnb._Node(g._halves(x), np._private, self._own)\n"
+              "bnb.solve(bnb.__name__, public)\n")
+    assert foreign_private_reads(source) == ["core._hidden",
+                                             "simplex._price",
+                                             "bnb._Node", "g._halves"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    assert foreign_private_reads(path.read_text()) == []
 
 
 def test_cli_import_does_not_load_scipy_sparse():

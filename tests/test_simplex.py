@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from mippred import _kernels, bnb, simplex
+from mippred import bnb, simplex
 from mippred.core import (BINARY, CONTINUOUS, Constraint, MipInstance,
                           RowArrays, Variable, canonicalize)
 from mippred.generators import PROBLEMS, GenSpec, generate
@@ -71,13 +71,14 @@ def dual_certificate(canon, sol):
     slackness; any sign or status error in the solver breaks the match.
     """
     total = 0.0
+    n = canon.n_vars
     for i, con in enumerate(canon.constraints):
-        if sol.row_status[i] == simplex.AT_LOWER:
+        if sol.vstat[n + i] == simplex.AT_LOWER:
             total += sol.duals[i] * con.lhs
-        elif sol.row_status[i] == simplex.AT_UPPER:
+        elif sol.vstat[n + i] == simplex.AT_UPPER:
             total += sol.duals[i] * con.rhs
-    for j in range(canon.n_vars):
-        if sol.var_status[j] != simplex.BASIC:
+    for j in range(n):
+        if sol.vstat[j] != simplex.BASIC:
             total += sol.reduced_costs[j] * sol.x[j]
     primal = float(canon.objective_vector() @ sol.x)
     return primal, total
@@ -298,8 +299,8 @@ def test_stale_warm_basis_still_solves(monkeypatch):
     ws = simplex.LpWorkspace(canonicalize(inst))
     basis = np.arange(ws.n, ws.n + ws.m, dtype=np.int64)
     vstat = np.empty(ws.n + ws.m, dtype=np.int8)
-    vstat[:ws.n] = _kernels.AT_LOWER
-    vstat[ws.n:] = _kernels.BASIC
+    vstat[:ws.n] = simplex.AT_LOWER
+    vstat[ws.n:] = simplex.BASIC
     stale = simplex.WarmStart(basis, vstat)
     boxes = _counting_boxes(monkeypatch)
     sol, _ = ws.solve(warm=stale)
@@ -342,10 +343,10 @@ def test_pivots_count_moves_not_passes():
     assert again.objective == pytest.approx(cold.objective, abs=1e-9)
     assert cold.iterations > 0
     low, upp = ws.base_low.copy(), ws.base_upp.copy()
-    for cap, want in ((cold.iterations, _kernels.ITER_LIMIT),
-                      (cold.iterations + 1, _kernels.OPTIMAL)):
+    for cap, want in ((cold.iterations, simplex.ITER_LIMIT),
+                      (cold.iterations + 1, simplex.OPTIMAL)):
         basis, vstat = ws._signed_slack_start(low, upp)
-        status, pivots, _, _, _ = _kernels.dual_core(
+        status, pivots, _, _, _ = simplex.dual_core(
             ws.sparse, ws.c, low, upp, basis, vstat, np.zeros(ws.n + ws.m),
             simplex.FEAS_TOL, simplex.PIVOT_TOL, cap, ws.bland_after,
             simplex.REFACTOR_EVERY)
@@ -366,22 +367,23 @@ def test_rowless_lps_take_the_kernel_path():
          V("w", CONTINUOUS, 1.0, 2.0)],
         [], {0: 1.0, 1: -2.0, 2: -1.0})
     calls = []
-    real = _kernels.dual_core
+    real = simplex.dual_core
 
     def counting(*args, **kwargs):
         calls.append(args[0].m)
         return real(*args, **kwargs)
 
-    with mock.patch.object(_kernels, "dual_core", counting):
+    with mock.patch.object(simplex, "dual_core", counting):
         sol = simplex.solve_lp(bounded)
     assert calls == [0]
     assert sol.status == simplex.OPTIMAL
     assert (sol.objective, sol.iterations, sol.fallbacks) == (-10.0, 0, 0)
     assert sol.x.tolist() == [0.0, 3.0, 4.0, 0.0, 1.0]
-    assert sol.var_status == [simplex.AT_LOWER, simplex.AT_UPPER,
-                              simplex.AT_UPPER, simplex.AT_LOWER,
-                              simplex.AT_LOWER]
-    assert sol.row_status == [] and sol.duals.shape == (0,)
+    # no rows, so vstat holds the structurals only; f is free at 0
+    assert sol.vstat.tolist() == [simplex.AT_LOWER, simplex.AT_UPPER,
+                                  simplex.AT_UPPER, simplex.FREE,
+                                  simplex.AT_LOWER]
+    assert sol.duals.shape == (0,)
     for sense, want in (("min", -math.inf), ("max", math.inf)):
         unbounded = MipInstance.from_constraints(
             "unbounded", sense,
@@ -492,13 +494,13 @@ def test_primal_and_dual_infeasible_lp_is_infeasible(monkeypatch):
          Constraint("b", {0: -1.0, 1: 1.0}, 1.0, math.inf)],
         {0: -1.0, 1: -1.0})
     costs = []
-    real = _kernels.dual_core
+    real = simplex.dual_core
 
     def recording(sp, c, *args, **kwargs):
         costs.append(c.copy())
         return real(sp, c, *args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "dual_core", recording)
+    monkeypatch.setattr(simplex, "dual_core", recording)
     sol = simplex.solve_lp(inst)
     assert sol.status == simplex.INFEASIBLE
     assert highs_status(inst)[0] == 2
@@ -511,7 +513,7 @@ def test_cold_dual_failure_raises(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular")
 
-    monkeypatch.setattr(_kernels, "dual_core", singular)
+    monkeypatch.setattr(simplex, "dual_core", singular)
     with pytest.raises(RuntimeError, match="singular"):
         simplex.LpWorkspace(one_var_lp()).solve()
 
@@ -520,10 +522,10 @@ def prices_dual_feasible(ws, warm):
     """True when the basis of ``warm`` prices dual feasible: no nonbasic
     column could improve the objective by leaving its bound."""
     z = np.zeros(ws.n + ws.m)
-    Binv = _kernels._factor(ws.sparse, ws.base_low, ws.base_upp, warm.basis,
+    Binv = simplex._factor(ws.sparse, ws.base_low, ws.base_upp, warm.basis,
                             warm.vstat, z)
-    _, d = _kernels._price(ws.sparse, ws.c, warm.basis, Binv)
-    return not _kernels._improving(warm.vstat, d, 1e-6).any()
+    _, d = simplex._price(ws.sparse, ws.c, warm.basis, Binv)
+    return not simplex._improving(warm.vstat, d, 1e-6).any()
 
 
 def test_flips_that_absorb_the_violation_still_pivot():
@@ -540,7 +542,7 @@ def test_flips_that_absorb_the_violation_still_pivot():
     assert sol.status == simplex.OPTIMAL
     assert sol.fallbacks == 0
     assert sol.objective == pytest.approx(1.0, abs=1e-7)
-    assert sol.var_status == [simplex.BASIC]
+    assert sol.vstat[0] == simplex.BASIC
     assert prices_dual_feasible(ws, warm)
 
 
@@ -560,10 +562,10 @@ def test_dual_bland_rule_enters_at_the_smallest_ratio():
     low, upp = ws.base_low.copy(), ws.base_upp.copy()
     basis, vstat = ws._signed_slack_start(low, upp)
     z = np.zeros(ws.n + ws.m)
-    status, _, _, _, _ = _kernels.dual_core(
+    status, _, _, _, _ = simplex.dual_core(
         ws.sparse, ws.c, low, upp, basis, vstat, z, simplex.FEAS_TOL,
         simplex.PIVOT_TOL, ws.max_iter, 0, simplex.REFACTOR_EVERY)
-    assert status == _kernels.OPTIMAL
+    assert status == simplex.OPTIMAL
     assert float(ws.c @ z) == pytest.approx(highs_status(inst)[1], abs=1e-7)
     assert float(ws.c @ z) == pytest.approx(1.5, abs=1e-7)
     assert prices_dual_feasible(ws, simplex.WarmStart(basis, vstat))
@@ -581,7 +583,7 @@ def test_dual_core_rechecks_prices_before_claiming_optimal():
         [Variable(f"x{j}", CONTINUOUS, 0.0, 10.0) for j in range(2)],
         [Constraint("cover", {0: 1.0, 1: 1.0}, 1.0, math.inf)],
         {0: 1.0, 1: 2.0})
-    real_price = _kernels._price
+    real_price = simplex._price
     skewed = []
 
     def price(sp, c, basis, Binv):
@@ -595,15 +597,15 @@ def test_dual_core_rechecks_prices_before_claiming_optimal():
     low, upp = ws.base_low.copy(), ws.base_upp.copy()
     basis, vstat = ws._signed_slack_start(low, upp)
     z = np.zeros(3)
-    with mock.patch.object(_kernels, "_price", price):
-        status, _, _, _, _ = _kernels.dual_core(
+    with mock.patch.object(simplex, "_price", price):
+        status, _, _, _, _ = simplex.dual_core(
             ws.sparse, ws.c, low, upp, basis, vstat, z,
             simplex.FEAS_TOL, simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
             simplex.REFACTOR_EVERY)
-    assert status == _kernels.NOT_DUAL_FEASIBLE
+    assert status == simplex.NOT_DUAL_FEASIBLE
     assert list(basis) == [1]
     skewed.clear()
-    with mock.patch.object(_kernels, "_price", price):
+    with mock.patch.object(simplex, "_price", price):
         sol, _ = ws.solve()
     assert sol.status == simplex.OPTIMAL
     assert sol.fallbacks == 0
@@ -613,8 +615,8 @@ def test_dual_core_rechecks_prices_before_claiming_optimal():
 def _lapack_factor(G, low, upp, basis, vstat):
     """Basis inverse and basic point through ``np.linalg.inv``."""
     Binv = np.ascontiguousarray(np.linalg.inv(G[:, basis]))
-    zn = np.where(vstat == _kernels.AT_LOWER, low,
-                  np.where(vstat == _kernels.AT_UPPER, upp, 0.0))
+    zn = np.where(vstat == simplex.AT_LOWER, low,
+                  np.where(vstat == simplex.AT_UPPER, upp, 0.0))
     z = zn.copy()
     z[basis] = -np.dot(Binv, np.dot(G, zn))
     return Binv, z
@@ -626,7 +628,7 @@ def _block(G, n):
     m = G.shape[0]
     r, q = G[:, :n].nonzero()
     indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=m))))
-    return _kernels.sparse_block(
+    return simplex.sparse_block(
         RowArrays(indptr, q, G[r, q], np.zeros(m), np.zeros(m)), n)
 
 
@@ -636,7 +638,7 @@ def _random_factor_case(rng, m):
     G = np.ascontiguousarray(np.hstack([A, -np.eye(m)]))
     low = rng.integers(-3, 1, n + m).astype(float)
     upp = low + rng.integers(0, 4, n + m)
-    vstat = rng.integers(_kernels.AT_LOWER, _kernels.FREE + 1,
+    vstat = rng.integers(simplex.AT_LOWER, simplex.FREE + 1,
                          n + m).astype(np.int8)
     return n, G, low, upp, vstat
 
@@ -653,7 +655,7 @@ def _factor_counting_inv(monkeypatch, sp, low, upp, basis, vstat):
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     z = np.zeros(sp.n + sp.m)
-    T = _kernels._factor(sp, low, upp, basis, vstat, z)
+    T = simplex._factor(sp, low, upp, basis, vstat, z)
     monkeypatch.setattr(np.linalg, "inv", inv)
     return T, z, calls
 
@@ -673,7 +675,7 @@ def test_all_slack_factor_equals_lapack_bitwise(m, monkeypatch):
         n, G, low, upp, vstat = _random_factor_case(rng, m)
         order = np.arange(m) if trial == 0 else rng.permutation(m)
         basis = (n + order).astype(np.int64)
-        vstat[basis] = _kernels.BASIC
+        vstat[basis] = simplex.BASIC
         T, z, calls = _factor_counting_inv(monkeypatch, _block(G, n), low,
                                            upp, basis, vstat)
         ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
@@ -689,7 +691,7 @@ def test_basis_with_a_structural_is_inverted_by_lapack(monkeypatch):
     n, G, low, upp, vstat = _random_factor_case(rng, m)
     G[:, 0] = 1.0  # a column that makes any basis holding it nonsingular
     basis = np.array([0] + [n + i for i in range(1, m)], dtype=np.int64)
-    vstat[basis] = _kernels.BASIC
+    vstat[basis] = simplex.BASIC
     T, z, calls = _factor_counting_inv(monkeypatch, _block(G, n), low, upp,
                                        basis, vstat)
     ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
@@ -745,13 +747,13 @@ def test_kernel_factor_matches_lapack_inverse():
         for k in (0, 1, ws.m // 2, ws.m - 1, ws.m):
             for _ in range(3):
                 basis = _random_basis(rng, G, ws.n, k)
-                vstat = np.where(np.isfinite(low), _kernels.AT_LOWER,
-                                 _kernels.AT_UPPER).astype(np.int8)
-                vstat[rng.random(len(vstat)) < 0.3] = _kernels.AT_UPPER
-                vstat[~np.isfinite(upp)] = _kernels.AT_LOWER
-                vstat[basis] = _kernels.BASIC
+                vstat = np.where(np.isfinite(low), simplex.AT_LOWER,
+                                 simplex.AT_UPPER).astype(np.int8)
+                vstat[rng.random(len(vstat)) < 0.3] = simplex.AT_UPPER
+                vstat[~np.isfinite(upp)] = simplex.AT_LOWER
+                vstat[basis] = simplex.BASIC
                 z = np.zeros(ws.n + ws.m)
-                T = _kernels._factor(ws.sparse, low, upp, basis, vstat, z)
+                T = simplex._factor(ws.sparse, low, upp, basis, vstat, z)
                 ref_Binv, ref_z = _lapack_factor(G, low, upp, basis, vstat)
                 _close(T.T, ref_Binv)
                 _close(z, ref_z)
@@ -775,16 +777,16 @@ def test_sparse_products_match_dense(problem):
         T = rng.standard_normal((ws.m, ws.m))
         Binv = T.T
         for r in range(ws.m):
-            _close(_kernels._row_times(sp, T[:, r]), Binv[r] @ G)
+            _close(simplex._row_times(sp, T[:, r]), Binv[r] @ G)
         for q in range(N):
-            _close(_kernels._column(sp, T, q), Binv @ G[:, q])
+            _close(simplex._column(sp, T, q), Binv @ G[:, q])
         for size in (1, 3, N // 2, N):
             F = rng.choice(N, size=size, replace=False)
             dz = rng.standard_normal(size)
             dzF = np.zeros(N)
             dzF[F] = dz
-            _close(_kernels._times(sp, dzF), G[:, F] @ dz)
-            _close(_kernels._ftran(T, _kernels._times(sp, dzF)),
+            _close(simplex._times(sp, dzF), G[:, F] @ dz)
+            _close(simplex._ftran(T, simplex._times(sp, dzF)),
                    Binv @ (G[:, F] @ dz))
 
 
@@ -909,10 +911,10 @@ def test_dual_core_refactors_and_rechecks(inst, refactor_every):
     basis, vstat = ws._signed_slack_start(low, upp)
     # the slack basis prices d = c; the kernel refuses it when some cost
     # points at an infinite bound
-    assume(not _kernels._improving(vstat, ws.c, 10.0 * simplex.FEAS_TOL).any())
+    assume(not simplex._improving(vstat, ws.c, 10.0 * simplex.FEAS_TOL).any())
     z = np.zeros(ws.n + ws.m)
     calls = []
-    real_factor, real_price = _kernels._factor, _kernels._price
+    real_factor, real_price = simplex._factor, simplex._price
 
     def factor(*args):
         Binv = real_factor(*args)
@@ -923,16 +925,16 @@ def test_dual_core_refactors_and_rechecks(inst, refactor_every):
         calls.append(("price", Binv))
         return real_price(sp, c, basis, Binv)
 
-    with mock.patch.object(_kernels, "_factor", factor), \
-            mock.patch.object(_kernels, "_price", price):
-        status, iters, _, d, _ = _kernels.dual_core(
+    with mock.patch.object(simplex, "_factor", factor), \
+            mock.patch.object(simplex, "_price", price):
+        status, iters, _, d, _ = simplex.dual_core(
             ws.sparse, ws.c, low, upp, basis, vstat, z,
             simplex.FEAS_TOL, simplex.PIVOT_TOL, ws.max_iter, ws.bland_after,
             refactor_every)
 
-    assert status in (_kernels.OPTIMAL, _kernels.INFEASIBLE)
+    assert status in (simplex.OPTIMAL, simplex.INFEASIBLE)
     hstatus, fun = highs_status(inst)
-    assert _STATUS_CODE[simplex._STATUS_NAME[status]] == hstatus
+    assert _STATUS_CODE[status] == hstatus
     # the kernel counts pivots, not loop rounds
     pivots = iters
     kinds = [kind for kind, _ in calls]
@@ -942,10 +944,10 @@ def test_dual_core_refactors_and_rechecks(inst, refactor_every):
         if kind == "factor":
             assert after == "price" and priced is Binv
 
-    Binv = _kernels._factor(ws.sparse, low, upp, basis, vstat, z.copy())
-    _, fresh = _kernels._price(ws.sparse, ws.c, basis, Binv)
+    Binv = simplex._factor(ws.sparse, low, upp, basis, vstat, z.copy())
+    _, fresh = simplex._price(ws.sparse, ws.c, basis, Binv)
     np.testing.assert_allclose(d, fresh, rtol=0.0, atol=1e-9)
-    if status == _kernels.OPTIMAL:
+    if status == simplex.OPTIMAL:
         assert float(ws.c @ z) == pytest.approx(fun, abs=1e-7)
         assert prices_dual_feasible(ws, simplex.WarmStart(basis, vstat))
 
@@ -957,16 +959,16 @@ def test_dual_core_refactors_and_rechecks(inst, refactor_every):
 def _recorded_dual_calls(monkeypatch, run):
     """Inputs of every ``dual_core`` call made by ``run()``."""
     calls = []
-    real = _kernels.dual_core
+    real = simplex.dual_core
 
     def recording(sp, c, low, upp, basis, vstat, z, *args, **kwargs):
         calls.append((sp, c, low.copy(), upp.copy(), basis.copy(),
                       vstat.copy(), args))
         return real(sp, c, low, upp, basis, vstat, z, *args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "dual_core", recording)
+    monkeypatch.setattr(simplex, "dual_core", recording)
     run()
-    monkeypatch.setattr(_kernels, "dual_core", real)
+    monkeypatch.setattr(simplex, "dual_core", real)
     return calls
 
 
@@ -993,7 +995,7 @@ def test_dual_kernel_equals_reference_loop_bitwise(problem, monkeypatch):
     for sp, c, low, upp, basis, vstat, args in calls:
         want = _fresh_outcome(reference_dual_core, sp, c, low, upp, basis,
                               vstat, args)
-        got = _fresh_outcome(_kernels.dual_core, sp, c, low, upp, basis,
+        got = _fresh_outcome(simplex.dual_core, sp, c, low, upp, basis,
                              vstat, args)
         assert got == want
 
@@ -1013,7 +1015,7 @@ def test_carried_state_chain_crosses_refactorizations(monkeypatch):
     sol, warm = ws.solve()
     low = ws.base_low[:ws.n].copy()
     upp = ws.base_upp[:ws.n].copy()
-    real_factor = _kernels._factor
+    real_factor = simplex._factor
     factors = []
 
     def counting(*args):
@@ -1031,9 +1033,9 @@ def test_carried_state_chain_crosses_refactorizations(monkeypatch):
             j = int(np.flatnonzero(low < upp)[0])
             low[j] = 1.0
         factors.clear()
-        monkeypatch.setattr(_kernels, "_factor", counting)
+        monkeypatch.setattr(simplex, "_factor", counting)
         wsol, wwarm = ws.solve(low, upp, warm)
-        monkeypatch.setattr(_kernels, "_factor", real_factor)
+        monkeypatch.setattr(simplex, "_factor", real_factor)
         refactors += len(factors)
         csol, _ = ws.solve(low, upp)
         assert wsol.status == csol.status
@@ -1148,7 +1150,7 @@ def test_carried_dual_failure_falls_back_to_cold(monkeypatch):
     upp = ws.base_upp[:ws.n].copy()
     upp[j] = 0.0
     starts = []
-    real = _kernels.dual_core
+    real = simplex.dual_core
 
     def singular(*args, start=None, **kwargs):
         starts.append(start)
@@ -1156,7 +1158,7 @@ def test_carried_dual_failure_falls_back_to_cold(monkeypatch):
             raise np.linalg.LinAlgError("singular")
         return real(*args, start=start, **kwargs)
 
-    monkeypatch.setattr(_kernels, "dual_core", singular)
+    monkeypatch.setattr(simplex, "dual_core", singular)
     sol, _ = ws.solve(None, upp, warm)
     monkeypatch.undo()
     assert len(starts) == 2

@@ -13,13 +13,18 @@ from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
                           MipInstance, Variable)
 from mippred.generators import GenSpec, generate
 from mippred.trigraph import (N_CONS_FEATURES, N_VAR_FEATURES, apply_scaler,
-                              build_trigraph, constraint_features, fit_scaler,
-                              variable_features)
+                              build_trigraph, fit_scaler)
 from oracles import TINY_SPECS, reference_graph, reference_locks
 
 
 def graph_of(inst):
     return build_trigraph(inst, bnb.collect_root_info(inst))
+
+
+def var_row(inst, name):
+    """The feature row of the binary ``name`` in the graph of ``inst``."""
+    g = graph_of(inst)
+    return g.var_feats[g.var_names.index(name)]
 
 
 def pair_instance():
@@ -106,10 +111,8 @@ def test_build_rejects_foreign_root_info():
 
 
 def test_variable_feature_dimension():
-    inst = pair_instance()
-    root = bnb.collect_root_info(inst)
-    vec = variable_features(root.instance, root, 0)
-    assert vec.shape == (N_VAR_FEATURES,) == (57,)
+    g = graph_of(pair_instance())
+    assert g.var_feats.shape == (2, N_VAR_FEATURES) == (2, 57)
 
 
 def test_fractional_relaxation_value_triple():
@@ -119,8 +122,7 @@ def test_fractional_relaxation_value_triple():
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 10.0}, -math.inf, 3.0)],
         {0: -1.0})
-    root = bnb.collect_root_info(inst)
-    vec = variable_features(root.instance, root, 0)
+    vec = var_row(inst, "x")
     assert vec[8] == pytest.approx(0.3)
     assert vec[9] == pytest.approx(0.3)
     assert vec[10] == pytest.approx(0.7)
@@ -128,17 +130,12 @@ def test_fractional_relaxation_value_triple():
 
 
 def test_integral_relaxation_value_not_fractional():
-    inst = pair_instance()
-    root = bnb.collect_root_info(inst)
-    t = root.instance.binary_indices()[0]
-    vec = variable_features(root.instance, root, t)
+    vec = graph_of(pair_instance()).var_feats[0]
     assert vec[11] == 0.0
 
 
 def test_objective_coefficient_split():
-    inst = pair_instance()
-    root = bnb.collect_root_info(inst)
-    vec = variable_features(root.instance, root, 0)
+    vec = var_row(pair_instance(), "x1")
     assert vec[2] == -5.0
     assert vec[3] == 0.0
     assert vec[4] == 5.0
@@ -150,10 +147,7 @@ def test_isolated_variable_has_zero_structure_block():
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 1.0}, -math.inf, 1.0)],
         {0: -1.0, 1: -1.0})
-    root = bnb.collect_root_info(inst)
-    j = next(t for t, v in enumerate(root.instance.variables)
-             if v.name == "x2")
-    vec = variable_features(root.instance, root, j)
+    vec = var_row(inst, "x2")
     assert vec[5] == 0.0  # row count
     np.testing.assert_allclose(vec[20:57], 0.0)
 
@@ -165,8 +159,7 @@ def test_lock_counts_in_features():
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 10.0}, -math.inf, 3.0)],
         {0: -1.0})
-    root = bnb.collect_root_info(inst)
-    vec = variable_features(root.instance, root, 0)
+    vec = var_row(inst, "x")
     assert vec[6] == 1.0
     assert vec[7] == 0.0
 
@@ -176,46 +169,6 @@ def test_pseudocost_features_zero():
     g = graph_of(generate(GenSpec("sc", "tiny", seed=0)))
     assert g.n_vars > 0
     assert np.all(g.var_feats[:, 12:17] == 0.0)
-
-
-def test_variable_features_reject_continuous():
-    inst = MipInstance.from_constraints(
-        "mixed", "min",
-        [Variable("x", BINARY, 0.0, 1.0),
-         Variable("f", CONTINUOUS, 0.0, 2.0)],
-        [Constraint("link", {0: 1.0, 1: 1.0}, -math.inf, 2.0)],
-        {0: -1.0, 1: 1.0})
-    root = bnb.collect_root_info(inst)
-    j = next(t for t, v in enumerate(root.instance.variables)
-             if v.name == "f")
-    with pytest.raises(ValueError, match="binary"):
-        variable_features(root.instance, root, j)
-
-
-@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
-def test_graph_rows_equal_one_variable_calls(problem):
-    # build_trigraph shares one precomputation across all variables; a
-    # lone call must give the same row, so nothing leaks between them
-    preset, params = TINY_SPECS[problem]
-    inst = generate(GenSpec(problem, preset, dict(params), seed=0))
-    root = bnb.collect_root_info(inst)
-    g = build_trigraph(inst, root)
-    red = root.instance
-    for t, j in enumerate(red.binary_indices()):
-        np.testing.assert_array_equal(g.var_feats[t],
-                                      variable_features(red, root, j))
-
-
-@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
-def test_graph_rows_equal_one_constraint_calls(problem):
-    preset, params = TINY_SPECS[problem]
-    inst = generate(GenSpec(problem, preset, dict(params), seed=0))
-    root = bnb.collect_root_info(inst)
-    g = build_trigraph(inst, root)
-    red = root.instance
-    for i in range(len(red.constraints)):
-        np.testing.assert_array_equal(g.cons_feats[i],
-                                      constraint_features(red, root, i))
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +278,8 @@ def test_all_ones_rows_have_zero_deviation():
 
 
 def test_constraint_feature_dimension():
-    inst = pair_instance()
-    root = bnb.collect_root_info(inst)
-    vec = constraint_features(root.instance, root, 0)
-    assert vec.shape == (N_CONS_FEATURES,) == (26,)
+    g = graph_of(pair_instance())
+    assert g.cons_feats.shape == (1, N_CONS_FEATURES) == (1, 26)
 
 
 def test_set_covering_row_is_logicor():
@@ -337,8 +288,7 @@ def test_set_covering_row_is_logicor():
         [Variable(f"x{j}", BINARY, 0.0, 1.0) for j in range(3)],
         [Constraint("cov", {0: 1.0, 1: 1.0, 2: 1.0}, 1.0, math.inf)],
         {j: 1.0 for j in range(3)})
-    root = bnb.collect_root_info(inst)
-    vec = constraint_features(root.instance, root, 0)
+    vec = graph_of(inst).cons_feats[0]
     onehot = vec[:12]
     assert onehot[trigraph.CONS_TYPES.index("logicor")] == 1.0
     assert onehot.sum() == 1.0
@@ -350,16 +300,14 @@ def test_mixed_sign_row_counts_and_norms():
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("row", {0: 2.0, 1: -3.0}, -math.inf, 1.0)],
         {0: 1.0, 1: 1.0})
-    root = bnb.collect_root_info(inst)
-    vec = constraint_features(root.instance, root, 0)
+    vec = graph_of(inst).cons_feats[0]
     assert (vec[14], vec[15], vec[16]) == (2.0, 1.0, 1.0)
     assert (vec[19], vec[20], vec[21]) == (5.0, 2.0, 3.0)
 
 
 def test_infinite_side_clipped_to_sentinel():
     inst = pair_instance()  # lhs is -inf
-    root = bnb.collect_root_info(inst)
-    vec = constraint_features(root.instance, root, 0)
+    vec = graph_of(inst).cons_feats[0]
     assert vec[12] == -trigraph.INF_SENTINEL
     assert vec[13] == 1.0
 
@@ -370,8 +318,7 @@ def test_singleton_row_type():
         [Variable("x", BINARY, 0.0, 1.0)],
         [Constraint("only", {0: 2.0}, -math.inf, 1.0)],
         {0: -1.0})
-    root = bnb.collect_root_info(inst)
-    vec = constraint_features(root.instance, root, 0)
+    vec = graph_of(inst).cons_feats[0]
     assert vec[trigraph.CONS_TYPES.index("singleton")] == 1.0
 
 
@@ -381,8 +328,7 @@ def test_knapsack_row_type():
         [Variable("x1", BINARY, 0.0, 1.0), Variable("x2", BINARY, 0.0, 1.0)],
         [Constraint("cap", {0: 3.0, 1: 4.0}, -math.inf, 5.0)],
         {0: 1.0, 1: 1.0})
-    root = bnb.collect_root_info(inst)
-    vec = constraint_features(root.instance, root, 0)
+    vec = graph_of(inst).cons_feats[0]
     assert vec[trigraph.CONS_TYPES.index("knapsack")] == 1.0
 
 
