@@ -20,7 +20,6 @@ from .core import (
     InstanceFormatError,
     MipInstance,
     Solution,
-    Variable,
     canonicalize,
     evaluate_solution,
     read_instance,
@@ -34,7 +33,6 @@ __all__ = [
     "INTEGER",
     "FEAS_TOL",
     "INT_TOL",
-    "Variable",
     "MipInstance",
     "Solution",
     "InstanceFormatError",

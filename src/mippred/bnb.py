@@ -49,16 +49,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    BINARY,
     CONTINUOUS,
     FEAS_TOL,
     INT_TOL,
-    INTEGER,
     MAXIMIZE,
     MipInstance,
     RowArrays,
     Solution,
-    Variable,
     canonicalize,
     evaluate_solution,
     hamming_coeffs,
@@ -179,7 +176,7 @@ class _Rows:
         self.rid, self.cols, self.vals = ra.row_ids(), ra.cols, ra.vals
         self.lhs, self.rhs = ra.lhs, ra.rhs
         self.l1 = np.bincount(self.rid, np.abs(self.vals), minlength=m)
-        is_int = [v.vtype in (BINARY, INTEGER) for v in inst.variables]
+        is_int = (inst.vtype != CONTINUOUS).tolist()
         terms = list(zip(self.cols.tolist(), self.vals.tolist()))
         ptr = ra.indptr.tolist()
         self.int_terms = [[(j, a) for j, a in terms[lo:hi]
@@ -310,19 +307,19 @@ def _with_distance(canon: MipInstance, ball: HammingBall):
     for j in ball.S:
         if j not in binaries:
             raise ValueError(f"index {j} in S is not a binary variable")
-    # a dict, so an index repeated in S counts once
-    coeffs = hamming_coeffs(ball.x_hat, ball.S)
-    n_ones, n = float(sum(1 for a in coeffs.values() if a < 0.0)), canon.n_vars
-    d_ub = len(coeffs) if ball.exact else min(ball.phi, len(coeffs))
+    S = list(dict.fromkeys(int(j) for j in ball.S))  # each index once
+    coef = hamming_coeffs(ball.x_hat, S)
+    n_ones, n = float(np.count_nonzero(coef < 0.0)), canon.n_vars
+    d_ub = len(S) if ball.exact else min(ball.phi, len(S))
     aug = replace(
         canon,
-        variables=canon.variables + [Variable("d", CONTINUOUS, 0.0, float(d_ub))],
-        rows=canon.rows.with_row([*coeffs, n], [*coeffs.values(), -1.0],
+        var_names=canon.var_names + ["d"], vtype=np.append(canon.vtype, CONTINUOUS),
+        lb=np.append(canon.lb, 0.0), ub=np.append(canon.ub, float(d_ub)),
+        c=np.append(canon.c, 0.0),
+        rows=canon.rows.with_row(S + [n], np.append(coef[S], -1.0),
                                  -n_ones, -n_ones),
         row_names=canon.row_names + ["hamming_distance"],
     )
-    coef = np.zeros(n)
-    coef[list(coeffs)] = list(coeffs.values())
     return aug, lambda x: float(np.dot(coef, x)) + n_ones
 
 
@@ -345,9 +342,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     if ball is not None and len(ball.S):
         lp_inst, dist = _with_distance(canon, ball)
     ws = LpWorkspace(lp_inst)
-    c_min = canon.objective_vector()
-    ints = np.array([j for j, v in enumerate(canon.variables)
-                     if v.vtype in (BINARY, INTEGER)], dtype=np.int64)
+    ints = np.flatnonzero(canon.vtype != CONTINUOUS)
     low0 = ws.base_low[:ws.n].copy()
     upp0 = ws.base_upp[:ws.n].copy()
     # the probes see the instance's own rows; d follows the binaries
@@ -387,7 +382,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     node_limit = cfg.node_limit if cfg.node_limit is not None else math.inf
     # with an integral objective a node must promise a whole unit below
     # the incumbent to stay open
-    unit = 1.0 if _integral_objective(c_min, ints) else 0.0
+    unit = 1.0 if _integral_objective(canon.c, ints) else 0.0
 
     def gap():
         """How far below the incumbent a bound must lie for its node to
@@ -442,7 +437,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
             continue
 
         for x_cand in _rounding_probes(rows, lp.x, n, ints, low0, upp0):
-            cand_min = float(np.dot(c_min, x_cand))
+            cand_min = float(np.dot(canon.c, x_cand))
             if cand_min >= inc_min:
                 continue
             # a point outside the approximate ball is no solution of the
@@ -522,20 +517,16 @@ def _presolve(canon: MipInstance):
     """Drop empty rows and substitute fixed variables; return the reduced
     instance and the objective offset of the fixed variables.  The kept
     entries keep their order, and each shift sums its entries in order."""
-    lbs = [v.lb for v in canon.variables]
-    fixed = np.array([v.lb == v.ub for v in canon.variables], dtype=bool)
-    remap = np.cumsum(~fixed) - 1  # new index of each kept column
-    offset = 0.0
-    objective = {}
-    for j, cj in canon.objective.items():
-        if fixed[j]:
-            offset += cj * lbs[j]
-        else:
-            objective[int(remap[j])] = cj
+    lb, c = canon.lb, canon.c
+    fixed = lb == canon.ub
+    unfixed = ~fixed
+    remap = np.cumsum(unfixed) - 1  # new index of each kept column
+    on = np.flatnonzero(fixed & (c != 0.0))
+    offset = float(sum((c[on] * lb[on]).tolist()))  # one term at a time, unlike np.dot
     ra, m = canon.rows, len(canon.row_names)
     rid, on_fixed = ra.row_ids(), fixed[ra.cols]
     shift = np.bincount(rid[on_fixed], ra.vals[on_fixed]
-                        * np.array(lbs)[ra.cols[on_fixed]], m)
+                        * lb[ra.cols[on_fixed]], m)
     keep = ~on_fixed & (ra.vals != 0.0)
     counts = np.bincount(rid[keep], minlength=m)
     rows = counts > 0
@@ -543,11 +534,11 @@ def _presolve(canon: MipInstance):
                 for side in (ra.lhs, ra.rhs))
     reduced = replace(
         canon,
-        variables=[v for v, f in zip(canon.variables, fixed) if not f],
+        var_names=[canon.var_names[j] for j in np.flatnonzero(unfixed).tolist()],
+        vtype=canon.vtype[unfixed], lb=lb[unfixed], ub=canon.ub[unfixed], c=c[unfixed],
         rows=RowArrays(np.concatenate(([0], np.cumsum(counts[rows]))),
                        remap[ra.cols[keep]], ra.vals[keep], lhs, rhs),
-        row_names=[canon.row_names[i] for i in np.flatnonzero(rows).tolist()],
-        objective=objective)
+        row_names=[canon.row_names[i] for i in np.flatnonzero(rows).tolist()])
     return reduced, offset
 
 

@@ -85,8 +85,8 @@ import numpy as np
 
 from . import (bnb, gcn, generators, labeler, metrics, predictor, simplex,
                trigraph)
-from .core import (BINARY, MipInstance, check_keys, read_instance,
-                   read_json, write_instance, write_json)
+from .core import (MipInstance, check_keys, read_instance, read_json,
+                   write_instance, write_json)
 
 EXIT_MISSING_INPUT = 2
 EXIT_BAD_CONFIG = 3
@@ -312,7 +312,8 @@ def _pmap(fn, items, jobs: int) -> list:
 
 
 def _read_predictions(path: Path) -> dict[str, float]:
-    """varname -> z of a predictions file; each z must lie in [0, 1]."""
+    """varname -> z of a predictions file; each z must lie in [0, 1] and
+    each variable be named once."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if rows[:1] != [["varname", "z"]]:
@@ -322,12 +323,13 @@ def _read_predictions(path: Path) -> dict[str, float]:
     for line, row in enumerate(rows[1:], start=2):
         try:
             name, z = row
-            pred[name] = float(z)
-            if not 0.0 <= pred[name] <= 1.0:
+            if name in pred or not 0.0 <= float(z) <= 1.0:
                 raise ValueError
+            pred[name] = float(z)
         except ValueError:
             raise ValueError(f"{path}: line {line}: expected 'varname,z' "
-                             f"with z in [0, 1], got {row}") from None
+                             f"with z in [0, 1], each variable once, "
+                             f"got {row}") from None
     return pred
 
 
@@ -335,8 +337,8 @@ def _z_for_instance(inst: MipInstance, pred: dict[str, float]) -> np.ndarray:
     # presolve can fix a binary out of the featurized instance, leaving
     # it without a prediction; fall back to maximal uncertainty so the
     # selector picks such variables last
-    return np.array([pred.get(v.name, 0.5)
-                     for v in inst.variables if v.vtype == BINARY])
+    return np.array([pred.get(inst.var_names[j], 0.5)
+                     for j in inst.binary_indices()])
 
 
 # ---------------------------------------------------------------------------

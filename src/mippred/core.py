@@ -3,10 +3,13 @@
 A problem is ``min/max c.x`` subject to ranged linear constraints
 ``lhs <= a.x <= rhs`` and variable bounds ``lb <= x <= ub``, with each
 variable typed binary, integer, or continuous.  An instance stores its
-rows as ``RowArrays``, which everything downstream reads and derived
-instances edit.  The module also holds the one path by which
-every pipeline file in JSON is written and read (``write_json``,
-``read_json``, ``check_keys``).
+rows as ``RowArrays`` and its columns as the arrays ``vtype``, ``lb``,
+``ub`` and ``c``, which everything downstream reads and derived
+instances edit; the ``Variable`` and ``Constraint`` records only build
+instances (``MipInstance.from_constraints``) and serve as read-only
+views.  The module also holds the one path by which every pipeline
+file in JSON is written and read (``write_json``, ``read_json``,
+``check_keys``).
 """
 
 from __future__ import annotations
@@ -88,21 +91,38 @@ class RowArrays(NamedTuple):
 
 @dataclass
 class MipInstance:
-    """A MIP whose rows are ``rows``, named by ``row_names``."""
+    """A MIP whose rows are ``rows``, named by ``row_names``, and whose
+    column j is named ``var_names[j]``, has type ``vtype[j]``, bounds
+    ``lb[j] <= x_j <= ub[j]`` and cost ``c[j]``."""
 
     name: str
     sense: str
-    variables: list[Variable]
+    var_names: list[str]
+    vtype: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    c: np.ndarray
     rows: RowArrays
     row_names: list[str]
-    objective: dict[int, float]
+
+    def __eq__(self, other):
+        return isinstance(other, MipInstance) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values()))
 
     @classmethod
-    def from_constraints(cls, name, sense, variables, constraints: list[Constraint],
-                         objective) -> MipInstance:
-        """The instance with the rows ``constraints``, each row's entries
-        in its ``coeffs`` order."""
-        cons = constraints
+    def from_constraints(cls, name, sense, variables: list[Variable],
+                         constraints: list[Constraint],
+                         objective: dict[int, float]) -> MipInstance:
+        """The instance with the columns ``variables``, the rows
+        ``constraints`` (each row's entries in its ``coeffs`` order) and
+        the costs ``objective``; ValueError on an index out of range."""
+        n, cons = len(variables), constraints
+        for j in objective:
+            if not 0 <= j < n:
+                raise ValueError(f"objective: variable index {j} out of range")
+        c = np.zeros(n)
+        c[list(objective)] = list(objective.values())
         indptr = np.cumsum([0] + [len(con.coeffs) for con in cons], dtype=np.int64)
         nnz = int(indptr[-1])
         rows = RowArrays(
@@ -112,7 +132,17 @@ class MipInstance:
                         float, nnz),
             np.array([con.lhs for con in cons], dtype=float),
             np.array([con.rhs for con in cons], dtype=float))
-        return cls(name, sense, variables, rows, [con.name for con in cons], objective)
+        return cls(name, sense, [v.name for v in variables],
+                   np.array([v.vtype for v in variables], dtype=str),
+                   np.array([v.lb for v in variables], dtype=float),
+                   np.array([v.ub for v in variables], dtype=float), c,
+                   rows, [con.name for con in cons])
+
+    @property
+    def variables(self) -> list[Variable]:
+        """The columns as ``Variable`` records, built anew on every read."""
+        return [Variable(*rec) for rec in zip(self.var_names, self.vtype.tolist(),
+                                              self.lb.tolist(), self.ub.tolist())]
 
     @property
     def constraints(self) -> list[Constraint]:
@@ -124,16 +154,13 @@ class MipInstance:
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.var_names)
 
     def binary_indices(self) -> list[int]:
-        return [j for j, v in enumerate(self.variables) if v.vtype == BINARY]
+        return np.flatnonzero(self.vtype == BINARY).tolist()
 
     def objective_vector(self) -> np.ndarray:
-        c = np.zeros(len(self.variables))
-        for j, cj in self.objective.items():
-            c[j] = cj
-        return c
+        return self.c.copy()
 
 
 @dataclass
@@ -147,51 +174,63 @@ class Solution:
 def validate_instance(inst: MipInstance) -> list[str]:
     """Check structural invariants; return a list of violation messages.
 
-    An empty list means the instance is valid.  Checks: known sense and
-    variable types, unique variable names, consistent bounds (binaries
-    within [0, 1]), constraint indices in range and not repeated within
-    a row, non-empty rows, and each row having lhs <= rhs with at least
-    one finite side.  The rows are checked as arrays.
+    An empty list means the instance is valid, and each offending item
+    gets one message.  Checks, on the arrays: known sense and variable
+    types, unique variable names, bounds that hold a number (binaries
+    within [0, 1]), finite costs, and non-empty rows of finite
+    coefficients, in-range and unrepeated indices, and sides that are
+    numbers with lhs <= rhs, at least one finite.
     """
     errs: list[str] = []
     if inst.sense not in (MINIMIZE, MAXIMIZE):
         errs.append(f"unknown sense {inst.sense!r}")
-    seen: set[str] = set()
-    for j, v in enumerate(inst.variables):
-        if v.name in seen:
-            errs.append(f"duplicate variable name {v.name!r}")
-        seen.add(v.name)
-        if v.vtype not in VTYPES:
-            errs.append(f"variable {v.name!r}: unknown vtype {v.vtype!r}")
-        if v.lb > v.ub:
-            errs.append(f"variable {v.name!r}: lb {v.lb} > ub {v.ub}")
-        if v.vtype == BINARY and (v.lb < 0.0 or v.ub > 1.0):
-            errs.append(f"variable {v.name!r}: binary bounds outside [0, 1]")
-    n, ra, rid = len(inst.variables), inst.rows, inst.rows.row_ids()
-    outside = (ra.cols < 0) | (ra.cols >= n)
+    names, vtype, lb, ub, n = inst.var_names, inst.vtype, inst.lb, inst.ub, inst.n_vars
+    twin_name = np.zeros(n, dtype=bool)  # a name after its first use
+    if len(set(names)) < n:
+        twin_name = ~np.isin(np.arange(n), np.unique(names, return_index=True)[1])
+    binary, crossed = vtype == BINARY, lb > ub
+    checks = (  # (flags over the columns, message), in message order
+        (twin_name, "duplicate variable name {name!r}"),
+        (~(binary | (vtype == INTEGER) | (vtype == CONTINUOUS)),
+         "variable {name!r}: unknown vtype {vtype!r}"),
+        (crossed, "variable {name!r}: lb {lb} > ub {ub}"),
+        (binary & ((lb < 0.0) | (ub > 1.0)),
+         "variable {name!r}: binary bounds outside [0, 1]"),
+        (~(lb < math.inf) & ~crossed, "variable {name!r}: lb {lb} is not a lower bound"),
+        (~(ub > -math.inf) & ~crossed, "variable {name!r}: ub {ub} is not an upper bound"))
+    for j in np.flatnonzero(sum(flags for flags, _ in checks)).tolist():
+        errs += [message.format(name=names[j], vtype=str(vtype[j]), lb=float(lb[j]),
+                                ub=float(ub[j])) for flags, message in checks if flags[j]]
+    ra, rid = inst.rows, inst.rows.row_ids()
+    outside, odd = (ra.cols < 0) | (ra.cols >= n), ~np.isfinite(ra.vals)
     key = rid * (n + 1) + np.where(outside, n, ra.cols)  # sorts by row, column
     order = np.argsort(key, kind="stable")
     twin = np.zeros(len(key), dtype=bool)  # a column repeated in its row
     twin[order[1:]] = (np.diff(key[order]) == 0) & ~outside[order[1:]]
-    bad = (np.diff(ra.indptr) == 0) | (ra.lhs > ra.rhs) | (
+    bad = (np.diff(ra.indptr) == 0) | ~(ra.lhs <= ra.rhs) | (
         np.isinf(ra.lhs) & np.isinf(ra.rhs)) | (
-        np.bincount(rid, outside | twin, len(ra.lhs)) > 0)
+        np.bincount(rid, outside | twin | odd, len(ra.lhs)) > 0)
     for i in np.flatnonzero(bad).tolist():
         name, (lo, hi) = inst.row_names[i], ra.indptr[i:i + 2]
-        lhs, rhs = float(ra.lhs[i]), float(ra.rhs[i])
+        lhs, rhs, cols = float(ra.lhs[i]), float(ra.rhs[i]), ra.cols[lo:hi]
         if lo == hi:
             errs.append(f"constraint {name!r}: empty coefficients")
-        for j in ra.cols[lo:hi][outside[lo:hi]].tolist():
+        for j in cols[outside[lo:hi]].tolist():
             errs.append(f"constraint {name!r}: variable index {j} out of range")
-        for j in np.unique(ra.cols[lo:hi][twin[lo:hi]]).tolist():
+        for j in np.unique(cols[twin[lo:hi]]).tolist():
             errs.append(f"constraint {name!r}: variable index {j} repeated")
+        for j, a in zip(cols[odd[lo:hi]].tolist(), ra.vals[lo:hi][odd[lo:hi]].tolist()):
+            errs.append(f"constraint {name!r}: coefficient {a} of variable "
+                        f"index {j} is not finite")
+        errs += [f"constraint {name!r}: {side} is not a number"
+                 for side, value in (("lhs", lhs), ("rhs", rhs)) if math.isnan(value)]
         if lhs > rhs:
             errs.append(f"constraint {name!r}: lhs {lhs} > rhs {rhs}")
         if math.isinf(lhs) and math.isinf(rhs):
             errs.append(f"constraint {name!r}: both sides infinite")
-    for j in inst.objective:
-        if not 0 <= j < n:
-            errs.append(f"objective: variable index {j} out of range")
+    for j in np.flatnonzero(~np.isfinite(inst.c)).tolist():
+        errs.append(f"objective: cost {float(inst.c[j])} of variable {names[j]!r} "
+                    "is not finite")
     return errs
 
 
@@ -208,20 +247,20 @@ def canonicalize(inst: MipInstance) -> MipInstance:
         raise ValueError("invalid instance: " + "; ".join(errs))
     if inst.sense == MINIMIZE:
         return inst
-    return replace(
-        inst,
-        sense=MINIMIZE,
-        objective={j: -c for j, c in inst.objective.items()},
-    )
+    return replace(inst, sense=MINIMIZE, c=-inst.c)
 
 
-def hamming_coeffs(x_ref, indices) -> dict[int, float]:
-    """Coefficients of the Hamming distance to ``x_ref`` over binaries.
+def hamming_coeffs(x_ref, indices) -> np.ndarray:
+    """Coefficients of the Hamming distance to ``x_ref`` over the binaries
+    ``indices``, as a vector like ``x_ref`` that is 0 elsewhere.
 
     Index j gets 1 where ``x_ref[j]`` is 0 and -1 where it is 1, so the
-    distance is ``sum(coeffs[j] * x[j]) + (number of -1 entries)``.
+    distance is ``coeffs @ x + (number of -1 entries)``.
     """
-    return {int(j): (-1.0 if x_ref[j] > 0.5 else 1.0) for j in indices}
+    x_ref = np.asarray(x_ref, dtype=float)
+    coeffs = np.zeros(len(x_ref))
+    coeffs[indices] = np.where(x_ref[indices] > 0.5, -1.0, 1.0)
+    return coeffs
 
 
 def evaluate_solution(inst: MipInstance, x) -> Solution:
@@ -234,24 +273,20 @@ def evaluate_solution(inst: MipInstance, x) -> Solution:
     is infeasible, with violation inf.  Raises ValueError on dimension
     mismatch.
     """
-    x, n, rows = np.asarray(x, dtype=float), len(inst.variables), inst.rows
+    x, n, rows = np.asarray(x, dtype=float), inst.n_vars, inst.rows
     if x.shape != (n,):
-        raise ValueError(
-            f"solution has shape {x.shape}, instance has {n} variables"
-        )
-    obj = float(sum(c * x[j] for j, c in inst.objective.items()))
+        raise ValueError(f"solution has shape {x.shape}, instance has {n} variables")
+    nz = np.flatnonzero(inst.c)
+    obj = float(sum((inst.c[nz] * x[nz]).tolist()))  # one term at a time, unlike np.dot
     if not np.isfinite(x).all():
         return Solution(values=x, objective=obj, feasible=False,
                         max_violation=math.inf)
     act = np.bincount(rows.row_ids(), rows.vals * x[rows.cols],
                       minlength=len(rows.lhs))
-    lb = np.fromiter((v.lb for v in inst.variables), float, n)
-    ub = np.fromiter((v.ub for v in inst.variables), float, n)
     # an infinite side or bound gives -inf here, never a violation
     viol = float(np.concatenate((rows.lhs - act, act - rows.rhs,
-                                 lb - x, x - ub)).max(initial=0.0))
-    ints = np.fromiter((v.vtype != CONTINUOUS for v in inst.variables),
-                       bool, n)
+                                 inst.lb - x, x - inst.ub)).max(initial=0.0))
+    ints = inst.vtype != CONTINUOUS
     int_resid = float(np.abs(x[ints] - np.round(x[ints])).max(initial=0.0))
     return Solution(
         values=x,
@@ -266,19 +301,13 @@ def evaluate_solution(inst: MipInstance, x) -> Solution:
 
 
 def _num_out(v: float):
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return float(v)
+    return "inf" if v == math.inf else "-inf" if v == -math.inf else float(v)
 
 
 def _num_in(raw, where: str) -> float:
     if isinstance(raw, str):
-        if raw == "inf":
-            return math.inf
-        if raw == "-inf":
-            return -math.inf
+        if raw in ("inf", "-inf"):
+            return float(raw)
         raise InstanceFormatError(f"{where}: bad numeric string {raw!r}")
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InstanceFormatError(f"{where}: expected number, got {type(raw).__name__}")
@@ -373,7 +402,7 @@ def read_json(path, parse, error: type[ValueError] = ValueError):
 
 
 def instance_to_dict(inst: MipInstance) -> dict:
-    names = [v.name for v in inst.variables]
+    names, nz = inst.var_names, np.flatnonzero(inst.c).tolist()
     return {
         "name": inst.name,
         "sense": inst.sense,
@@ -382,15 +411,10 @@ def instance_to_dict(inst: MipInstance) -> dict:
             for v in inst.variables
         ],
         "constraints": [
-            {
-                "name": con.name,
-                "lhs": _num_out(con.lhs),
-                "rhs": _num_out(con.rhs),
-                "coeffs": {names[j]: a for j, a in con.coeffs.items()},
-            }
-            for con in inst.constraints
-        ],
-        "objective": {names[j]: float(c) for j, c in inst.objective.items()},
+            {"name": con.name, "lhs": _num_out(con.lhs), "rhs": _num_out(con.rhs),
+             "coeffs": {names[j]: a for j, a in con.coeffs.items()}}
+            for con in inst.constraints],
+        "objective": {names[j]: c for j, c in zip(nz, inst.c[nz].tolist())},
     }
 
 
@@ -407,26 +431,20 @@ def instance_from_dict(data: dict) -> MipInstance:
                                   _num_in(raw["ub"], where)))
 
     def var_index(name, where):
-        try:
-            return index[name]
-        except KeyError:
-            raise InstanceFormatError(f"{where}: unknown variable {name!r}") from None
+        if name not in index:
+            raise InstanceFormatError(f"{where}: unknown variable {name!r}")
+        return index[name]
 
     constraints = []
     for k, raw in enumerate(data["constraints"]):
         where = f"constraints[{k}]"
         check_keys(raw, {"name", "lhs", "rhs", "coeffs"}, where, InstanceFormatError)
-        coeffs = {
-            var_index(vn, where): _num_in(a, f"{where}.coeffs[{vn!r}]")
-            for vn, a in raw["coeffs"].items()
-        }
-        constraints.append(
-            Constraint(raw["name"], coeffs, _num_in(raw["lhs"], where), _num_in(raw["rhs"], where))
-        )
-    objective = {
-        var_index(vn, "objective"): _num_in(c, f"objective[{vn!r}]")
-        for vn, c in data["objective"].items()
-    }
+        coeffs = {var_index(vn, where): _num_in(a, f"{where}.coeffs[{vn!r}]")
+                  for vn, a in raw["coeffs"].items()}
+        constraints.append(Constraint(raw["name"], coeffs, _num_in(raw["lhs"], where),
+                                      _num_in(raw["rhs"], where)))
+    objective = {var_index(vn, "objective"): _num_in(c, f"objective[{vn!r}]")
+                 for vn, c in data["objective"].items()}
     inst = MipInstance.from_constraints(data["name"], data["sense"], variables,
                                         constraints, objective)
     errs = validate_instance(inst)

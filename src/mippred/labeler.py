@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    BINARY,
     MipInstance,
     Solution,
     canonicalize,
@@ -116,7 +115,7 @@ def proximity_step(inst: MipInstance, x_bar: Solution, delta: float,
     if not x_bar.feasible:
         raise ValueError("x_bar must be feasible")
     canon = canonicalize(inst)
-    c = canon.objective_vector()
+    c = canon.c
     cut_cols = np.flatnonzero(c)
     if not cut_cols.size:
         return None  # constant objective: nothing can improve
@@ -127,7 +126,7 @@ def proximity_step(inst: MipInstance, x_bar: Solution, delta: float,
         rows=canon.rows.with_row(cut_cols, c[cut_cols], -math.inf,
                                  obj_bar - delta),
         row_names=canon.row_names + ["prox_cutoff"],
-        objective=hamming_coeffs(x_bar.values, canon.binary_indices()),
+        c=hamming_coeffs(x_bar.values, canon.binary_indices()),
     )
     res = bnb.solve(aux, bnb.BnbConfig(time_limit_s=time_limit_s,
                                        mode=bnb.FIRST_FEASIBLE))
@@ -147,7 +146,7 @@ def generate_labels(inst: MipInstance,
     if cfg is None:
         cfg = LabelConfig()
     x0, lb = initial_solution(inst, cfg.base_time_limit_s)
-    obj0 = float(np.dot(canonicalize(inst).objective_vector(), x0.values))
+    obj0 = float(np.dot(canonicalize(inst).c, x0.values))
     delta = 0.01 * (obj0 - lb)
     if not math.isfinite(delta) or delta <= 0.0:
         delta = 1e-6 * (1.0 + abs(obj0))
@@ -165,21 +164,14 @@ def generate_labels(inst: MipInstance,
 
 def _labels_from_trace(inst: MipInstance, solutions: list[Solution],
                        delta: float) -> LabelSet:
-    bins = [j for j, v in enumerate(inst.variables) if v.vtype == BINARY]
-    names = [inst.variables[j].name for j in bins]
-    vals = np.array([[round(float(sol.values[j])) for j in bins]
-                     for sol in solutions], dtype=np.int8)
-    labels = []
-    for b in range(len(bins)):
-        col = vals[:, b]
-        if np.all(col == col[0]):
-            labels.append(STABLE1 if col[0] == 1 else STABLE0)
-        else:
-            labels.append(UNSTABLE)
+    bins = inst.binary_indices()
+    vals = np.rint([sol.values[bins] for sol in solutions])
+    stable = (vals == vals[0]).all(axis=0)
     return LabelSet(
         instance=inst.name,
-        var_names=names,
-        labels=labels,
+        var_names=[inst.var_names[j] for j in bins],
+        labels=np.where(stable, np.where(vals[0] == 1.0, STABLE1, STABLE0),
+                        UNSTABLE).tolist(),
         delta_used=float(delta),
         iterations=len(solutions),
         trace=[float(sol.objective) for sol in solutions],

@@ -607,9 +607,9 @@ class LpWorkspace:
         ra = inst.rows
         self.n, self.m = n, m = inst.n_vars, len(inst.row_names)
         self.sparse = sparse_block(ra, n)
-        self.c = np.concatenate((inst.objective_vector(), np.zeros(m)))
-        self.base_low = np.concatenate(([v.lb for v in inst.variables], ra.lhs))
-        self.base_upp = np.concatenate(([v.ub for v in inst.variables], ra.rhs))
+        self.c = np.concatenate((inst.c, np.zeros(m)))
+        self.base_low = np.concatenate((inst.lb, ra.lhs))
+        self.base_upp = np.concatenate((inst.ub, ra.rhs))
         self.max_iter = 2000 + 30 * (n + m)
         self.bland_after = 10 * (n + m)
 

@@ -116,8 +116,7 @@ def _variable_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
     n, m, ra = inst.n_vars, len(inst.row_names), inst.rows
     rid, col, a = ra.row_ids(), ra.cols, ra.vals
 
-    c = inst.objective_vector()
-    x = root.lp.x
+    c, x = inst.c, root.lp.x
     up, down = x - np.floor(x), np.ceil(x) - x
     feats = np.zeros((n, N_VAR_FEATURES))
     # 12-16 are the pseudocost block, all zero at the root
@@ -126,9 +125,7 @@ def _variable_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
         c, np.where(0.0 > c, 0.0, c), np.where(0.0 > -c, 0.0, -c),
         np.bincount(col, minlength=n), root.up_locks, root.down_locks,
         x, up, down, np.minimum(up, down) > 1e-6))
-    feats[:, 17:20] = np.column_stack((
-        [v.lb for v in inst.variables], [v.ub for v in inst.variables],
-        root.lp.reduced_costs))
+    feats[:, 17:20] = np.column_stack((inst.lb, inst.ub, root.lp.reduced_costs))
     feats[:, 20:24] = _stats(np.diff(ra.indptr)[rid].astype(float), col,
                              n)[2]
 
@@ -172,7 +169,7 @@ def _constraint_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
     (sum norms and coefficient statistics)."""
     ra, m = inst.rows, len(inst.row_names)
     rid, col, a, lhs, rhs = ra.row_ids(), ra.cols, ra.vals, ra.lhs, ra.rhs
-    vtype = np.array([v.vtype for v in inst.variables], dtype=str)[col]
+    vtype = inst.vtype[col]
 
     def count(flags):
         return np.bincount(rid, flags, m)
@@ -217,8 +214,8 @@ def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
     if inst.name != red.name:
         raise ValueError("root info does not belong to this instance")
     ra, m = red.rows, len(red.row_names)
-    bins = np.array(red.binary_indices(), dtype=np.int64)
-    c = red.objective_vector()
+    bins = np.flatnonzero(red.vtype == BINARY)
+    c = red.c
     cmax = float(np.abs(c).max()) if c.size else 0.0
 
     # v-c edges, row major with ascending variable index inside each row;
@@ -237,7 +234,7 @@ def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
 
     graph = TriGraph(
         name=red.name,
-        var_names=[red.variables[j].name for j in bins],
+        var_names=[red.var_names[j] for j in bins.tolist()],
         cons_names=list(red.row_names),
         var_feats=_variable_feature_rows(red, root)[bins],
         cons_feats=_constraint_feature_rows(red, root),

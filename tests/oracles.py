@@ -65,8 +65,7 @@ def dict_walk(inst):
             G[i, j] = a
         G[i, n + i] = -1.0
     c = np.zeros(n + m)
-    for j, cj in inst.objective.items():
-        c[j] = cj
+    c[:n] = inst.c
     low = np.array([v.lb for v in inst.variables]
                    + [con.lhs for con in cons])
     upp = np.array([v.ub for v in inst.variables]
@@ -244,7 +243,7 @@ def reference_presolve(canon):
     remap = {j: k for k, j in enumerate(keep_vars)}
     offset = 0.0
     objective = {}
-    for j, cj in canon.objective.items():
+    for j, cj in enumerate(canon.c.tolist()):
         if j in fixed:
             offset += cj * fixed[j]
         else:

@@ -9,12 +9,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mippred import bnb
-from mippred.generators import GenSpec, generate
+from mippred.generators import PROBLEMS, GenSpec, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import reference  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -38,3 +40,22 @@ def test_solve_sc_configs_are_accepted():
         res = workloads.SolveSc()._solve(mode, inst, z)
         assert res.status in (bnb.OPTIMAL, bnb.FEASIBLE, bnb.INFEASIBLE,
                               bnb.LIMIT_REACHED), mode
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_reference_reads_the_instance_record_views(problem):
+    """``reference.highs_optimum`` reads an instance through its record
+    views (``variables``, ``constraints``, ``objective_vector()``): its
+    optimum equals the one ``bnb.solve`` proves, and its relaxation the
+    root LP value read as infer-mix reads it."""
+    inst = generate(GenSpec(problem, "tiny", seed=0))
+    res = bnb.solve(inst)
+    assert res.status == bnb.OPTIMAL
+    assert reference.same_objective(reference.highs_optimum(inst).objective,
+                                    res.objective)
+    root = bnb.collect_root_info(inst)
+    value = root.lp.objective + root.objective_offset
+    if inst.sense == "max":
+        value = -value
+    assert reference.same_objective(
+        reference.highs_optimum(inst, relax=True).objective, value)

@@ -394,7 +394,7 @@ def test_bad_tuned_file_exits_4_naming_it(pipeline, tmp_path, capsys, text,
 
 
 @pytest.mark.parametrize("row", ["x_0,abc", "x_0,0.5,0.5", "x_0", "x_0,nan",
-                                 "x_0,1.5", "x_0,-0.25", "x_0,inf"])
+                                 "x_0,1.5", "x_0,-0.25", "x_0,inf", "x_1,0.1"])
 def test_bad_prediction_row_is_rejected_naming_the_file(tmp_path, row):
     path = tmp_path / "p.csv"
     path.write_text(f"varname,z\nx_1,0.5\n{row}\n")

@@ -2,15 +2,16 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mippred import core
+from mippred import bnb, core
 from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
-                          InstanceFormatError, MipInstance, Variable,
+                          InstanceFormatError, MipInstance, RowArrays, Variable,
                           canonicalize,
                           evaluate_solution, instance_from_dict,
                           instance_to_dict, read_instance,
@@ -93,9 +94,18 @@ def test_validate_messages_follow_row_order():
         "constraint 'f': both sides infinite"]
 
 
+@pytest.mark.parametrize("index", [-1, 1])
+def test_objective_index_outside_the_columns_is_rejected(index):
+    # a cost array cannot hold it, and -1 would silently name the last column
+    with pytest.raises(ValueError,
+                       match=f"objective: variable index {index} out of range"):
+        MipInstance.from_constraints(
+            "bad", "min", [Variable("x", BINARY, 0.0, 1.0)], [], {index: 1.0})
+
+
 def test_validate_binary_bound():
     inst = tiny_knapsack()
-    inst.variables[1] = Variable("x2", BINARY, 0.0, 2.0)
+    inst.ub[1] = 2.0
     issues = validate_instance(inst)
     assert len(issues) == 1
     assert "x2" in issues[0]
@@ -104,29 +114,29 @@ def test_validate_binary_bound():
 def test_canonicalize_flips_max():
     inst = tiny_knapsack()
     inst.sense = "max"
-    inst.objective = {0: 3.0}
+    inst.c = np.array([3.0, 0.0])
     canon = canonicalize(inst)
     assert canon.sense == "min"
-    assert canon.objective == {0: -3.0}
-    assert inst.sense == "max" and inst.objective == {0: 3.0}
+    assert canon.c.tolist() == [-3.0, 0.0]
+    assert inst.sense == "max" and inst.c.tolist() == [3.0, 0.0]
 
 
 def test_canonicalize_identity_on_min():
     inst = tiny_knapsack()
     canon = canonicalize(inst)
     assert canon.sense == "min"
-    assert canon.objective == inst.objective
+    assert canon == inst
     # idempotent
     again = canonicalize(canon)
     assert again.sense == "min"
-    assert again.objective == canon.objective
+    assert again == canon
 
 
 def test_canonicalize_keeps_equality_row():
     knap = tiny_knapsack()
     inst = MipInstance.from_constraints(
         knap.name, knap.sense, knap.variables,
-        [Constraint("eq", {0: 1.0, 1: 2.0}, 5.0, 5.0)], knap.objective)
+        [Constraint("eq", {0: 1.0, 1: 2.0}, 5.0, 5.0)], dict(enumerate(knap.c)))
     canon = canonicalize(inst)
     assert canon.constraints[0].lhs == 5.0
     assert canon.constraints[0].rhs == 5.0
@@ -184,7 +194,7 @@ def test_evaluate_rejects_non_finite_points():
 def _walk_evaluation(inst, x):
     """(objective, max violation, feasible) by walking each row's dict and
     each variable, as a reference for the vector evaluation."""
-    obj = float(sum(c * x[j] for j, c in inst.objective.items()))
+    obj = float(sum(c * x[j] for j, c in enumerate(inst.c.tolist()) if c))
     viol = 0.0
     for con in inst.constraints:
         act = sum(a * x[j] for j, a in con.coeffs.items())
@@ -229,7 +239,7 @@ def test_feasibility_invariant_under_row_permutation():
         cons = inst.constraints
         shuffled = MipInstance.from_constraints(
             inst.name, inst.sense, inst.variables,
-            [cons[i] for i in rng.permutation(len(cons))], inst.objective)
+            [cons[i] for i in rng.permutation(len(cons))], dict(enumerate(inst.c)))
         assert evaluate_solution(shuffled, x).feasible == base.feasible
 
 
@@ -263,9 +273,9 @@ def instances(draw):
         if vtype == BINARY:
             lb, ub = draw(st.sampled_from(((0.0, 1.0), (0.0, 0.0), (1.0, 1.0))))
         else:
-            lb, ub = sorted(draw(st.lists(
-                st.one_of(_FINITE, st.sampled_from((-math.inf, math.inf))),
-                min_size=2, max_size=2)))
+            # a lower bound of +inf or an upper bound of -inf is invalid
+            lb, ub = sorted((draw(st.one_of(_FINITE, st.just(-math.inf))),
+                             draw(st.one_of(_FINITE, st.just(math.inf)))))
         variables.append(Variable(f"x{j}", vtype, lb, ub))
     constraints = []
     for i in range(draw(st.integers(0, 4))):
@@ -304,6 +314,39 @@ def test_bad_vtype_rejected(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InstanceFormatError, match="vtype"):
         read_instance(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lb", math.nan, "variable 'x_0': lb nan is not a lower bound"),
+    ("lb", math.inf, "variable 'x_0': lb inf is not a lower bound"),
+    ("ub", math.nan, "variable 'x_0': ub nan is not an upper bound"),
+    ("ub", -math.inf, "variable 'x_0': ub -inf is not an upper bound"),
+    ("vals", math.nan, "constraint 'cap_0': coefficient nan of variable "
+                       "index 0 is not finite"),
+    ("vals", -math.inf, "constraint 'cap_0': coefficient -inf of variable "
+                        "index 0 is not finite"),
+    ("lhs", math.nan, "constraint 'cap_0': lhs is not a number"),
+    ("rhs", math.nan, "constraint 'cap_0': rhs is not a number"),
+    ("c", math.nan, "objective: cost nan of variable 'x_0' is not finite"),
+    ("c", math.inf, "objective: cost inf of variable 'x_0' is not finite"),
+])
+def test_non_finite_data_is_rejected(tmp_path, field, value, message):
+    """Each NaN or misplaced infinity in the bounds, rows or costs gets
+    one message; the reader refuses the file and the solver the
+    instance.  Unchecked, a NaN coefficient made the solver report the
+    knapsack infeasible although x = 0 is feasible."""
+    inst = generate(GenSpec("mk", "tiny", seed=0))
+    if field in ("lb", "ub"):  # a free column: no bound order is broken
+        inst.vtype = np.where(np.arange(inst.n_vars) == 0, CONTINUOUS,
+                              inst.vtype)
+        inst.lb[0], inst.ub[0] = -math.inf, math.inf
+    getattr(inst.rows if field in RowArrays._fields else inst, field)[0] = value
+    assert validate_instance(inst) == [message]
+    write_instance(inst, tmp_path / "bad.json")
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        read_instance(tmp_path / "bad.json")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bnb.solve(inst)
 
 
 def test_unknown_key_rejected():

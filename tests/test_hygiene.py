@@ -2,7 +2,8 @@
 private helpers nothing references, private names that one module reads
 from another, what importing the command-line module loads, one place
 that reads and writes JSON files, a documented line for every
-configuration key, and instance rows read as arrays outside ``core``."""
+configuration key, and instance rows and columns read as arrays
+outside ``core``."""
 
 import ast
 import os
@@ -272,3 +273,40 @@ def test_rows_are_read_as_arrays_outside_core(path):
     allowed = {"core.py": {".constraints", ".coeffs", "import Constraint"},
                "generators.py": {"import Constraint"}}.get(path.name, set())
     assert set(row_record_uses(path.read_text())) <= allowed
+
+
+def column_record_uses(source: str) -> list[str]:
+    """Each read of a ``.variables`` attribute, each ``objective_vector()``
+    call and each import of ``Variable``, in source order: the columns an
+    instance stores are arrays, and these are its record views."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "variables":
+            found.append((node.lineno, node.col_offset, ".variables"))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "objective_vector"):
+            found.append((node.lineno, node.col_offset, "objective_vector()"))
+        elif isinstance(node, ast.ImportFrom) and any(
+                a.name == "Variable" for a in node.names):
+            found.append((node.lineno, node.col_offset, "import Variable"))
+    return [what for *_, what in sorted(found)]
+
+
+def test_column_record_scan_flags_reads_calls_and_imports():
+    source = ("from .core import MipInstance, Variable\n"
+              "cols = inst.variables\n"
+              "c = inst.objective_vector()\n"
+              "solve(variables=1, objective_vector=2)\n"
+              "inst.c, inst.lb, inst.vtype, inst.var_names\n")
+    assert column_record_uses(source) == ["import Variable", ".variables",
+                                          "objective_vector()"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_columns_are_read_as_arrays_outside_core(path):
+    allowed = {"core.py": {".variables", "objective_vector()",
+                           "import Variable"},
+               "generators.py": {"import Variable"}}.get(path.name, set())
+    assert set(column_record_uses(path.read_text())) <= allowed

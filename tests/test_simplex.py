@@ -406,7 +406,7 @@ def test_unbounded_lp_with_rows_reports_minus_inf():
     assert sol.status == simplex.UNBOUNDED
     assert sol.objective == -math.inf
     inst.sense = "max"
-    inst.objective = {0: 1.0, 1: 1.0}
+    inst.c = np.array([1.0, 1.0])
     assert simplex.solve_lp(inst).objective == math.inf
 
 
@@ -893,9 +893,8 @@ def test_warm_resolve_matches_cold_after_tightening(inst, data):
 
 def with_bounds(inst, low, upp):
     """Copy of ``inst`` with the given variable bounds."""
-    variables = [Variable(v.name, v.vtype, float(lo), float(up))
-                 for v, lo, up in zip(inst.variables, low, upp)]
-    return replace(inst, variables=variables)
+    return replace(inst, lb=np.array(low, dtype=float),
+                   ub=np.array(upp, dtype=float))
 
 
 @PROPERTY

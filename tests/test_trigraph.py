@@ -409,7 +409,7 @@ def test_variable_permutation_permutes_feature_rows():
         [base.variables[j] for j in order],
         [Constraint(c.name, {inv[j]: a for j, a in c.coeffs.items()},
                     c.lhs, c.rhs) for c in base.constraints],
-        {inv[j]: a for j, a in base.objective.items()})
+        {inv[j]: a for j, a in enumerate(base.c.tolist())})
     ga, gb = graph_of(base), graph_of(shuffled)
     rows_a = dict(zip(ga.var_names, ga.var_feats))
     rows_b = dict(zip(gb.var_names, gb.var_feats))
