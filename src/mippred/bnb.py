@@ -35,7 +35,7 @@ list with two root boxes, ``d <= phi`` (plunged first) and ``d >= phi +
 budget.  A solve without a ball has no ``d``.
 
 Also here: the root-information pass used by feature extraction
-(presolve, root LP, up/down locks).
+(root LP, up/down locks).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .core import (
     INT_TOL,
     MAXIMIZE,
     MipInstance,
-    RowArrays,
     Solution,
     canonicalize,
     evaluate_solution,
@@ -144,7 +143,11 @@ class SolveResult:
 
 @dataclass
 class RootInfo:
-    """Presolved canonical instance plus everything features need at the root."""
+    """Canonical instance plus everything features need at the root.
+
+    ``objective_offset`` is always 0.0, as ``instance`` is the canonical
+    instance itself; it stays for callers that add it to ``lp.objective``.
+    """
 
     instance: MipInstance
     lp: LpSolution
@@ -513,55 +516,25 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
 # root information for feature extraction
 
 
-def _presolve(canon: MipInstance):
-    """Drop empty rows and substitute fixed variables; return the reduced
-    instance and the objective offset of the fixed variables.  The kept
-    entries keep their order, and each shift sums its entries in order."""
-    lb, c = canon.lb, canon.c
-    fixed = lb == canon.ub
-    unfixed = ~fixed
-    remap = np.cumsum(unfixed) - 1  # new index of each kept column
-    on = np.flatnonzero(fixed & (c != 0.0))
-    offset = float(sum((c[on] * lb[on]).tolist()))  # one term at a time, unlike np.dot
-    ra, m = canon.rows, len(canon.row_names)
-    rid, on_fixed = ra.row_ids(), fixed[ra.cols]
-    shift = np.bincount(rid[on_fixed], ra.vals[on_fixed]
-                        * lb[ra.cols[on_fixed]], m)
-    keep = ~on_fixed & (ra.vals != 0.0)
-    counts = np.bincount(rid[keep], minlength=m)
-    rows = counts > 0
-    lhs, rhs = (np.where(np.isfinite(side), side - shift, side)[rows]
-                for side in (ra.lhs, ra.rhs))
-    reduced = replace(
-        canon,
-        var_names=[canon.var_names[j] for j in np.flatnonzero(unfixed).tolist()],
-        vtype=canon.vtype[unfixed], lb=lb[unfixed], ub=canon.ub[unfixed], c=c[unfixed],
-        rows=RowArrays(np.concatenate(([0], np.cumsum(counts[rows]))),
-                       remap[ra.cols[keep]], ra.vals[keep], lhs, rhs),
-        row_names=[canon.row_names[i] for i in np.flatnonzero(rows).tolist()])
-    return reduced, offset
-
-
 def collect_root_info(inst: MipInstance) -> RootInfo:
-    """Presolve, solve the root LP, and compute locks.
+    """Solve the root LP of the canonical instance and compute locks.
 
     Locks count the rows that can be violated by moving a variable up
     respectively down (an equality row counts for both directions).
     """
     canon = canonicalize(inst)
-    reduced, offset = _presolve(canon)
-    lp, _ = LpWorkspace(reduced).solve()
-    n, ra = reduced.n_vars, reduced.rows
+    lp, _ = LpWorkspace(canon).solve()
+    n, ra = canon.n_vars, canon.rows
     rid = ra.row_ids()
     fin_lhs, fin_rhs = (np.isfinite(side)[rid] for side in (ra.lhs, ra.rhs))
     pos, neg = ra.vals > 0.0, ra.vals < 0.0
     up = np.bincount(ra.cols[(pos & fin_rhs) | (neg & fin_lhs)], minlength=n)
     down = np.bincount(ra.cols[(pos & fin_lhs) | (neg & fin_rhs)], minlength=n)
     return RootInfo(
-        instance=reduced,
+        instance=canon,
         lp=lp,
         up_locks=up,
         down_locks=down,
-        objective_offset=offset,
+        objective_offset=0.0,
     )
 

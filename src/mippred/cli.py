@@ -83,8 +83,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (bnb, gcn, generators, labeler, metrics, predictor, simplex,
-               trigraph)
+from . import bnb, gcn, generators, labeler, metrics, predictor, trigraph
 from .core import (MipInstance, check_keys, read_instance, read_json,
                    write_instance, write_json)
 
@@ -334,9 +333,8 @@ def _read_predictions(path: Path) -> dict[str, float]:
 
 
 def _z_for_instance(inst: MipInstance, pred: dict[str, float]) -> np.ndarray:
-    # presolve can fix a binary out of the featurized instance, leaving
-    # it without a prediction; fall back to maximal uncertainty so the
-    # selector picks such variables last
+    # a binary the predictions file does not name falls back to maximal
+    # uncertainty, so the selector picks it last
     return np.array([pred.get(inst.var_names[j], 0.5)
                      for j in inst.binary_indices()])
 
@@ -388,9 +386,6 @@ def _featurize_one(task) -> str:
     inst_path, out_path = task
     inst = read_instance(inst_path)
     root = bnb.collect_root_info(inst)
-    if root.lp.status != simplex.OPTIMAL:
-        raise RuntimeError(f"root LP of {inst.name!r} ended "
-                           f"{root.lp.status}; cannot featurize")
     trigraph.write_trigraph(out_path, trigraph.build_trigraph(inst, root))
     return inst.name
 

@@ -132,8 +132,10 @@ class MipInstance:
                         float, nnz),
             np.array([con.lhs for con in cons], dtype=float),
             np.array([con.rhs for con in cons], dtype=float))
-        return cls(name, sense, [v.name for v in variables],
-                   np.array([v.vtype for v in variables], dtype=str),
+        # wide enough to take any known type in place and an unknown one whole
+        vtype = np.array([v.vtype for v in variables], dtype=str)
+        vtype = vtype.astype(np.promote_types(vtype.dtype, np.array(VTYPES).dtype))
+        return cls(name, sense, [v.name for v in variables], vtype,
                    np.array([v.lb for v in variables], dtype=float),
                    np.array([v.ub for v in variables], dtype=float), c,
                    rows, [con.name for con in cons])

@@ -365,8 +365,8 @@ def _check_shapes(params, hyper: GcnHyper) -> None:
 def targets_for(graph: TriGraph, labels: LabelSet):
     """(0/1 targets, stable mask) aligned with the graph's variables.
 
-    Labels are matched by variable name; labels for variables that were
-    presolved out of the graph are ignored.
+    Labels are matched by variable name; labels for variables the graph
+    has no node for are ignored.
     """
     lab = labels.as_dict()
     y = np.zeros(graph.n_vars)
@@ -416,11 +416,7 @@ def loss_and_gradients(graph: TriGraph, params, hyper: GcnHyper,
     _check_shapes(params, hyper)
     z, tape = _forward_tape(graph, _halves(graph), params, hyper,
                             for_backward=True)
-    if len(labels.var_names) == graph.n_vars and \
-            labels.var_names == graph.var_names:
-        y, mask = labels.targets(), labels.stable_mask()
-    else:
-        y, mask = targets_for(graph, labels)
+    y, mask = targets_for(graph, labels)
     loss = _bce(z, y, mask)
     dz = _bce_grad(z, y, mask)
     grads = {name: np.zeros(shape)

@@ -4,9 +4,8 @@ Each generator produces a valid, feasible instance deterministically
 from (problem, preset, params, seed).  Two presets exist per problem:
 ``tiny`` keeps the binary count small enough for brute-force
 enumeration in tests, ``small`` matches the desk-scale variable counts
-of the reference benchmark (constraint counts are documented by
-``list_presets`` and may differ where the benchmark's figures do not
-decompose into formulation parameters).
+of the reference benchmark (constraint counts may differ where the
+benchmark's figures do not decompose into formulation parameters).
 
 Coefficient distributions: costs, profits and weights are uniform
 integers in [1, 100]; geometric classes draw points uniformly in the
@@ -75,18 +74,6 @@ class GenSpec:
     seed: int = 0
 
 
-@dataclass
-class PresetInfo:
-    """Expected counts for a preset; entries are ints or (lo, hi) ranges."""
-
-    problem: str
-    preset: str
-    params: dict
-    n_vars: object
-    n_binaries: object
-    n_rows: object
-
-
 def _rng(problem: str, seed: int) -> np.random.Generator:
     # crc32 is stable across processes (unlike hash()), keeping instances
     # byte-identical between runs
@@ -125,18 +112,6 @@ def generate(spec: GenSpec) -> MipInstance:
     return inst
 
 
-def list_presets(problem: str) -> list[PresetInfo]:
-    """Expected variable/row counts per preset of a problem."""
-    problem = problem.lower()
-    if problem not in _PRESETS:
-        raise ValueError(f"unknown problem {problem!r}; choose from {PROBLEMS}")
-    infos = []
-    for preset, params in _PRESETS[problem].items():
-        nv, nb, nr = _COUNTS[problem](params)
-        infos.append(PresetInfo(problem, preset, dict(params), nv, nb, nr))
-    return infos
-
-
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -146,10 +121,6 @@ def _int(rng, lo, hi):
 
 def _ints(rng, lo, hi, size):
     return rng.integers(lo, hi + 1, size=size)
-
-
-def _span(lo, hi):
-    return int(lo) if lo == hi else (int(lo), int(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +180,6 @@ def _gen_fcnf(params, rng) -> MipInstance:
     return MipInstance.from_constraints("fcnf", "min", variables, constraints, objective)
 
 
-def _count_fcnf(params):
-    layers, width = params["layers"], params["width"]
-    E = width + (layers - 1) * width * width + width
-    V = layers * width + 2
-    return 2 * E, E, V + E
-
-
 # ---------------------------------------------------------------------------
 # capacitated facility location
 
@@ -247,11 +211,6 @@ def _gen_cfl(params, rng) -> MipInstance:
         coeffs[i] = -float(cap[i])
         constraints.append(Constraint(f"cap_{i}", coeffs, -math.inf, 0.0))
     return MipInstance.from_constraints("cfl", "min", variables, constraints, objective)
-
-
-def _count_cfl(params):
-    m, n = params["facilities"], params["customers"]
-    return m + m * n, m, n + m
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +254,6 @@ def _gen_ga(params, rng) -> MipInstance:
     return MipInstance.from_constraints("ga", "max", variables, constraints, objective)
 
 
-def _count_ga(params):
-    m, n = params["agents"], params["tasks"]
-    return m * n, m * n, m + n
-
-
 # ---------------------------------------------------------------------------
 # maximum independent set
 
@@ -317,11 +271,6 @@ def _gen_mis(params, rng) -> MipInstance:
         for p in pick
     ]
     return MipInstance.from_constraints("mis", "max", variables, constraints, objective)
-
-
-def _count_mis(params):
-    n = params["nodes"]
-    return n, n, _span(params["min_edges"], params["max_edges"])
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +297,6 @@ def _gen_mk(params, rng) -> MipInstance:
     return MipInstance.from_constraints("mk", "max", variables, constraints, objective)
 
 
-def _count_mk(params):
-    return (
-        _span(params["min_items"], params["max_items"]),
-        _span(params["min_items"], params["max_items"]),
-        _span(params["min_dims"], params["max_dims"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # set covering
 
@@ -378,10 +319,6 @@ def _gen_sc(params, rng) -> MipInstance:
         for i in range(n_elems)
     ]
     return MipInstance.from_constraints("sc", "min", variables, constraints, objective)
-
-
-def _count_sc(params):
-    return params["sets"], params["sets"], params["elements"]
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +360,6 @@ def _gen_tsp(params, rng) -> MipInstance:
                 )
             )
     return MipInstance.from_constraints("tsp", "min", variables, constraints, objective)
-
-
-def _count_tsp(params):
-    lo, hi = params["min_cities"], params["max_cities"]
-    nv = lambda n: n * (n - 1) + (n - 1)
-    nb = lambda n: n * (n - 1)
-    nr = lambda n: 2 * n + (n - 1) * (n - 2)
-    if lo == hi:
-        return nv(lo), nb(lo), nr(lo)
-    return (nv(lo), nv(hi)), (nb(lo), nb(hi)), (nr(lo), nr(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +442,6 @@ def _gen_vrp(params, rng) -> MipInstance:
     return MipInstance.from_constraints("vrp", "min", variables, constraints, objective)
 
 
-def _count_vrp(params):
-    n = params["customers"]
-    V = n + 2
-    nb = V * (V - 1)
-    return nb + V, nb, 2 * n + 1 + nb
-
-
 _BUILDERS = {
     "fcnf": _gen_fcnf,
     "cfl": _gen_cfl,
@@ -531,15 +451,4 @@ _BUILDERS = {
     "sc": _gen_sc,
     "tsp": _gen_tsp,
     "vrp": _gen_vrp,
-}
-
-_COUNTS = {
-    "fcnf": _count_fcnf,
-    "cfl": _count_cfl,
-    "ga": _count_ga,
-    "mis": _count_mis,
-    "mk": _count_mk,
-    "sc": _count_sc,
-    "tsp": _count_tsp,
-    "vrp": _count_vrp,
 }

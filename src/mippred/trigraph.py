@@ -4,7 +4,7 @@ One node per binary variable, one per constraint row, and a single
 objective node.  A variable-constraint edge exists where the variable
 has a nonzero coefficient in the row; every variable and every row is
 also linked to the objective node.  Features are collected from the
-presolved instance and its root relaxation, so the caller supplies the
+canonical instance and its root relaxation, so the caller supplies the
 root information produced by the solver.
 
 Every per-variable and per-row statistic is a segment reduction over
@@ -202,9 +202,8 @@ def _constraint_feature_rows(inst: MipInstance, root: RootInfo) -> np.ndarray:
 def build_trigraph(inst: MipInstance, root: RootInfo) -> TriGraph:
     """Assemble the graph for ``inst`` from its root information.
 
-    Nodes and features come from the presolved instance inside ``root``
-    (variable names survive presolve, so downstream consumers match by
-    name).  Fails if the root relaxation was not solved to optimality.
+    Nodes and features come from the canonical instance inside ``root``.
+    Fails if the root relaxation was not solved to optimality.
     """
     if root.lp.status != OPTIMAL:
         raise ValueError(

@@ -12,9 +12,8 @@ for property tests of the branch and bound.
 The featurization reference walks each row's ``coeffs`` dict and calls
 numpy's ``mean``/``std``/``min``/``max`` once per variable and per row,
 so it shares no arithmetic with the segment reductions in ``trigraph``.
-``reference_presolve`` presolves by the same dict walk, against the
-array edits of ``bnb._presolve``.  Each function reads the instance's
-``constraints`` records once, since every read rebuilds them.
+Each function reads the instance's ``constraints`` records once, since
+every read rebuilds them.
 
 The reference dual loop is the dual simplex kernel with nothing kept
 in step across passes: every pass gathers the basic values and bounds
@@ -33,8 +32,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from mippred import simplex
-from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
-                          MipInstance, canonicalize)
+from mippred.core import BINARY, CONTINUOUS, INTEGER, canonicalize
 from mippred.trigraph import (CONS_TYPES, INF_SENTINEL, N_CONS_FEATURES,
                               N_VAR_FEATURES)
 
@@ -226,42 +224,6 @@ def milp_optimum(inst):
                              [v.ub for v in inst.variables]),
                options={"mip_rel_gap": 0.0})
     return res.status, (None if res.fun is None else sign * res.fun)
-
-
-def reference_presolve(canon):
-    """(reduced instance, objective offset) of presolve, by walking each
-    row's ``coeffs`` dict: fixed variables (lb == ub) are substituted into
-    the row sides and dropped, as are zero entries and the rows left
-    empty."""
-    keep_vars = []
-    fixed = {}
-    for j, v in enumerate(canon.variables):
-        if v.lb == v.ub:
-            fixed[j] = v.lb
-        else:
-            keep_vars.append(j)
-    remap = {j: k for k, j in enumerate(keep_vars)}
-    offset = 0.0
-    objective = {}
-    for j, cj in enumerate(canon.c.tolist()):
-        if j in fixed:
-            offset += cj * fixed[j]
-        else:
-            objective[remap[j]] = cj
-    constraints = []
-    for con in canon.constraints:
-        shift = sum(a * fixed[j] for j, a in con.coeffs.items() if j in fixed)
-        coeffs = {remap[j]: a for j, a in con.coeffs.items()
-                  if j not in fixed and a != 0.0}
-        if not coeffs:
-            continue
-        lhs = con.lhs - shift if math.isfinite(con.lhs) else con.lhs
-        rhs = con.rhs - shift if math.isfinite(con.rhs) else con.rhs
-        constraints.append(Constraint(con.name, coeffs, lhs, rhs))
-    variables = [canon.variables[j] for j in keep_vars]
-    reduced = MipInstance.from_constraints(canon.name, canon.sense, variables,
-                                           constraints, objective)
-    return reduced, offset
 
 
 def average_precision_reference(scores, labels):

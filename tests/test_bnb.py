@@ -9,14 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mippred import bnb, predictor, simplex
+from mippred import bnb, predictor, simplex, trigraph
 from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INT_TOL, INTEGER,
-                          Constraint, MipInstance, RowArrays, Variable,
-                          canonicalize, evaluate_solution, hamming_coeffs,
-                          instance_to_dict)
+                          Constraint, MipInstance, Variable, canonicalize,
+                          evaluate_solution, hamming_coeffs)
 from mippred.generators import GenSpec, generate
-from oracles import (TINY_SPECS, brute_force_optimum, dict_walk, milp_optimum,
-                     reference_presolve)
+from oracles import TINY_SPECS, brute_force_optimum, dict_walk, milp_optimum
 
 
 def binary_chain(n=3):
@@ -242,44 +240,53 @@ def test_lock_counts():
     a, c = names.index("a"), names.index("c")
     assert root.up_locks[a] == 1 and root.down_locks[a] == 0
     assert root.up_locks[c] == 1 and root.down_locks[c] == 1
-    if "b" in names:  # absent from every row
-        b = names.index("b")
-        assert root.up_locks[b] == 0 and root.down_locks[b] == 0
+    b = names.index("b")  # absent from every row
+    assert root.up_locks[b] == 0 and root.down_locks[b] == 0
 
 
-def fixed_variable_instance():
-    """x1 is fixed at 1: presolve drops it, shifts row a and drops row b."""
+def fixed_variable_instance(b_rhs=3.0):
+    """x1 is fixed at 1 by its bounds; row b reads ``3 x1 <= b_rhs``."""
     return MipInstance.from_constraints(
         "fixed", "min",
         [Variable("x0", BINARY, 0.0, 1.0), Variable("x1", BINARY, 1.0, 1.0),
          Variable("x2", CONTINUOUS, 0.0, 4.0)],
         [Constraint("a", {0: 1.0, 1: 2.0, 2: -1.0}, 1.0, 5.0),
-         Constraint("b", {1: 3.0}, -math.inf, 3.0)],
+         Constraint("b", {1: 3.0}, -math.inf, b_rhs)],
         {0: 1.0, 1: 1.0, 2: 1.0})
 
 
-@pytest.mark.parametrize("problem", sorted(TINY_SPECS) + ["fixed"])
-def test_root_rows_equal_row_arrays_of_presolved_instance(problem):
-    """The root pass's presolve, which masks entries and remaps columns
-    of the row arrays, gives byte for byte the instance and offset that
-    presolving each row's dict does (``reference_presolve``)."""
-    if problem == "fixed":
-        inst = fixed_variable_instance()
-    else:
-        preset, params = TINY_SPECS[problem]
-        inst = generate(GenSpec(problem, preset, params=params, seed=0))
+def zero_row_instance():
+    """One binary and the row ``0 x0 >= 1``, which no point meets."""
+    return MipInstance.from_constraints(
+        "zero_row", "min", [Variable("x0", BINARY, 0.0, 1.0)],
+        [Constraint("never", {0: 0.0}, 1.0, math.inf)], {0: 1.0})
+
+
+@pytest.mark.parametrize("inst", [fixed_variable_instance(b_rhs=2.0),
+                                  zero_row_instance()],
+                         ids=["fixed_over_rhs", "zero_row"])
+def test_root_pass_reports_infeasible_rows_of_fixed_or_zero_entries(inst):
+    """A row whose entries are all fixed or zero still holds at the root:
+    its status agrees with ``solve_lp`` and the search, and no graph is
+    built from it."""
     root = bnb.collect_root_info(inst)
-    want, offset = reference_presolve(canonicalize(inst))
-    assert repr(root.objective_offset) == repr(offset)
-    assert repr(instance_to_dict(root.instance)) == repr(instance_to_dict(want))
-    for field in RowArrays._fields:
-        got, ref = getattr(root.instance.rows, field), getattr(want.rows, field)
-        assert got.dtype == ref.dtype, field
-        assert got.shape == ref.shape, field
-        assert got.tobytes() == ref.tobytes(), field
-    if problem == "fixed":
-        assert root.instance.row_names == ["a"]
-        assert root.instance.rows.lhs.tolist() == [-1.0]
+    assert root.lp.status == simplex.INFEASIBLE
+    assert simplex.solve_lp(inst).status == simplex.INFEASIBLE
+    assert bnb.solve(inst).status == bnb.INFEASIBLE
+    with pytest.raises(ValueError, match="relaxation"):
+        trigraph.build_trigraph(inst, root)
+
+
+def test_root_pass_keeps_fixed_variables():
+    inst = fixed_variable_instance()
+    root = bnb.collect_root_info(inst)
+    assert root.lp.status == simplex.OPTIMAL
+    assert root.lp.objective == simplex.solve_lp(inst).objective
+    assert root.objective_offset == 0.0
+    assert root.instance.var_names == ["x0", "x1", "x2"]
+    assert root.instance.row_names == ["a", "b"]
+    graph = trigraph.build_trigraph(inst, root)
+    assert graph.var_names == ["x0", "x1"]
 
 
 def test_lower_bound_monotone_and_valid():

@@ -8,7 +8,8 @@ import shutil
 import pytest
 
 from mippred import cli
-from mippred.core import read_instance
+from mippred.core import (BINARY, Constraint, MipInstance, Variable,
+                          read_instance, write_instance)
 
 SMOKE_CONFIG = """\
 [experiment]
@@ -355,6 +356,21 @@ def test_corrupt_instance_file_exits_4(tmp_path, capsys):
     rc = run(tmp_path, "label", "--config", str(cfgf))
     assert rc == 4
     capsys.readouterr()
+
+
+def test_featurize_infeasible_root_exits_4_naming_it(tmp_path, capsys):
+    cfgf = write_config(tmp_path)
+    assert run(tmp_path, "gen", "--config", str(cfgf)) == 0
+    bad = MipInstance.from_constraints(
+        "bad", "min", [Variable("x0", BINARY, 0.0, 1.0)],
+        [Constraint("never", {0: 0.0}, 1.0, math.inf)], {0: 1.0})
+    write_instance(bad, tmp_path / "instances" / "train" / "bad.json")
+    capsys.readouterr()
+    rc = run(tmp_path, "featurize", "--config", str(cfgf))
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "'bad'" in err and "infeasible" in err
+    assert not (tmp_path / "graphs" / "bad.json").exists()
 
 
 def copy_stage_outputs(src, dst, *names):

@@ -111,6 +111,21 @@ def test_validate_binary_bound():
     assert "x2" in issues[0]
 
 
+def test_vtype_takes_any_known_type_in_place():
+    inst = tiny_knapsack()  # every column binary
+    inst.vtype[0] = CONTINUOUS
+    assert inst.vtype.tolist() == [CONTINUOUS, BINARY]
+    assert validate_instance(inst) == []
+
+
+def test_vtype_keeps_a_longer_unknown_name_whole():
+    inst = MipInstance.from_constraints(
+        "odd", "min", [Variable("x", "semicontinuous", 0.0, 1.0)], [], {})
+    assert inst.vtype.tolist() == ["semicontinuous"]
+    assert validate_instance(inst) == [
+        "variable 'x': unknown vtype 'semicontinuous'"]
+
+
 def test_canonicalize_flips_max():
     inst = tiny_knapsack()
     inst.sense = "max"

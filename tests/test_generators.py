@@ -2,21 +2,17 @@
 
 import json
 
-import numpy as np
-
 import pytest
 
 from mippred import bnb
 from mippred.core import BINARY, CONTINUOUS, instance_to_dict, validate_instance
-from mippred.generators import (PROBLEMS, GenSpec, generate, list_presets)
+from mippred.generators import PROBLEMS, GenSpec, generate
 from oracles import TINY_SPECS
 
 
 def test_unknown_problem_rejected():
     with pytest.raises(ValueError, match="unknown problem"):
         generate(GenSpec("qap", "tiny"))
-    with pytest.raises(ValueError, match="unknown problem"):
-        list_presets("qap")
 
 
 def test_unknown_preset_and_param_rejected():
@@ -112,33 +108,6 @@ def test_vrp_small_counts():
     bins = [v for v in inst.variables if v.vtype == BINARY]
     assert inst.n_vars == 196  # 182 directed arcs + 14 node loads
     assert len(bins) == 182
-
-
-def test_list_presets_ga_tiny():
-    infos = {info.preset: info for info in list_presets("ga")}
-    assert infos["tiny"].params == {"agents": 3, "tasks": 8}
-    assert infos["tiny"].n_vars == 24
-    assert infos["small"].n_vars == 1152
-
-
-def test_list_presets_match_generated():
-    """Reported counts are exactly what the generator produces."""
-
-    def in_range(value, expect):
-        if isinstance(expect, tuple):
-            lo, hi = expect
-            return lo <= value <= hi
-        return value == expect
-
-    for problem in PROBLEMS:
-        for info in list_presets(problem):
-            for seed in (0, 1):
-                inst = generate(GenSpec(problem, info.preset, seed=seed))
-                n_bins = len(inst.binary_indices())
-                assert in_range(inst.n_vars, info.n_vars), (problem, info)
-                assert in_range(n_bins, info.n_binaries), (problem, info)
-                assert in_range(len(inst.constraints), info.n_rows), \
-                    (problem, info)
 
 
 def test_objective_senses():

@@ -1,5 +1,6 @@
 """Source hygiene that no installed linter checks: unused imports,
-private helpers nothing references, private names that one module reads
+private helpers nothing references, public functions and classes that
+nothing outside the tests references, private names that one module reads
 from another, what importing the command-line module loads, one place
 that reads and writes JSON files, a documented line for every
 configuration key, and instance rows and columns read as arrays
@@ -13,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
+import mippred
 from mippred import cli
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mippred"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mippred"
+BENCH = ROOT / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -112,6 +116,51 @@ def test_private_scan_flags_unreferenced_helpers():
     used = referenced_names([source])
     assert [n for n in private_definitions(source) if n not in used] == [
         "_dead", "_Dead", "_method"]
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public functions and classes defined at module level, in source
+    order."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def unreferenced_public(modules: dict[str, str], users,
+                        exported=()) -> list[str]:
+    """``module.name`` of each public function or class in ``modules``
+    (module name -> source) that no module and none of the ``users``
+    sources reference and that ``exported`` does not list, in module and
+    source order.  A definition is no reference to itself."""
+    used = referenced_names([*modules.values(), *users]) | set(exported)
+    return [f"{module}.{name}" for module, source in modules.items()
+            for name in public_definitions(source) if name not in used]
+
+
+def test_public_scan_flags_definitions_nothing_references():
+    modules = {"a": ("def public(): return helper()\n"
+                     "def helper(): pass\n"
+                     "class Dead: pass\n"
+                     "def _private(): pass\n"
+                     "def exported(): pass\n"),
+               "b": ("def reached(): pass\n"
+                     "def orphan(): return a.reached\n")}
+    assert public_definitions(modules["a"]) == ["public", "helper", "Dead",
+                                                "exported"]
+    assert unreferenced_public(modules, ["public()"], ["exported"]) == [
+        "a.Dead", "b.orphan"]
+
+
+def test_every_public_definition_is_referenced():
+    modules = {path.stem: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    users = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    unused = unreferenced_public(modules, users, mippred.__all__)
+    # public functions reached only from the tests
+    entry_points = {"simplex.solve_lp", "gcn.loss_and_gradients",
+                    "gcn.bce_loss"}
+    assert [name for name in unused if name not in entry_points] == []
 
 
 def foreign_private_reads(source: str) -> list[str]:
