@@ -210,9 +210,14 @@ def _repair_rounding(rows: _Rows, lp_x, x_cand, low0, upp0):
     direction (large LP value for up-steps, small for down-steps).
     Returns True when every row ended inside its range; the attempt is
     capped, not exhaustive.  A point that already meets every row has
-    nothing to repair: it is left as it is and False comes back.  The
-    walk is sequential, so it runs on Python floats; only the starting
-    activities and that first check are vectorized."""
+    nothing to repair: it is left as it is and False comes back.  So
+    does a walk whose pass starts from an ``(x, activities)`` state an
+    earlier pass started from: a pass depends on its start state alone,
+    so the walk would repeat that cycle up to the cap, and since every
+    pass of the cycle flips, no state in it meets every row (a state
+    that did would flip nothing more).  The walk is sequential, so it
+    runs on Python floats; only the starting activities and that first
+    check are vectorized."""
     acts = rows.activities(x_cand)
     lo = rows.lhs - INT_TOL
     hi = rows.rhs + INT_TOL
@@ -225,7 +230,12 @@ def _repair_rounding(rows: _Rows, lp_x, x_cand, low0, upp0):
     cap = 2 * len(x_cand) + 10
     passes = 0
     changed = True
+    starts = set()
     while changed and flips < cap and passes < 50:
+        # one entry per pass so far unless this pass's start repeats
+        starts.add(tuple(x + acts))
+        if len(starts) == passes:
+            return False
         changed = False
         passes += 1
         for i, terms in enumerate(rows.int_terms):

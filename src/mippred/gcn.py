@@ -38,11 +38,15 @@ The public entry points (``forward``, ``loss_and_gradients``,
 the parameter shapes once per call; the inner passes trust them.
 ``train`` builds each graph's edge sums (``_halves``) once, the other
 entry points once per call; nothing outlives a call.
-A forward pass that a backward pass follows keeps the attention inputs
-and per-edge gathers on its tape, so the backward pass reads them
-instead of rebuilding them.  Training keeps the parameters, gradients
-and Adam moments in flat buffers updated in place, with the same
-per-element arithmetic as a per-array update.
+Attention scores come from per-node projections, as in GAT
+(Velickovic et al., ICLR 2018): ``a . [center, edge, neighbor]`` is
+``center . a[:d] + edge . a[d:d+2] + neighbor . a[d+2:]``, the node
+terms taken once per node and gathered per edge, so no per-edge input
+wider than the two edge features is built.  The tape keeps the node
+embeddings and, per edge, only the scores and weights; the backward
+pass gathers the source embeddings per edge again.  Training keeps
+the parameters, gradients and Adam moments in flat buffers updated in
+place, with the same per-element arithmetic as a per-array update.
 """
 
 from __future__ import annotations
@@ -196,42 +200,36 @@ def _halves(graph: TriGraph) -> tuple[_Half, _Half]:
               graph.vc_feats))
 
 
-def _global_attention(center, neighbors, edges, att_vec, enabled,
-                      keep=False):
-    """(raw, alpha, stacked) for one center aggregating every row of
-    neighbors; ``stacked`` is the scoring input if ``keep``, else None."""
+def _global_attention(center, neighbors, edges, att_vec, enabled):
+    """(raw, alpha) for one center aggregating every row of neighbors."""
     n = neighbors.shape[0]
     if n == 0:
-        return None, np.zeros(0), None
+        return None, np.zeros(0)
     if not enabled:
-        return None, np.full(n, 1.0 / n), None
-    stacked = np.concatenate(
-        [np.broadcast_to(center, (n, center.shape[0])), edges, neighbors],
-        axis=1)
-    raw = _sigmoid(stacked @ att_vec)
+        return None, np.full(n, 1.0 / n)
+    d = center.shape[0]
+    raw = _sigmoid(center @ att_vec[:d] + edges @ att_vec[d:d + 2]
+                   + neighbors @ att_vec[d + 2:])
     e = np.exp(raw)
-    return raw, e / e.sum(), stacked if keep else None
+    return raw, e / e.sum()
 
 
-def _edge_attention(centers, neighbors, edges, att_vec, counts, idx,
-                    enabled, keep=False):
-    """(raw, alpha, stacked) per edge with softmax inside each segment.
-
-    ``centers``/``neighbors`` are already gathered per edge; ``counts``
-    are the segment sizes of the grouping side and ``idx`` the per-edge
-    segment index.  ``stacked`` is the scoring input if ``keep``, else
-    None.
-    """
-    ne = centers.shape[0]
-    if ne == 0:
-        return None, np.zeros(0), None
+def _edge_attention(h: _Half, Hs, Hd, att_vec, enabled):
+    """(raw, alpha) per edge of ``h`` with softmax among the edges of
+    each target; ``Hs``/``Hd`` are the source and target embeddings,
+    projected on their slices of ``att_vec`` per node and then gathered
+    per edge."""
+    if len(h.e_src) == 0:
+        return None, np.zeros(0)
     if not enabled:
-        return None, 1.0 / counts[idx], None
-    stacked = np.concatenate([centers, edges, neighbors], axis=1)
-    raw = _sigmoid(stacked @ att_vec)
+        return None, 1.0 / h.counts_dst[h.e_dst]
+    d = Hd.shape[1]
+    raw = _sigmoid((Hd @ att_vec[:d])[h.e_dst]
+                   + h.edge_feats @ att_vec[d:d + 2]
+                   + (Hs @ att_vec[d + 2:])[h.e_src])
     e = np.exp(raw)
-    denom = np.bincount(idx, weights=e, minlength=len(counts))
-    return raw, e / denom[idx], stacked if keep else None
+    denom = np.bincount(h.e_dst, weights=e, minlength=h.n_dst)
+    return raw, e / denom[h.e_dst]
 
 
 def _softmax_backward(alpha, d_alpha, idx=None, n_seg=0):
@@ -251,19 +249,16 @@ def forward(graph: TriGraph, params: dict, hyper: GcnHyper) -> np.ndarray:
     """Predicted probability per variable node, strictly inside (0,1)."""
     hyper.validate()
     _check_shapes(params, hyper)
-    z, _ = _forward_tape(graph, _halves(graph), params, hyper,
-                         for_backward=False)
+    z, _ = _forward_tape(graph, _halves(graph), params, hyper)
     return z
 
 
-def _forward_tape(graph: TriGraph, halves, params, hyper: GcnHyper,
-                  for_backward):
+def _forward_tape(graph: TriGraph, halves, params, hyper: GcnHyper):
     """(z, tape) of ``graph`` and its ``halves``, for checked params and hyper.
 
-    With ``for_backward`` the tape also keeps the attention inputs and
-    the per-edge gathers the backward pass reads; inference never holds
-    an attention input past its scoring, which keeps its peak memory at
-    that of a pass that keeps none.
+    Inference and training record the same tape.  Per edge it holds
+    only one-dimensional arrays, the attention scores and weights, so
+    keeping it costs little more than the node embeddings it holds.
     """
     Hv0 = graph.var_feats @ params["emb_var_w"].T + params["emb_var_b"]
     emb = {"v": Hv0,
@@ -274,7 +269,7 @@ def _forward_tape(graph: TriGraph, halves, params, hyper: GcnHyper,
     for t in range(1, hyper.transitions + 1):
         for h in halves:
             rec = _half_forward(h, emb[h.src], emb[h.dst], ho, params, t,
-                                hyper, for_backward)
+                                hyper)
             emb[h.dst], ho = rec["Hd_new"], rec["ho_new"]
             records.append((t, h, rec))
 
@@ -286,7 +281,7 @@ def _forward_tape(graph: TriGraph, halves, params, hyper: GcnHyper,
                "z": z}
 
 
-def _half_forward(h: _Half, Hs, Hd, ho, params, t, hyper: GcnHyper, keep):
+def _half_forward(h: _Half, Hs, Hd, ho, params, t, hyper: GcnHyper):
     """The record of one half-transition of transition ``t`` from the
     source embeddings ``Hs`` to the target embeddings ``Hd``, ending in
     the new target embeddings ``Hd_new`` and objective ``ho_new``.
@@ -295,25 +290,21 @@ def _half_forward(h: _Half, Hs, Hd, ho, params, t, hyper: GcnHyper, keep):
     by global attention.  Then each target aggregates its source
     neighbors by per-edge attention, centred on its previous embedding.
     Steps 2 and 4: the objective is refreshed from the targets and every
-    target is updated from the objective and its aggregate.  With
-    ``keep`` the record also holds the attention inputs and the source
-    gather for the backward pass.
+    target is updated from the objective and its aggregate.  The record
+    keeps the inputs ``Hs``, ``Hd`` and ``ho``; the only per-edge
+    entries are the attention scores ``r_e`` and weights ``a_e``.
     """
     d = hyper.hidden_dim
     s, dst = h.src, h.dst
-    r_o, a_o, st_o = _global_attention(ho, Hs, h.obj_feats,
-                                       params[f"att_{s}_to_o"],
-                                       hyper.attention, keep)
+    r_o, a_o = _global_attention(ho, Hs, h.obj_feats,
+                                 params[f"att_{s}_to_o"], hyper.attention)
     agg_o = a_o @ Hs if h.n_src else np.zeros(d)
     pre_o = params[f"w_{s}o_{t}"] @ np.concatenate([ho, agg_o])
     ho_o = np.maximum(pre_o, 0.0)
 
-    Hs_e = Hs[h.e_src]
-    r_e, a_e, st_e = _edge_attention(Hd[h.e_dst], Hs_e, h.edge_feats,
-                                     params[f"att_{s}_to_{dst}"],
-                                     h.counts_dst, h.e_dst, hyper.attention,
-                                     keep)
-    agg = h.sum_dst @ (a_e[:, None] * Hs_e) if len(h.e_src) \
+    r_e, a_e = _edge_attention(h, Hs, Hd, params[f"att_{s}_to_{dst}"],
+                               hyper.attention)
+    agg = h.sum_dst @ (a_e[:, None] * Hs[h.e_src]) if len(h.e_src) \
         else np.zeros((h.n_dst, d))
     rec = dict(Hs=Hs, Hd=Hd, ho=ho, r_o=r_o, a_o=a_o, agg_o=agg_o,
                pre_o=pre_o, ho_o=ho_o, r_e=r_e, a_e=a_e, agg=agg)
@@ -343,8 +334,6 @@ def _half_forward(h: _Half, Hs, Hd, ho, params, t, hyper: GcnHyper, keep):
         pre_d = rows @ w_sd.T
         rec.update(hdmean=hdmean, pre_m=pre_m, rows=rows)
     rec.update(pre_d=pre_d, Hd_new=np.maximum(pre_d, 0.0), ho_new=ho_new)
-    if keep:
-        rec.update(st_o=st_o, st_e=st_e, Hs_e=Hs_e)
     return rec
 
 
@@ -414,8 +403,7 @@ def loss_and_gradients(graph: TriGraph, params, hyper: GcnHyper,
     """(loss, exact loss gradients for every parameter) of one graph."""
     hyper.validate()
     _check_shapes(params, hyper)
-    z, tape = _forward_tape(graph, _halves(graph), params, hyper,
-                            for_backward=True)
+    z, tape = _forward_tape(graph, _halves(graph), params, hyper)
     y, mask = targets_for(graph, labels)
     loss = _bce(z, y, mask)
     dz = _bce_grad(z, y, mask)
@@ -427,7 +415,7 @@ def loss_and_gradients(graph: TriGraph, params, hyper: GcnHyper,
 
 def _backward(graph: TriGraph, params, hyper: GcnHyper, tape, dz, grads):
     """Add the loss gradients to ``grads``, zero arrays keyed like
-    ``params``, from a tape recorded with ``for_backward``."""
+    ``params``, from the tape of ``_forward_tape``."""
     d = hyper.hidden_dim
     z = tape["z"]
     dlogits = dz * z * (1.0 - z)
@@ -503,15 +491,17 @@ def _half_backward(h: _Half, rec, params, t, hyper: GcnHyper, gHd_new,
         gathered = d_agg[h.e_dst]
         gHs += h.sum_src @ (rec["a_e"][:, None] * gathered)
         if hyper.attention:
-            d_a = np.einsum("ed,ed->e", gathered, rec["Hs_e"])
+            d_a = np.einsum("ed,ed->e", gathered, rec["Hs"][h.e_src])
             d_r = _softmax_backward(rec["a_e"], d_a, h.e_dst, h.n_dst)
             d_sc = d_r * rec["r_e"] * (1.0 - rec["r_e"])
-            att = params[k_att_e]
-            grads[k_att_e] += rec["st_e"].T @ d_sc
-            gHd_prev += np.bincount(h.e_dst, weights=d_sc,
-                                    minlength=h.n_dst)[:, None] * att[:d]
-            gHs += np.bincount(h.e_src, weights=d_sc,
-                               minlength=h.n_src)[:, None] * att[d + 2:]
+            seg_dst = np.bincount(h.e_dst, weights=d_sc, minlength=h.n_dst)
+            seg_src = np.bincount(h.e_src, weights=d_sc, minlength=h.n_src)
+            att, g_att = params[k_att_e], grads[k_att_e]
+            g_att[:d] += rec["Hd"].T @ seg_dst
+            g_att[d:d + 2] += h.edge_feats.T @ d_sc
+            g_att[d + 2:] += rec["Hs"].T @ seg_src
+            gHd_prev += seg_dst[:, None] * att[:d]
+            gHs += seg_src[:, None] * att[d + 2:]
 
     # source -> objective
     d_pre_o = gho_o * (rec["pre_o"] > 0)
@@ -524,8 +514,10 @@ def _half_backward(h: _Half, rec, params, t, hyper: GcnHyper, gHd_new,
         if hyper.attention:
             d_r = _softmax_backward(rec["a_o"], d_a)
             d_sc = d_r * rec["r_o"] * (1.0 - rec["r_o"])
-            att = params[k_att_o]
-            grads[k_att_o] += rec["st_o"].T @ d_sc
+            att, g_att = params[k_att_o], grads[k_att_o]
+            g_att[:d] += d_sc.sum() * rec["ho"]
+            g_att[d:d + 2] += h.obj_feats.T @ d_sc
+            g_att[d + 2:] += rec["Hs"].T @ d_sc
             gho += d_sc.sum() * att[:d]
             gHs += d_sc[:, None] * att[d + 2:]
     return gHd_prev, gho
@@ -608,8 +600,7 @@ def train(dataset, hyper: GcnHyper, valid=()):
             graph, halves, y, mask = aligned[idx]
             if not mask.any():
                 continue
-            z, tape = _forward_tape(graph, halves, params, hyper,
-                                    for_backward=True)
+            z, tape = _forward_tape(graph, halves, params, hyper)
             losses.append(_bce(z, y, mask))
             flat_g.fill(0.0)
             _backward(graph, params, hyper, tape, _bce_grad(z, y, mask),
@@ -625,8 +616,7 @@ def train(dataset, hyper: GcnHyper, valid=()):
         if not checks:
             continue
         valid_history.append(float(np.mean([
-            _bce(_forward_tape(graph, halves, params, hyper,
-                               for_backward=False)[0], y, mask)
+            _bce(_forward_tape(graph, halves, params, hyper)[0], y, mask)
             for graph, halves, y, mask in checks])))
         if valid_history[-1] < best_loss:
             best_loss, kept = valid_history[-1], epoch

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mippred import bnb, predictor, simplex, trigraph
+from mippred import bnb, labeler, predictor, simplex, trigraph
 from mippred.core import (BINARY, CONTINUOUS, FEAS_TOL, INT_TOL, INTEGER,
                           Constraint, MipInstance, Variable, canonicalize,
                           evaluate_solution, hamming_coeffs)
@@ -497,6 +497,101 @@ def test_repair_reports_failure_when_out_of_room():
     ok = bnb._repair_rounding(instance_rows(inst), np.array([0.9]), x_cand,
                               np.zeros(1), np.ones(1))
     assert not ok
+
+
+def reference_repair(rows, lp_x, x_cand, low0, upp0):
+    """``bnb._repair_rounding`` without its stop at a repeated pass
+    start: (verdict, whether some pass started where an earlier one
+    did)."""
+    acts = rows.activities(x_cand)
+    lo = rows.lhs - INT_TOL
+    hi = rows.rhs + INT_TOL
+    if not ((acts < lo) | (acts > hi)).any():
+        return False, False
+    acts, lo, hi = acts.tolist(), lo.tolist(), hi.tolist()
+    x, lpx = x_cand.tolist(), lp_x.tolist()
+    low, upp = low0.tolist(), upp0.tolist()
+    flips, cap, passes = 0, 2 * len(x_cand) + 10, 0
+    starts, cycled = set(), False
+    changed = True
+    while changed and flips < cap and passes < 50:
+        start = (tuple(x), tuple(acts))
+        cycled = cycled or start in starts
+        starts.add(start)
+        changed = False
+        passes += 1
+        for i, terms in enumerate(rows.int_terms):
+            if lo[i] <= acts[i] <= hi[i]:
+                continue
+            need_up = acts[i] < lo[i]
+            best_j, best_key, best_up = -1, -np.inf, need_up
+            for j, a in terms:
+                up = (a > 0.0) == need_up
+                room = (upp[j] - x[j]) if up else (x[j] - low[j])
+                if room < 1.0:
+                    continue
+                key = lpx[j] if up else -lpx[j]
+                if key > best_key:
+                    best_key, best_j, best_up = key, j, up
+            if best_j < 0:
+                continue
+            step = 1.0 if best_up else -1.0
+            x[best_j] += step
+            for i2, a2 in rows.col_terms[best_j]:
+                acts[i2] += a2 * step
+            flips += 1
+            changed = True
+            if flips >= cap:
+                break
+    x_cand[:] = x
+    ok = not any(a < lo_i or a > hi_i for lo_i, a, hi_i in zip(lo, acts, hi))
+    return ok, cycled
+
+
+def checked_repairs(monkeypatch, run):
+    """Call ``run()`` with every repair checked against
+    ``reference_repair``: the same verdict and, when it holds, the same
+    repaired point.  Returns (repairs, repairs that cycled)."""
+    seen = {"calls": 0, "cycled": 0}
+    repair = bnb._repair_rounding
+
+    def checked(rows, lp_x, x_cand, low0, upp0):
+        x_ref = x_cand.copy()
+        ref_ok, cycled = reference_repair(rows, lp_x, x_ref, low0, upp0)
+        ok = repair(rows, lp_x, x_cand, low0, upp0)
+        assert ok == ref_ok
+        if ok:
+            assert x_cand.tobytes() == x_ref.tobytes()
+        seen["calls"] += 1
+        seen["cycled"] += cycled
+        return ok
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bnb, "_repair_rounding", checked)
+        run()
+    return seen["calls"], seen["cycled"]
+
+
+@pytest.mark.parametrize("problem", sorted(TINY_SPECS))
+def test_repair_stops_cycles_with_the_reference_verdicts(monkeypatch,
+                                                         problem):
+    preset, params = TINY_SPECS[problem]
+    insts = [generate(GenSpec(problem, preset, seed=s, params=params))
+             for s in range(3)]
+    calls, _ = checked_repairs(
+        monkeypatch, lambda: [bnb.solve(inst) for inst in insts])
+    assert calls > 0
+
+
+def test_repair_stops_cycles_on_proximity_problems(monkeypatch):
+    # max-sense knapsacks: the proximity cutoff row works against the
+    # knapsack rows, and many repairs of these problems cycle
+    inst = generate(GenSpec("mk", "custom", seed=0, params={
+        "min_items": 20, "max_items": 20, "min_dims": 5, "max_dims": 5}))
+    calls, cycled = checked_repairs(
+        monkeypatch, lambda: labeler.generate_labels(inst))
+    assert cycled > 0
+    assert calls > cycled
 
 
 def tight_copy(inst, x):

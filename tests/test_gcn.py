@@ -7,12 +7,20 @@ import math
 import numpy as np
 import pytest
 
-from mippred import bnb, gcn, labeler, trigraph
+from mippred import bnb, gcn, labeler
 from mippred.core import BINARY, Constraint, MipInstance, Variable
 from mippred.gcn import GcnHyper, bce_loss, forward, init_params, train
 from mippred.generators import GenSpec, generate
 from mippred.labeler import STABLE0, STABLE1, UNSTABLE, LabelSet
-from mippred.trigraph import TriGraph, apply_scaler, build_trigraph, fit_scaler
+from mippred.trigraph import (
+    N_CONS_FEATURES,
+    N_OBJ_FEATURES,
+    N_VAR_FEATURES,
+    TriGraph,
+    apply_scaler,
+    build_trigraph,
+    fit_scaler,
+)
 
 HYPER = GcnHyper(hidden_dim=4, transitions=2, output_hidden=5, seed=0)
 
@@ -60,8 +68,7 @@ def fd_gradient_gap(graph, labels, hyper, params, step=1e-4):
     halves = gcn._halves(graph)
 
     def loss():
-        z, _ = gcn._forward_tape(graph, halves, params, hyper,
-                                 for_backward=False)
+        z, _ = gcn._forward_tape(graph, halves, params, hyper)
         return bce_loss(z, labels)
 
     worst = 0.0
@@ -147,19 +154,20 @@ def test_hyper_rejects_bad_training_values(changes, field):
 
 
 def edge_attention(centers, neighbors, edges, att, segment):
-    """Production per-edge attention with ``segment[k]`` the group of edge k."""
+    """Production per-edge attention with ``segment[k]`` the target of
+    edge k, ``centers`` one row per target, ``neighbors`` one per edge."""
     segment = np.asarray(segment)
-    counts = np.bincount(segment)
-    _, alpha, _ = gcn._edge_attention(centers, neighbors, edges, att,
-                                      counts, segment, enabled=True)
-    return alpha
+    ne, n_dst = len(neighbors), len(centers)
+    half = gcn._Half("v", "c", ne, n_dst, np.arange(ne), segment, None, None,
+                     np.bincount(segment, minlength=n_dst), None, edges)
+    return gcn._edge_attention(half, neighbors, centers, att, True)[1]
 
 
 def test_single_neighbor_gets_full_attention():
     rng = np.random.default_rng(0)
     att = rng.normal(size=10)
     h = rng.normal(size=4)
-    _, alpha, _ = gcn._global_attention(h, rng.normal(size=(1, 4)),
+    _, alpha = gcn._global_attention(h, rng.normal(size=(1, 4)),
                                      rng.normal(size=(1, 2)), att,
                                      enabled=True)
     np.testing.assert_allclose(alpha, [1.0])
@@ -174,11 +182,11 @@ def test_identical_neighbors_split_attention_evenly():
     h = rng.normal(size=4)
     nb = rng.normal(size=4)
     edge = rng.normal(size=2)
-    _, alpha, _ = gcn._global_attention(h, np.stack([nb, nb]),
+    _, alpha = gcn._global_attention(h, np.stack([nb, nb]),
                                      np.stack([edge, edge]), att,
                                      enabled=True)
     np.testing.assert_allclose(alpha, [0.5, 0.5])
-    alpha = edge_attention(np.stack([h, h]), np.stack([nb, nb]),
+    alpha = edge_attention(h[None, :], np.stack([nb, nb]),
                            np.stack([edge, edge]), att, [0, 0])
     np.testing.assert_allclose(alpha, [0.5, 0.5])
 
@@ -187,14 +195,14 @@ def test_attention_sums_to_one():
     rng = np.random.default_rng(2)
     for trial in range(20):
         n = int(rng.integers(1, 7))
-        _, alpha, _ = gcn._global_attention(
+        _, alpha = gcn._global_attention(
             rng.normal(size=4), rng.normal(size=(n, 4)),
             rng.normal(size=(n, 2)), rng.normal(size=10), enabled=True)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(alpha > 0.0)
         segment = np.sort(rng.integers(0, 3, size=n))
         segment = np.unique(segment, return_inverse=True)[1]
-        alpha = edge_attention(rng.normal(size=(n, 4)),
+        alpha = edge_attention(rng.normal(size=(segment[-1] + 1, 4)),
                                rng.normal(size=(n, 4)),
                                rng.normal(size=(n, 2)), rng.normal(size=10),
                                segment)
@@ -205,10 +213,76 @@ def test_attention_sums_to_one():
 
 def test_disabled_attention_is_uniform():
     rng = np.random.default_rng(3)
-    _, alpha, _ = gcn._global_attention(
+    _, alpha = gcn._global_attention(
         rng.normal(size=4), rng.normal(size=(5, 4)),
         rng.normal(size=(5, 2)), rng.normal(size=10), enabled=False)
     np.testing.assert_allclose(alpha, 0.2)
+
+
+def random_graph(seed):
+    """Six variables and five rows with random features.  Row 0 and
+    variables 3 and 4 have one edge each; row 4 and variable 5 none."""
+    rng = np.random.default_rng(seed)
+    vc_cons = np.array([0, 1, 1, 1, 2, 2, 3, 3, 3, 3])
+    vc_var = np.array([0, 1, 2, 3, 0, 2, 0, 1, 2, 4])
+    return TriGraph(
+        name="random", var_names=[f"x{j}" for j in range(6)],
+        cons_names=[f"r{i}" for i in range(5)],
+        var_feats=rng.normal(size=(6, N_VAR_FEATURES)),
+        cons_feats=rng.normal(size=(5, N_CONS_FEATURES)),
+        obj_feats=rng.normal(size=N_OBJ_FEATURES),
+        vc_var=vc_var, vc_cons=vc_cons,
+        vc_feats=rng.normal(size=(len(vc_var), 2)),
+        vo_feats=rng.normal(size=(6, 2)), co_feats=rng.normal(size=(5, 2)))
+
+
+def concatenated_scores(center_rows, edges, neighbor_rows, att):
+    """The attention score as the paper writes it: a sigmoid of the
+    attention vector times ``[center, edge, neighbor]`` per row."""
+    stacked = np.concatenate([center_rows, edges, neighbor_rows], axis=1)
+    return 1.0 / (1.0 + np.exp(-(stacked @ att)))
+
+
+def test_attention_scores_equal_the_concatenated_form():
+    g = random_graph(0)
+    rng = np.random.default_rng(8)
+    d = 3
+    for h in gcn._halves(g):
+        sizes = np.bincount(h.e_dst, minlength=h.n_dst)
+        assert 0 in sizes and 1 in sizes
+        for _ in range(5):
+            Hs = rng.normal(size=(h.n_src, d))
+            Hd = rng.normal(size=(h.n_dst, d))
+            ho = rng.normal(size=d)
+            att = rng.normal(size=2 * d + 2)
+            raw, alpha = gcn._edge_attention(h, Hs, Hd, att, True)
+            want = concatenated_scores(Hd[h.e_dst], h.edge_feats,
+                                       Hs[h.e_src], att)
+            np.testing.assert_allclose(raw, want, rtol=0.0, atol=1e-12)
+            for k in range(h.n_dst):
+                mine = h.e_dst == k
+                np.testing.assert_allclose(
+                    alpha[mine], np.exp(want[mine]) / np.exp(want[mine]).sum(),
+                    rtol=0.0, atol=1e-12)
+            raw, alpha = gcn._global_attention(ho, Hs, h.obj_feats, att, True)
+            want = concatenated_scores(np.tile(ho, (h.n_src, 1)),
+                                       h.obj_feats, Hs, att)
+            np.testing.assert_allclose(raw, want, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(alpha, np.exp(want) / np.exp(want).sum(),
+                                       rtol=0.0, atol=1e-12)
+
+
+def test_forward_tape_keeps_no_per_edge_matrix():
+    g = toy_graph()
+    ne = len(g.vc_var)
+    assert ne not in (g.n_vars, g.n_cons)
+    params = generic_params(HYPER)
+    _, tape = gcn._forward_tape(g, gcn._halves(g), params, HYPER)
+    arrays = [tape[k] for k in ("u", "a_out", "r_out", "z")]
+    for _, _, rec in tape["halves"]:
+        arrays += [v for v in rec.values() if isinstance(v, np.ndarray)]
+    assert any(a.shape == (ne,) for a in arrays)
+    assert not [a.shape for a in arrays if a.ndim == 2 and len(a) == ne]
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +462,41 @@ def test_gradients_match_finite_differences_literal_loops():
                      literal_loops=True)
     gap = fd_gradient_gap(g, labels, hyper, generic_params(hyper))
     assert gap <= 1e-4
+
+
+def test_gradients_match_finite_differences_edgeless_constraint():
+    g = with_edgeless_constraint(toy_graph())
+    gap = fd_gradient_gap(g, toy_labels(g), HYPER, generic_params(HYPER))
+    assert gap <= 1e-4
+
+
+def test_attention_gradients_match_finite_differences_on_a_random_graph():
+    # on the scaled toy graph the attention-vector gradients are at most
+    # 6e-4 (those of the objective attention about 1e-9), below what
+    # fd_gradient_gap's gap resolves; here each entry is checked on its own
+    g = random_graph(1)
+    labels = LabelSet(instance=g.name, var_names=list(g.var_names),
+                      labels=[STABLE1, STABLE0, UNSTABLE, STABLE1, STABLE0,
+                              STABLE1], delta_used=0.1, iterations=3)
+    params = generic_params(HYPER)
+    _, grads = gcn.loss_and_gradients(g, params, HYPER, labels)
+    halves = gcn._halves(g)
+    step = 1e-5
+    for name in ("att_v_to_o", "att_v_to_c", "att_c_to_o", "att_c_to_v"):
+        att = params[name]
+        fd = np.zeros_like(att)
+        for k in range(att.size):
+            orig = att[k]
+            losses = []
+            for probe in (orig + step, orig - step):
+                att[k] = probe
+                z, _ = gcn._forward_tape(g, halves, params, HYPER)
+                losses.append(bce_loss(z, labels))
+            att[k] = orig
+            fd[k] = (losses[0] - losses[1]) / (2.0 * step)
+        assert np.abs(grads[name]).max() > 1e-5
+        np.testing.assert_allclose(grads[name], fd, rtol=1e-5, atol=1e-9,
+                                   err_msg=name)
 
 
 def test_every_parameter_receives_gradient():

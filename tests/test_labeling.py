@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mippred import bnb, labeler
+from mippred import labeler
 from mippred.core import (BINARY, Constraint, MipInstance, Variable,
                           canonicalize, evaluate_solution)
 from mippred.generators import GenSpec, generate

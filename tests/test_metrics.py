@@ -1,7 +1,5 @@
 """Evaluation metrics against hand values and a brute-force AP oracle."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mippred import bnb, predictor
+from mippred import bnb
 from mippred.core import (BINARY, Constraint, MipInstance, Variable,
-                          canonicalize, evaluate_solution)
+                          evaluate_solution)
 from mippred.generators import GenSpec, generate
 from mippred.metrics import primal_gap
 from mippred.predictor import (ApplyConfig, APPROXIMATE, EXACT, DEFAULTS,
