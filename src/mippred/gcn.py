@@ -36,15 +36,24 @@ The number of epochs in the hyperparameters is only a cap.
 The public entry points (``forward``, ``loss_and_gradients``,
 ``train``) check the hyperparameters and, where the caller passes them,
 the parameter shapes once per call; the inner passes trust them.
-``train`` builds each graph's edge sums (``_halves``) once, the other
-entry points once per call; nothing outlives a call.
+``train`` builds each graph's edge patterns (``_halves``) once, the
+other entry points once per call; nothing outlives a call.  A pattern
+is a CSR matrix with one entry per variable-constraint edge, grouped
+by one endpoint with the edges of each group in their own order.  A
+pass writes the attention weights into its entries, so the aggregation
+is one sparse product, ``agg = W @ Hs`` with W grouped by target, and
+its reverse is ``W^T @ d_agg`` from the pattern grouped by source; no
+per-edge copy of the embeddings is built.  Each sum adds the same
+products in the same order as summing the weighted gathered rows
+would, so the results are those of that form to the byte.
 Attention scores come from per-node projections, as in GAT
 (Velickovic et al., ICLR 2018): ``a . [center, edge, neighbor]`` is
 ``center . a[:d] + edge . a[d:d+2] + neighbor . a[d+2:]``, the node
 terms taken once per node and gathered per edge, so no per-edge input
 wider than the two edge features is built.  The tape keeps the node
-embeddings and, per edge, only the scores and weights; the backward
-pass gathers the source embeddings per edge again.  Training keeps
+embeddings and, per edge, only the scores and weights; with attention
+on, the backward pass gathers the embeddings and aggregate gradients
+per edge again for the attention gradient.  Training keeps
 the parameters, gradients and Adam moments in flat buffers updated in
 place, with the same per-element arithmetic as a per-array update.
 """
@@ -150,19 +159,48 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # Segment helpers (variable-constraint edges grouped by either endpoint)
 
 
+class _Pattern(NamedTuple):
+    """The sparsity pattern of one half's edges grouped by one endpoint:
+    a CSR matrix ``mat`` with one stored entry per edge, the edges of each
+    row in their own order, and ``order`` the edge behind each stored
+    entry.  ``weighted`` writes per-edge weights into the entries, so
+    ``mat @ X`` sums ``a_e * X[e's column]`` over each row's edges in edge
+    order."""
+
+    mat: object
+    order: np.ndarray
+
+    def weighted(self, a_e):
+        """``mat`` with each edge's entry set to its weight in ``a_e``."""
+        np.take(a_e, self.order, out=self.mat.data)
+        return self.mat
+
+
+def _pattern(rows, cols, n_rows, n_cols) -> _Pattern:
+    """``_Pattern`` of the edges ``rows[k] -> cols[k]`` grouped by row."""
+    # imported here so that importing the package does not load scipy
+    import scipy.sparse as sp
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    mat = sp.csr_matrix((np.zeros(len(rows)), cols[order], indptr),
+                        shape=(n_rows, n_cols))
+    return _Pattern(mat, order)
+
+
 class _Half(NamedTuple):
     """Graph data of one half-transition from source nodes ``src`` to
     target nodes ``dst`` (the letters ``v``/``c`` of the parameter names).
 
     ``e_src``/``e_dst`` give each variable-constraint edge's source and
-    target index; ``sum_src``/``sum_dst`` are sparse indicator matrices
-    summing per-edge rows per source and per target node; ``counts_dst``
-    are the target segment sizes; ``obj_feats`` are the features of the
-    source-objective edges, ``edge_feats`` those of the
-    variable-constraint edges.  One-dimensional segment sums use
-    ``np.bincount`` instead, which adds in edge order exactly like the
-    CSR product; numpy's 2-D ``np.add.reduceat`` does not, so the 2-D
-    sums stay CSR.
+    target index; ``by_dst`` is the edge pattern with one row per target
+    (n_dst x n_src) and ``by_src`` the one with one row per source
+    (n_src x n_dst), so the attention-weighted aggregation is
+    ``by_dst.weighted(a_e) @ Hs`` and its reverse ``by_src.weighted(a_e)
+    @ d_agg``; ``counts_dst`` are the target segment sizes; ``obj_feats``
+    are the features of the source-objective edges, ``edge_feats`` those
+    of the variable-constraint edges.  The two halves share their two
+    patterns, each half's ``by_dst`` being the other's ``by_src``.
     """
 
     src: str
@@ -171,8 +209,8 @@ class _Half(NamedTuple):
     n_dst: int
     e_src: np.ndarray
     e_dst: np.ndarray
-    sum_src: object
-    sum_dst: object
+    by_src: _Pattern
+    by_dst: _Pattern
     counts_dst: np.ndarray
     obj_feats: np.ndarray
     edge_feats: np.ndarray
@@ -181,22 +219,18 @@ class _Half(NamedTuple):
 def _halves(graph: TriGraph) -> tuple[_Half, _Half]:
     """The two halves of a transition, variables -> constraints and
     constraints -> variables."""
-    # imported here so that importing the package does not load scipy
-    import scipy.sparse as sp
-    ne = len(graph.vc_var)
-    ones = np.ones(ne)
-    s_cons = sp.csr_matrix((ones, (graph.vc_cons, np.arange(ne))),
-                           shape=(graph.n_cons, ne))
-    s_var = sp.csr_matrix((ones, (graph.vc_var, np.arange(ne))),
-                          shape=(graph.n_vars, ne))
+    by_cons = _pattern(graph.vc_cons, graph.vc_var, graph.n_cons,
+                       graph.n_vars)
+    by_var = _pattern(graph.vc_var, graph.vc_cons, graph.n_vars,
+                      graph.n_cons)
     counts_c = np.bincount(graph.vc_cons, minlength=graph.n_cons)
     counts_v = np.bincount(graph.vc_var, minlength=graph.n_vars)
     return (
         _Half("v", "c", graph.n_vars, graph.n_cons, graph.vc_var,
-              graph.vc_cons, s_var, s_cons, counts_c, graph.vo_feats,
+              graph.vc_cons, by_var, by_cons, counts_c, graph.vo_feats,
               graph.vc_feats),
         _Half("c", "v", graph.n_cons, graph.n_vars, graph.vc_cons,
-              graph.vc_var, s_cons, s_var, counts_v, graph.co_feats,
+              graph.vc_var, by_cons, by_var, counts_v, graph.co_feats,
               graph.vc_feats))
 
 
@@ -304,8 +338,7 @@ def _half_forward(h: _Half, Hs, Hd, ho, params, t, hyper: GcnHyper):
 
     r_e, a_e = _edge_attention(h, Hs, Hd, params[f"att_{s}_to_{dst}"],
                                hyper.attention)
-    agg = h.sum_dst @ (a_e[:, None] * Hs[h.e_src]) if len(h.e_src) \
-        else np.zeros((h.n_dst, d))
+    agg = h.by_dst.weighted(a_e) @ Hs
     rec = dict(Hs=Hs, Hd=Hd, ho=ho, r_o=r_o, a_o=a_o, agg_o=agg_o,
                pre_o=pre_o, ho_o=ho_o, r_e=r_e, a_e=a_e, agg=agg)
 
@@ -488,10 +521,9 @@ def _half_backward(h: _Half, rec, params, t, hyper: GcnHyper, gHd_new,
 
     # agg = sum over edges of a_e * Hs[source], grouped by target
     if len(h.e_src):
-        gathered = d_agg[h.e_dst]
-        gHs += h.sum_src @ (rec["a_e"][:, None] * gathered)
+        gHs += h.by_src.weighted(rec["a_e"]) @ d_agg
         if hyper.attention:
-            d_a = np.einsum("ed,ed->e", gathered, rec["Hs"][h.e_src])
+            d_a = np.einsum("ed,ed->e", d_agg[h.e_dst], rec["Hs"][h.e_src])
             d_r = _softmax_backward(rec["a_e"], d_a, h.e_dst, h.n_dst)
             d_sc = d_r * rec["r_e"] * (1.0 - rec["r_e"])
             seg_dst = np.bincount(h.e_dst, weights=d_sc, minlength=h.n_dst)

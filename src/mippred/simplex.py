@@ -48,6 +48,18 @@ sequential: the bound-flipping walk of the ratio test.  Every choice
 is made with first-index ``argmax``/``argsort`` tie breaks on the same
 inputs, so pivot sequences are deterministic.
 
+A pass writes its vectors of length m or N (violations and scores,
+the pricing row and its per-entry products, the eligibility mask, the
+dual step and the steepest-edge update) into buffers allocated once per
+call, with ufuncs in the association order of the plain expressions,
+so every result is the same to the byte.  What a pass still allocates
+has no fixed size or no numpy output argument: the column sums of the
+pricing row (``np.bincount``), the eligible columns and their ratios,
+the entering column, the gathered rows of ``T`` and the rank-1
+update's outer product.  That update stays a ufunc product: a BLAS
+rank-1 routine (``dger``) fuses the multiply and add, which rounds
+differently and moves pivot paths, and with them labels.
+
 The core works on the computational form ``G z = 0`` with
 ``G = [A | -I]``: one slack per ranged row, slack bounds equal to the
 row's (lhs, rhs).  The loop reads the structural block ``A`` only
@@ -97,10 +109,10 @@ weights and the pivots since the last refactorization), and a
 re-solve given it only places the new nonbasic point and the basic
 values it implies, then resumes the loop with refactorizations on the
 shared pivot count (as Huangfu & Hall and Koberstein keep the
-factorization across the search tree).  The loop updates ``T`` in
-place, so a state serves one re-solve; a second re-solve from the same
-basis starts from a ``DualState.copy()``.  Without a state the kernel
-refactorizes.
+factorization across the search tree).  The loop updates ``T``, the
+reduced costs and the weights in place, so a state serves one
+re-solve; a second re-solve from the same basis starts from a
+``DualState.copy()``.  Without a state the kernel refactorizes.
 
 The kernel counts pivots as moves: a pass that changes the basis or
 flips a bound counts, the final pass that only proves the status does
@@ -202,7 +214,7 @@ def _column(sp, T, q):
     if q >= sp.n:
         return -T[q - sp.n]
     lo, hi = sp.cptr[q], sp.cptr[q + 1]
-    return np.dot(sp.cval[lo:hi], T[sp.crow[lo:hi]])
+    return np.dot(sp.cval[lo:hi], T.take(sp.crow[lo:hi], axis=0))
 
 
 def _slack_rows(basis, n, m):
@@ -325,9 +337,9 @@ class DualState(NamedTuple):
     inverse ``T``, the reduced costs ``d`` (priced from scratch), the
     steepest-edge weights ``beta`` and the pivots since the last
     refactorization.  A later ``dual_core`` call on the same basis and
-    costs may start from it; that call updates ``T`` and ``d`` in place,
-    so a state serves one start, and a second start from the same basis
-    needs its own ``copy()``, made before the first one runs."""
+    costs may start from it; that call updates ``T``, ``d`` and ``beta``
+    in place, so a state serves one start, and a second start from the
+    same basis needs its own ``copy()``, made before the first one runs."""
 
     T: np.ndarray
     d: np.ndarray
@@ -388,6 +400,7 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
         return (NOT_DUAL_FEASIBLE, 0, y, d,
                 DualState(T, d, beta, since_refactor))
 
+    n, m = sp.n, sp.m
     span = upp - low
     # kept in step across pivots: the basic values and bounds by basis
     # position (the basic entries of z go stale in the loop; a
@@ -399,6 +412,13 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
     uppb = upp[basis]
     side = _SIDE[vstat]
     any_free = bool((vstat == FREE).any())
+    # the buffers every pass writes into: by basis position, over all
+    # N = n + m columns, and one entry per nonzero of the block
+    v_low, v_upp, viol, score, scale, tmp_m = np.empty((6, m))
+    rho, g, tmp_big = np.empty((3, n + m))
+    quiet = np.empty(m, dtype=bool)
+    mask = np.empty(n + m, dtype=bool)
+    row_terms = np.empty(len(sp.vals))
 
     pivots = 0
     degen = 0
@@ -410,21 +430,31 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
         # a row under its lower bound wins a tie with its own upper side
         # (with lower <= upper only one side can be violated).  Scores are
         # positive where a row is violated, so a zero maximum means none is
-        if not sp.m:
+        if not m:
             status = OPTIMAL
             break
-        v_low = lowb - zb
-        v_upp = zb - uppb
-        viol = np.fmax(v_low, v_upp)
-        score = np.where(viol > feas_tol, viol * viol / beta, 0.0)
-        r = int(np.argmax(score))
+        np.subtract(lowb, zb, out=v_low)
+        np.subtract(zb, uppb, out=v_upp)
+        np.fmax(v_low, v_upp, out=viol)
+        np.multiply(viol, viol, out=score)
+        np.divide(score, beta, out=score)
+        np.greater(viol, feas_tol, out=quiet)
+        np.logical_not(quiet, out=quiet)
+        np.copyto(score, 0.0, where=quiet)
+        r = int(score.argmax())
         if score[r] == 0.0:
             status = OPTIMAL
             break
         below = bool(v_low[r] >= v_upp[r])
 
+        # the pricing row rho = Binv[r] @ G, as _row_times forms it; the
+        # block's row ids are in range, and "clip" spares take the copy
+        # that bounds checking an out= argument costs
         tr = T[:, r]
-        rho = _row_times(sp, tr)
+        tr.take(sp.rid, out=row_terms, mode="clip")
+        np.multiply(sp.vals, row_terms, out=row_terms)
+        rho[:n] = np.bincount(sp.cols, row_terms, minlength=n)
+        np.negative(tr, out=rho[n:])
         lv = basis[r]
 
         # entering choice: the columns whose move off their bound shrinks
@@ -433,8 +463,11 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
         # bound-flipped (each absorbs |rho_j|*range of the violation with
         # no basis change) and the breakpoint that exhausts the violation
         # enters.  Bland = first column at the smallest ratio, no flips.
-        g = side * rho
-        mask = g > piv_tol if below else g < -piv_tol
+        np.multiply(side, rho, out=g)
+        if below:
+            np.greater(g, piv_tol, out=mask)
+        else:
+            np.less(g, -piv_tol, out=mask)
         if any_free:
             mask |= (vstat == FREE) & ((rho < -piv_tol) | (rho > piv_tol))
         elig = mask.nonzero()[0]
@@ -442,19 +475,21 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
             status = INFEASIBLE
             break
 
-        piv = np.abs(rho[elig])
-        ratio = np.abs(d[elig]) / piv
+        piv = np.abs(rho.take(elig))
+        ratio = np.abs(d.take(elig))
+        ratio /= piv
         flips = elig[:0]
         if bland:
-            enter = int(elig[np.argmin(ratio)])
+            enter = int(elig[ratio.argmin()])
         else:
             # piv > 0, so an infinite span caps at inf
-            cap = piv * span[elig]
-            order = np.argsort(ratio)
+            cap = span.take(elig)
+            cap *= piv
+            order = ratio.argsort()
             rem = (lowb[r] - zb[r]) if below else (zb[r] - uppb[r])
             kk = 0
             enter = -1
-            for capk in cap[order].tolist():
+            for capk in cap.take(order).tolist():
                 if not capk < rem:
                     enter = int(elig[order[kk]])
                     break
@@ -477,12 +512,12 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
 
         if flips.size:
             up = vstat[flips] == AT_LOWER
-            dzF = np.zeros(len(z))
-            dzF[flips] = np.where(up, span[flips], low[flips] - upp[flips])
+            tmp_big.fill(0.0)
+            tmp_big[flips] = np.where(up, span[flips], low[flips] - upp[flips])
             vstat[flips] = np.where(up, AT_UPPER, AT_LOWER)
             side[flips] = np.where(up, 1.0, -1.0)
             z[flips] = np.where(up, upp[flips], low[flips])
-            zb -= _ftran(T, _times(sp, dzF))
+            zb -= _ftran(T, _times(sp, tmp_big))
 
         w = _column(sp, T, enter)
         alpha = w[r]
@@ -494,7 +529,8 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
         bnd = lowb[r] if below else uppb[r]
         dz = (zb[r] - bnd) / alpha
         ze = z[enter] + dz
-        zb -= dz * w
+        np.multiply(w, dz, out=tmp_m)
+        zb -= tmp_m
         zb[r] = ze
         lowb[r] = low[enter]
         uppb[r] = upp[enter]
@@ -508,7 +544,8 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
         # dual step: the entering reduced cost goes to zero and the
         # leaving column takes -theta (its rho entry is 1)
         theta = d[enter] / rho[enter]
-        d -= theta * rho
+        np.multiply(rho, theta, out=tmp_big)
+        d -= tmp_big
         d[basis] = 0.0
         d[lv] = -theta
 
@@ -519,15 +556,21 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
         else:
             degen = 0
 
-        # steepest-edge weight update (exact, using the old Binv) and the
-        # rank-1 update, sharing one gather of the rows of T where Binv[r]
-        # is nonzero
+        # steepest-edge weight update (exact, using the old Binv), in
+        # place as beta - ((2 * w/alpha) * tau) + ((w/alpha)^2 * beta_r),
+        # and the rank-1 update, sharing one gather of the rows of T where
+        # Binv[r] is nonzero
         nz = tr.nonzero()[0]
-        rows = T[nz]
+        rows = T.take(nz, axis=0)
         tau = np.dot(rows[:, r], rows)
         br = beta[r]
-        ratio = w / alpha
-        beta = beta - 2.0 * ratio * tau + ratio * ratio * br
+        np.divide(w, alpha, out=scale)
+        np.multiply(scale, 2.0, out=tmp_m)
+        tmp_m *= tau
+        beta -= tmp_m
+        np.multiply(scale, scale, out=tmp_m)
+        tmp_m *= br
+        beta += tmp_m
         beta[r] = br / (alpha * alpha)
         np.maximum(beta, 1e-12, out=beta)
         _update(T, r, w, nz, rows)
@@ -537,7 +580,7 @@ def dual_core(sp, c, low, upp, basis, vstat, z,
             since_refactor = 0
             T = _factor(sp, low, upp, basis, vstat, z)
             zb = z[basis]
-            beta = _row_norms(T, _slack_rows(basis, sp.n, sp.m))
+            beta = _row_norms(T, _slack_rows(basis, n, m))
             d = _price(sp, c, basis, T)[1]
 
     z[basis] = zb

@@ -402,6 +402,9 @@ def scaler_from_dict(data: dict) -> FeatureScaler:
         if not shift[fam].shape == scale[fam].shape == (_WIDTHS[fam],):
             raise ValueError(f"scaler family {fam!r} is not "
                              f"{_WIDTHS[fam]} features wide")
+        if not (np.all(np.isfinite(shift[fam]))
+                and np.all(np.isfinite(scale[fam]))):
+            raise ValueError(f"non-finite value in scaler family {fam!r}")
         if np.any(scale[fam] <= 0):
             raise ValueError(f"nonpositive scale in family {fam!r}")
     return FeatureScaler(shift=shift, scale=scale)

@@ -24,14 +24,20 @@ the kernel, started fresh, must return its results byte for byte.
 one rule at a time, against the workspace's table lookup.
 ``record_lp_solves`` keeps the inputs of every LP solve of a run, so a
 test can solve each node LP again from another start.
+
+The GCN's neighbor aggregation in its gather form, ``GatherSum``, is
+the sum of the per-edge rows ``a_e * X[e's column]`` by a sparse
+indicator matrix over the edges; ``reference_halves`` puts it in place of
+the weighted edge patterns, so the network's passes run on it unchanged.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csr_matrix
 
-from mippred import simplex
+from mippred import gcn, simplex
 from mippred.core import BINARY, CONTINUOUS, INTEGER, canonicalize
 from mippred.trigraph import (CONS_TYPES, INF_SENTINEL, N_CONS_FEATURES,
                               N_VAR_FEATURES)
@@ -619,3 +625,50 @@ def record_lp_solves(run):
     finally:
         simplex.LpWorkspace.solve = real
     return calls
+
+
+class GatherSum:
+    """Per-edge weights summed into rows in the gather form: ``weighted(
+    a_e) @ X`` is ``S @ (a_e[:, None] * X[cols])``, with ``S`` the
+    n_rows x E indicator matrix of the edges ``rows[k] -> cols[k]``."""
+
+    def __init__(self, rows, cols, n_rows):
+        ne = len(rows)
+        self.indicator = csr_matrix((np.ones(ne), (rows, np.arange(ne))),
+                                    shape=(n_rows, ne))
+        self.cols = cols
+        self.a_e = None
+
+    def weighted(self, a_e):
+        self.a_e = a_e
+        return self
+
+    def __matmul__(self, X):
+        return self.indicator @ (self.a_e[:, None] * X[self.cols])
+
+
+def reference_halves(graph):
+    """``gcn._halves(graph)`` with both aggregations in the gather form."""
+    by_cons = GatherSum(graph.vc_cons, graph.vc_var, graph.n_cons)
+    by_var = GatherSum(graph.vc_var, graph.vc_cons, graph.n_vars)
+    return (
+        gcn._Half("v", "c", graph.n_vars, graph.n_cons, graph.vc_var,
+                  graph.vc_cons, by_var, by_cons,
+                  np.bincount(graph.vc_cons, minlength=graph.n_cons),
+                  graph.vo_feats, graph.vc_feats),
+        gcn._Half("c", "v", graph.n_cons, graph.n_vars, graph.vc_cons,
+                  graph.vc_var, by_cons, by_var,
+                  np.bincount(graph.vc_var, minlength=graph.n_vars),
+                  graph.co_feats, graph.vc_feats))
+
+
+def reference_loss_and_gradients(graph, params, hyper, labels):
+    """(z, loss, gradients) of ``gcn.loss_and_gradients``'s passes over
+    ``reference_halves``."""
+    z, tape = gcn._forward_tape(graph, reference_halves(graph), params, hyper)
+    y, mask = gcn.targets_for(graph, labels)
+    grads = {name: np.zeros(shape)
+             for name, shape in gcn.param_shapes(hyper).items()}
+    gcn._backward(graph, params, hyper, tape, gcn._bce_grad(z, y, mask),
+                  grads)
+    return z, gcn._bce(z, y, mask), grads

@@ -21,6 +21,7 @@ from mippred.trigraph import (
     build_trigraph,
     fit_scaler,
 )
+from oracles import reference_halves, reference_loss_and_gradients
 
 HYPER = GcnHyper(hidden_dim=4, transitions=2, output_hidden=5, seed=0)
 
@@ -283,6 +284,75 @@ def test_forward_tape_keeps_no_per_edge_matrix():
         arrays += [v for v in rec.values() if isinstance(v, np.ndarray)]
     assert any(a.shape == (ne,) for a in arrays)
     assert not [a.shape for a in arrays if a.ndim == 2 and len(a) == ne]
+
+
+def shuffled_random_graph(seed):
+    """Random features over seven variables and six rows, with random
+    edges in a shuffled order.  Row 5 and variable 6 have no edge."""
+    rng = np.random.default_rng(seed)
+    n, m = 7, 6
+    pairs = np.array([(j, i) for i in range(m - 1) for j in range(n - 1)])
+    pairs = pairs[rng.random(len(pairs)) < 0.4]
+    pairs = pairs[rng.permutation(len(pairs))]
+    return TriGraph(
+        name="shuffled", var_names=[f"x{j}" for j in range(n)],
+        cons_names=[f"r{i}" for i in range(m)],
+        var_feats=rng.normal(size=(n, N_VAR_FEATURES)),
+        cons_feats=rng.normal(size=(m, N_CONS_FEATURES)),
+        obj_feats=rng.normal(size=N_OBJ_FEATURES),
+        vc_var=pairs[:, 0], vc_cons=pairs[:, 1],
+        vc_feats=rng.normal(size=(len(pairs), 2)),
+        vo_feats=rng.normal(size=(n, 2)), co_feats=rng.normal(size=(m, 2)))
+
+
+def test_halves_hold_no_per_edge_matrix_or_indicator():
+    g = shuffled_random_graph(0)
+    ne = len(g.vc_var)
+    for h in gcn._halves(g):
+        for value in h:
+            if isinstance(value, np.ndarray):
+                assert value.ndim == 1 or value.shape[1] == 2
+        assert h.by_dst.mat.shape == (h.n_dst, h.n_src)
+        assert h.by_src.mat.shape == (h.n_src, h.n_dst)
+        assert h.by_dst.mat.nnz == h.by_src.mat.nnz == ne
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"attention": False}, {"literal_loops": True},
+    {"attention": False, "literal_loops": True}],
+    ids=["default", "no_attention", "literal_loops",
+         "literal_loops_no_attention"])
+def test_passes_equal_the_gather_form_bitwise(changes):
+    """Predictions, loss and every gradient equal those of the same
+    passes over the gather-form aggregation, byte for byte."""
+    hyper = dataclasses.replace(HYPER, hidden_dim=8, **changes)
+    for seed in range(5):
+        g = shuffled_random_graph(seed)
+        assert 0 in np.bincount(g.vc_cons, minlength=g.n_cons)
+        assert 0 in np.bincount(g.vc_var, minlength=g.n_vars)
+        params = generic_params(hyper, seed=seed)
+        labels = LabelSet(instance=g.name, var_names=list(g.var_names),
+                          labels=[STABLE1, UNSTABLE, STABLE0] * 2 + [STABLE0],
+                          delta_used=0.1, iterations=3)
+        z_ref, loss_ref, grads_ref = reference_loss_and_gradients(
+            g, params, hyper, labels)
+        assert forward(g, params, hyper).tobytes() == z_ref.tobytes()
+        loss, grads = gcn.loss_and_gradients(g, params, hyper, labels)
+        assert loss == loss_ref
+        for name, grad in grads_ref.items():
+            assert grads[name].tobytes() == grad.tobytes(), name
+
+
+def test_training_equals_the_gather_form_bitwise(monkeypatch):
+    data = sc_dataset(3)
+    hyper = GcnHyper(hidden_dim=8, transitions=2, output_hidden=6,
+                     epochs=4, seed=5)
+    params, history, _ = train(data[:2], hyper, valid=data[2:])
+    monkeypatch.setattr(gcn, "_halves", reference_halves)
+    ref_params, ref_history, _ = train(data[:2], hyper, valid=data[2:])
+    assert history == ref_history
+    for name, value in ref_params.items():
+        assert params[name].tobytes() == value.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

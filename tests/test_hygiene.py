@@ -209,18 +209,34 @@ def test_no_module_reads_another_modules_private_names(path):
 
 
 def test_cli_import_does_not_load_scipy_sparse():
-    # only the GCN's segment sums need scipy (scipy.sparse), and they
-    # import it when first called; gen and label processes never pay for
+    # only the GCN's edge patterns need scipy (scipy.sparse), and they
+    # import it when first built; gen and label processes never pay for
     # it, and no other scipy* module (a cold scipy.linalg import alone
     # takes a quarter second) comes in with the import
-    code = ("import sys, mippred.cli; "
-            "print(any(m.startswith('scipy') for m in sys.modules))")
+    assert scipy_modules_after("import mippred.cli") == []
+
+
+def test_labeling_does_not_load_scipy():
+    # labeling solves LPs and trees from start to end; the LP path is
+    # numpy only, so a label process imports no scipy* module either
+    assert scipy_modules_after(
+        "from mippred import generators, labeler; "
+        "inst = generators.generate(generators.GenSpec('mk', 'tiny', "
+        "seed=0)); "
+        "assert labeler.generate_labels(inst).labels") == []
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """The scipy* modules loaded once ``code`` has run in a fresh
+    interpreter with the package on its path."""
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (
                    str(SRC.parent), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
 def json_file_calls(source: str) -> list[str]:

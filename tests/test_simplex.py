@@ -999,6 +999,45 @@ def test_dual_kernel_equals_reference_loop_bitwise(problem, monkeypatch):
         assert got == want
 
 
+# the sc and ga root LPs of the benchmark's infer-mix workload at seed 0:
+# (problem, preset, params, item index); the instance seed derives from
+# the workload seed as perfbench's item_seed does
+INFER_MIX_ROOTS = {
+    "sc": ("custom", {"sets": 300, "elements": 200, "density": 0.05}, 0),
+    "ga": ("small", {}, 12),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(INFER_MIX_ROOTS))
+def test_dual_kernel_equals_reference_loop_bitwise_on_large_roots(
+        problem, monkeypatch):
+    """A cold root LP of hundreds of pivots, with refactorizations and
+    passes that flip several bounds at once, replayed as above."""
+    preset, params, index = INFER_MIX_ROOTS[problem]
+    seed = int(np.random.SeedSequence([0, 3, index]).generate_state(1)[0])
+    inst = generate(GenSpec(problem, preset, params=params, seed=seed))
+    ws = simplex.LpWorkspace(canonicalize(inst))
+    flips = []
+    real_ftran = simplex._ftran
+
+    def counting(T, v):
+        # dual_core calls _ftran once per pass that flips bounds
+        flips.append(int(np.count_nonzero(v)))
+        return real_ftran(T, v)
+
+    monkeypatch.setattr(simplex, "_ftran", counting)
+    calls = _recorded_dual_calls(monkeypatch, ws.solve)
+    monkeypatch.setattr(simplex, "_ftran", real_ftran)
+    (sp, c, low, upp, basis, vstat, args), = calls
+    want = _fresh_outcome(reference_dual_core, sp, c, low, upp, basis, vstat,
+                          args)
+    got = _fresh_outcome(simplex.dual_core, sp, c, low, upp, basis, vstat,
+                         args)
+    assert got == want
+    assert got[1] > 2 * simplex.REFACTOR_EVERY
+    assert len(flips) > 20 and max(flips) > 1
+
+
 def _dive_instance():
     params = {"sets": 80, "elements": 60, "density": 0.15}
     return canonicalize(generate(GenSpec("sc", "custom", params=params,

@@ -571,3 +571,17 @@ def test_scaler_file_rejects_nonpositive_scale(tmp_path):
     path = write_dict(tmp_path / "bad.json", data)
     with pytest.raises(ValueError, match="nonpositive"):
         trigraph.read_scaler(path)
+
+
+@pytest.mark.parametrize("part,value", [("shift", math.nan),
+                                        ("scale", math.inf)])
+def test_scaler_file_rejects_non_finite_values(tmp_path, part, value):
+    # json reads NaN and Infinity: a NaN shift would make every
+    # prediction NaN, an infinite scale would zero a feature column
+    g = graph_of(pair_instance())
+    data = trigraph.scaler_to_dict(fit_scaler([g]))
+    data["cons"][part][1] = value
+    path = write_dict(tmp_path / "bad.json", data)
+    with pytest.raises(ValueError, match="bad.json: non-finite value in "
+                       "scaler family 'cons'"):
+        trigraph.read_scaler(path)
