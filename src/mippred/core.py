@@ -8,8 +8,8 @@ rows as ``RowArrays`` and its columns as the arrays ``vtype``, ``lb``,
 instances edit; the ``Variable`` and ``Constraint`` records only build
 instances (``MipInstance.from_constraints``) and serve as read-only
 views.  The module also holds the one path by which every pipeline
-file in JSON is written and read (``write_json``, ``read_json``,
-``check_keys``).
+file in JSON is written and read: ``write_json`` streams indented JSON
+into the file, and ``read_json`` and ``check_keys`` read and check it.
 """
 
 from __future__ import annotations
@@ -337,50 +337,16 @@ def _pairs_hook(pairs):
     return dict(pairs)
 
 
-# array elements per encoder call in compact ``write_json``
-JSON_CHUNK = 4096
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON indented by one space, plus a
+    final newline.
 
-
-def write_json(path, payload, indent: int | None = 1) -> None:
-    """Write ``payload`` to ``path`` as JSON plus a final newline.
-
-    Indented text is built in one ``json.dumps`` call and written once.
-    Compact text (``indent`` None) goes through the C encoder one dict
-    value at a time, nested dicts included, and a numpy array value is
-    written as the JSON list of its flattened elements, ``JSON_CHUNK`` of
-    them at a time.  So the encoded pieces of a large payload (the
-    parameter arrays of ``model.json``) are never all held at once, nor
-    is a Python float per element; the bytes equal one ``json.dumps``
-    call's on the payload with each array as ``arr.ravel().tolist()``.
+    The text is streamed into the file as it is encoded, so a file's
+    whole text is never held in memory at once.
     """
     with open(path, "w") as fh:
-        if indent is not None:
-            fh.write(json.dumps(payload, indent=indent) + "\n")
-            return
-        # depth first: each entry is text to write as is or a value to
-        # encode, the next one last; a one-entry dict encodes each key
-        # as json.dumps does
-        todo = [("text", "\n"), ("value", payload)]
-        while todo:
-            kind, item = todo.pop()
-            if kind == "text":
-                fh.write(item)
-            elif isinstance(item, np.ndarray):
-                flat = item.ravel()
-                fh.write("[")
-                for at in range(0, flat.size, JSON_CHUNK):
-                    text = json.dumps(flat[at:at + JSON_CHUNK].tolist())
-                    fh.write((", " if at else "") + text[1:-1])
-                fh.write("]")
-            elif isinstance(item, dict) and item:
-                todo.append(("text", "}"))
-                seps = ["{"] + [", "] * (len(item) - 1)
-                for sep, (key, value) in reversed(list(zip(seps,
-                                                           item.items()))):
-                    todo.append(("value", value))
-                    todo.append(("text", sep + json.dumps({key: None})[1:-5]))
-            else:
-                fh.write(json.dumps(item))
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 def read_json(path, parse, error: type[ValueError] = ValueError):

@@ -60,6 +60,8 @@ place, with the same per-element arithmetic as a per-array update.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -75,7 +77,7 @@ from .trigraph import (
     TriGraph,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 Z_CLIP = 1e-7
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # elements per in-place Adam pass: the six slices of one pass (1.5 MB)
@@ -97,14 +99,23 @@ class GcnHyper:
     literal_loops: bool = False
 
     def validate(self) -> None:
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
-        if self.transitions < 1:
-            raise ValueError("transitions must be >= 1")
-        if self.output_hidden < 1:
-            raise ValueError("output_hidden must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        """Raise ValueError naming the field on a count or seed that is
+        not an int, a flag that is not a bool, a learning rate that is
+        not a real number (a bool is none of these), or a value out of
+        range."""
+        for names, kinds, word in (
+                (("hidden_dim", "transitions", "output_hidden", "epochs",
+                  "seed"), int, "an integer"),
+                (("learning_rate",), (int, float), "a real number"),
+                (("attention", "literal_loops"), bool, "a bool")):
+            for name in names:
+                value = getattr(self, name)
+                if (isinstance(value, bool) != (kinds is bool)
+                        or not isinstance(value, kinds)):
+                    raise ValueError(f"{name} must be {word}, got {value!r}")
+        for name in ("hidden_dim", "transitions", "output_hidden", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.learning_rate)
@@ -687,16 +698,16 @@ def _adam_update(p, g, m, v, s1, s2, lr, c1, c2):
 
 
 def save_params(path, params: dict, hyper: GcnHyper) -> None:
-    """Write the parameters and hyperparameters to ``path`` as compact
-    JSON; each array is encoded inside the write (``core.write_json``)."""
-    blob = {"format_version": FORMAT_VERSION,
-            "hyper": asdict(hyper), "params": {}}
-    for name, arr in params.items():
-        mat = arr if arr.ndim == 2 else arr.reshape(-1, 1)
-        blob["params"][name] = {
-            "rows": mat.shape[0], "cols": mat.shape[1], "data": mat,
-        }
-    write_json(path, blob, indent=None)
+    """Write the parameters and hyperparameters to ``path`` in model
+    file format 2: each parameter, in ``param_shapes`` order, is the
+    base64 text of its little-endian float64 bytes in C order, and its
+    shape follows from the hyperparameters."""
+    _check_shapes(params, hyper)
+    write_json(path, {
+        "format_version": FORMAT_VERSION, "hyper": asdict(hyper),
+        "params": {name: base64.b64encode(
+            np.ascontiguousarray(params[name], "<f8")).decode("ascii")
+            for name in param_shapes(hyper)}})
 
 
 def _params_from_dict(blob: dict):
@@ -709,28 +720,31 @@ def _params_from_dict(blob: dict):
     hyper = GcnHyper(**blob["hyper"])
     hyper.validate()
     shapes = param_shapes(hyper)
-    stored = blob["params"]
-    check_keys(stored, set(shapes), "parameters")
+    check_keys(blob["params"], set(shapes), "parameters")
     params = {}
     for name, shape in shapes.items():
-        entry = stored[name]
-        check_keys(entry, {"rows", "cols", "data"}, f"parameter {name!r}")
-        rows, cols = entry["rows"], entry["cols"]
-        want = shape if len(shape) == 2 else (shape[0], 1)
-        if (rows, cols) != want:
-            raise ValueError(
-                f"parameter {name!r} is {rows}x{cols}, "
-                f"expected {want[0]}x{want[1]}")
-        arr = np.array(entry["data"], float)
-        if arr.size != rows * cols:
-            raise ValueError(f"parameter {name!r} has "
-                             f"{arr.size} values, expected {rows * cols}")
-        if not np.all(np.isfinite(arr)):
+        text = blob["params"][name]
+        if not isinstance(text, str):
+            raise ValueError(f"parameter {name!r}: expected base64 text, "
+                             f"got {type(text).__name__}")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except binascii.Error as exc:
+            raise ValueError(f"parameter {name!r}: not base64: {exc}") from None
+        size = math.prod(shape)
+        if len(raw) != 8 * size:
+            raise ValueError(f"parameter {name!r} has {len(raw)} bytes, "
+                             f"expected {8 * size} for shape {shape}")
+        arr = np.frombuffer(raw, "<f8").astype(float).reshape(shape)
+        if not np.isfinite(arr).all():
             raise ValueError(f"parameter {name!r} has non-finite values")
-        params[name] = arr.reshape(shape)
+        params[name] = arr
     return params, hyper
 
 
 def load_params(path):
-    """(params, hyper) from a model file, with shape validation."""
+    """(params, hyper) from a model file of format 2 (``save_params``);
+    ValueError naming the file on any other version, on hyperparameters
+    of the wrong type or range, and on a parameter that is not base64,
+    has the wrong number of values or a non-finite one."""
     return read_json(path, _params_from_dict)

@@ -202,6 +202,22 @@ def test_process_pool_stages_equal_serial_ones(pipeline, tmp_path):
             _results_without_times(pipeline / name)
 
 
+def test_rerun_train_and_predict_are_byte_identical(pipeline, tmp_path):
+    cfgf = write_config(tmp_path)
+    copy_stage_outputs(pipeline, tmp_path, "instances", "labels", "graphs",
+                       "scaler.json")
+    for stage in ("train", "predict"):
+        assert run(tmp_path, stage, "--config", str(cfgf)) == 0, stage
+    assert (tmp_path / "model.json").read_bytes() == \
+        (pipeline / "model.json").read_bytes()
+    names = sorted(p.name for p in (pipeline / "predictions").iterdir())
+    assert names and sorted(
+        p.name for p in (tmp_path / "predictions").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "predictions" / name).read_bytes() == \
+            (pipeline / "predictions" / name).read_bytes(), name
+
+
 def test_scale_flag_shrinks_counts(tmp_path):
     cfgf = write_config(tmp_path)
     assert run(tmp_path, "gen", "--config", str(cfgf), "--scale", "0.4") == 0
@@ -395,7 +411,10 @@ def test_corrupt_scaler_file_exits_4_naming_it(pipeline, tmp_path, capsys):
     ('{"phi": 2.7, "eta": 0.9, "mean_primal_gap": 0.0}', "phi"),
     ('{"phi": 0, "eta": 1.5, "mean_primal_gap": 0.0}', "eta"),
     ('{"phi": 0, "eta": 0.9}', "missing keys"),
-], ids=["json", "fractional_phi", "eta_above_1", "missing_key"])
+    ('{"phi": true, "eta": true, "mean_primal_gap": 0.0}', "phi"),
+    ('{"phi": 1, "eta": true, "mean_primal_gap": 0.0}', "eta"),
+], ids=["json", "fractional_phi", "eta_above_1", "missing_key", "bool_phi",
+        "bool_eta"])
 def test_bad_tuned_file_exits_4_naming_it(pipeline, tmp_path, capsys, text,
                                           problem):
     cfgf = write_config(tmp_path)

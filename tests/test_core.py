@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mippred import bnb, core
+from mippred import bnb
 from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
                           InstanceFormatError, MipInstance, RowArrays, Variable,
                           canonicalize,
@@ -402,8 +402,8 @@ def test_write_is_deterministic(tmp_path):
 
 def test_write_json_bytes_are_pinned(tmp_path):
     """Floats (shortest round-trip repr, inf and nan as JSON's extension
-    tokens), nested lists and non-ASCII names (escaped), indented and
-    compact."""
+    tokens), nested lists and non-ASCII names (escaped), indented by one
+    space."""
     payload = {"naïve Σ": [0.1, -2.5e-300, [1, [2.0, None]], []],
                "x": {"ü": 1e16, "inf": float("inf"), "nan": float("nan")}}
     path = tmp_path / "p.json"
@@ -412,25 +412,3 @@ def test_write_json_bytes_are_pinned(tmp_path):
         b'{\n "na\\u00efve \\u03a3": [\n  0.1,\n  -2.5e-300,\n  [\n   1,\n'
         b'   [\n    2.0,\n    null\n   ]\n  ],\n  []\n ],\n "x": {\n'
         b'  "\\u00fc": 1e+16,\n  "inf": Infinity,\n  "nan": NaN\n }\n}\n')
-    write_json(path, payload, indent=None)
-    assert path.read_bytes() == (
-        b'{"na\\u00efve \\u03a3": [0.1, -2.5e-300, [1, [2.0, null]], []], '
-        b'"x": {"\\u00fc": 1e+16, "inf": Infinity, "nan": NaN}}\n')
-
-
-def test_compact_json_writes_arrays_in_chunks(tmp_path, monkeypatch):
-    """A numpy array in a compact write is encoded a few elements at a
-    time and reads as its flattened list: the bytes equal those of the
-    payload with each array as ``ravel().tolist()``, at every chunk
-    boundary, for 2-D and empty arrays too."""
-    monkeypatch.setattr(core, "JSON_CHUNK", 3)
-    arrays = [np.array([0.1, -2.5e-300, 1e16, 3.0, -0.0, 7.25, 1 / 3]),
-              np.arange(6.0).reshape(2, 3) / 7.0, np.zeros(0),
-              np.array([1.5, 2.5, 3.5])]
-    payload = {"a": {f"p{k}": {"rows": 1, "data": arr}
-                     for k, arr in enumerate(arrays)}}
-    want = {"a": {f"p{k}": {"rows": 1, "data": arr.ravel().tolist()}
-                  for k, arr in enumerate(arrays)}}
-    path = tmp_path / "m.json"
-    write_json(path, payload, indent=None)
-    assert path.read_text() == json.dumps(want) + "\n"

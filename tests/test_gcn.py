@@ -1,8 +1,10 @@
 """Network forward/backward: attention, loss, gradients, training, files."""
 
+import base64
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,7 +143,17 @@ BAD_TRAINING_VALUES = [
     pytest.param({"learning_rate": math.inf}, "learning_rate", id="lr_inf"),
     pytest.param({"learning_rate": -1e-3}, "learning_rate",
                  id="lr_negative"),
-    pytest.param({"seed": -1}, "seed", id="seed_negative")]
+    pytest.param({"seed": -1}, "seed", id="seed_negative"),
+    pytest.param({"epochs": 2.5}, "epochs", id="epochs_float"),
+    pytest.param({"hidden_dim": True}, "hidden_dim", id="hidden_dim_bool"),
+    pytest.param({"transitions": "2"}, "transitions", id="transitions_str"),
+    pytest.param({"seed": 1.5}, "seed", id="seed_float"),
+    pytest.param({"learning_rate": True}, "learning_rate", id="lr_bool"),
+    pytest.param({"learning_rate": "0.1"}, "learning_rate", id="lr_str"),
+    pytest.param({"attention": "false"}, "attention", id="attention_str"),
+    pytest.param({"attention": None}, "attention", id="attention_null"),
+    pytest.param({"literal_loops": 1}, "literal_loops",
+                 id="literal_loops_int")]
 
 
 @pytest.mark.parametrize("changes, field", BAD_TRAINING_VALUES)
@@ -872,6 +884,85 @@ def test_model_file_rejects_bad_hyperparameters(tmp_path, changes, field):
     blob["hyper"].update(changes)
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError, match=field):
+        gcn.load_params(path)
+
+
+def test_model_file_stores_each_parameter_as_base64_float64_bytes(tmp_path):
+    path = tmp_path / "model.json"
+    params = generic_params(HYPER)
+    gcn.save_params(path, params, HYPER)
+    blob = json.loads(path.read_text())
+    assert blob["format_version"] == 2
+    assert list(blob["params"]) == list(gcn.param_shapes(HYPER))
+    for name, text in blob["params"].items():
+        assert base64.b64decode(text) == params[name].astype("<f8").tobytes()
+
+
+def edited_model_file(tmp_path, name, text):
+    """A saved model file whose parameter ``name`` reads ``text``."""
+    path = tmp_path / "model.json"
+    gcn.save_params(path, init_params(HYPER), HYPER)
+    blob = json.loads(path.read_text())
+    blob["params"][name] = text
+    path.write_text(json.dumps(blob))
+    return path
+
+
+def b64_floats(*values):
+    return base64.b64encode(np.array(values, "<f8").tobytes()).decode()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("not base64!", "not base64"),
+    (b64_floats(1.0, 2.0)[:-1], "not base64"),
+    (b64_floats(*range(5)), "40 bytes, expected 32"),
+    (b64_floats(*range(3)), "24 bytes, expected 32"),
+    (b64_floats(0.0, math.nan, 0.0, 0.0), "non-finite"),
+    (b64_floats(0.0, 0.0, -math.inf, 0.0), "non-finite"),
+    ([0.0, 0.0, 0.0, 0.0], "expected base64 text, got list"),
+    (None, "expected base64 text, got NoneType"),
+], ids=["alphabet", "padding", "extra_bytes", "short", "nan", "inf", "list",
+        "null"])
+def test_model_file_rejects_a_bad_parameter_naming_it(tmp_path, text,
+                                                      problem):
+    # emb_var_b has shape (hidden_dim,) = (4,): 32 bytes
+    path = edited_model_file(tmp_path, "emb_var_b", text)
+    with pytest.raises(ValueError) as err:
+        gcn.load_params(path)
+    assert str(path) in str(err.value)
+    assert "'emb_var_b'" in str(err.value) and problem in str(err.value)
+
+
+def test_model_file_save_and_load_peak_below_four_times_the_parameters(
+        tmp_path):
+    """Neither direction holds a Python float per value: each peaks
+    below four times the parameters' float64 bytes (4 x 0.86 MiB for the
+    default network)."""
+    hyper = GcnHyper()
+    params = init_params(hyper)
+    limit = 4 * sum(arr.nbytes for arr in params.values())
+    path = tmp_path / "model.json"
+    peaks = []
+    for step in (lambda: gcn.save_params(path, params, hyper),
+                 lambda: gcn.load_params(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < limit, (peaks, limit)
+
+
+def test_model_file_rejects_format_version_1(tmp_path):
+    # version 1 stored each parameter as rows, cols and a list of floats
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "hyper": dataclasses.asdict(HYPER),
+        "params": {name: {"rows": len(arr), "cols": arr[0].size,
+                          "data": arr.ravel().tolist()}
+                   for name, arr in init_params(HYPER).items()}}))
+    with pytest.raises(ValueError, match="unsupported format version 1"):
         gcn.load_params(path)
 
 

@@ -239,11 +239,11 @@ def scipy_modules_after(code: str) -> list[str]:
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
-def json_file_calls(source: str) -> list[str]:
-    """The enclosing function (``<module>`` at top level) of every
-    ``json.load``/``json.dump``/``json.dumps`` call and ``from json
-    import load/dump/dumps``, in source order: ``json.dumps`` builds the
-    text of a file as ``core.write_json`` writes it."""
+def json_file_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, ``<module>`` at top level; json function) of
+    every ``json.load``/``json.dump``/``json.dumps`` call and each name
+    of ``from json import load/dump/dumps``, in source order:
+    ``json.dumps`` builds a file's whole text in memory."""
     out = []
 
     def visit(node, scope):
@@ -252,16 +252,14 @@ def json_file_calls(source: str) -> list[str]:
                 visit(child, child.name)
                 continue
             func = getattr(child, "func", None)
-            calls = (isinstance(func, ast.Attribute)
-                     and isinstance(func.value, ast.Name)
-                     and func.value.id == "json"
-                     and func.attr in ("load", "dump", "dumps"))
-            imports = (isinstance(child, ast.ImportFrom)
-                       and child.module == "json"
-                       and {a.name for a in child.names}
-                       & {"load", "dump", "dumps"})
-            if calls or imports:
-                out.append(scope)
+            if (isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "json"
+                    and func.attr in ("load", "dump", "dumps")):
+                out.append((scope, func.attr))
+            if isinstance(child, ast.ImportFrom) and child.module == "json":
+                out.extend((scope, a.name) for a in child.names
+                           if a.name in ("load", "dump", "dumps"))
             visit(child, scope)
 
     visit(ast.parse(source), "<module>")
@@ -270,7 +268,7 @@ def json_file_calls(source: str) -> list[str]:
 
 def test_json_scan_flags_file_calls_by_enclosing_function():
     source = ("import json\n"
-              "from json import dump\n"
+              "from json import dump, loads\n"
               "def save(x, fh):\n"
               "    json.dump(x, fh)\n"
               "def parse(s):\n"
@@ -278,14 +276,18 @@ def test_json_scan_flags_file_calls_by_enclosing_function():
               "def text(x):\n"
               "    return json.dumps(x)\n"
               "data = json.load(open('f'))\n")
-    assert json_file_calls(source) == ["<module>", "save", "text",
-                                       "<module>"]
+    assert json_file_calls(source) == [("<module>", "dump"), ("save", "dump"),
+                                       ("text", "dumps"), ("<module>", "load")]
 
 
 def test_json_files_go_through_the_core_helpers():
-    calls = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
-             for scope in json_file_calls(path.read_text())}
-    assert calls == {("core.py", "read_json"), ("core.py", "write_json")}
+    """Every JSON file is read by ``json.load`` in ``read_json`` and
+    streamed by ``json.dump`` in ``write_json``; ``json.dumps`` is used
+    nowhere."""
+    calls = {(path.name, *call) for path in sorted(SRC.glob("*.py"))
+             for call in json_file_calls(path.read_text())}
+    assert calls == {("core.py", "read_json", "load"),
+                     ("core.py", "write_json", "dump")}
 
 
 def documented_config_keys(doc: str) -> set[tuple[str, str]]:

@@ -77,7 +77,8 @@ def test_select_rejects_bad_eta():
 
 def test_apply_config_validation():
     for bad in (ApplyConfig(phi=-1), ApplyConfig(eta=0.0),
-                ApplyConfig(eta=1.5), ApplyConfig(mode="guess")):
+                ApplyConfig(eta=1.5), ApplyConfig(mode="guess"),
+                ApplyConfig(phi=True), ApplyConfig(eta=True)):
         with pytest.raises(ValueError):
             bad.validate()
 

@@ -1,7 +1,12 @@
 """LP solver: spot solutions, strong duality, and an external cross-check."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1036,6 +1041,53 @@ def test_dual_kernel_equals_reference_loop_bitwise_on_large_roots(
     assert got == want
     assert got[1] > 2 * simplex.REFACTOR_EVERY
     assert len(flips) > 20 and max(flips) > 1
+
+
+# one cold root LP per class of the benchmark's infer-mix workload at
+# seed 0, the first of its copies: (preset, params, item index, status,
+# pivots).  Any reordered or fused floating-point update in the kernel
+# moves some of these pivot paths.
+PINNED_ROOTS = {
+    "sc": ("custom", {"sets": 300, "elements": 200, "density": 0.05}, 0,
+           simplex.OPTIMAL, 465),
+    "mis": ("custom", {"nodes": 60, "min_edges": 600, "max_edges": 700}, 3,
+            simplex.OPTIMAL, 60),
+    "tsp": ("custom", {"min_cities": 20, "max_cities": 20}, 6,
+            simplex.OPTIMAL, 66),
+    "mk": ("small", {}, 9, simplex.OPTIMAL, 38),
+    "ga": ("small", {}, 12, simplex.OPTIMAL, 261),
+    "cfl": ("small", {}, 15, simplex.OPTIMAL, 121),
+    "vrp": ("custom", {"customers": 8, "vehicles": 3}, 18, simplex.OPTIMAL, 24),
+}
+
+PINNED_ROOTS_CODE = """\
+import numpy as np
+from mippred import simplex
+from mippred.core import canonicalize
+from mippred.generators import GenSpec, generate
+out = {}
+for problem, (preset, params, index) in ROOTS.items():
+    seed = int(np.random.SeedSequence([0, 3, index]).generate_state(1)[0])
+    inst = generate(GenSpec(problem, preset, params=params, seed=seed))
+    sol, _ = simplex.LpWorkspace(canonicalize(inst)).solve()
+    out[problem] = (sol.status, sol.iterations)
+print(out)
+"""
+
+
+def test_infer_mix_root_pivot_counts_are_pinned():
+    """The roots solve in a fresh interpreter with one BLAS thread, as
+    the benchmark runs them: a threaded BLAS may sum a product in
+    another order, and then the sc root takes another pivot path."""
+    roots = {p: row[:3] for p, row in PINNED_ROOTS.items()}
+    src = str(Path(simplex.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", f"ROOTS = {roots!r}\n" + PINNED_ROOTS_CODE],
+        env=env, capture_output=True, text=True, check=True)
+    assert ast.literal_eval(out.stdout) == {
+        p: row[3:] for p, row in PINNED_ROOTS.items()}
 
 
 def _dive_instance():
