@@ -29,10 +29,15 @@ Predictions enter as a ``HammingBall``: one continuous variable ``d``
 appended to the LP with the row ``d = sum_{j in S, x_hat_j = 0} x_j +
 sum_{j in S, x_hat_j = 1} (1 - x_j)``.  ``d`` is integral whenever the
 binaries are, so it is never branched on.  The approximate search is
-the same tree with ``ub(d) = phi``; the exact search seeds the open
-list with two root boxes, ``d <= phi`` (plunged first) and ``d >= phi +
-1``, which share warm starts, the incumbent, the deadline and the node
-budget.  A solve without a ball has no ``d``.
+the same tree with ``ub(d) = phi``.  The exact search splits the root
+into the near box ``d <= phi`` and the far box ``d >= phi + 1``, which
+share warm starts, the incumbent, the deadline and the node budget.  It
+plunges into the near box, solves the far root's LP next, so that the
+reported bound is finite, and then closes the near box before it solves
+any node below the far root.  So there is one heap per ring: ring 0
+for the near box (and the far root, at bound -inf, until it is popped)
+and ring 1 for the nodes below the far root.  A solve without an exact
+ball has one ring, and one without a ball has no ``d``.
 
 Also here: the root-information pass used by feature extraction
 (root LP, up/down locks).
@@ -118,7 +123,7 @@ class SolveResult:
     (upper) bound.  ``lb_history`` records the canonical minimization
     bound each time it improves, so it is nondecreasing for either
     sense.  ``heuristic`` marks results whose bound is not valid for the
-    original instance (set for solves restricted to a Hamming ball).
+    original instance (set for solves with a non-exact Hamming ball).
     A proved bound is reported equal to the objective.  When every
     objective value is an integer, the proof needs the open bounds only
     less than one unit below the incumbent (the integral cutoff of the
@@ -157,13 +162,16 @@ class RootInfo:
 
 
 class _Node:
-    __slots__ = ("bound", "low", "upp", "warm")
+    """An open box of the tree; ``ring`` is the heap its children go to."""
 
-    def __init__(self, bound, low, upp, warm):
+    __slots__ = ("bound", "low", "upp", "warm", "ring")
+
+    def __init__(self, bound, low, upp, warm, ring=0):
         self.bound = bound
         self.low = low
         self.upp = upp
         self.warm = warm
+        self.ring = ring
 
 
 class _Rows:
@@ -361,18 +369,22 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     # the probes see the instance's own rows; d follows the binaries
     rows = _Rows(canon)
 
-    heap: list[tuple[float, int, _Node]] = []
+    # (bound, seq, node) entries of ring 0 and ring 1; a node is popped
+    # from ring 1 only while ring 0 is empty
+    heaps: tuple[list, list] = ([], [])
     seq = 0
-    # the node solved next, ahead of the heap: the root, then the plunge
+    # the node solved next, ahead of the heaps: the root, then the plunge
     # child of the node just branched on
     plunge = _Node(-math.inf, low0, upp0, None)
     far = None
     if dist is not None and ball.exact and ball.phi < upp0[n]:
         plunge.upp = upp0.copy()
         plunge.upp[n] = ball.phi
-        far = _Node(-math.inf, low0.copy(), upp0, None)
+        # at bound -inf in ring 0, the far root is popped right after the
+        # first plunge; its children go to ring 1
+        far = _Node(-math.inf, low0.copy(), upp0, None, ring=1)
         far.low[n] = ball.phi + 1.0
-        heapq.heappush(heap, (far.bound, seq, far))
+        heapq.heappush(heaps[0], (far.bound, seq, far))
     held = 0  # bytes of the state copies that parked nodes hold
 
     def parked(warm: WarmStart) -> WarmStart:
@@ -405,7 +417,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         return max(GAP_LIMIT * scale, unit - 1e-6 * scale)
 
     def open_lb():
-        lb = heap[0][0] if heap else math.inf
+        lb = min((heap[0][0] for heap in heaps if heap), default=math.inf)
         return lb if plunge is None else min(lb, plunge.bound)
 
     def record_lb(value):
@@ -416,7 +428,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
             lb_history.append(value)
 
     stop = None
-    while heap or plunge is not None:
+    while any(heaps) or plunge is not None:
         if time.perf_counter() - t0 > cfg.time_limit_s:
             stop = "time"
             break
@@ -426,7 +438,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         if plunge is not None:
             node, plunge = plunge, None
         else:
-            node = heapq.heappop(heap)[2]
+            node = heapq.heappop(heaps[0] or heaps[1])[2]
             if node.warm is not None and node.warm.state is not None:
                 held -= node.warm.state.nbytes
         prune_eps = gap() if incumbent else 0.0
@@ -440,7 +452,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         lp_pivots += lp.iterations
         lp_fallbacks += lp.fallbacks
         if lp.status == LP_INFEASIBLE:
-            record_lb(open_lb() if heap else inc_min)
+            record_lb(open_lb())
             continue
         if lp.status == LP_UNBOUNDED:
             raise RuntimeError("unbounded LP relaxation; instance out of scope")
@@ -483,19 +495,26 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         hi_child = _Node(lp.objective, node.low.copy(), node.upp.copy(), None)
         hi_child.low[frac_j] = math.floor(lp.x[frac_j]) + 1.0
         first, second = (hi_child, lo_child) if f >= 0.5 else (lo_child, hi_child)
+        first.ring = second.ring = node.ring
         # copy the state for the sibling before the plunge child uses it
         second.warm = parked(warm)
-        first.warm = warm
+        if node.ring and heaps[0]:
+            # the far root's plunge child waits while ring 0 is open
+            first.warm = parked(warm)
+            seq += 1
+            heapq.heappush(heaps[1], (first.bound, seq, first))
+        else:
+            first.warm = warm
+            plunge = first
         seq += 1
-        heapq.heappush(heap, (second.bound, seq, second))
-        plunge = first
+        heapq.heappush(heaps[node.ring], (second.bound, seq, second))
 
         if incumbent is not None:
             if inc_min - open_lb() <= gap():
                 proved = True
                 break
 
-    if stop is None and not proved and not heap and plunge is None:
+    if stop is None and not proved and not any(heaps) and plunge is None:
         proved = True
 
     if proved:
@@ -516,6 +535,7 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
         lower_bound=lower_bound,
         nodes=nodes_done,
         wall_time_s=time.perf_counter() - t0,
+        heuristic=ball is not None and not ball.exact,
         lb_history=lb_history,
         lp_pivots=lp_pivots,
         lp_fallbacks=lp_fallbacks,

@@ -24,7 +24,10 @@ reports it optimal, else a baseline solve under ``ref_time_limit_s``.
 It scores the predictions on the valid split only, as the test split
 has no labels.  The report's validation AP is therefore an
 in-sample figure: the same split picks the kept epoch in ``train`` and
-(phi, eta) in ``gridsearch``.
+(phi, eta) in ``gridsearch``.  For each valid instance it also writes
+curves/{instance}.csv: the accuracy of the rounded predictions on the
+stable binaries when only the most confident 0.25, 0.5, 0.75, 0.9 and
+1.0 fractions of them are kept (``metrics.accuracy_at_fraction``).
 
 The configuration is an INI file (``--config``).  Every key may be left
 out and then takes its default; an unknown section or key, a value that
@@ -35,9 +38,9 @@ by spaces or commas.  The keys, with their defaults and ranges:
     problem           sc        fcnf, cfl, ga, mis, mk, sc, tsp or vrp
     preset            tiny      a preset of the problem, or custom
     params            {}        JSON object over the preset's parameters
-    train             140       >= 1 each, instances per split;
-    valid             20        --scale multiplies each count, and a
-    test              40        scaled count below 1 is raised to 1
+    train             140       >= 1, instances in the train split
+    valid             20        >= 1, instances in the valid split
+    test              40        >= 1, instances in the test split
     seed              0         >= 0
     [labeler]
     max_iters         40        >= 1, proximity-search rounds
@@ -58,7 +61,6 @@ by spaces or commas.  The keys, with their defaults and ranges:
     time_limit_s      5.0       > 0, seconds per gridsearch or run solve
     node_limit        (empty)   empty for none, or >= 1
     [eval]
-    fractions         0.25 0.5 0.75 0.9 1.0  values in (0, 1]
     ref_time_limit_s  60.0      > 0, seconds per reference solve
 
 Stages only read earlier outputs and only write their own files, so any
@@ -73,7 +75,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import sys
 import time
@@ -84,8 +85,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bnb, gcn, generators, labeler, metrics, predictor, trigraph
-from .core import (MipInstance, check_keys, read_instance, read_json,
-                   write_instance, write_json)
+from .core import (MipInstance, check_keys, read_csv, read_instance, read_json,
+                   write_csv, write_instance, write_json)
 
 EXIT_MISSING_INPUT = 2
 EXIT_BAD_CONFIG = 3
@@ -97,6 +98,10 @@ RUN_MODES = ("approx", "exact", "baseline")
 _SPLIT_CODE = {"train": 0, "valid": 1, "test": 2}
 _RESULT_FIELDS = ("instance", "mode", "phi", "eta", "status", "objective",
                   "lower_bound", "nodes", "wall_time_s")
+_REPORT_FIELDS = ("instance", "mode", "status", "objective", "reference",
+                  "primal_gap", "optimality_gap", "nodes")
+# the kept fractions of the accuracy curves eval writes
+_CURVE_FRACTIONS = (0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 class MissingInputError(RuntimeError):
@@ -130,7 +135,6 @@ class ExperimentConfig:
     solve_time_limit_s: float = 5.0
     solve_node_limit: int | None = None
     ref_time_limit_s: float = 60.0
-    fractions: tuple = (0.25, 0.5, 0.75, 0.9, 1.0)
     workdir: Path = field(default_factory=Path)
     jobs: int = 1
 
@@ -166,7 +170,7 @@ _IN_UNIT = (lambda vs: all(0.0 < v <= 1.0 for v in vs), "values in (0, 1]")
 
 # One row per INI key: section, key, the field of ExperimentConfig (of
 # GcnHyper in [gcn]) it sets, the parser of its text, and the (test,
-# rule) of its value as read, before --scale.  Rows with no test:
+# rule) of its value.  Rows with no test:
 # problem, preset and params are checked together by the generators, and
 # the [gcn] keys by GcnHyper.validate.
 _KEYS = (
@@ -194,7 +198,6 @@ _KEYS = (
     ("predictor", "node_limit", "solve_node_limit",
      lambda raw: int(raw) if raw.strip() else None,
      (lambda v: v is None or v >= 1, "empty or >= 1")),
-    ("eval", "fractions", "fractions", _list_of(float), _IN_UNIT),
     ("eval", "ref_time_limit_s", "ref_time_limit_s", float, _POSITIVE),
 )
 
@@ -239,17 +242,12 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("--jobs must be at least 1")
 
 
-def load_config(path, workdir, scale: float = 1.0,
-                jobs: int = 1) -> ExperimentConfig:
+def load_config(path, workdir, jobs: int = 1) -> ExperimentConfig:
     """Experiment configuration from an INI file plus command-line knobs.
 
-    ``scale`` multiplies the train/valid/test counts (never below one
-    instance per split); the range checks see the counts as read.  A
-    missing or malformed file, an unknown key, or an out-of-range value
+    A missing or malformed file, an unknown key, or an out-of-range value
     raises ConfigError.
     """
-    if not np.isfinite(scale) or scale <= 0:
-        raise ConfigError(f"--scale must be positive, got {scale}")
     cfg = ExperimentConfig(workdir=Path(workdir), jobs=int(jobs))
     if path is not None:
         path = Path(path)
@@ -263,9 +261,6 @@ def load_config(path, workdir, scale: float = 1.0,
             raise ConfigError(f"{path}: {exc}") from None
         _apply_config(cfg, cp)
     _validate_config(cfg)
-    cfg.n_train = max(1, round(cfg.n_train * scale))
-    cfg.n_valid = max(1, round(cfg.n_valid * scale))
-    cfg.n_test = max(1, round(cfg.n_test * scale))
     return cfg
 
 
@@ -313,8 +308,7 @@ def _pmap(fn, items, jobs: int) -> list:
 def _read_predictions(path: Path) -> dict[str, float]:
     """varname -> z of a predictions file; each z must lie in [0, 1] and
     each variable be named once."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(path)
     if rows[:1] != [["varname", "z"]]:
         raise ValueError(f"{path}: expected a 'varname,z' header, "
                          f"got {rows[:1]}")
@@ -428,12 +422,10 @@ def cmd_train(cfg: ExperimentConfig) -> None:
     valid = _labelled_graphs(cfg, "valid", graphs_dir, labels_dir, scaler)
     params, history, valid_history = gcn.train(dataset, cfg.hyper, valid)
     gcn.save_params(cfg.workdir / "model.json", params, cfg.hyper)
-    with open(cfg.workdir / "history.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "valid_loss"])
-        for epoch, loss in enumerate(history):
-            writer.writerow([epoch, _fmt(loss), _fmt(valid_history[epoch])
-                             if valid_history else ""])
+    write_csv(cfg.workdir / "history.csv", ("epoch", "loss", "valid_loss"),
+              ((epoch, _fmt(loss), _fmt(valid_history[epoch])
+                if valid_history else "")
+               for epoch, loss in enumerate(history)))
     if valid_history:
         kept = int(np.argmin(valid_history))
         kept_text = (f"kept epoch {kept}, validation loss "
@@ -460,11 +452,9 @@ def cmd_predict(cfg: ExperimentConfig) -> None:
                 _require(graphs_dir / path.name, "featurize"))
             z = gcn.forward(trigraph.apply_scaler(graph, scaler), params,
                             hyper)
-            with open(out / f"{path.stem}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["varname", "z"])
-                for name, zj in zip(graph.var_names, z):
-                    writer.writerow([name, _fmt(zj)])
+            write_csv(out / f"{path.stem}.csv", ("varname", "z"),
+                      ((name, _fmt(zj))
+                       for name, zj in zip(graph.var_names, z)))
             n += 1
     print(f"predict: wrote {n} prediction files under {out}")
 
@@ -566,28 +556,28 @@ def cmd_run(cfg: ExperimentConfig, mode: str) -> None:
                       cfg.solve_time_limit_s, cfg.solve_node_limit))
     rows = _pmap(_run_one, tasks, cfg.jobs)
     out = cfg.workdir / f"results_{mode}.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(_RESULT_FIELDS))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(out, _RESULT_FIELDS,
+              ([row[key] for key in _RESULT_FIELDS] for row in rows))
     solved = sum(1 for row in rows if row["objective"] != "")
     print(f"run[{mode}]: {solved}/{len(rows)} instances with a solution; "
           f"wrote {out}")
 
 
 def _read_results(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        missing = set(_RESULT_FIELDS) - set(row)
-        if missing:
-            raise RuntimeError(f"{path}: results row missing columns "
-                               f"{sorted(missing)}")
+    """The rows of a results file, each keyed by the header's columns;
+    blank lines are skipped."""
+    header, *lines = read_csv(path) or [[]]
+    rows = [dict(zip(header, row)) for row in lines if row]
+    missing = set(_RESULT_FIELDS) - set(header)
+    if rows and missing:
+        raise RuntimeError(f"{path}: results row missing columns "
+                           f"{sorted(missing)}")
     return rows
 
 
-def _prediction_quality(cfg: ExperimentConfig, report: metrics.EvalReport):
-    """AP and accuracy curves of the validation predictions."""
+def _prediction_quality(cfg: ExperimentConfig) -> dict:
+    """The report's validation summary: AP of the validation predictions;
+    their accuracy curves go to curves/."""
     labels_dir = _require(cfg.workdir / "labels", "label")
     preds_dir = _require(cfg.workdir / "predictions", "predict")
     curves_dir = cfg.workdir / "curves"
@@ -609,12 +599,13 @@ def _prediction_quality(cfg: ExperimentConfig, report: metrics.EvalReport):
             row["ap_baseline"] = metrics.average_precision(
                 metrics.prevalence_baseline(y), y)
         if len(y):
-            curve = metrics.accuracy_at_fraction(z, y, cfg.fractions)
-            metrics.write_curve_csv(curves_dir / f"{name}.csv", curve)
-            row["accuracy"] = curve[-1][1] if cfg.fractions else None
+            curve = metrics.accuracy_at_fraction(z, y, _CURVE_FRACTIONS)
+            write_csv(curves_dir / f"{name}.csv", ("fraction", "accuracy"),
+                      curve)
+            row["accuracy"] = curve[-1][1]
         per_instance.append(row)
     scored = [row for row in per_instance if row["ap"] is not None]
-    report.summary["validation"] = {
+    return {
         "instances": len(per_instance),
         "mean_ap": (float(np.mean([row["ap"] for row in scored]))
                     if scored else None),
@@ -625,9 +616,9 @@ def _prediction_quality(cfg: ExperimentConfig, report: metrics.EvalReport):
     }
 
 
-def _solver_quality(cfg: ExperimentConfig, report: metrics.EvalReport,
-                    runtimes: dict):
-    """Primal/optimality gaps of every results_{mode}.csv present."""
+def _solver_quality(cfg: ExperimentConfig, runtimes: dict):
+    """(per-mode summary, per-row gaps) of every results_{mode}.csv
+    present; each row's solve time goes to ``runtimes``."""
     present = [(mode, cfg.workdir / f"results_{mode}.csv")
                for mode in RUN_MODES
                if (cfg.workdir / f"results_{mode}.csv").is_file()]
@@ -647,7 +638,7 @@ def _solver_quality(cfg: ExperimentConfig, report: metrics.EvalReport,
         inst = read_instance(path)
         references[inst.name] = (optima[inst.name] if inst.name in optima
                                  else _reference_objective(cfg, inst))
-    mode_summary = {}
+    mode_summary, report_rows = {}, []
     for mode, path in present:
         gaps, opt_gaps, solved = [], [], 0
         for row in _read_results(path):
@@ -674,7 +665,7 @@ def _solver_quality(cfg: ExperimentConfig, report: metrics.EvalReport,
                 if mode != "approx" and np.isfinite(lb):
                     out["optimality_gap"] = metrics.optimality_gap(obj, lb)
                     opt_gaps.append(out["optimality_gap"])
-            report.rows.append(out)
+            report_rows.append(out)
         mode_summary[mode] = {
             "instances": len(gaps),
             "with_solution": solved,
@@ -682,27 +673,26 @@ def _solver_quality(cfg: ExperimentConfig, report: metrics.EvalReport,
             "mean_optimality_gap": (float(np.mean(opt_gaps))
                                     if opt_gaps else None),
         }
-    report.summary["modes"] = mode_summary
+    return mode_summary, report_rows
 
 
 def cmd_eval(cfg: ExperimentConfig) -> None:
     started = time.perf_counter()
-    report = metrics.EvalReport()
     runtimes: dict[str, float] = {}
-    _prediction_quality(cfg, report)
-    _solver_quality(cfg, report, runtimes)
+    summary = {"validation": _prediction_quality(cfg)}
+    summary["modes"], rows = _solver_quality(cfg, runtimes)
     runtimes["eval_s"] = time.perf_counter() - started
     write_json(cfg.workdir / "report.json",
-               {"summary": report.summary, "rows": report.rows,
-                "runtimes": runtimes})
-    metrics.write_report_csv(cfg.workdir / "report.csv", report)
+               {"summary": summary, "rows": rows, "runtimes": runtimes})
+    write_csv(cfg.workdir / "report.csv", _REPORT_FIELDS,
+              ([row[key] for key in _REPORT_FIELDS] for row in rows))
     print("mode      instances  with_solution  mean_primal_gap%")
-    for mode, stats in report.summary["modes"].items():
+    for mode, stats in summary["modes"].items():
         gap = stats["mean_primal_gap"]
         print(f"{mode:<9} {stats['instances']:>9}  "
               f"{stats['with_solution']:>13}  "
               f"{'-' if gap is None else format(gap, '.4f'):>16}")
-    val = report.summary["validation"]
+    val = summary["validation"]
     if val["mean_ap"] is not None:
         print(f"validation mean AP {val['mean_ap']:.4f} "
               f"(prevalence baseline {val['mean_ap_baseline']:.4f})")
@@ -733,8 +723,6 @@ def _build_parser() -> _Parser:
                        help="INI experiment file (defaults apply if omitted)")
         p.add_argument("--workdir", type=Path, default=Path("."),
                        help="experiment directory (default: current)")
-        p.add_argument("--scale", type=float, default=1.0,
-                       help="multiplier on the train/valid/test counts")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for per-instance work")
         return p
@@ -768,8 +756,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config, args.workdir, scale=args.scale,
-                          jobs=args.jobs)
+        cfg = load_config(args.config, args.workdir, jobs=args.jobs)
         if args.command == "run":
             cmd_run(cfg, args.mode)
         else:

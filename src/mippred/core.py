@@ -10,10 +10,12 @@ instances (``MipInstance.from_constraints``) and serve as read-only
 views.  The module also holds the one path by which every pipeline
 file in JSON is written and read: ``write_json`` streams indented JSON
 into the file, and ``read_json`` and ``check_keys`` read and check it.
+Every CSV file likewise goes through ``write_csv`` and ``read_csv``.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -367,6 +369,23 @@ def read_json(path, parse, error: type[ValueError] = ValueError):
         raise error(f"{path}: missing key {exc}") from None
     except (LookupError, AttributeError, TypeError, ValueError) as exc:
         raise error(f"{path}: {exc}") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the cells ``header`` and then each row of ``rows`` to
+    ``path`` as CSV lines ending in ``\\r\\n``; None is written as an
+    empty cell and any other value as its ``str``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path) -> list[list[str]]:
+    """The lines of the CSV file ``path``, each as its list of cells; a
+    blank line gives an empty list."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def instance_to_dict(inst: MipInstance) -> dict:

@@ -144,10 +144,11 @@ def param_shapes(hyper: GcnHyper) -> dict[str, tuple]:
     return shapes
 
 
-def init_params(hyper: GcnHyper, seed: int | None = None) -> dict[str, np.ndarray]:
-    """Uniform fan-balanced weights, zero biases, deterministic per seed."""
+def init_params(hyper: GcnHyper) -> dict[str, np.ndarray]:
+    """Uniform fan-balanced weights, zero biases, deterministic per
+    ``hyper.seed``."""
     hyper.validate()
-    rng = np.random.default_rng(hyper.seed if seed is None else seed)
+    rng = np.random.default_rng(hyper.seed)
     params = {}
     for name, shape in param_shapes(hyper).items():
         if name.endswith("_b") or name in ("out_b1", "out_b2"):

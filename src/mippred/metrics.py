@@ -9,9 +9,7 @@ most confident fraction of variables is kept.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,32 +78,3 @@ def prevalence_baseline(labels) -> np.ndarray:
     if len(labels) == 0:
         raise ValueError("baseline undefined on an empty label set")
     return np.full(len(labels), float(np.mean(labels == 1)))
-
-
-# ---------------------------------------------------------------------------
-# Report container and writers
-
-
-@dataclass
-class EvalReport:
-    """Per-instance metric rows plus aggregate summary values."""
-
-    rows: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-
-
-def write_report_csv(path, report: EvalReport) -> None:
-    with open(path, "w", newline="") as fh:
-        if not report.rows:
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(report.rows[0]))
-        writer.writeheader()
-        writer.writerows(report.rows)
-
-
-def write_curve_csv(path, samples) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "accuracy"])
-        for f, acc in samples:
-            writer.writerow([f, acc])

@@ -6,8 +6,10 @@ the set S with rounded values x_hat, and ``bnb.solve`` measures the
 Hamming distance to x_hat on S with one distance variable d.  The
 approximate pipeline bounds d by phi (a heuristic restriction, so the
 resulting bound is not globally valid); the exact pipeline splits the
-root of the same tree into d <= phi, searched first, and d >= phi + 1,
-which keeps every feasible region and only guides the search.
+root of the same tree into d <= phi and d >= phi + 1, which keeps every
+feasible region and only guides the search: apart from the far box's
+root LP, solved once so that the bound stays finite, every node of
+d <= phi is closed before any node below d >= phi + 1 is solved.
 """
 
 from __future__ import annotations
@@ -106,8 +108,7 @@ def approximate_solve(inst: MipInstance, z, cfg: ApplyConfig) -> bnb.SolveResult
     legitimate: the ball may exclude every solution when the predictions
     are bad and phi is small.
     """
-    res = bnb.solve(inst, cfg.solver, _ball(inst, z, cfg, exact=False))
-    return replace(res, heuristic=True)
+    return bnb.solve(inst, cfg.solver, _ball(inst, z, cfg, exact=False))
 
 
 def exact_solve(inst: MipInstance, z, cfg: ApplyConfig) -> bnb.SolveResult:

@@ -217,6 +217,40 @@ def test_exact_shares_one_node_budget():
     assert res.lower_bound <= res.lb_history[-1] + 1e-9
 
 
+def test_exact_closes_the_near_box_before_the_far_box(monkeypatch):
+    """Each node LP of an exact solve, read by its bounds on ``d``: the
+    first one is the near box's root, and after the far root no far-box
+    node is solved while a near-box node waits to be solved."""
+    boxes = []  # per node LP: whether it lies in the far box
+    solve_lp = simplex.LpWorkspace.solve
+
+    def recording(self, low, upp, warm):
+        boxes.append(low[-1] > phi)
+        return solve_lp(self, low, upp, warm)
+
+    monkeypatch.setattr(simplex.LpWorkspace, "solve", recording)
+    near_after_far_root = 0
+    for problem, (preset, params) in sorted(TINY_SPECS.items()):
+        for seed in range(3):
+            inst = generate(GenSpec(problem, preset, params=params,
+                                    seed=seed))
+            bins = inst.binary_indices()
+            x_hat = np.zeros(inst.n_vars)
+            x_hat[bins[::2]] = 1.0
+            for phi in (0, 1, 2):
+                boxes.clear()
+                res = bnb.solve(inst, ball=bnb.HammingBall(x_hat, bins, phi,
+                                                           exact=True))
+                assert res.status == bnb.OPTIMAL
+                near = [i for i, far in enumerate(boxes) if not far]
+                far = [i for i, far in enumerate(boxes) if far]
+                assert near[0] == 0
+                if len(far) > 1:
+                    assert near[-1] < far[1], (problem, seed, phi, boxes)
+                    near_after_far_root += near[-1] > far[0]
+    assert near_after_far_root > 0
+
+
 def test_max_instance_in_canonical_form_reports_min_sense():
     inst = canonicalize(generate(GenSpec("mis", "tiny", seed=1)))
     res = bnb.solve(inst)
@@ -787,6 +821,53 @@ def test_parked_state_bytes_stay_within_the_cap(monkeypatch):
         mp.setattr(bnb.heapq, "heappush", watching)
         bnb.solve(_cap_instance())
     assert with_state and without
+    assert max(held) <= cap
+    assert max(held) > 2 * state_bytes[0]
+
+
+def test_parked_state_bytes_stay_within_the_cap_with_an_exact_ball(
+        monkeypatch):
+    """As above for an exact solve, with the held copies summed over the
+    heaps of both rings; the ring-1 heap holds copies too."""
+    inst = _cap_instance()
+    ball = bnb.HammingBall(np.ones(inst.n_vars), inst.binary_indices(), 2,
+                           exact=True)
+    state_bytes = []
+    solve_lp = simplex.LpWorkspace.solve
+
+    def sizing(self, *args):
+        out = solve_lp(self, *args)
+        if out[1].state is not None:
+            state_bytes.append(out[1].state.nbytes)
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex.LpWorkspace, "solve", sizing)
+        bnb.solve(inst, ball=ball)
+    assert len(set(state_bytes)) == 1
+    cap = 3 * state_bytes[0] + state_bytes[0] // 2
+    monkeypatch.setattr(bnb, "STATE_BYTES_CAP", cap)
+
+    heaps, held, with_state, without = {}, [], [], []
+    push = bnb.heapq.heappush
+
+    def watching(heap, entry):
+        push(heap, entry)
+        heaps.setdefault(id(heap), heap)
+        warm = entry[2].warm
+        # the far root is pushed before the root LP it starts from
+        if warm is not None:
+            (with_state if warm.state is not None
+             else without).append(list(heaps).index(id(heap)))
+        held.append(sum(nd.warm.state.nbytes
+                        for h in heaps.values() for *_, nd in h
+                        if nd.warm is not None and nd.warm.state is not None))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bnb.heapq, "heappush", watching)
+        bnb.solve(inst, ball=ball)
+    assert len(heaps) == 2
+    assert set(with_state) == set(without) == {0, 1}
     assert max(held) <= cap
     assert max(held) > 2 * state_bytes[0]
 

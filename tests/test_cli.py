@@ -37,7 +37,6 @@ time_limit_s = 2.0
 
 [eval]
 ref_time_limit_s = 10.0
-fractions = 0.5 1.0
 """
 
 
@@ -146,6 +145,21 @@ def test_report_structure(pipeline):
     assert len(list((pipeline / "curves").glob("*.csv"))) == 2
 
 
+def test_report_csv_and_curves_layout(pipeline):
+    report = json.loads((pipeline / "report.json").read_text())
+    lines = (pipeline / "report.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == (b"instance,mode,status,objective,reference,"
+                        b"primal_gap,optimality_gap,nodes")
+    assert lines[-1] == b"" and len(lines) == len(report["rows"]) + 2
+    for path in sorted((pipeline / "curves").glob("*.csv")):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["fraction", "accuracy"]
+        assert [float(f) for f, _ in rows[1:]] == [0.25, 0.5, 0.75, 0.9, 1.0]
+        for _, acc in rows[1:]:
+            assert 0.0 <= float(acc) <= 1.0
+
+
 def test_eval_prints_comparison_table(pipeline, capsys):
     cfgf = pipeline / "exp.ini"
     assert run(pipeline, "eval", "--config", str(cfgf)) == 0
@@ -216,14 +230,6 @@ def test_rerun_train_and_predict_are_byte_identical(pipeline, tmp_path):
     for name in names:
         assert (tmp_path / "predictions" / name).read_bytes() == \
             (pipeline / "predictions" / name).read_bytes(), name
-
-
-def test_scale_flag_shrinks_counts(tmp_path):
-    cfgf = write_config(tmp_path)
-    assert run(tmp_path, "gen", "--config", str(cfgf), "--scale", "0.4") == 0
-    # 3/2/2 at scale 0.4 -> round to 1/1/1, floored at one per split
-    for split in ("train", "valid", "test"):
-        assert len(list((tmp_path / "instances" / split).glob("*.json"))) == 1
 
 
 def test_custom_preset_with_parameters(tmp_path):
@@ -304,7 +310,7 @@ def test_bad_training_hyperparameter_exits_3(tmp_path, capsys, line):
 
 def with_line(section, line, text=SMOKE_CONFIG):
     """``text`` with ``line`` as the first key of ``[section]``."""
-    assert f"[{section}]" in text
+    assert f"[{section}]\n" in text
     return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
 
 
@@ -319,8 +325,8 @@ def with_line(section, line, text=SMOKE_CONFIG):
     ("eval", "ref_time_limit_s", "nan"),
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, section, key, value):
-    text = "\n".join(row for row in SMOKE_CONFIG.splitlines()
-                     if not row.startswith(f"{key} ="))
+    text = "".join(row for row in SMOKE_CONFIG.splitlines(keepends=True)
+                   if not row.startswith(f"{key} ="))
     cfgf = write_config(tmp_path, with_line(section, f"{key} = {value}",
                                             text))
     assert run(tmp_path, "gen", "--config", str(cfgf)) == 3
@@ -335,17 +341,17 @@ def test_config_loads_every_key(tmp_path):
                           ("gcn", "literal_loops = yes"),
                           ("predictor", "node_limit = 7")):
         text = with_line(section, line, text)
-    cfg = cli.load_config(write_config(tmp_path, text), tmp_path, scale=0.5)
+    cfg = cli.load_config(write_config(tmp_path, text), tmp_path)
     assert (cfg.problem, cfg.preset, cfg.gen_params) == ("sc", "tiny",
                                                          {"sets": 12})
-    assert (cfg.n_train, cfg.n_valid, cfg.n_test, cfg.seed) == (2, 1, 1, 0)
+    assert (cfg.n_train, cfg.n_valid, cfg.n_test, cfg.seed) == (3, 2, 2, 0)
     assert (cfg.label_max_iters, cfg.label_time_limit_s) == (5, 2.0)
     assert (cfg.hyper.hidden_dim, cfg.hyper.output_hidden, cfg.hyper.epochs,
             cfg.hyper.learning_rate, cfg.hyper.attention,
             cfg.hyper.literal_loops) == (8, 8, 5, 0.005, False, True)
     assert (cfg.phi_grid, cfg.eta_grid) == ((0,), (0.9, 1.0))
     assert (cfg.solve_time_limit_s, cfg.solve_node_limit) == (2.0, 7)
-    assert (cfg.ref_time_limit_s, cfg.fractions) == (10.0, (0.5, 1.0))
+    assert cfg.ref_time_limit_s == 10.0
 
 
 def test_absent_config_file_exits_3(tmp_path):
@@ -353,9 +359,17 @@ def test_absent_config_file_exits_3(tmp_path):
                str(tmp_path / "nope.ini")) == 3
 
 
-def test_bad_scale_exits_3(tmp_path):
-    cfgf = write_config(tmp_path)
-    assert run(tmp_path, "gen", "--config", str(cfgf), "--scale", "0") == 3
+@pytest.mark.parametrize("argv, text", [
+    (["--scale", "0.4"], SMOKE_CONFIG),
+    ([], with_line("eval", "fractions = 0.5 1.0")),
+], ids=["scale_flag", "fractions_key"])
+def test_removed_settings_exit_3(tmp_path, capsys, argv, text):
+    # the split counts come from the config alone, and the curve
+    # fractions are fixed
+    cfgf = write_config(tmp_path, text)
+    assert run(tmp_path, "gen", "--config", str(cfgf), *argv) == 3
+    assert ("--scale" if argv else "fractions") in capsys.readouterr().err
+    assert not (tmp_path / "instances").exists()
 
 
 def test_run_requires_mode_exits_3(tmp_path, capsys):

@@ -14,8 +14,9 @@ from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
                           InstanceFormatError, MipInstance, RowArrays, Variable,
                           canonicalize,
                           evaluate_solution, instance_from_dict,
-                          instance_to_dict, read_instance,
-                          validate_instance, write_instance, write_json)
+                          instance_to_dict, read_csv, read_instance,
+                          validate_instance, write_csv, write_instance,
+                          write_json)
 from mippred.generators import GenSpec, generate
 
 
@@ -412,3 +413,24 @@ def test_write_json_bytes_are_pinned(tmp_path):
         b'{\n "na\\u00efve \\u03a3": [\n  0.1,\n  -2.5e-300,\n  [\n   1,\n'
         b'   [\n    2.0,\n    null\n   ]\n  ],\n  []\n ],\n "x": {\n'
         b'  "\\u00fc": 1e+16,\n  "inf": Infinity,\n  "nan": NaN\n }\n}\n')
+
+
+def test_write_csv_bytes_are_pinned(tmp_path):
+    """Cells joined by commas, lines ending in CRLF, None as an empty cell,
+    floats by their shortest round-trip repr, and a cell holding a comma,
+    quote or line break quoted."""
+    path = tmp_path / "t.csv"
+    write_csv(path, ("name", "value"),
+              [("a", 0.1), ("b,c", None), ('say "hi"', 1e16), ("x\ny", 2)])
+    assert path.read_bytes() == (
+        b'name,value\r\na,0.1\r\n"b,c",\r\n"say ""hi""",1e+16\r\n'
+        b'"x\ny",2\r\n')
+
+
+def test_read_csv_returns_the_written_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [["a", "0.1"], ["b,c", ""], ['say "hi"', "1e+16"], ["x\ny", "2"]]
+    write_csv(path, ("name", "value"), rows)
+    assert read_csv(path) == [["name", "value"], *rows]
+    path.write_text("h\n\nv\n")
+    assert read_csv(path) == [["h"], [], ["v"]]

@@ -2,9 +2,9 @@
 private helpers nothing references, public functions and classes that
 nothing outside the tests references, private names that one module reads
 from another, what importing the command-line module loads, one place
-that reads and writes JSON files, a documented line for every
-configuration key, and instance rows and columns read as arrays
-outside ``core``."""
+that reads and writes JSON files and one that reads and writes CSV
+files, exactly one documented line for each configuration key, and
+instance rows and columns read as arrays outside ``core``."""
 
 import ast
 import os
@@ -290,24 +290,76 @@ def test_json_files_go_through_the_core_helpers():
                      ("core.py", "write_json", "dump")}
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level name of every module that ``source`` imports, at any
+    depth; relative imports are left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_import_scan_finds_plain_from_and_nested_imports():
+    source = ("import csv\n"
+              "import os.path as p\n"
+              "from json import load\n"
+              "from . import core\n"
+              "from .csv import rows\n"
+              "def f():\n"
+              "    import re\n")
+    assert imported_modules(source) == {"csv", "os", "json", "re"}
+
+
+def test_csv_files_go_through_the_core_helpers():
+    """Only ``core`` imports the csv module: every CSV file is written by
+    ``write_csv`` and read by ``read_csv``."""
+    users = {path.name for path in sorted(SRC.glob("*.py"))
+             if "csv" in imported_modules(path.read_text())}
+    assert users == {"core.py"}
+
+
 def documented_config_keys(doc: str) -> set[tuple[str, str]]:
-    """(section, first word) of each indented line below an indented
-    ``[section]`` line, up to the next unindented line."""
-    keys, section = set(), None
+    """(section, first word) of each line below an indented ``[section]``
+    line and indented as far as it, up to the next unindented or blank
+    line.  A line indented further continues the line above it."""
+    keys, section, column = set(), None, 0
     for line in doc.splitlines():
         words = line.split()
-        if not line.startswith("    "):
+        indent = len(line) - len(line.lstrip())
+        if not words or indent == 0:
             section = None
         elif words[0].startswith("[") and words[0].endswith("]"):
-            section = words[0][1:-1]
-        elif section is not None:
+            section, column = words[0][1:-1], indent
+        elif section is not None and indent == column:
             keys.add((section, words[0]))
     return keys
 
 
+def test_config_key_scan_skips_continuation_lines():
+    doc = ("Intro.\n"
+           "\n"
+           "    [a]\n"
+           "    one      1      first\n"
+           "                    wrapped words\n"
+           "    two      2\n"
+           "    [b]             a note\n"
+           "    three    3\n"
+           "\n"
+           "    four     4\n")
+    assert documented_config_keys(doc) == {("a", "one"), ("a", "two"),
+                                           ("b", "three")}
+
+
 def test_every_config_key_is_documented():
+    """Every key of ``cli._KEYS`` has a line in the ``cli`` docstring, and
+    every key documented there is in ``cli._KEYS``."""
     table = {(section, key) for section, key, *_ in cli._KEYS}
-    assert table - documented_config_keys(cli.__doc__) == set()
+    documented = documented_config_keys(cli.__doc__)
+    assert table - documented == set()
+    assert documented - table == set()
 
 
 def row_record_uses(source: str) -> list[str]:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mippred import metrics
-from mippred.metrics import (EvalReport, accuracy_at_fraction,
-                             average_precision, optimality_gap,
-                             prevalence_baseline, primal_gap)
+from mippred.core import write_csv
+from mippred.metrics import (accuracy_at_fraction, average_precision,
+                             optimality_gap, prevalence_baseline, primal_gap)
 from oracles import average_precision_reference
 
 
@@ -178,15 +178,12 @@ def test_baseline_ap_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Report writers
+# Report files: eval writes the rows and the curves through core.write_csv
 
 
 def test_report_csv_layout(tmp_path):
-    report = EvalReport(rows=[{"instance": "a", "ap": 0.5},
-                              {"instance": "b", "ap": 1.0}],
-                        summary={"mean_ap": 0.75})
     path = tmp_path / "report.csv"
-    metrics.write_report_csv(path, report)
+    write_csv(path, ("instance", "ap"), [("a", 0.5), ("b", 1.0)])
     lines = path.read_text().splitlines()
     assert lines[0] == "instance,ap"
     assert lines[1:] == ["a,0.5", "b,1.0"]
@@ -194,6 +191,8 @@ def test_report_csv_layout(tmp_path):
 
 def test_curve_csv_layout(tmp_path):
     path = tmp_path / "curve.csv"
-    metrics.write_curve_csv(path, [(0.25, 1.0), (1.0, 0.75)])
+    curve = accuracy_at_fraction([0.9, 0.2, 0.6, 0.5], [1, 0, 0, 1],
+                                 (0.25, 1.0))
+    write_csv(path, ("fraction", "accuracy"), curve)
     lines = path.read_text().splitlines()
     assert lines == ["fraction,accuracy", "0.25,1.0", "1.0,0.75"]
