@@ -183,10 +183,9 @@ class _Rows:
     """
 
     def __init__(self, inst: MipInstance):
-        n, m, ra = inst.n_vars, len(inst.row_names), inst.rows
+        n, ra = inst.n_vars, inst.rows
         self.rid, self.cols, self.vals = ra.row_ids(), ra.cols, ra.vals
         self.lhs, self.rhs = ra.lhs, ra.rhs
-        self.l1 = np.bincount(self.rid, np.abs(self.vals), minlength=m)
         is_int = (inst.vtype != CONTINUOUS).tolist()
         terms = list(zip(self.cols.tolist(), self.vals.tolist()))
         ptr = ra.indptr.tolist()
@@ -203,12 +202,11 @@ class _Rows:
                            minlength=len(self.lhs))
 
     def may_hold(self, x) -> bool:
-        """False only when ``x`` misses a row by more than ``FEAS_TOL`` plus
-        a slack that covers the rounding of any summation order, so that
-        ``evaluate_solution`` would reject ``x`` as well."""
+        """False exactly when ``x`` misses a row by more than ``FEAS_TOL``,
+        which is ``evaluate_solution``'s row test: it sums the same arrays
+        in the same order, so the activities agree bit for bit."""
         acts = self.activities(x)
-        slack = FEAS_TOL + 1e-9 * (1.0 + self.l1 * np.max(np.abs(x), initial=0.0))
-        return not ((acts < self.lhs - slack) | (acts > self.rhs + slack)).any()
+        return not (np.maximum(self.lhs - acts, acts - self.rhs) > FEAS_TOL).any()
 
 
 def _repair_rounding(rows: _Rows, lp_x, x_cand, low0, upp0):

@@ -18,6 +18,10 @@ history.csv holds one row per epoch run, with the columns ``epoch``,
 ``loss`` (mean training loss) and ``valid_loss`` (mean validation loss,
 empty when no valid instance has a stable label).
 
+``gridsearch`` keeps the (phi, eta) pair of the grids whose approx
+solves of the valid split have the least mean primal gap, measured
+against one baseline solve per valid instance under ``ref_time_limit_s``.
+
 ``eval`` measures each mode's primal gap against a reference objective
 per test instance: the baseline's objective where results_baseline.csv
 reports it optimal, else a baseline solve under ``ref_time_limit_s``.
@@ -65,16 +69,19 @@ by spaces or commas.  The keys, with their defaults and ranges:
 
 Stages only read earlier outputs and only write their own files, so any
 stage can be rerun in place; identical configuration and seeds give
-byte-identical outputs (wall-clock timings are kept under a separate
-``runtimes`` key in the report).  Exit codes: 2 when a required earlier
-output is missing, 3 for an invalid configuration or command line, 4
-for a runtime failure inside a stage.
+byte-identical outputs apart from the wall-clock timings, which are the
+``wall_time_s`` column of results_{mode}.csv and the ``runtimes`` key
+of report.json.  Exit codes: 2 when a required earlier output is
+missing, 3 for an invalid configuration or command line, 4 for a
+runtime failure inside a stage, such as a predictions file that does
+not name exactly its instance's binaries.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 import time
@@ -127,14 +134,14 @@ class ExperimentConfig:
     n_valid: int = 20
     n_test: int = 40
     seed: int = 0
-    label_max_iters: int = 40
-    label_time_limit_s: float = 5.0
+    labeling: labeler.LabelConfig = field(default_factory=labeler.LabelConfig)
     hyper: gcn.GcnHyper = field(default_factory=gcn.GcnHyper)
     phi_grid: tuple = predictor.PHI_GRID
     eta_grid: tuple = predictor.ETA_GRID
-    solve_time_limit_s: float = 5.0
-    solve_node_limit: int | None = None
-    ref_time_limit_s: float = 60.0
+    solver: bnb.BnbConfig = field(
+        default_factory=lambda: bnb.BnbConfig(time_limit_s=5.0))
+    reference: bnb.BnbConfig = field(
+        default_factory=lambda: bnb.BnbConfig(time_limit_s=60.0))
     workdir: Path = field(default_factory=Path)
     jobs: int = 1
 
@@ -166,13 +173,12 @@ def _boolean(raw: str) -> bool:
 # "> 0" also rejects NaN
 _POSITIVE = (lambda v: v > 0, "> 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
-_IN_UNIT = (lambda vs: all(0.0 < v <= 1.0 for v in vs), "values in (0, 1]")
 
-# One row per INI key: section, key, the field of ExperimentConfig (of
-# GcnHyper in [gcn]) it sets, the parser of its text, and the (test,
-# rule) of its value.  Rows with no test:
-# problem, preset and params are checked together by the generators, and
-# the [gcn] keys by GcnHyper.validate.
+# One row per INI key: section, key, the path below ExperimentConfig of
+# the attribute it sets, the parser of its text, and the (test, rule) of
+# its value.  Rows with no test: problem, preset and params are checked
+# together by the generators, the [gcn] keys by GcnHyper.validate, and
+# each value of the two grids by predictor.ApplyConfig.validate.
 _KEYS = (
     ("experiment", "problem", "problem", str.lower, None),
     ("experiment", "preset", "preset", str.lower, None),
@@ -181,29 +187,31 @@ _KEYS = (
     ("experiment", "valid", "n_valid", int, _AT_LEAST_ONE),
     ("experiment", "test", "n_test", int, _AT_LEAST_ONE),
     ("experiment", "seed", "seed", int, (lambda v: v >= 0, ">= 0")),
-    ("labeler", "max_iters", "label_max_iters", int, _AT_LEAST_ONE),
-    ("labeler", "time_limit_s", "label_time_limit_s", float, _POSITIVE),
-    ("gcn", "hidden_dim", "hidden_dim", int, None),
-    ("gcn", "transitions", "transitions", int, None),
-    ("gcn", "output_hidden", "output_hidden", int, None),
-    ("gcn", "learning_rate", "learning_rate", float, None),
-    ("gcn", "epochs", "epochs", int, None),
-    ("gcn", "seed", "seed", int, None),
-    ("gcn", "attention", "attention", _boolean, None),
-    ("gcn", "literal_loops", "literal_loops", _boolean, None),
-    ("predictor", "phi_grid", "phi_grid", _list_of(int),
-     (lambda vs: all(v >= 0 for v in vs), "integers >= 0")),
-    ("predictor", "eta_grid", "eta_grid", _list_of(float), _IN_UNIT),
-    ("predictor", "time_limit_s", "solve_time_limit_s", float, _POSITIVE),
-    ("predictor", "node_limit", "solve_node_limit",
+    ("labeler", "max_iters", "labeling.max_iters", int, _AT_LEAST_ONE),
+    ("labeler", "time_limit_s", "labeling.base_time_limit_s", float,
+     _POSITIVE),
+    ("gcn", "hidden_dim", "hyper.hidden_dim", int, None),
+    ("gcn", "transitions", "hyper.transitions", int, None),
+    ("gcn", "output_hidden", "hyper.output_hidden", int, None),
+    ("gcn", "learning_rate", "hyper.learning_rate", float, None),
+    ("gcn", "epochs", "hyper.epochs", int, None),
+    ("gcn", "seed", "hyper.seed", int, None),
+    ("gcn", "attention", "hyper.attention", _boolean, None),
+    ("gcn", "literal_loops", "hyper.literal_loops", _boolean, None),
+    ("predictor", "phi_grid", "phi_grid", _list_of(int), None),
+    ("predictor", "eta_grid", "eta_grid", _list_of(float), None),
+    ("predictor", "time_limit_s", "solver.time_limit_s", float, _POSITIVE),
+    ("predictor", "node_limit", "solver.node_limit",
      lambda raw: int(raw) if raw.strip() else None,
      (lambda v: v is None or v >= 1, "empty or >= 1")),
-    ("eval", "ref_time_limit_s", "ref_time_limit_s", float, _POSITIVE),
+    ("eval", "ref_time_limit_s", "reference.time_limit_s", float, _POSITIVE),
 )
 
 
-def _owner(cfg: ExperimentConfig, section: str):
-    return cfg.hyper if section == "gcn" else cfg
+def _resolve(cfg: ExperimentConfig, path: str):
+    """(object, attribute name) of the dotted ``path`` below ``cfg``."""
+    *parents, attr = path.split(".")
+    return functools.reduce(getattr, parents, cfg), attr
 
 
 def _apply_config(cfg: ExperimentConfig, cp: configparser.ConfigParser) -> None:
@@ -215,21 +223,28 @@ def _apply_config(cfg: ExperimentConfig, cp: configparser.ConfigParser) -> None:
         if unknown:
             raise ConfigError(
                 f"unknown keys {sorted(unknown)} in section [{section}]")
-    for section, key, attr, parse, _ in _KEYS:
+    for section, key, path, parse, _ in _KEYS:
         if cp.has_option(section, key):
             try:
                 value = parse(cp.get(section, key))
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
-            setattr(_owner(cfg, section), attr, value)
+            setattr(*_resolve(cfg, path), value)
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    for section, key, attr, _, check in _KEYS:
-        value = getattr(_owner(cfg, section), attr)
+    for section, key, path, _, check in _KEYS:
+        value = getattr(*_resolve(cfg, path))
         if check is not None and not check[0](value):
             raise ConfigError(
                 f"[{section}] {key} must be {check[1]}, got {value!r}")
+    for key, name in (("phi_grid", "phi"), ("eta_grid", "eta")):
+        try:
+            for value in getattr(cfg, key):
+                predictor.ApplyConfig(**{name: value}).validate()
+        except ValueError as exc:
+            raise ConfigError(
+                f"[predictor] {key}: {exc}, got {value!r}") from None
     try:
         generators.merged_params(cfg.problem, cfg.preset, cfg.gen_params)
     except ValueError as exc:
@@ -305,32 +320,31 @@ def _pmap(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _read_predictions(path: Path) -> dict[str, float]:
-    """varname -> z of a predictions file; each z must lie in [0, 1] and
-    each variable be named once."""
+def _read_predictions(path: Path, names: list[str]) -> np.ndarray:
+    """z of a predictions file for the binaries ``names``, in their order;
+    the file names each of them once, with z in [0, 1], and nothing else."""
     rows = read_csv(path)
     if rows[:1] != [["varname", "z"]]:
         raise ValueError(f"{path}: expected a 'varname,z' header, "
                          f"got {rows[:1]}")
-    pred = {}
+    pred, known = {}, set(names)
     for line, row in enumerate(rows[1:], start=2):
         try:
             name, z = row
             if name in pred or not 0.0 <= float(z) <= 1.0:
                 raise ValueError
-            pred[name] = float(z)
         except ValueError:
             raise ValueError(f"{path}: line {line}: expected 'varname,z' "
                              f"with z in [0, 1], each variable once, "
                              f"got {row}") from None
-    return pred
-
-
-def _z_for_instance(inst: MipInstance, pred: dict[str, float]) -> np.ndarray:
-    # a binary the predictions file does not name falls back to maximal
-    # uncertainty, so the selector picks it last
-    return np.array([pred.get(inst.var_names[j], 0.5)
-                     for j in inst.binary_indices()])
+        if name not in known:
+            raise ValueError(f"{path}: line {line}: {name!r} is not a "
+                             f"binary of the instance")
+        pred[name] = float(z)
+    for name in names:
+        if name not in pred:
+            raise ValueError(f"{path}: no prediction for binary {name!r}")
+    return np.array([pred[name] for name in names])
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +370,8 @@ def cmd_gen(cfg: ExperimentConfig) -> None:
 
 
 def _label_one(task) -> str:
-    inst_path, out_path, max_iters, time_limit = task
-    inst = read_instance(inst_path)
-    ls = labeler.generate_labels(
-        inst, labeler.LabelConfig(max_iters=max_iters,
-                                  base_time_limit_s=time_limit))
+    inst_path, out_path, label_cfg = task
+    ls = labeler.generate_labels(read_instance(inst_path), label_cfg)
     labeler.write_labels(out_path, ls)
     return ls.instance
 
@@ -368,8 +379,7 @@ def _label_one(task) -> str:
 def cmd_label(cfg: ExperimentConfig) -> None:
     out = cfg.workdir / "labels"
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(path, out / path.name, cfg.label_max_iters,
-              cfg.label_time_limit_s)
+    tasks = [(path, out / path.name, cfg.labeling)
              for split in ("train", "valid")
              for path in _split_instances(cfg, split)]
     done = _pmap(_label_one, tasks, cfg.jobs)
@@ -459,18 +469,13 @@ def cmd_predict(cfg: ExperimentConfig) -> None:
     print(f"predict: wrote {n} prediction files under {out}")
 
 
-def _solver_config(cfg: ExperimentConfig) -> bnb.BnbConfig:
-    return bnb.BnbConfig(time_limit_s=cfg.solve_time_limit_s,
-                         node_limit=cfg.solve_node_limit)
-
-
 def _reference_objective(cfg: ExperimentConfig, inst: MipInstance) -> float:
     """Objective of the baseline solve under ``ref_time_limit_s``, the
     reference of the primal gaps."""
-    ref = bnb.solve(inst, bnb.BnbConfig(time_limit_s=cfg.ref_time_limit_s))
+    ref = bnb.solve(inst, cfg.reference)
     if ref.objective is None:
         raise RuntimeError(f"no reference solution for {inst.name!r} "
-                           f"within {cfg.ref_time_limit_s} s")
+                           f"within {cfg.reference.time_limit_s} s")
     return ref.objective
 
 
@@ -479,17 +484,16 @@ def _validation_triples(cfg: ExperimentConfig):
     triples = []
     for path in _split_instances(cfg, "valid"):
         inst = read_instance(path)
-        pred = _read_predictions(
-            _require(preds_dir / f"{path.stem}.csv", "predict"))
-        triples.append((inst, _z_for_instance(inst, pred),
-                        _reference_objective(cfg, inst)))
+        z = _read_predictions(
+            _require(preds_dir / f"{path.stem}.csv", "predict"),
+            [inst.var_names[j] for j in inst.binary_indices()])
+        triples.append((inst, z, _reference_objective(cfg, inst)))
     return triples
 
 
 def cmd_gridsearch(cfg: ExperimentConfig) -> None:
     phi, eta, mean_gap = predictor.grid_search(
-        _validation_triples(cfg), cfg.phi_grid, cfg.eta_grid,
-        predictor.ApplyConfig(solver=_solver_config(cfg)))
+        _validation_triples(cfg), cfg.phi_grid, cfg.eta_grid, cfg.solver)
     write_json(cfg.workdir / "tuned.json",
                {"phi": int(phi), "eta": float(eta),
                 "mean_primal_gap": mean_gap})
@@ -511,14 +515,14 @@ def _tuned_pair(cfg: ExperimentConfig) -> tuple[int, float]:
 
 
 def _run_one(task) -> dict:
-    inst_path, pred_path, mode, phi, eta, time_limit, node_limit = task
+    inst_path, pred_path, mode, phi, eta, solver = task
     inst = read_instance(inst_path)
-    solver = bnb.BnbConfig(time_limit_s=time_limit, node_limit=node_limit)
     if mode == "baseline":
         res = bnb.solve(inst, solver)
         phi_out = eta_out = ""
     else:
-        z = _z_for_instance(inst, _read_predictions(pred_path))
+        z = _read_predictions(
+            pred_path, [inst.var_names[j] for j in inst.binary_indices()])
         apply_cfg = predictor.ApplyConfig(
             phi=phi, eta=eta, solver=solver,
             mode=predictor.APPROXIMATE if mode == "approx"
@@ -552,8 +556,7 @@ def cmd_run(cfg: ExperimentConfig, mode: str) -> None:
         if mode != "baseline":
             preds_dir = _require(cfg.workdir / "predictions", "predict")
             pred_path = _require(preds_dir / f"{path.stem}.csv", "predict")
-        tasks.append((path, pred_path, mode, phi, eta,
-                      cfg.solve_time_limit_s, cfg.solve_node_limit))
+        tasks.append((path, pred_path, mode, phi, eta, cfg.solver))
     rows = _pmap(_run_one, tasks, cfg.jobs)
     out = cfg.workdir / f"results_{mode}.csv"
     write_csv(out, _RESULT_FIELDS,
@@ -586,11 +589,10 @@ def _prediction_quality(cfg: ExperimentConfig) -> dict:
     for path in _split_instances(cfg, "valid"):
         name = path.stem
         ls = labeler.read_labels(_require(labels_dir / path.name, "label"))
-        pred = _read_predictions(_require(preds_dir / f"{name}.csv",
-                                          "predict"))
         mask = ls.stable_mask()
         y = ls.targets()[mask]
-        z = np.array([pred.get(v, 0.5) for v in ls.var_names])[mask]
+        z = _read_predictions(_require(preds_dir / f"{name}.csv",
+                                       "predict"), ls.var_names)[mask]
         row = {"instance": name, "n_binary": len(ls.var_names),
                "n_stable": int(mask.sum()), "ap": None, "ap_baseline": None,
                "accuracy": None}

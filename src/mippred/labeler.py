@@ -6,7 +6,8 @@ over the binaries and whose feasible points improve on its objective by
 at least delta.  The search stops at its first incumbent, so a round
 takes an improving solution, not necessarily the nearest one.  The
 rounds stop when no improving solution is found or an iteration cap is
-hit.
+hit.  A proximity solve that reaches its time limit without an
+incumbent ends them too; the label file does not say which ended them.
 A binary variable that keeps one value across the whole trace is labeled
 stable at that value; variables that flip at least once are unstable and
 are excluded from training downstream.
@@ -78,7 +79,7 @@ class LabelSet:
         return np.array([1.0 if lab == STABLE1 else 0.0 for lab in self.labels])
 
 
-def initial_solution(inst: MipInstance, base_time_limit_s: float = 5.0):
+def initial_solution(inst: MipInstance, base_time_limit_s: float):
     """(first feasible solution within 63 times ``base_time_limit_s``, root
     LP bound of the canonical instance).
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,27 +119,25 @@ def exact_solve(inst: MipInstance, z, cfg: ApplyConfig) -> bnb.SolveResult:
     return bnb.solve(inst, cfg.solver, _ball(inst, z, cfg, exact=True))
 
 
-def grid_search(validation, phi_grid=PHI_GRID, eta_grid=ETA_GRID,
-                cfg: ApplyConfig | None = None):
+def grid_search(validation, phi_grid, eta_grid, solver: bnb.BnbConfig):
     """Best (phi, eta) by mean primal gap on the validation runs, and
     that gap: a (phi, eta, mean gap) triple.
 
     ``validation`` holds (instance, predictions, reference objective)
-    triples.  Every grid pair runs the approximate pipeline on every
-    instance under the budget in ``cfg.solver``; ties prefer the
-    smaller phi, then the larger eta.
+    triples.  Every pair of ``phi_grid`` x ``eta_grid`` runs the
+    approximate pipeline on every instance under the budget ``solver``;
+    ties prefer the smaller phi, then the larger eta.
     """
     if not phi_grid or not eta_grid:
         raise ValueError("empty parameter grid")
     if not validation:
         raise ValueError("empty validation set")
-    if cfg is None:
-        cfg = ApplyConfig(solver=bnb.BnbConfig(time_limit_s=5.0))
     best = None
     for phi, eta in itertools.product(phi_grid, eta_grid):
+        cfg = ApplyConfig(phi=phi, eta=eta, solver=solver)
         gaps = []
         for inst, z, ref_obj in validation:
-            res = approximate_solve(inst, z, replace(cfg, phi=phi, eta=eta))
+            res = approximate_solve(inst, z, cfg)
             if res.objective is None:
                 gaps.append(INFEASIBLE_GAP)
             else:

@@ -460,8 +460,6 @@ def test_workspace_and_repair_rows_equal_dict_walk(problem):
         x = rng.standard_normal(n0)
         np.testing.assert_allclose(rows.activities(x), G[:m0, :n0] @ x,
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(rows.l1, np.abs(G[:m0, :n0]).sum(axis=1),
-                                   rtol=1e-12)
         np.testing.assert_array_equal(
             rows.lhs, [con.lhs for con in canon.constraints])
         np.testing.assert_array_equal(
@@ -640,17 +638,18 @@ def tight_copy(inst, x):
                                         constraints, dict(enumerate(inst.c)))
 
 
-def edge_points(inst, x):
-    """Points whose activity on one row sits on a side of the row, or
-    just inside, at, or just outside its FEAS_TOL band; the row's
-    largest-coefficient variable moves."""
+def edge_points(inst, x, offsets=(-1.0, 0.0, 0.999, 1.0, 1.001)):
+    """Points whose activity on one row sits ``offsets`` times FEAS_TOL
+    outside a side of the row: by default just inside, at, or just
+    outside its FEAS_TOL band; the row's largest-coefficient variable
+    moves."""
     for con in inst.constraints:
         j, a = max(con.coeffs.items(), key=lambda item: abs(item[1]))
         act = sum(coef * x[k] for k, coef in con.coeffs.items())
         for bound, outward in ((con.lhs, -1.0), (con.rhs, 1.0)):
             if not math.isfinite(bound):
                 continue
-            for off in (-1.0, 0.0, 0.999, 1.0, 1.001):
+            for off in offsets:
                 y = x.copy()
                 y[j] += (bound + outward * off * FEAS_TOL - act) / a
                 yield y
@@ -676,6 +675,31 @@ def test_row_screen_keeps_every_point_evaluate_accepts():
     assert generate(GenSpec("mk", "tiny", seed=0)).sense == "max"
     assert any(con.lhs == con.rhs for con in
                generate(GenSpec("tsp", *TINY_SPECS["tsp"], seed=0)).constraints)
+
+
+def test_row_screen_accepts_exactly_what_evaluate_rows_accept():
+    """``may_hold`` is ``evaluate_solution``'s row test, with no slack:
+    evaluated on a copy with no bounds and no integer variables, a point
+    is feasible exactly when the screen accepts it, including points 2
+    FEAS_TOL outside a side."""
+    for problem in ("mk", "cfl", "tsp"):
+        preset, params = TINY_SPECS[problem]
+        for seed in range(3):
+            orig = generate(GenSpec(problem, preset, params=params,
+                                    seed=seed))
+            x = bnb.solve(orig).incumbent.values
+            for inst in (orig, tight_copy(orig, x)):
+                rows = instance_rows(inst)
+                free = replace(inst,
+                               vtype=np.full_like(inst.vtype, CONTINUOUS),
+                               lb=np.full(inst.n_vars, -math.inf),
+                               ub=np.full(inst.n_vars, math.inf))
+                verdicts = []
+                for y in edge_points(inst, x, (-1.0, 0.0, 0.999, 1.0, 1.001,
+                                               2.0)):
+                    verdicts.append(evaluate_solution(free, y).feasible)
+                    assert rows.may_hold(y) == verdicts[-1], (problem, seed)
+                assert True in verdicts and False in verdicts
 
 
 def test_row_screen_rejects_a_clear_row_violation():

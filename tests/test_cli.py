@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from mippred import cli
+from mippred import bnb, cli
 from mippred.core import (BINARY, Constraint, MipInstance, Variable,
                           read_instance, write_instance)
 
@@ -323,6 +323,9 @@ def with_line(section, line, text=SMOKE_CONFIG):
     ("labeler", "time_limit_s", "nan"),
     ("predictor", "time_limit_s", "nan"),
     ("eval", "ref_time_limit_s", "nan"),
+    ("predictor", "phi_grid", "0 -1"),
+    ("predictor", "eta_grid", "0.9 0"),
+    ("predictor", "eta_grid", "nan"),
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, section, key, value):
     text = "".join(row for row in SMOKE_CONFIG.splitlines(keepends=True)
@@ -345,13 +348,14 @@ def test_config_loads_every_key(tmp_path):
     assert (cfg.problem, cfg.preset, cfg.gen_params) == ("sc", "tiny",
                                                          {"sets": 12})
     assert (cfg.n_train, cfg.n_valid, cfg.n_test, cfg.seed) == (3, 2, 2, 0)
-    assert (cfg.label_max_iters, cfg.label_time_limit_s) == (5, 2.0)
+    assert (cfg.labeling.max_iters, cfg.labeling.base_time_limit_s) == (5, 2.0)
     assert (cfg.hyper.hidden_dim, cfg.hyper.output_hidden, cfg.hyper.epochs,
             cfg.hyper.learning_rate, cfg.hyper.attention,
             cfg.hyper.literal_loops) == (8, 8, 5, 0.005, False, True)
     assert (cfg.phi_grid, cfg.eta_grid) == ((0,), (0.9, 1.0))
-    assert (cfg.solve_time_limit_s, cfg.solve_node_limit) == (2.0, 7)
-    assert cfg.ref_time_limit_s == 10.0
+    assert (cfg.solver.time_limit_s, cfg.solver.node_limit) == (2.0, 7)
+    assert (cfg.reference.time_limit_s, cfg.reference.node_limit) == (10.0,
+                                                                      None)
 
 
 def test_absent_config_file_exits_3(tmp_path):
@@ -448,7 +452,7 @@ def test_bad_prediction_row_is_rejected_naming_the_file(tmp_path, row):
     path = tmp_path / "p.csv"
     path.write_text(f"varname,z\nx_1,0.5\n{row}\n")
     with pytest.raises(ValueError, match=r"p\.csv: line 3"):
-        cli._read_predictions(path)
+        cli._read_predictions(path, ["x_0", "x_1"])
 
 
 def test_bad_prediction_file_fails_run_naming_it(pipeline, tmp_path,
@@ -463,7 +467,70 @@ def test_bad_prediction_file_fails_run_naming_it(pipeline, tmp_path,
     assert "sc-tiny-test-0000.csv: line" in capsys.readouterr().err
 
 
-def _eval_with_recorded_references(pipeline, tmp_path, monkeypatch,
+@pytest.mark.parametrize("stage, split", [
+    (["gridsearch"], "valid"), (["run", "--mode", "approx"], "test"),
+    (["eval"], "valid")], ids=["gridsearch", "run", "eval"])
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_prediction_file_must_name_exactly_the_binaries(
+        pipeline, tmp_path, capsys, stage, split, change):
+    # a stale or foreign predictions file fails each stage that reads it,
+    # naming the file and the variable
+    cfgf = write_config(tmp_path)
+    copy_stage_outputs(pipeline, tmp_path, "instances", "labels",
+                       "predictions", "tuned.json",
+                       *(f"results_{mode}.csv" for mode in cli.RUN_MODES))
+    victim = tmp_path / "predictions" / f"sc-tiny-{split}-0001.csv"
+    lines = victim.read_text().splitlines(keepends=True)
+    if change == "missing":
+        name = lines.pop(2).split(",")[0]
+    else:
+        name = "ghost"
+        lines.append("ghost,0.5\n")
+    victim.write_text("".join(lines))
+    assert run(tmp_path, *stage, "--config", str(cfgf)) == 4
+    err = capsys.readouterr().err
+    assert f"sc-tiny-{split}-0001.csv" in err and f"'{name}'" in err
+
+
+def test_stages_solve_under_the_configured_budgets(pipeline, tmp_path,
+                                                   monkeypatch):
+    # gridsearch and run solve under [predictor] time_limit_s and
+    # node_limit; each reference solve, the one solve without a ball in
+    # gridsearch and every solve of eval, under [eval] ref_time_limit_s.
+    # With no results_baseline.csv, eval solves every test reference.
+    cfgf = write_config(tmp_path, with_line("predictor", "node_limit = 1"))
+    copy_stage_outputs(pipeline, tmp_path, "instances", "predictions",
+                       "labels")
+    seen = []
+    real = bnb.solve
+
+    def recording(inst, cfg=None, ball=None):
+        seen.append((stage[0], ball is not None, cfg.time_limit_s,
+                     cfg.node_limit, cfg.mode))
+        return real(inst, cfg, ball)
+
+    monkeypatch.setattr(bnb, "solve", recording)
+    stages = [["gridsearch"]] + [["run", "--mode", mode]
+                                 for mode in cli.RUN_MODES] + [["eval"]]
+    for stage in stages:
+        if stage == ["eval"]:
+            (tmp_path / "results_baseline.csv").unlink()
+        assert run(tmp_path, *stage, "--config", str(cfgf)) == 0, stage
+    solver = (2.0, 1, bnb.OPTIMIZE)
+    reference = (10.0, None, bnb.OPTIMIZE)
+    counts = {}
+    for name, in_ball, *budget in seen:
+        is_reference = name == "eval" or (name == "gridsearch"
+                                          and not in_ball)
+        assert tuple(budget) == (reference if is_reference else solver)
+        counts[name, is_reference] = counts.get((name, is_reference), 0) + 1
+    # 2 valid instances, 2 grid pairs, 2 test instances in each mode
+    assert counts == {("gridsearch", True): 2, ("gridsearch", False): 4,
+                      ("run", False): 6, ("eval", True): 2}
+
+
+def _eval_with_recorded_references(
+        pipeline, tmp_path, monkeypatch,
                                    feasible=()):
     """Run eval on a copy of the fixture's outputs, with the baseline rows
     of the instances in ``feasible`` rewritten from optimal to feasible;

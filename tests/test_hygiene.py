@@ -3,11 +3,13 @@ private helpers nothing references, public functions and classes that
 nothing outside the tests references, private names that one module reads
 from another, what importing the command-line module loads, one place
 that reads and writes JSON files and one that reads and writes CSV
-files, exactly one documented line for each configuration key, and
-instance rows and columns read as arrays outside ``core``."""
+files, exactly one documented line for each configuration key, with the
+default that loads, and instance rows and columns read as arrays outside
+``core``."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,11 +323,12 @@ def test_csv_files_go_through_the_core_helpers():
     assert users == {"core.py"}
 
 
-def documented_config_keys(doc: str) -> set[tuple[str, str]]:
-    """(section, first word) of each line below an indented ``[section]``
-    line and indented as far as it, up to the next unindented or blank
-    line.  A line indented further continues the line above it."""
-    keys, section, column = set(), None, 0
+def documented_config_lines(doc: str) -> dict[tuple[str, str], list[str]]:
+    """(section, first word) -> the columns, split at runs of two or more
+    spaces, of each line below an indented ``[section]`` line and
+    indented as far as it, up to the next unindented or blank line.  A
+    line indented further continues the line above it."""
+    lines, section, column = {}, None, 0
     for line in doc.splitlines():
         words = line.split()
         indent = len(line) - len(line.lstrip())
@@ -334,8 +337,8 @@ def documented_config_keys(doc: str) -> set[tuple[str, str]]:
         elif words[0].startswith("[") and words[0].endswith("]"):
             section, column = words[0][1:-1], indent
         elif section is not None and indent == column:
-            keys.add((section, words[0]))
-    return keys
+            lines[section, words[0]] = re.split(r"\s{2,}", line.strip())
+    return lines
 
 
 def test_config_key_scan_skips_continuation_lines():
@@ -344,22 +347,37 @@ def test_config_key_scan_skips_continuation_lines():
            "    [a]\n"
            "    one      1      first\n"
            "                    wrapped words\n"
-           "    two      2\n"
+           "    two      2 3    a list\n"
            "    [b]             a note\n"
            "    three    3\n"
            "\n"
            "    four     4\n")
-    assert documented_config_keys(doc) == {("a", "one"), ("a", "two"),
-                                           ("b", "three")}
+    assert documented_config_lines(doc) == {
+        ("a", "one"): ["one", "1", "first"],
+        ("a", "two"): ["two", "2 3", "a list"],
+        ("b", "three"): ["three", "3"]}
 
 
 def test_every_config_key_is_documented():
     """Every key of ``cli._KEYS`` has a line in the ``cli`` docstring, and
     every key documented there is in ``cli._KEYS``."""
     table = {(section, key) for section, key, *_ in cli._KEYS}
-    documented = documented_config_keys(cli.__doc__)
+    documented = set(documented_config_lines(cli.__doc__))
     assert table - documented == set()
     assert documented - table == set()
+
+
+def test_documented_config_defaults_are_the_loaded_ones(tmp_path):
+    """Each key's default column in the ``cli`` docstring, parsed by the
+    key's own parser (``(empty)`` as the empty text), is the value that a
+    configuration without the key loads."""
+    cfg = cli.load_config(None, tmp_path)
+    lines = documented_config_lines(cli.__doc__)
+    for section, key, path, parse, _ in cli._KEYS:
+        text = lines[section, key][1]
+        documented = parse("" if text == "(empty)" else text)
+        assert documented == getattr(*cli._resolve(cfg, path)), (section,
+                                                                 key)
 
 
 def row_record_uses(source: str) -> list[str]:

@@ -125,7 +125,7 @@ def test_flipping_variable_is_unstable():
 def test_labels_skip_continuous_variables():
     inst = generate(GenSpec("fcnf", "tiny", seed=1))
     names = {v.name for v in inst.variables if v.vtype == BINARY}
-    sol, _ = labeler.initial_solution(inst)
+    sol, _ = labeler.initial_solution(inst, LabelConfig().base_time_limit_s)
     ls = labeler._labels_from_trace(inst, [sol], 1.0)
     assert set(ls.var_names) == names
 
@@ -137,7 +137,8 @@ def test_labels_skip_continuous_variables():
 def test_initial_solution_is_feasible():
     for seed in range(3):
         inst = generate(GenSpec("sc", "tiny", seed=seed))
-        sol, _ = labeler.initial_solution(inst)
+        sol, _ = labeler.initial_solution(inst,
+                                          LabelConfig().base_time_limit_s)
         assert sol.feasible
 
 
@@ -148,7 +149,7 @@ def test_initial_solution_hands_back_the_root_lp_bound(problem):
     preset, params = TINY_SPECS[problem]
     for seed in range(2):
         inst = generate(GenSpec(problem, preset, params=params, seed=seed))
-        _, lb = labeler.initial_solution(inst)
+        _, lb = labeler.initial_solution(inst, LabelConfig().base_time_limit_s)
         root, _ = LpWorkspace(canonicalize(inst)).solve()
         assert root.status == LP_OPTIMAL
         assert lb == root.objective, (problem, seed)
@@ -156,7 +157,8 @@ def test_initial_solution_hands_back_the_root_lp_bound(problem):
 
 def test_initial_solution_raises_on_infeasible():
     with pytest.raises(NoFeasibleSolutionError, match="infeasible"):
-        labeler.initial_solution(infeasible_binary())
+        labeler.initial_solution(infeasible_binary(),
+                                 LabelConfig().base_time_limit_s)
 
 
 def test_generate_labels_raises_on_infeasible():

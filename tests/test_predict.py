@@ -207,7 +207,7 @@ def test_radius_beyond_selection_collapses_to_left_child():
 def test_singleton_grid_returns_its_pair():
     inst = chain(3)
     z = np.array([0.9, 0.9, 0.9])
-    best = grid_search([(inst, z, -3.0)], phi_grid=(0,), eta_grid=(1.0,))
+    best = grid_search([(inst, z, -3.0)], (0,), (1.0,), bnb.BnbConfig())
     assert best == (0, 1.0, 0.0)
 
 
@@ -224,8 +224,8 @@ def test_grid_search_finds_the_better_pair():
     # unit gap while eta 0.75 frees that variable and closes it
     inst = chain(4)
     z = np.array([0.9, 0.9, 0.9, 0.1])
-    best = grid_search([(inst, z, -4.0)], phi_grid=(0,),
-                       eta_grid=(0.75, 1.0))
+    best = grid_search([(inst, z, -4.0)], (0,), (0.75, 1.0),
+                       bnb.BnbConfig())
     assert best == (0, 0.75, 0.0)
 
 
@@ -245,9 +245,7 @@ def test_grid_search_counts_runs(monkeypatch):
         ref = real(inst).objective
         validation.append((inst, z, ref))
     solver = bnb.BnbConfig(time_limit_s=2.0)
-    phi, eta, gap = grid_search(validation, phi_grid=PHI_GRID,
-                                eta_grid=ETA_GRID,
-                                cfg=ApplyConfig(solver=solver))
+    phi, eta, gap = grid_search(validation, PHI_GRID, ETA_GRID, solver)
     assert calls["n"] == len(PHI_GRID) * len(ETA_GRID) * len(validation)
     # the returned gap is the chosen pair's mean over the validation runs
     gaps = []
@@ -263,6 +261,6 @@ def test_grid_search_rejects_empty_inputs():
     inst = chain(2)
     z = np.array([0.5, 0.5])
     with pytest.raises(ValueError, match="grid"):
-        grid_search([(inst, z, -2.0)], phi_grid=(), eta_grid=(1.0,))
+        grid_search([(inst, z, -2.0)], (), (1.0,), bnb.BnbConfig())
     with pytest.raises(ValueError, match="validation"):
-        grid_search([])
+        grid_search([], PHI_GRID, ETA_GRID, bnb.BnbConfig())
