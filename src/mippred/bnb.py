@@ -115,6 +115,14 @@ class HammingBall:
     exact: bool = False
 
 
+def check_radius(phi) -> None:
+    """ValueError unless ``phi`` is a nonnegative integer, so that the
+    exact search's two boxes skip no distance; a bool (a JSON true or
+    false) is not taken as 1 or 0."""
+    if isinstance(phi, bool) or not (phi >= 0 and float(phi).is_integer()):
+        raise ValueError("phi must be a nonnegative integer")
+
+
 @dataclass
 class SolveResult:
     """Outcome of one solve, objective and bound in the instance's own sense.
@@ -320,8 +328,6 @@ def _with_distance(canon: MipInstance, ball: HammingBall):
     """``canon`` plus the distance variable ``d`` at index n and the row
     defining it, and the distance as a function of the first n entries.
     Without ``ball.exact``, ``d`` gets the upper bound ``phi``."""
-    if ball.phi < 0:
-        raise ValueError("phi must be nonnegative")
     binaries = set(canon.binary_indices())
     for j in ball.S:
         if j not in binaries:
@@ -351,15 +357,21 @@ def solve(inst: MipInstance, cfg: BnbConfig | None = None,
     proved (limit hit, or first-feasible mode); limit_reached means a
     limit hit before any incumbent.  Incumbents are evaluated on
     ``inst``, and objective and bound are in ``inst.sense``.  A ball
-    with an empty ``S`` changes nothing.
+    with an empty ``S`` changes nothing; any ball's radius and ``x_hat``
+    are checked (ValueError).
     """
     cfg = cfg or BnbConfig()
     t0 = time.perf_counter()
     canon = canonicalize(inst)
     n = canon.n_vars
     lp_inst, dist = canon, None
-    if ball is not None and len(ball.S):
-        lp_inst, dist = _with_distance(canon, ball)
+    if ball is not None:
+        check_radius(ball.phi)
+        if len(ball.x_hat) != n:
+            raise ValueError(f"x_hat has {len(ball.x_hat)} entries for "
+                             f"{n} variables")
+        if len(ball.S):
+            lp_inst, dist = _with_distance(canon, ball)
     ws = LpWorkspace(lp_inst)
     ints = np.flatnonzero(canon.vtype != CONTINUOUS)
     low0 = ws.base_low[:ws.n].copy()

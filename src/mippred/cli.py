@@ -11,6 +11,10 @@ Every subcommand works inside one experiment directory (``--workdir``):
     results_{mode}.csv                    written by  run
     report.json, report.csv, curves/      written by  eval
 
+Graph and scaler files hold each array as base64 text
+(``core.encode_array``); those written as nested lists by earlier
+versions exit 4 and need ``featurize`` rerun.
+
 ``train`` reads the graphs and labels of the train and valid splits: it
 fits the model on the train split and stops early on the valid split's
 loss, keeping the epoch where that loss was lowest (``gcn.train``).
@@ -28,7 +32,9 @@ reports it optimal, else a baseline solve under ``ref_time_limit_s``.
 It scores the predictions on the valid split only, as the test split
 has no labels.  The report's validation AP is therefore an
 in-sample figure: the same split picks the kept epoch in ``train`` and
-(phi, eta) in ``gridsearch``.  For each valid instance it also writes
+(phi, eta) in ``gridsearch``.  Beside each AP stands ``ap_baseline``,
+the positive share of the stable binaries: about the AP of a random
+ranking.  For each valid instance it also writes
 curves/{instance}.csv: the accuracy of the rounded predictions on the
 stable binaries when only the most confident 0.25, 0.5, 0.75, 0.9 and
 1.0 fractions of them are kept (``metrics.accuracy_at_fraction``).
@@ -598,8 +604,7 @@ def _prediction_quality(cfg: ExperimentConfig) -> dict:
                "accuracy": None}
         if len(y) and (y == 1).any():
             row["ap"] = metrics.average_precision(z, y)
-            row["ap_baseline"] = metrics.average_precision(
-                metrics.prevalence_baseline(y), y)
+            row["ap_baseline"] = float(np.mean(y == 1))
         if len(y):
             curve = metrics.accuracy_at_fraction(z, y, _CURVE_FRACTIONS)
             write_csv(curves_dir / f"{name}.csv", ("fraction", "accuracy"),
@@ -697,7 +702,7 @@ def cmd_eval(cfg: ExperimentConfig) -> None:
     val = summary["validation"]
     if val["mean_ap"] is not None:
         print(f"validation mean AP {val['mean_ap']:.4f} "
-              f"(prevalence baseline {val['mean_ap_baseline']:.4f})")
+              f"(positive share {val['mean_ap_baseline']:.4f})")
     print(f"eval: wrote {cfg.workdir / 'report.json'} and report.csv")
 
 

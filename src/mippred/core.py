@@ -10,11 +10,15 @@ instances (``MipInstance.from_constraints``) and serve as read-only
 views.  The module also holds the one path by which every pipeline
 file in JSON is written and read: ``write_json`` streams indented JSON
 into the file, and ``read_json`` and ``check_keys`` read and check it.
-Every CSV file likewise goes through ``write_csv`` and ``read_csv``.
+An array in such a file is one base64 string, written by
+``encode_array`` and read and checked by ``decode_array``.  Every CSV
+file likewise goes through ``write_csv`` and ``read_csv``.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import json
 import math
@@ -369,6 +373,39 @@ def read_json(path, parse, error: type[ValueError] = ValueError):
         raise error(f"{path}: missing key {exc}") from None
     except (LookupError, AttributeError, TypeError, ValueError) as exc:
         raise error(f"{path}: {exc}") from None
+
+
+def encode_array(arr) -> str:
+    """``arr`` as the base64 text of its little-endian bytes in C order:
+    int64 for an integer array, float64 for any other."""
+    dtype = "<i8" if np.asarray(arr).dtype.kind in "iu" else "<f8"
+    return base64.b64encode(np.ascontiguousarray(arr, dtype)).decode("ascii")
+
+
+def decode_array(text, shape: tuple, field: str, bound: int | None = None) -> np.ndarray:
+    """The array of ``shape`` that ``encode_array`` wrote as ``text``:
+    finite float64 values or, with a ``bound``, int64 indices in
+    ``[0, bound)``; a leading -1 in ``shape`` takes that length from
+    the byte count.  ValueError naming ``field`` on anything else."""
+    if not isinstance(text, str):
+        raise ValueError(f"{field}: expected base64 text, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{field}: not base64: {exc}") from None
+    if shape[0] == -1:
+        shape = (len(raw) // (8 * math.prod(shape[1:])), *shape[1:])
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{field} has {len(raw)} bytes, expected "
+                         f"{8 * math.prod(shape)} for shape {shape}")
+    index = bound is not None
+    arr = np.frombuffer(raw, "<i8" if index else "<f8").astype(
+        np.int64 if index else float).reshape(shape)
+    if not (index or np.isfinite(arr).all()):
+        raise ValueError(f"{field} has non-finite values")
+    if index and arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise ValueError(f"{field} holds a value that is not an index in [0, {bound})")
+    return arr
 
 
 def write_csv(path, header, rows) -> None:

@@ -60,15 +60,13 @@ place, with the same per-element arithmetic as a per-array update.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_keys, read_json, write_json
+from .core import check_keys, decode_array, encode_array, read_json, write_json
 from .labeler import LabelSet, STABLE1, UNSTABLE
 from .trigraph import (
     N_CONS_FEATURES,
@@ -700,15 +698,14 @@ def _adam_update(p, g, m, v, s1, s2, lr, c1, c2):
 
 def save_params(path, params: dict, hyper: GcnHyper) -> None:
     """Write the parameters and hyperparameters to ``path`` in model
-    file format 2: each parameter, in ``param_shapes`` order, is the
-    base64 text of its little-endian float64 bytes in C order, and its
-    shape follows from the hyperparameters."""
+    file format 2: each parameter, in ``param_shapes`` order, is its
+    ``core.encode_array`` text (base64 of its little-endian float64
+    bytes in C order), and its shape follows from the hyperparameters."""
     _check_shapes(params, hyper)
     write_json(path, {
         "format_version": FORMAT_VERSION, "hyper": asdict(hyper),
-        "params": {name: base64.b64encode(
-            np.ascontiguousarray(params[name], "<f8")).decode("ascii")
-            for name in param_shapes(hyper)}})
+        "params": {name: encode_array(params[name])
+                   for name in param_shapes(hyper)}})
 
 
 def _params_from_dict(blob: dict):
@@ -722,30 +719,15 @@ def _params_from_dict(blob: dict):
     hyper.validate()
     shapes = param_shapes(hyper)
     check_keys(blob["params"], set(shapes), "parameters")
-    params = {}
-    for name, shape in shapes.items():
-        text = blob["params"][name]
-        if not isinstance(text, str):
-            raise ValueError(f"parameter {name!r}: expected base64 text, "
-                             f"got {type(text).__name__}")
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except binascii.Error as exc:
-            raise ValueError(f"parameter {name!r}: not base64: {exc}") from None
-        size = math.prod(shape)
-        if len(raw) != 8 * size:
-            raise ValueError(f"parameter {name!r} has {len(raw)} bytes, "
-                             f"expected {8 * size} for shape {shape}")
-        arr = np.frombuffer(raw, "<f8").astype(float).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"parameter {name!r} has non-finite values")
-        params[name] = arr
-    return params, hyper
+    return {name: decode_array(blob["params"][name], shape,
+                               f"parameter {name!r}")
+            for name, shape in shapes.items()}, hyper
 
 
 def load_params(path):
     """(params, hyper) from a model file of format 2 (``save_params``);
     ValueError naming the file on any other version, on hyperparameters
-    of the wrong type or range, and on a parameter that is not base64,
-    has the wrong number of values or a non-finite one."""
+    of the wrong type or range, and on a parameter that
+    ``core.decode_array`` refuses: one that is not base64 text, has the
+    wrong number of values or a non-finite one."""
     return read_json(path, _params_from_dict)

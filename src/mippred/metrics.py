@@ -71,10 +71,3 @@ def accuracy_at_fraction(z, labels, fractions):
         out.append((float(f), float(np.mean(correct[:k]))))
     return out
 
-
-def prevalence_baseline(labels) -> np.ndarray:
-    """Constant score equal to the positive fraction."""
-    labels = np.asarray(labels)
-    if len(labels) == 0:
-        raise ValueError("baseline undefined on an empty label set")
-    return np.full(len(labels), float(np.mean(labels == 1)))

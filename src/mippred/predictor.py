@@ -55,10 +55,8 @@ class ApplyConfig:
     mode: str = APPROXIMATE
 
     def validate(self) -> None:
+        bnb.check_radius(self.phi)
         # a bool (a JSON true or false) is not taken as 1 or 0
-        if isinstance(self.phi, bool) or not (
-                self.phi >= 0 and float(self.phi).is_integer()):
-            raise ValueError("phi must be a nonnegative integer")
         if isinstance(self.eta, bool) or not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if self.mode not in (APPROXIMATE, EXACT):

@@ -23,8 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (BINARY, CONTINUOUS, MipInstance, check_keys, read_json,
-                   write_json)
+from .core import (BINARY, CONTINUOUS, MipInstance, check_keys, decode_array,
+                   encode_array, read_json, write_json)
 from .bnb import RootInfo
 from .simplex import AT_LOWER, FREE, OPTIMAL
 
@@ -327,32 +327,11 @@ def apply_scaler(graph: TriGraph, scaler: FeatureScaler) -> TriGraph:
 
 
 def trigraph_to_dict(graph: TriGraph) -> dict:
-    """The fields of ``graph`` under their own names, arrays as (nested)
-    lists."""
-    out = {}
-    for f in fields(TriGraph):
-        value = getattr(graph, f.name)
-        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return out
-
-
-def _array(data: dict, key: str, shape: tuple, bound: int | None = None):
-    """``data[key]`` as an array of ``shape``: finite floats, or with a
-    ``bound`` integer indices in ``[0, bound)``."""
-    arr = np.array(data[key], dtype=float if bound is None else None)
-    if arr.size == 0:
-        arr = arr.reshape(0, *shape[1:])
-    if arr.shape != shape:
-        raise ValueError(f"{key} has shape {arr.shape}, expected {shape}")
-    if bound is None:
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{key} has non-finite values")
-        return arr
-    if arr.size and (arr.dtype.kind != "i" or arr.min() < 0
-                     or arr.max() >= bound):
-        raise ValueError(f"{key} holds a value that is not an index "
-                         f"in [0, {bound})")
-    return arr.astype(np.int64)
+    """The fields of ``graph`` under their own names, each array as its
+    ``core.encode_array`` text: int64 for the edge endpoints ``vc_var``
+    and ``vc_cons``, float64 for the features."""
+    return {key: encode_array(value) if isinstance(value, np.ndarray)
+            else value for key, value in vars(graph).items()}
 
 
 def trigraph_from_dict(data: dict) -> TriGraph:
@@ -362,20 +341,17 @@ def trigraph_from_dict(data: dict) -> TriGraph:
                 and all(isinstance(s, str) for s in data[key])):
             raise ValueError(f"{key} must be a list of strings")
     n, m = len(data["var_names"]), len(data["cons_names"])
-    n_edges = len(data["vc_var"])
-    return TriGraph(
-        name=data["name"],
-        var_names=data["var_names"],
-        cons_names=data["cons_names"],
-        var_feats=_array(data, "var_feats", (n, N_VAR_FEATURES)),
-        cons_feats=_array(data, "cons_feats", (m, N_CONS_FEATURES)),
-        obj_feats=_array(data, "obj_feats", (N_OBJ_FEATURES,)),
-        vc_var=_array(data, "vc_var", (n_edges,), bound=n),
-        vc_cons=_array(data, "vc_cons", (n_edges,), bound=m),
-        vc_feats=_array(data, "vc_feats", (n_edges, 2)),
-        vo_feats=_array(data, "vo_feats", (n, 2)),
-        co_feats=_array(data, "co_feats", (m, 2)),
-    )
+    arrays = {"vc_var": decode_array(data["vc_var"], (-1,), "vc_var", n)}
+    n_edges = len(arrays["vc_var"])
+    for key, shape, bound in (
+            ("var_feats", (n, N_VAR_FEATURES), None),
+            ("cons_feats", (m, N_CONS_FEATURES), None),
+            ("obj_feats", (N_OBJ_FEATURES,), None),
+            ("vc_cons", (n_edges,), m), ("vc_feats", (n_edges, 2), None),
+            ("vo_feats", (n, 2), None), ("co_feats", (m, 2), None)):
+        arrays[key] = decode_array(data[key], shape, key, bound)
+    return TriGraph(name=data["name"], var_names=data["var_names"],
+                    cons_names=data["cons_names"], **arrays)
 
 
 def write_trigraph(path, graph: TriGraph) -> None:
@@ -387,8 +363,8 @@ def read_trigraph(path) -> TriGraph:
 
 
 def scaler_to_dict(scaler: FeatureScaler) -> dict:
-    return {fam: {"shift": [float(v) for v in scaler.shift[fam]],
-                  "scale": [float(v) for v in scaler.scale[fam]]}
+    return {fam: {"shift": encode_array(scaler.shift[fam]),
+                  "scale": encode_array(scaler.scale[fam])}
             for fam in _FAMILIES}
 
 
@@ -397,14 +373,10 @@ def scaler_from_dict(data: dict) -> FeatureScaler:
     shift, scale = {}, {}
     for fam in _FAMILIES:
         check_keys(data[fam], {"shift", "scale"}, f"scaler family {fam!r}")
-        shift[fam] = np.array(data[fam]["shift"], float)
-        scale[fam] = np.array(data[fam]["scale"], float)
-        if not shift[fam].shape == scale[fam].shape == (_WIDTHS[fam],):
-            raise ValueError(f"scaler family {fam!r} is not "
-                             f"{_WIDTHS[fam]} features wide")
-        if not (np.all(np.isfinite(shift[fam]))
-                and np.all(np.isfinite(scale[fam]))):
-            raise ValueError(f"non-finite value in scaler family {fam!r}")
+        shift[fam], scale[fam] = (
+            decode_array(data[fam][part], (_WIDTHS[fam],),
+                         f"scaler family {fam!r} {part}")
+            for part in ("shift", "scale"))
         if np.any(scale[fam] <= 0):
             raise ValueError(f"nonpositive scale in family {fam!r}")
     return FeatureScaler(shift=shift, scale=scale)

@@ -136,6 +136,31 @@ def test_cut_rejects_non_binary_index():
                 np.zeros(inst.n_vars), [cont[0]], phi=1, exact=exact))
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_ball_radius_and_x_hat_are_checked(exact):
+    # with a fractional radius the near box d <= phi and the far box
+    # d >= phi + 1 would both skip the integer between them, and the
+    # exact search could prove an optimum above the true one
+    preset, params = TINY_SPECS["cfl"]
+    inst = generate(GenSpec("cfl", preset, params=params, seed=0))
+    bins, n = inst.binary_indices(), inst.n_vars
+    for phi in (0.5, 2.5, math.nan, math.inf, -1, -0.5, True, False):
+        for S in (bins, []):
+            with pytest.raises(ValueError,
+                               match="phi must be a nonnegative integer"):
+                bnb.solve(inst, ball=bnb.HammingBall(np.zeros(n), S, phi,
+                                                     exact=exact))
+    for length in (n - 1, n + 1, len(bins)):
+        with pytest.raises(ValueError, match=f"x_hat has {length} entries"):
+            bnb.solve(inst, ball=bnb.HammingBall(np.zeros(length), bins, 1,
+                                                 exact=exact))
+    plain = bnb.solve(inst)
+    for phi in (np.int64(1), 1.0):
+        res = bnb.solve(inst, ball=bnb.HammingBall(np.zeros(n), bins, phi,
+                                                   exact=True))
+        assert res.objective == pytest.approx(plain.objective, abs=1e-6)
+
+
 def test_root_branch_matches_plain_solve():
     rng = np.random.default_rng(11)
     for problem in ("sc", "mis", "cfl"):

@@ -5,9 +5,10 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
-from mippred import bnb, cli
+from mippred import bnb, cli, labeler
 from mippred.core import (BINARY, Constraint, MipInstance, Variable,
                           read_instance, write_instance)
 
@@ -143,6 +144,24 @@ def test_report_structure(pipeline):
     assert 0.0 <= val["mean_ap"] <= 1.0
     assert (pipeline / "report.csv").is_file()
     assert len(list((pipeline / "curves").glob("*.csv"))) == 2
+
+
+def test_report_ap_baseline_is_the_positive_share(pipeline):
+    # a constant score ranks the binaries by index, so its AP would
+    # depend on the variable order; the positive share does not
+    val = json.loads((pipeline / "report.json").read_text())["summary"][
+        "validation"]
+    shares = []
+    for row in val["per_instance"]:
+        ls = labeler.read_labels(pipeline / "labels"
+                                 / f"{row['instance']}.json")
+        y = ls.targets()[ls.stable_mask()]
+        if row["ap"] is None:
+            assert row["ap_baseline"] is None
+            continue
+        assert row["ap_baseline"] == float(np.mean(y == 1))
+        shares.append(row["ap_baseline"])
+    assert shares and val["mean_ap_baseline"] == float(np.mean(shares))
 
 
 def test_report_csv_and_curves_layout(pipeline):

@@ -1,5 +1,6 @@
 """Data model, validation, evaluation and file round-trips."""
 
+import base64
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from mippred import bnb
 from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
                           InstanceFormatError, MipInstance, RowArrays, Variable,
-                          canonicalize,
+                          canonicalize, decode_array, encode_array,
                           evaluate_solution, instance_from_dict,
                           instance_to_dict, read_csv, read_instance,
                           validate_instance, write_csv, write_instance,
@@ -434,3 +435,73 @@ def test_read_csv_returns_the_written_cells(tmp_path):
     assert read_csv(path) == [["name", "value"], *rows]
     path.write_text("h\n\nv\n")
     assert read_csv(path) == [["h"], [], ["v"]]
+
+
+# ---------------------------------------------------------------------------
+# Arrays in JSON files: core.encode_array and core.decode_array
+
+
+@pytest.mark.parametrize("arr, shape, bound", [
+    (np.array([-0.0, 5e-324, 2.2250738585072014e-308, -1.5, 1e308]), (5,), None),
+    (np.arange(6.0).reshape(2, 3) / 7.0, (2, 3), None),
+    (np.array([-0.0, 1.0, 3.25, -4.0]).reshape(2, 2), (-1, 2), None),
+    (np.zeros((0, 2)), (-1, 2), None),
+    (np.zeros((0, 57)), (0, 57), None),
+    (np.array([0, 5, 2**40, 2**62], dtype=np.int64), (-1,), 2**62 + 1),
+    (np.array([3, 0, 1], dtype=np.int64), (3,), 4),
+    (np.zeros(0, dtype=np.int64), (-1,), 1),
+], ids=["signed_zero_and_subnormals", "matrix", "leading_minus_one",
+        "no_rows", "zero_rows", "wide_indices", "indices", "no_indices"])
+def test_array_round_trip_is_bitwise(arr, shape, bound):
+    back = decode_array(encode_array(arr), shape, "a", bound)
+    assert (back.dtype, back.shape) == (arr.dtype, arr.shape)
+    assert back.tobytes() == arr.tobytes()
+    assert back.flags.writeable
+
+
+def test_array_text_is_base64_of_little_endian_bytes():
+    assert encode_array(np.array([1.0, -0.0])) == "AAAAAAAA8D8AAAAAAAAAgA=="
+    assert encode_array(np.array([1, 256], dtype=np.int32)) == \
+        "AQAAAAAAAAAAAQAAAAAAAA=="
+    # C order, whatever the input's layout or byte order
+    arr = np.arange(6.0).reshape(2, 3)
+    assert base64.b64decode(encode_array(arr.T)) == arr.T.astype("<f8").tobytes()
+    assert encode_array(arr.astype(">f8")) == encode_array(arr)
+
+
+def b64(values, dtype="<f8"):
+    return base64.b64encode(np.array(values, dtype).tobytes()).decode()
+
+
+@pytest.mark.parametrize("text, shape, bound, problem", [
+    ([1.0, 2.0], (2,), None, "field: expected base64 text, got list"),
+    (None, (2,), None, "field: expected base64 text, got NoneType"),
+    (b64([1.0, 2.0]).encode(), (2,), None,
+     "field: expected base64 text, got bytes"),
+    ("not base64!", (2,), None, "field: not base64"),
+    (b64([1.0, 2.0])[:-1], (2,), None, "field: not base64"),
+    (b64([1.0, 2.0, 3.0]), (2,), None,
+     "field has 24 bytes, expected 16 for shape (2,)"),
+    (b64([1.0]), (1, 2), None,
+     "field has 8 bytes, expected 16 for shape (1, 2)"),
+    (b64([1.0, 2.0, 3.0]), (-1, 2), None,
+     "field has 24 bytes, expected 16 for shape (1, 2)"),
+    (base64.b64encode(b"\0" * 12).decode(), (-1,), None,
+     "field has 12 bytes, expected 8 for shape (1,)"),
+    (b64([0.0, math.nan]), (2,), None, "field has non-finite values"),
+    (b64([math.inf, 0.0]), (2,), None, "field has non-finite values"),
+    (b64([0.0, -math.inf]), (-1,), None, "field has non-finite values"),
+    (b64([0, 3], "<i8"), (2,), 3,
+     "field holds a value that is not an index in [0, 3)"),
+    (b64([-1, 0], "<i8"), (-1,), 3,
+     "field holds a value that is not an index in [0, 3)"),
+    (b64([0], "<i8"), (1,), 0,
+     "field holds a value that is not an index in [0, 0)"),
+], ids=["list", "null", "bytes", "alphabet", "padding", "extra_bytes",
+        "short", "ragged_rows", "partial_value", "nan", "inf", "minus_inf",
+        "index_past_end", "negative_index", "no_index_allowed"])
+def test_decode_array_rejects_bad_text_naming_the_field(text, shape, bound,
+                                                         problem):
+    with pytest.raises(ValueError) as err:
+        decode_array(text, shape, "field", bound)
+    assert str(err.value).startswith(problem), str(err.value)

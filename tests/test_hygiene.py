@@ -323,6 +323,14 @@ def test_csv_files_go_through_the_core_helpers():
     assert users == {"core.py"}
 
 
+def test_array_bytes_go_through_the_core_codec():
+    """Only ``core`` imports base64 or binascii: every array in a JSON
+    file is written by ``encode_array`` and read by ``decode_array``."""
+    users = {path.name for path in sorted(SRC.glob("*.py"))
+             if {"base64", "binascii"} & imported_modules(path.read_text())}
+    assert users == {"core.py"}
+
+
 def documented_config_lines(doc: str) -> dict[tuple[str, str], list[str]]:
     """(section, first word) -> the columns, split at runs of two or more
     spaces, of each line below an indented ``[section]`` line and

@@ -6,7 +6,7 @@ import pytest
 from mippred import metrics
 from mippred.core import write_csv
 from mippred.metrics import (accuracy_at_fraction, average_precision,
-                             optimality_gap, prevalence_baseline, primal_gap)
+                             optimality_gap, primal_gap)
 from oracles import average_precision_reference
 
 
@@ -155,14 +155,7 @@ def test_accuracy_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# Baseline
-
-
-def test_prevalence_baseline_values():
-    np.testing.assert_allclose(prevalence_baseline([1, 0, 0, 1]), 0.5)
-    np.testing.assert_allclose(prevalence_baseline([1, 1, 1]), 1.0)
-    with pytest.raises(ValueError, match="empty"):
-        prevalence_baseline([])
+# Constant scores
 
 
 def test_baseline_ap_matches_oracle():
@@ -172,7 +165,7 @@ def test_baseline_ap_matches_oracle():
         labels = rng.integers(0, 2, size=n)
         if labels.sum() == 0:
             labels[0] = 1
-        scores = prevalence_baseline(labels)
+        scores = np.full(n, np.mean(labels == 1))  # all tied: by index
         assert average_precision(scores, labels) == pytest.approx(
             average_precision_reference(scores, labels), abs=1e-12)
 

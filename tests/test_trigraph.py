@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mippred import bnb, trigraph
 from mippred.core import (BINARY, CONTINUOUS, INTEGER, Constraint,
-                          MipInstance, Variable)
+                          MipInstance, Variable, decode_array, encode_array)
 from mippred.generators import GenSpec, generate
 from mippred.trigraph import (N_CONS_FEATURES, N_VAR_FEATURES, apply_scaler,
                               build_trigraph, fit_scaler)
@@ -49,8 +49,10 @@ def test_two_vars_one_row_gives_five_edges():
     assert g.co_feats.shape == (1, 2)
     data = trigraph.trigraph_to_dict(g)
     # two v-c edges, one v-o edge per variable, one c-o edge per row
-    assert len(data["vc_var"]) + len(data["vo_feats"]) + \
-        len(data["co_feats"]) == 5
+    assert sum(len(decode_array(data[key], shape, key, bound))
+               for key, shape, bound in (("vc_var", (-1,), 2),
+                                         ("vo_feats", (-1, 2), None),
+                                         ("co_feats", (-1, 2), None))) == 5
 
 
 def test_zero_coefficient_variable_keeps_objective_edge_only():
@@ -515,9 +517,17 @@ def test_graph_file_rejects_unknown_key(tmp_path):
                                         ("vc_cons", "cons_names")])
 @pytest.mark.parametrize("bad", ["past_end", "negative", "fractional"])
 def test_graph_file_rejects_out_of_range_index(tmp_path, key, names, bad):
-    data = trigraph.trigraph_to_dict(graph_of(pair_instance()))
-    data[key][0] = {"past_end": len(data[names]), "negative": -1,
-                    "fractional": 0.5}[bad]
+    g = graph_of(pair_instance())
+    data = trigraph.trigraph_to_dict(g)
+    index = getattr(g, key).copy()
+    if bad == "fractional":
+        # int64 text cannot hold 0.5: an index array written as float64
+        # bytes reads as int64 values far past the end
+        index = index.astype(float)
+        index[0] = 0.5
+    else:
+        index[0] = {"past_end": len(data[names]), "negative": -1}[bad]
+    data[key] = encode_array(index)
     path = write_dict(tmp_path / "bad.json", data)
     with pytest.raises(ValueError, match=f"bad.json: {key} .*index"):
         trigraph.read_trigraph(path)
@@ -525,13 +535,26 @@ def test_graph_file_rejects_out_of_range_index(tmp_path, key, names, bad):
 
 @pytest.mark.parametrize("key", GRAPH_ARRAYS)
 def test_graph_file_rejects_wrong_shape(tmp_path, key):
-    data = trigraph.trigraph_to_dict(graph_of(pair_instance()))
-    data[key] = data[key][:-1]
+    g = graph_of(pair_instance())
+    data = trigraph.trigraph_to_dict(g)
+    data[key] = encode_array(getattr(g, key)[:-1])
     path = write_dict(tmp_path / "bad.json", data)
     # vc_var sets the edge count, so a short vc_var is caught on vc_cons
-    with pytest.raises(ValueError, match="bad.json: vc_cons has shape"
-                       if key == "vc_var" else f"bad.json: {key} has shape"):
+    with pytest.raises(ValueError, match="bad.json: vc_cons has .* bytes"
+                       if key == "vc_var" else f"bad.json: {key} has .* bytes"):
         trigraph.read_trigraph(path)
+
+
+def test_graph_file_in_list_form_is_refused_naming_the_field(tmp_path):
+    # graph files once stored every array as nested lists
+    g = graph_of(pair_instance())
+    data = {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in vars(g).items()}
+    path = write_dict(tmp_path / "old.json", data)
+    with pytest.raises(ValueError) as err:
+        trigraph.read_trigraph(path)
+    assert str(err.value).startswith(
+        f"{path}: vc_var: expected base64 text, got list")
 
 
 def test_graph_file_names_the_path_of_bad_json(tmp_path):
@@ -557,17 +580,21 @@ def test_scaler_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize("part", ["shift", "scale"])
 def test_scaler_file_rejects_wrong_width(tmp_path, part):
-    data = trigraph.scaler_to_dict(fit_scaler([graph_of(pair_instance())]))
-    data["var"][part] = data["var"][part][:1]
+    scaler = fit_scaler([graph_of(pair_instance())])
+    data = trigraph.scaler_to_dict(scaler)
+    data["var"][part] = encode_array(getattr(scaler, part)["var"][:1])
     path = write_dict(tmp_path / "bad.json", data)
-    with pytest.raises(ValueError, match="bad.json: .*'var' is not 57"):
+    with pytest.raises(ValueError, match=f"bad.json: scaler family 'var' "
+                       f"{part} has 8 bytes, expected {8 * 57}"):
         trigraph.read_scaler(path)
 
 
 def test_scaler_file_rejects_nonpositive_scale(tmp_path):
-    g = graph_of(pair_instance())
-    data = trigraph.scaler_to_dict(fit_scaler([g]))
-    data["var"]["scale"][0] = 0.0
+    scaler = fit_scaler([graph_of(pair_instance())])
+    data = trigraph.scaler_to_dict(scaler)
+    scale = scaler.scale["var"].copy()
+    scale[0] = 0.0
+    data["var"]["scale"] = encode_array(scale)
     path = write_dict(tmp_path / "bad.json", data)
     with pytest.raises(ValueError, match="nonpositive"):
         trigraph.read_scaler(path)
@@ -576,12 +603,27 @@ def test_scaler_file_rejects_nonpositive_scale(tmp_path):
 @pytest.mark.parametrize("part,value", [("shift", math.nan),
                                         ("scale", math.inf)])
 def test_scaler_file_rejects_non_finite_values(tmp_path, part, value):
-    # json reads NaN and Infinity: a NaN shift would make every
-    # prediction NaN, an infinite scale would zero a feature column
-    g = graph_of(pair_instance())
-    data = trigraph.scaler_to_dict(fit_scaler([g]))
-    data["cons"][part][1] = value
+    # a NaN shift would make every prediction NaN, an infinite scale
+    # would zero a feature column
+    scaler = fit_scaler([graph_of(pair_instance())])
+    data = trigraph.scaler_to_dict(scaler)
+    values = getattr(scaler, part)["cons"].copy()
+    values[1] = value
+    data["cons"][part] = encode_array(values)
     path = write_dict(tmp_path / "bad.json", data)
-    with pytest.raises(ValueError, match="bad.json: non-finite value in "
-                       "scaler family 'cons'"):
+    with pytest.raises(ValueError, match=f"bad.json: scaler family 'cons' "
+                       f"{part} has non-finite values"):
         trigraph.read_scaler(path)
+
+
+def test_scaler_file_in_list_form_is_refused_naming_the_field(tmp_path):
+    # scaler files once stored every array as a list of floats
+    scaler = fit_scaler([graph_of(pair_instance())])
+    data = {fam: {"shift": scaler.shift[fam].tolist(),
+                  "scale": scaler.scale[fam].tolist()}
+            for fam in trigraph._FAMILIES}
+    path = write_dict(tmp_path / "old.json", data)
+    with pytest.raises(ValueError) as err:
+        trigraph.read_scaler(path)
+    assert str(err.value).startswith(
+        f"{path}: scaler family 'var' shift: expected base64 text, got list")
